@@ -44,6 +44,7 @@ from .relation_model import (
     encode_row,
 )
 from .table_store import (
+    KEY_FIELD_WIDTH,
     TableStore,
     build_index_from_table,
     decode_key,
@@ -340,7 +341,7 @@ def ingest_csv(csv_path, key_columns, out_dir,
 
 def iter_table_cells(tbl_path, k: int, record_width: int):
     """Stream (coordinates, record) from a sorted table file."""
-    key_bytes = k * 4
+    key_bytes = k * KEY_FIELD_WIDTH
     row = key_bytes + record_width
     block = row * 2048
     with open(tbl_path, "rb") as f:

@@ -31,8 +31,8 @@ from .errors import (
     UnknownDimensionValueError,
 )
 from .linearizer import cell_count
+from .table_store import KEY_FIELD_WIDTH
 
-KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field
 MAX_CARDINALITY = 2**32 - 1  # key fields are 4-byte unsigned
 
 KIND_INT = "int64"

@@ -17,8 +17,10 @@ internal nodes carry separators only, each separator being the smallest
 key of the child subtree to its right.  The tree is bulk-loaded bottom
 up from the sorted stream; every node except the root keeps between
 t - 1 and 2t - 1 keys, where the minimal degree t is derived from the
-page size.  A lookup therefore reads at most ceil(log_t((r + 1) / 2)) + 1
-node pages.  The metadata page is read once at open time and cached.
+page size.  A lookup therefore visits at most ceil(log_t((r + 1) / 2)) + 1
+nodes.  At open time the metadata page and every internal node are read,
+checked and held in memory (about one separator per leaf), so a lookup
+bisects the levels above the leaves in memory and reads one leaf page.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from bisect import bisect_right
 from pathlib import Path
 from typing import NamedTuple
 
@@ -40,7 +43,7 @@ from .errors import (
 )
 from .linearizer import cell_count
 
-KEY_FIELD_WIDTH = 4
+KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field
 RECNO_WIDTH = 8
 CHILD_WIDTH = 8
 
@@ -253,8 +256,11 @@ def build_table(cells, tbl_path, btx_path, cards, record_width: int,
 class TableStore:
     """Read handle over a sorted table file and its optional B-tree index.
 
-    Reads go through pread; the per-lookup counters (last_page_reads,
-    last_row_reads) are plain attributes and not thread-safe.
+    Reads go through pread.  The internal B-tree nodes are decoded once
+    at open, so btree_lookup reads only its leaf page from the index;
+    last_page_reads still counts every node visited, height + 1.  The
+    per-lookup counters (last_page_reads, last_row_reads) are plain
+    attributes and not thread-safe.
     """
 
     def __init__(self, tbl_file, cards, record_width: int, btx_file=None):
@@ -274,8 +280,11 @@ class TableStore:
         self._btx = btx_file
         self._btx_fd = btx_file.fileno() if btx_file else None
         self.meta: BTreeMeta | None = None
+        # internal page number -> (separator keys, child page numbers)
+        self._internal: dict[int, tuple[list[bytes], list[int]]] = {}
         if btx_file is not None:
             self.meta = self._read_meta()
+            self._load_internal_nodes()
         self.last_page_reads = 0
         self.last_row_reads = 0
 
@@ -312,30 +321,83 @@ class TableStore:
         self.close()
 
     def _read_meta(self) -> BTreeMeta:
+        name = self._btx.name
         raw = os.pread(self._btx_fd, _META.size, 0)
         if len(raw) != _META.size:
-            raise StorageError("index file is truncated")
+            raise StorageError(f"{name}: index file is truncated")
         magic, version, _, page_size, t, key_bytes, root, nodes, entries, height = (
             _META.unpack(raw)
         )
         if magic != _MAGIC:
-            raise StorageError(f"bad index magic {magic!r}")
+            raise StorageError(f"{name}: bad index magic {magic!r}")
         if version != _VERSION:
-            raise StorageError(f"unsupported index version {version}")
+            raise StorageError(f"{name}: unsupported index version {version}")
         if key_bytes != self.key_bytes:
             raise StorageError(
-                f"index keys are {key_bytes} bytes, table keys are {self.key_bytes}"
+                f"{name}: index keys are {key_bytes} bytes, table keys are {self.key_bytes}"
             )
         if entries != self.row_count:
             raise StorageError(
-                f"index covers {entries} rows, table holds {self.row_count}"
+                f"{name}: index covers {entries} rows, table holds {self.row_count}"
+            )
+        size = os.fstat(self._btx_fd).st_size
+        if size != (nodes + 1) * page_size:
+            raise StorageError(
+                f"{name}: size {size} is not {nodes + 1} pages of {page_size} bytes"
+            )
+        if not (1 <= root <= nodes if entries else root == 0):
+            raise StorageError(f"{name}: root page {root} is invalid for "
+                               f"{nodes} nodes and {entries} entries")
+        try:
+            expected_t = min_degree(page_size, key_bytes)
+        except ParameterError:
+            expected_t = None
+        if t != expected_t:
+            raise StorageError(
+                f"{name}: minimal degree {t} does not match page size {page_size}"
             )
         return BTreeMeta(page_size, t, key_bytes, root, nodes, entries, height)
+
+    def _load_internal_nodes(self) -> None:
+        """Decode and check every internal node, level by level from the root.
+
+        Each page may be reached once, so a corrupt child pointer or
+        height cannot make the walk loop.
+        """
+        meta = self.meta
+        if not meta.root:
+            return
+        name = self._btx.name
+        width = self.key_bytes
+        hdr = _NODE_HEADER.size
+        level = [meta.root]
+        seen = {meta.root}
+        for _ in range(meta.height):
+            below = []
+            for page_no in level:
+                page = self._read_page(page_no)
+                node_type, count = _NODE_HEADER.unpack_from(page, 0)
+                if node_type != _INTERNAL or not 1 <= count <= 2 * meta.t - 1:
+                    raise StorageError(f"{name}: page {page_no} is not an internal node")
+                end = hdr + count * width
+                separators = [page[off : off + width] for off in range(hdr, end, width)]
+                if any(a >= b for a, b in zip(separators, separators[1:])):
+                    raise StorageError(f"{name}: page {page_no} separators are not ascending")
+                children = list(struct.unpack_from(f"<{count + 1}Q", page, end))
+                for child in children:
+                    if not 1 <= child <= meta.node_count or child in seen:
+                        raise StorageError(
+                            f"{name}: page {page_no} has invalid child page {child}"
+                        )
+                    seen.add(child)
+                self._internal[page_no] = (separators, children)
+                below += children
+            level = below
 
     def _read_page(self, page_no: int) -> bytes:
         page = os.pread(self._btx_fd, self.meta.page_size, page_no * self.meta.page_size)
         if len(page) != self.meta.page_size:
-            raise StorageError(f"short read of index page {page_no}")
+            raise StorageError(f"{self._btx.name}: short read of index page {page_no}")
         return page
 
     def _read_row(self, recno: int) -> bytes:
@@ -346,47 +408,39 @@ class TableStore:
 
     def btree_lookup(self, indices) -> int | None:
         """Record number of a key, or None when no row has it."""
-        if self.meta is None:
+        meta = self.meta
+        if meta is None:
             raise DatasetError("no B-tree index is attached to this table")
         key = encode_key(indices)
+        page_no = meta.root
+        if not page_no:
+            self.last_page_reads = 0
+            return None
+        internal = self._internal
+        for _ in range(meta.height):
+            separators, children = internal[page_no]
+            page_no = children[bisect_right(separators, key)]
+        page = self._read_page(page_no)
+        node_type, count = _NODE_HEADER.unpack_from(page, 0)
+        if node_type != _LEAF or count > 2 * meta.t - 1:
+            raise StorageError(f"{self._btx.name}: page {page_no} is not a leaf")
+        self.last_page_reads = meta.height + 1
         width = self.key_bytes
-        reads = 0
-        page_no = self.meta.root
-        result = None
-        if page_no:
-            hdr = _NODE_HEADER.size
-            while True:
-                page = self._read_page(page_no)
-                reads += 1
-                node_type, count = _NODE_HEADER.unpack_from(page, 0)
-                if node_type == _INTERNAL:
-                    lo, hi = 0, count
-                    while lo < hi:
-                        mid = (lo + hi) // 2
-                        off = hdr + mid * width
-                        if key < page[off : off + width]:
-                            hi = mid
-                        else:
-                            lo = mid + 1
-                    child_off = hdr + count * width + lo * CHILD_WIDTH
-                    page_no = struct.unpack_from("<Q", page, child_off)[0]
-                    continue
-                entry = width + RECNO_WIDTH
-                lo, hi = 0, count
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    off = hdr + mid * entry
-                    if page[off : off + width] < key:
-                        lo = mid + 1
-                    else:
-                        hi = mid
-                if lo < count:
-                    off = hdr + lo * entry
-                    if page[off : off + width] == key:
-                        result = struct.unpack_from("<Q", page, off + width)[0]
-                break
-        self.last_page_reads = reads
-        return result
+        entry = width + RECNO_WIDTH
+        hdr = _NODE_HEADER.size
+        lo, hi = 0, count
+        while lo < hi:
+            mid = (lo + hi) // 2
+            off = hdr + mid * entry
+            if page[off : off + width] < key:
+                lo = mid + 1
+            else:
+                hi = mid
+        if lo < count:
+            off = hdr + lo * entry
+            if page[off : off + width] == key:
+                return struct.unpack_from("<Q", page, off + width)[0]
+        return None
 
     def binary_search_lookup(self, indices) -> int | None:
         """Record number of a key by bisecting the row file directly."""

@@ -1,6 +1,8 @@
 """Sorted table file and its disk B-tree index."""
 
 import math
+import os
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +229,28 @@ class TestNodeInvariants:
                         assert count + 1 >= 2
             assert leaf_total == store.row_count
 
+    def test_one_index_pread_per_lookup(self, tmp_path, monkeypatch):
+        total = cell_count(self.CARDS)
+        cells = make_records(random_positions(total, 1500, seed=9), 2)
+        store = build_table_files(tmp_path, cells, self.CARDS, 2, page_size=256)
+        btx_inode = os.stat(tmp_path / "rel.btx").st_ino
+        real_pread = os.pread
+        index_reads = []
+
+        def counting_pread(fd, length, offset):
+            if os.fstat(fd).st_ino == btx_inode:
+                index_reads.append(offset)
+            return real_pread(fd, length, offset)
+
+        with store:
+            assert store.meta.height >= 2
+            monkeypatch.setattr(os, "pread", counting_pread)
+            for coords in enumerate_box(self.CARDS):  # hits and misses
+                index_reads.clear()
+                store.btree_lookup(coords)
+                assert len(index_reads) == 1
+                assert store.last_page_reads == store.meta.height + 1
+
     def test_rebuild_is_identical(self, tmp_path):
         total = cell_count(self.CARDS)
         positions = random_positions(total, 700, seed=10)
@@ -265,3 +289,87 @@ class TestStoreValidation:
         store = build_table_files(tmp_path, cells, (24,), 2)
         with store:
             assert store.meta.page_size == 512
+
+
+class TestIndexCorruption:
+    """A damaged .btx raises StorageError at open or lookup, never a wrong row."""
+
+    CARDS = (30, 20, 10)
+    KEY_BYTES = 12
+    PAGE = 256
+    # byte offsets of t and root in the metadata page
+    META_T = 12
+    META_ROOT = 20
+
+    def build(self, tmp_path):
+        total = cell_count(self.CARDS)
+        cells = make_records(random_positions(total, 1500, seed=9), 2)
+        with build_table_files(tmp_path, cells, self.CARDS, 2,
+                               page_size=self.PAGE) as store:
+            assert store.meta.height >= 2
+            rows = [coords for coords, _ in store.iter_rows()]
+            nodes = list(store.iter_nodes())
+            meta = store.meta
+        return rows, nodes, meta
+
+    def open(self, tmp_path):
+        return TableStore.open(tmp_path / "rel.tbl", self.CARDS, 2, tmp_path / "rel.btx")
+
+    def first_child_offset(self, page_no, count):
+        """Offset of an internal node's first child number: after header and separators."""
+        return page_no * self.PAGE + 8 + count * self.KEY_BYTES
+
+    def test_truncated_by_one_page(self, tmp_path):
+        self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        btx.write_bytes(btx.read_bytes()[: -self.PAGE])
+        with pytest.raises(StorageError, match="rel.btx: size"):
+            self.open(tmp_path)
+
+    @pytest.mark.parametrize("field", ["root past nodes", "root zero", "wrong t"])
+    def test_bad_metadata(self, tmp_path, field):
+        _, _, meta = self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        raw = bytearray(btx.read_bytes())
+        if field == "root past nodes":
+            struct.pack_into("<Q", raw, self.META_ROOT, meta.node_count + 1)
+        elif field == "root zero":
+            struct.pack_into("<Q", raw, self.META_ROOT, 0)
+        else:
+            struct.pack_into("<I", raw, self.META_T, meta.t + 1)
+        btx.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match="rel.btx"):
+            self.open(tmp_path)
+
+    @pytest.mark.parametrize("damage", [
+        "internal type byte", "child past node count", "swapped separators",
+        "leaf type byte", "child reached twice",
+    ])
+    def test_damaged_node(self, tmp_path, damage):
+        rows, nodes, meta = self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        raw = bytearray(btx.read_bytes())
+        counts = {page_no: count for page_no, _, count in nodes}
+        root = meta.root
+        if damage == "internal type byte":
+            raw[root * self.PAGE] = 0  # the leaf type
+        elif damage == "child past node count":
+            off = self.first_child_offset(root, counts[root])
+            struct.pack_into("<Q", raw, off, meta.node_count + 1)
+        elif damage == "swapped separators":
+            page_no = next(p for p, is_leaf, n in nodes
+                           if not is_leaf and p != root and n >= 2)
+            first = page_no * self.PAGE + 8
+            second = first + self.KEY_BYTES
+            raw[first:second], raw[second : second + self.KEY_BYTES] = (
+                raw[second : second + self.KEY_BYTES], raw[first:second])
+        elif damage == "leaf type byte":
+            raw[self.PAGE] = 1  # page 1 is the first leaf; 1 is the internal type
+        else:
+            first = self.first_child_offset(root, counts[root])
+            raw[first + 8 : first + 16] = raw[first : first + 8]
+        btx.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match="rel.btx: page"):
+            with self.open(tmp_path) as store:
+                for recno, coords in enumerate(rows, 1):
+                    assert store.btree_lookup(coords) == recno
