@@ -38,12 +38,12 @@ from .dataset import (
     export_rows,
     format_size_report,
     ingest_csv,
-    iter_table_cells,
     open_dataset,
     size_report,
 )
 from .errors import CubeStoreError, MalformedInputError
 from .relation_model import RelationStats, build_conjoint, space_ratio
+from .table_store import iter_table_cells
 
 
 def _parse_types(text: str) -> dict:

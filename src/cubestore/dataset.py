@@ -44,10 +44,9 @@ from .relation_model import (
     encode_row,
 )
 from .table_store import (
-    KEY_FIELD_WIDTH,
     TableStore,
     build_index_from_table,
-    decode_key,
+    iter_table_cells,
     write_table,
 )
 
@@ -337,25 +336,6 @@ def ingest_csv(csv_path, key_columns, out_dir,
     except UnicodeDecodeError as exc:
         raise MalformedInputError(f"{path} is not UTF-8: {exc}") from None
     return ingest_rows(header, rows, key_columns, out_dir, schema_name, types)
-
-
-def iter_table_cells(tbl_path, k: int, record_width: int):
-    """Stream (coordinates, record) from a sorted table file."""
-    key_bytes = k * KEY_FIELD_WIDTH
-    row = key_bytes + record_width
-    block = row * 2048
-    with open(tbl_path, "rb") as f:
-        while True:
-            chunk = f.read(block)
-            if not chunk:
-                break
-            if len(chunk) % row:
-                raise DatasetError(f"{tbl_path}: size is not a multiple of {row}")
-            for off in range(0, len(chunk), row):
-                yield (
-                    decode_key(chunk[off : off + key_bytes], k),
-                    chunk[off + key_bytes : off + row],
-                )
 
 
 def build_dataset(dataset_dir, which: str = "both",

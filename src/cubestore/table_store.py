@@ -29,6 +29,7 @@ import math
 import os
 import struct
 from bisect import bisect_right
+from itertools import count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -220,28 +221,42 @@ def build_index(entries, out_path, key_bytes: int, page_size: int | None = None)
     return meta
 
 
-def _iter_table_keys(tbl_path, key_bytes: int, record_width: int):
+def _iter_table_blocks(tbl_path, row: int):
+    """Stream a table file of row-byte rows as blocks of up to 2048 whole rows."""
+    try:
+        f = open(tbl_path, "rb")
+    except OSError as exc:
+        raise StorageError(f"cannot open {tbl_path}: {exc}") from None
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        if size % row:
+            raise StorageError(
+                f"{tbl_path}: size {size} is not a multiple of the {row}-byte row"
+            )
+        while block := f.read(row * 2048):
+            if len(block) % row:
+                raise StorageError(f"{tbl_path}: file changed size while being read")
+            yield block
+
+
+def iter_table_cells(tbl_path, k: int, record_width: int):
+    """Stream (coordinates, record) from a sorted table file."""
+    key_bytes = k * KEY_FIELD_WIDTH
     row = key_bytes + record_width
-    block = row * 2048
-    recno = 0
-    with open(tbl_path, "rb") as f:
-        while True:
-            chunk = f.read(block)
-            if not chunk:
-                break
-            if len(chunk) % row:
-                raise StorageError(f"{tbl_path}: size is not a multiple of {row}")
-            for off in range(0, len(chunk), row):
-                recno += 1
-                yield chunk[off : off + key_bytes], recno
+    for block in _iter_table_blocks(tbl_path, row):
+        for off in range(0, len(block), row):
+            yield decode_key(block[off : off + key_bytes], k), block[off + key_bytes : off + row]
 
 
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
                            page_size: int | None = None) -> BTreeMeta:
     """Index an existing sorted table file."""
     key_bytes = k * KEY_FIELD_WIDTH
-    return build_index(_iter_table_keys(tbl_path, key_bytes, record_width),
-                       btx_path, key_bytes, page_size)
+    row = key_bytes + record_width
+    keys = (block[off : off + key_bytes]
+            for block in _iter_table_blocks(tbl_path, row)
+            for off in range(0, len(block), row))
+    return build_index(zip(keys, count(1)), btx_path, key_bytes, page_size)
 
 
 def build_table(cells, tbl_path, btx_path, cards, record_width: int,

@@ -7,6 +7,7 @@ against these, never the other way round.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
@@ -71,6 +72,34 @@ def header_runs(occupied, total_cells: int):
     if not entries or entries[-1] != terminal:
         entries.append(terminal)
     return entries
+
+
+def decode_header_by_scan(data: bytes):
+    """Reference header decode: (entries, None), or (None, first bad index).
+
+    Unpacks one little-endian (end, empties) pair per 16 bytes and checks
+    each entry against its predecessor, the first against a virtual
+    (0, 0) entry: ends strictly increase, empty counts never decrease,
+    and every run except the terminal one holds at least one record.  An
+    empty header is bad at index 0.
+    """
+    assert len(data) % 16 == 0
+    entries = list(struct.iter_unpack("<QQ", data))
+    if not entries:
+        return None, 0
+    prev_end, prev_empties = 0, 0
+    for pos, (end, empties) in enumerate(entries):
+        last = pos == len(entries) - 1
+        if end <= prev_end:
+            return None, pos
+        if empties < prev_empties:
+            return None, pos
+        filled_now = end - empties
+        filled_before = prev_end - prev_empties
+        if filled_now < filled_before or (not last and filled_now == filled_before):
+            return None, pos
+        prev_end, prev_empties = end, empties
+    return entries, None
 
 
 def locate_by_scan(occupied, position: int):

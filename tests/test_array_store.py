@@ -1,6 +1,7 @@
 """Header compression: frozen worked examples, oracle sweeps, store round-trips."""
 
-import io
+import re
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from cubestore import (
     MalformedInputError,
     NotSortedError,
     RangeError,
+    SplitMix64,
     StorageError,
     cell_count,
     compress_stream,
@@ -20,7 +22,13 @@ from cubestore import (
     linearize,
 )
 from conftest import build_array_files, compress_to_memory, make_records, random_positions
-from oracle import dense_array, header_runs, locate_by_scan, logical_by_scan
+from oracle import (
+    decode_header_by_scan,
+    dense_array,
+    header_runs,
+    locate_by_scan,
+    logical_by_scan,
+)
 
 
 class TestCompressGoldens:
@@ -130,6 +138,10 @@ class TestHeaderValidation:
             Header([(3, 2), (5, 1)])  # empties decreasing
         with pytest.raises(StorageError):
             Header([(2, 1), (3, 2), (8, 5)])  # middle run holds no record
+        with pytest.raises(StorageError):
+            Header([(3, -1)])  # empty count below the virtual entry's
+        with pytest.raises(StorageError):
+            Header([(2, 0), (2, 0)])  # terminal end repeats
 
     def test_save_load_roundtrip(self, tmp_path):
         header = Header([(3, 1), (7, 4), (8, 5)])
@@ -144,6 +156,116 @@ class TestHeaderValidation:
         path.write_bytes(b"\x00" * 20)
         with pytest.raises(StorageError):
             Header.load(path)
+
+
+class TestHeaderErrors:
+    """Every header failure is a StorageError naming the file."""
+
+    def write_entries(self, path, entries):
+        path.write_bytes(b"".join(struct.pack("<QQ", e, v) for e, v in entries))
+
+    def test_missing_file(self, tmp_path):
+        path = tmp_path / "absent.hdr"
+        with pytest.raises(StorageError, match=re.escape(str(path))):
+            Header.load(path)
+
+    def test_unreadable_file(self, tmp_path):
+        path = tmp_path / "dir.hdr"
+        path.mkdir()
+        with pytest.raises(StorageError, match=re.escape(str(path))):
+            Header.load(path)
+
+    def test_array_open_without_header(self, tmp_path):
+        build_array_files(tmp_path, make_records([2, 3], 3), (4, 3, 2), 3).close()
+        hdr = tmp_path / "rel.hdr"
+        hdr.unlink()
+        with pytest.raises(StorageError, match=re.escape(str(hdr))):
+            ArrayStore.open(tmp_path / "rel.arr", hdr, (4, 3, 2), 3)
+
+    @pytest.mark.parametrize("entries,bad", [
+        ([(3, 1), (7, 0), (8, 5)], 1),   # empty count falls
+        ([(3, 1), (7, 4), (6, 5)], 2),   # end falls
+        ([(3, 1), (4, 2), (8, 5)], 1),   # middle run holds no record
+        ([(3, 1), (7, 4), (8, 7)], 2),   # terminal loses records
+        ([(0, 0), (8, 5)], 0),           # end at the virtual entry's position
+    ])
+    def test_validation_names_file_entry_and_offset(self, tmp_path, entries, bad):
+        path = tmp_path / "rel.hdr"
+        self.write_entries(path, entries)
+        assert decode_header_by_scan(path.read_bytes()) == (None, bad)
+        with pytest.raises(StorageError) as info:
+            Header.load(path)
+        message = str(info.value)
+        assert str(path) in message
+        assert f"entry {bad} at byte {16 * bad}" in message
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "rel.hdr"
+        path.write_bytes(b"")
+        with pytest.raises(StorageError, match=re.escape(str(path))):
+            Header.load(path)
+
+
+def seeded_relation(seed):
+    """(occupied positions, box size) of a seeded random relation."""
+    rng = SplitMix64(seed)
+    total = 20 + rng.below(300)
+    return random_positions(total, rng.below(total + 1), seed=seed), total
+
+
+def header_mutations(data: bytes, rng: SplitMix64):
+    """Single bit flips, two swapped entries and every 16-byte truncation."""
+    n = len(data) // 16
+    for _ in range(60):
+        bit = rng.below(len(data) * 8)
+        raw = bytearray(data)
+        raw[bit // 8] ^= 1 << (bit % 8)
+        yield bytes(raw)
+    for _ in range(20 if n > 1 else 0):
+        i, j = sorted((rng.below(n), rng.below(n)))
+        if i != j:
+            yield (data[: 16 * i] + data[16 * j : 16 * j + 16] + data[16 * i + 16 : 16 * j]
+                   + data[16 * i : 16 * i + 16] + data[16 * j + 16 :])
+    for cut in range(0, len(data), 16):
+        yield data[:cut]
+
+
+@pytest.mark.parametrize("seed", range(1, 13))
+def test_load_agrees_with_reference_on_mutated_headers(tmp_path, seed):
+    """Header.load and the per-entry reference accept and reject the same bytes."""
+    occupied, total = seeded_relation(seed)
+    header, _ = compress_to_memory(make_records(occupied, 1), total, 1)
+    path = tmp_path / "rel.hdr"
+    header.save(path)
+    data = path.read_bytes()
+    assert decode_header_by_scan(data) == (header_runs(occupied, total), None)
+    accepted = rejected = 0
+    for mutated in header_mutations(data, SplitMix64(seed)):
+        path.write_bytes(mutated)
+        expect, bad = decode_header_by_scan(mutated)
+        if bad is None:
+            assert list(Header.load(path)) == expect
+            accepted += 1
+        else:
+            with pytest.raises(StorageError) as info:
+                Header.load(path)
+            if mutated:
+                assert f"{path}: entry {bad} at byte {16 * bad} " in str(info.value)
+            rejected += 1
+    assert accepted and rejected
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23, 24])
+def test_header_file_format(tmp_path, seed):
+    """save writes one little-endian (end, empties) u64 pair per entry."""
+    occupied, total = seeded_relation(seed)
+    header, _ = compress_to_memory(make_records(occupied, 1), total, 1)
+    path = tmp_path / "rel.hdr"
+    header.save(path)
+    expected = header_runs(occupied, total)
+    assert path.read_bytes() == b"".join(struct.pack("<QQ", e, v) for e, v in expected)
+    assert Header.load(path) == header
+    assert Header(expected) == header
 
 
 @pytest.mark.parametrize("total,seed", [(1, 1), (7, 2), (24, 3), (100, 4), (256, 5)])

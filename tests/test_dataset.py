@@ -4,6 +4,7 @@ import pytest
 
 from cubestore import (
     DatasetError,
+    StorageError,
     DuplicateKeyError,
     DuplicateRowError,
     MalformedInputError,
@@ -230,6 +231,14 @@ class TestBuild:
         (tmp_path / "ds" / "relation.tbl").unlink()
         with pytest.raises(DatasetError):
             build_dataset(tmp_path / "ds")
+
+    def test_torn_table_fails_both_builds(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        tbl = tmp_path / "ds" / "relation.tbl"
+        tbl.write_bytes(tbl.read_bytes()[:-1])
+        for which in ("table", "array"):
+            with pytest.raises(StorageError, match=f"size {tbl.stat().st_size} "):
+                build_dataset(tmp_path / "ds", which)
 
     def test_report_rendering(self, tmp_path):
         ingest_sample(tmp_path / "ds")

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import struct
 
 import pytest
@@ -22,6 +23,7 @@ from cubestore import (
     decode_key,
     delinearize,
     encode_key,
+    iter_table_cells,
     linearize,
     min_degree,
     worst_case_page_reads,
@@ -282,6 +284,17 @@ class TestStoreValidation:
         tbl.write_bytes(tbl.read_bytes()[:-1])
         with pytest.raises(StorageError):
             TableStore.open(tbl, (4, 3, 2), 2, tmp_path / "rel.btx")
+
+    def test_torn_table_named_by_both_readers(self, tmp_path):
+        cells = make_records([1, 2, 3], 2)
+        build_table_files(tmp_path, cells, (4, 3, 2), 2).close()
+        tbl = tmp_path / "rel.tbl"
+        tbl.write_bytes(tbl.read_bytes()[:-1])
+        named = re.escape(f"{tbl}: size {tbl.stat().st_size} ")
+        with pytest.raises(StorageError, match=named):
+            build_index_from_table(tbl, tmp_path / "again.btx", 3, 2)
+        with pytest.raises(StorageError, match=named):
+            list(iter_table_cells(tbl, 3, 2))
 
     def test_env_page_size(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CUBESTORE_PAGE_SIZE", "512")
