@@ -164,11 +164,20 @@ def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:
 
 
 def build_index(entries, out_path, key_bytes: int, page_size: int | None = None) -> BTreeMeta:
-    """Bulk-load a B-tree over a sorted (key bytes, record number) stream."""
+    """Bulk-load a B-tree over a sorted (key bytes, record number) stream.
+
+    The stream is read once.  Each leaf is written as soon as the leaf
+    after it fills; one full leaf is held back so that the last one or
+    two leaves go through _balanced_chunks together and come out as if
+    the whole stream had.  Memory holds those two leaves and one (first
+    key, page number) pair per leaf, the bottom of the internal levels,
+    which _balanced_chunks splits as before.  Pages are numbered in
+    write order (leaves, then each internal level); the metadata page 0
+    is written last.
+    """
     page_size = resolve_page_size(page_size)
     t = min_degree(page_size, key_bytes)
-    entries = list(entries)
-    pages: list[bytes] = []
+    cap = 2 * t - 1
 
     def leaf_page(chunk) -> bytes:
         buf = bytearray(page_size)
@@ -192,32 +201,43 @@ def build_index(entries, out_path, key_bytes: int, page_size: int | None = None)
             off += CHILD_WIDTH
         return bytes(buf)
 
-    root = 0
-    height = 0
-    if entries:
-        level = []
-        for chunk in _balanced_chunks(entries, 2 * t - 1, t - 1):
-            pages.append(leaf_page(chunk))
-            level.append((chunk[0][0], len(pages)))
+    with open(out_path, "wb") as f:
+        f.seek(page_size)
+        level = []  # (first key, page number) of each node written on this level
+        held: list = []  # a full leaf, written once the next one fills
+        chunk: list = []
+        for entry in entries:
+            chunk.append(entry)
+            if len(chunk) == cap:
+                if held:
+                    f.write(leaf_page(held))
+                    level.append((held[0][0], len(level) + 1))
+                held, chunk = chunk, []
+        tail = held + chunk
+        entry_count = len(level) * cap + len(tail)
+        if tail:
+            for leaf in _balanced_chunks(tail, cap, t - 1):
+                f.write(leaf_page(leaf))
+                level.append((leaf[0][0], len(level) + 1))
+        node_count = len(level)
+        height = 0
         while len(level) > 1:
             parents = []
-            for chunk in _balanced_chunks(level, 2 * t, t):
-                pages.append(internal_page(chunk))
-                parents.append((chunk[0][0], len(pages)))
+            for children in _balanced_chunks(level, 2 * t, t):
+                f.write(internal_page(children))
+                node_count += 1
+                parents.append((children[0][0], node_count))
             level = parents
             height += 1
-        root = level[0][1]
-
-    meta = BTreeMeta(page_size, t, key_bytes, root, len(pages), len(entries), height)
-    with open(out_path, "wb") as f:
+        root = level[0][1] if level else 0
+        meta = BTreeMeta(page_size, t, key_bytes, root, node_count, entry_count, height)
         head = bytearray(page_size)
         head[: _META.size] = _META.pack(
             _MAGIC, _VERSION, 0, page_size, t, key_bytes,
             meta.root, meta.node_count, meta.entry_count, meta.height,
         )
+        f.seek(0)
         f.write(head)
-        for page in pages:
-            f.write(page)
     return meta
 
 

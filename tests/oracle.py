@@ -7,10 +7,40 @@ against these, never the other way round.
 
 from __future__ import annotations
 
+import re
 import struct
 from bisect import bisect_left
+from datetime import datetime, timezone
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
+
+from cubestore.dataset import MANIFEST_NAME, Manifest
+from cubestore.errors import DuplicateKeyError, MalformedInputError
+from cubestore.linearizer import linearize
+from cubestore.relation_model import (
+    KIND_FLOAT,
+    KIND_INT,
+    KIND_TEXT,
+    MeasureColumn,
+    RecordCodec,
+    compute_active_domains,
+    encode_row,
+)
+from cubestore.table_store import (
+    CHILD_WIDTH,
+    RECNO_WIDTH,
+    BTreeMeta,
+    _INTERNAL,
+    _LEAF,
+    _MAGIC,
+    _META,
+    _NODE_HEADER,
+    _VERSION,
+    min_degree,
+    resolve_page_size,
+    write_table,
+)
 
 
 def enumerate_box(cards):
@@ -128,3 +158,211 @@ def space_ratio_by_bytes(record_width: int, row_bytes: int,
                          r: int, cell_total: int) -> Fraction:
     """Uncompressed-array bytes over table bytes, exactly."""
     return Fraction(cell_total * record_width, r * row_bytes)
+
+
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
+_I64_MIN = -(2**63)
+_I64_MAX = 2**63 - 1
+
+
+def _infer_column(name: str, values) -> MeasureColumn:
+    """Pick int64, float64, or text for a column from its distinct values."""
+    as_int = all(
+        _INT_RE.match(v) and _I64_MIN <= int(v) <= _I64_MAX for v in values
+    )
+    if as_int and values:
+        return MeasureColumn(name, KIND_INT, 8)
+    if values:
+        try:
+            for v in values:
+                float(v)
+            return MeasureColumn(name, KIND_FLOAT, 8)
+        except ValueError:
+            pass
+    width = max((len(v.encode("utf-8")) for v in values), default=1)
+    return MeasureColumn(name, KIND_TEXT, max(width, 1))
+
+
+def _declared_column(name: str, spec: str, values) -> MeasureColumn:
+    kind, _, width = spec.partition(":")
+    if kind == KIND_INT:
+        return MeasureColumn(name, KIND_INT, 8)
+    if kind == KIND_FLOAT:
+        return MeasureColumn(name, KIND_FLOAT, 8)
+    if kind == KIND_TEXT:
+        if width:
+            return MeasureColumn(name, KIND_TEXT, int(width))
+        inferred = max((len(v.encode("utf-8")) for v in values), default=1)
+        return MeasureColumn(name, KIND_TEXT, max(inferred, 1))
+    raise MalformedInputError(f"unknown column type {spec!r} for {name}")
+
+
+def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,
+                          schema_name: str = "relation", types=None) -> Manifest:
+    """Reference ingest: hold every row, encode each one, sort the encoded list.
+
+    Keeps the raw rows, a reordered copy, a set of all rows (through
+    compute_active_domains) and one (position, indices, record) per row.
+    The production ingest must write the same bytes and raise the same
+    error classes.
+    """
+    column_names = list(column_names)
+    if len(set(column_names)) != len(column_names):
+        raise MalformedInputError("duplicate column names in the input")
+    key_columns = list(key_columns)
+    if not key_columns:
+        raise MalformedInputError("at least one key column is required")
+    positions = {}
+    for name in key_columns:
+        if name not in column_names:
+            raise MalformedInputError(f"key column {name!r} is not in the input")
+        if name in positions:
+            raise MalformedInputError(f"key column {name!r} given twice")
+        positions[name] = column_names.index(name)
+    measure_names = [c for c in column_names if c not in positions]
+    order = [positions[name] for name in key_columns]
+    order += [column_names.index(name) for name in measure_names]
+
+    reordered = []
+    arity = len(column_names)
+    for row in rows:
+        row = tuple(row)
+        if len(row) != arity:
+            raise MalformedInputError(
+                f"row has {len(row)} fields, header has {arity}"
+            )
+        reordered.append(tuple(row[i] for i in order))
+    if not reordered:
+        raise MalformedInputError("the input has no data rows")
+
+    domains = compute_active_domains(reordered)
+    k = len(key_columns)
+    key_dirs = domains[:k]
+    cards = tuple(len(d) for d in key_dirs)
+
+    types = dict(types or {})
+    unknown = set(types) - set(measure_names)
+    if unknown:
+        raise MalformedInputError(f"type overrides for unknown columns: {sorted(unknown)}")
+    columns = []
+    for name, domain in zip(measure_names, domains[k:]):
+        if name in types:
+            columns.append(_declared_column(name, types[name], domain.values))
+        else:
+            columns.append(_infer_column(name, domain.values))
+
+    codec = RecordCodec(columns) if columns else RecordCodec.presence()
+    encoded = []
+    for row in reordered:
+        indices, measures = encode_row(row, key_dirs)
+        if columns:
+            measures = tuple(
+                col.from_text(v) for col, v in zip(columns, measures)
+            )
+        encoded.append((linearize(indices, cards), indices, codec.pack(measures)))
+    encoded.sort(key=lambda cell: cell[0])
+    for a, b in zip(encoded, encoded[1:]):
+        if a[0] == b[0]:
+            raise DuplicateKeyError(f"two rows share the key {a[1]}")
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = Manifest(
+        schema_name=schema_name,
+        n=len(column_names),
+        k=k,
+        cards=cards,
+        key_columns=tuple(key_columns),
+        measure_columns=tuple(columns),
+        r=len(encoded),
+        built_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    )
+    for directory, name in zip(key_dirs, manifest.dim_files):
+        directory.save(out / name)
+    with open(out / manifest.table_file, "wb") as f:
+        write_table(
+            ((indices, record) for _, indices, record in encoded),
+            f, cards, codec.record_width,
+        )
+    manifest.save(out / MANIFEST_NAME)
+    return manifest
+
+
+def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:
+    """Split into chunks of at most cap items, rebalancing the tail.
+
+    All chunks except a lone one hold at least `minimum` items; the last
+    two chunks are evenly split when the tail would underflow.
+    """
+    if len(items) <= cap:
+        return [items]
+    chunks = [items[i : i + cap] for i in range(0, len(items), cap)]
+    if len(chunks[-1]) < minimum:
+        merged = chunks[-2] + chunks[-1]
+        half = len(merged) // 2
+        chunks[-2] = merged[:half]
+        chunks[-1] = merged[half:]
+    return chunks
+
+
+def build_index_in_memory(entries, out_path, key_bytes: int,
+                          page_size: int | None = None) -> BTreeMeta:
+    """Reference B-tree bulk load: list every entry and every page, then write.
+
+    The production build_index streams its leaves and must write the
+    same bytes.
+    """
+    page_size = resolve_page_size(page_size)
+    t = min_degree(page_size, key_bytes)
+    entries = list(entries)
+    pages: list[bytes] = []
+
+    def leaf_page(chunk) -> bytes:
+        buf = bytearray(page_size)
+        _NODE_HEADER.pack_into(buf, 0, _LEAF, len(chunk))
+        off = _NODE_HEADER.size
+        for key, recno in chunk:
+            buf[off : off + key_bytes] = key
+            struct.pack_into("<Q", buf, off + key_bytes, recno)
+            off += key_bytes + RECNO_WIDTH
+        return bytes(buf)
+
+    def internal_page(children) -> bytes:
+        buf = bytearray(page_size)
+        _NODE_HEADER.pack_into(buf, 0, _INTERNAL, len(children) - 1)
+        off = _NODE_HEADER.size
+        for key, _ in children[1:]:
+            buf[off : off + key_bytes] = key
+            off += key_bytes
+        for _, page_no in children:
+            struct.pack_into("<Q", buf, off, page_no)
+            off += CHILD_WIDTH
+        return bytes(buf)
+
+    root = 0
+    height = 0
+    if entries:
+        level = []
+        for chunk in _balanced_chunks(entries, 2 * t - 1, t - 1):
+            pages.append(leaf_page(chunk))
+            level.append((chunk[0][0], len(pages)))
+        while len(level) > 1:
+            parents = []
+            for chunk in _balanced_chunks(level, 2 * t, t):
+                pages.append(internal_page(chunk))
+                parents.append((chunk[0][0], len(pages)))
+            level = parents
+            height += 1
+        root = level[0][1]
+
+    meta = BTreeMeta(page_size, t, key_bytes, root, len(pages), len(entries), height)
+    with open(out_path, "wb") as f:
+        head = bytearray(page_size)
+        head[: _META.size] = _META.pack(
+            _MAGIC, _VERSION, 0, page_size, t, key_bytes,
+            meta.root, meta.node_count, meta.entry_count, meta.height,
+        )
+        f.write(head)
+        for page in pages:
+            f.write(page)
+    return meta

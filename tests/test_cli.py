@@ -50,6 +50,14 @@ class TestIngest:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_csv_parser_error_fails_without_traceback(self, tmp_path, capsys):
+        src = tmp_path / "wide.csv"
+        src.write_text("k,v\na," + "x" * 200_000 + "\n", encoding="utf-8")
+        code = main(["ingest", "--csv", str(src), "--keys", "k",
+                     "--out", str(tmp_path / "ds")])
+        assert code == 2
+        assert "line 2: field larger than field limit" in capsys.readouterr().err
+
     def test_missing_key_column_fails(self, tmp_path, capsys):
         src = tmp_path / "bad.csv"
         src.write_text("k,v\na,1\n", encoding="utf-8")

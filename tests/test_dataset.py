@@ -162,6 +162,34 @@ class TestIngestCsv:
         with pytest.raises(MalformedInputError):
             ingest_csv(empty, ["a"], tmp_path / "ds")
 
+    def test_parser_error_names_file_and_line(self, tmp_path):
+        src = tmp_path / "wide.csv"
+        src.write_text("k,v\na,1\nb," + "x" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(MalformedInputError, match=r"wide\.csv, line 3: field larger"):
+            ingest_csv(src, ["k"], tmp_path / "ds")
+
+    def test_unreadable_input_is_a_read_error(self, tmp_path):
+        folder = tmp_path / "folder.csv"
+        folder.mkdir()
+        with pytest.raises(MalformedInputError, match="cannot read .*folder.csv"):
+            ingest_csv(folder, ["a"], tmp_path / "ds")
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"k,v\na,1\nb,\xff\n")
+        with pytest.raises(MalformedInputError, match="bad.csv is not UTF-8"):
+            ingest_csv(bad, ["k"], tmp_path / "ds")
+
+    def test_output_that_is_a_file_is_a_dataset_error(self, tmp_path):
+        src = tmp_path / "in.csv"
+        src.write_text("k,v\na,1\n", encoding="utf-8")
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        for out in (taken, taken / "ds"):
+            with pytest.raises(DatasetError, match=f"cannot write the dataset to {out}"):
+                ingest_csv(src, ["k"], out)
+            with pytest.raises(DatasetError, match=f"cannot write the dataset to {out}"):
+                ingest_rows(["k", "v"], [("a", "1")], ["k"], out)
+        assert taken.read_text() == "not a directory"
+
 
 class TestManifest:
     def test_roundtrip_awkward_names(self, tmp_path):
