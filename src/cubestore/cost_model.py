@@ -13,6 +13,11 @@ cost to a multiplication's cost:
 
 As p grows the denominator tends to 1 and q_plain approaches
 log2(r) - 1; at p = 1 it equals (log2(r) - 1) / k.
+
+q_plain counts key comparisons, not file reads.  TableStore's binary
+search still makes about log2 r comparisons, but it reads only one key
+per block of rows it skips and then one whole block, so its reads are
+about log2(r / B) + 1 for blocks of B rows.
 """
 
 from __future__ import annotations

@@ -321,13 +321,11 @@ class DimensionDirectory:
     @classmethod
     def load(cls, path) -> "DimensionDirectory":
         data = Path(path).read_bytes().decode("utf-8")
-        if data.endswith("\n"):
-            data = data[:-1]
-        elif data:
-            raise MalformedInputError(f"{path}: missing trailing newline")
-        if not data:
+        if not data:  # only a zero-byte file holds no values; "\n" holds ""
             return cls([])
-        return cls([_unescape(line) for line in data.split("\n")])
+        if not data.endswith("\n"):
+            raise MalformedInputError(f"{path}: missing trailing newline")
+        return cls([_unescape(line) for line in data[:-1].split("\n")])
 
 
 def _escape(value: str) -> str:

@@ -20,7 +20,19 @@ t - 1 and 2t - 1 keys, where the minimal degree t is derived from the
 page size.  A lookup therefore visits at most ceil(log_t((r + 1) / 2)) + 1
 nodes.  At open time the metadata page and every internal node are read,
 checked and held in memory (about one separator per leaf), so a lookup
-bisects the levels above the leaves in memory and reads one leaf page.
+bisects the levels above the leaves in memory and reads one leaf page,
+which bisect_left searches through precomputed key slices.
+
+The plain binary search uses no index.  It splits the rows into blocks
+of B = max(2, DEFAULT_PAGE_SIZE // row bytes) rows and bisects the
+blocks' first keys, reading each key it compares with one key-sized
+pread; then it reads the one block that can hold the key and bisects
+its rows in memory.  Both searches run inside C-level bisect calls.
+The comparisons stay about log2 r, the q_plain model's count, while
+the file reads fall to about log2(r / B) + 1.  A key probe is not
+length-checked: a probe cut short by a truncated file compares low,
+which only steers the search to a later block, and that block's read
+is checked.  No table key is read or held at open.
 """
 
 from __future__ import annotations
@@ -28,7 +40,8 @@ from __future__ import annotations
 import math
 import os
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from functools import partial
 from itertools import count
 from pathlib import Path
 from typing import NamedTuple
@@ -57,6 +70,7 @@ _META = struct.Struct("<4sHHIIIQQQI")
 _NODE_HEADER = struct.Struct("<BxHxxxx")
 _LEAF = 0
 _INTERNAL = 1
+_PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
 _KEY_PACKERS: dict[int, struct.Struct] = {}
 
@@ -95,6 +109,31 @@ def min_degree(page_size: int, key_bytes: int) -> int:
             f"page size {page_size} cannot hold a B-tree of {key_bytes}-byte keys"
         )
     return t
+
+
+def _bisect_probes(n: int) -> bytes:
+    """Keys bisect compares over n items, indexed by the position it returns.
+
+    A probe splits a range of m items into m // 2 on its left and
+    m - m // 2 - 1 on its right.  The ranges on one level differ in
+    size by at most one, so the memo holds two sizes per level and the
+    table is built by C-level bytes operations.
+    """
+    memo = {0: b"\0"}
+
+    def probes(m: int) -> bytes:
+        if m not in memo:
+            half = m // 2
+            memo[m] = (probes(half) + probes(m - half - 1)).translate(_PLUS_ONE)
+        return memo[m]
+
+    return probes(n)
+
+
+def _key_slices(first: int, step: int, count: int, width: int) -> list[slice]:
+    """Slices of count width-byte keys, step bytes apart from byte first on."""
+    end = first + count * step
+    return list(map(slice, range(first, end, step), range(first + width, end + width, step)))
 
 
 def worst_case_page_reads(r: int, t: int) -> int:
@@ -241,6 +280,29 @@ def build_index(entries, out_path, key_bytes: int, page_size: int | None = None)
     return meta
 
 
+def _table_blocks(fd, name, row: int, rows: int):
+    """Yield the first `rows` rows of an open table file as blocks of up to 2048 rows."""
+    end = rows * row
+    step = row * 2048
+    for off in range(0, end, step):
+        size = min(step, end - off)
+        block = os.pread(fd, size, off)
+        if len(block) != size:
+            raise StorageError(
+                f"{name}: short read of {size} bytes at offset {off}; "
+                f"the file changed size while being read"
+            )
+        yield block
+
+
+def _block_cells(blocks, k: int, row: int):
+    """Decode (coordinates, record) from each row of each block."""
+    key_bytes = k * KEY_FIELD_WIDTH
+    for block in blocks:
+        for off in range(0, len(block), row):
+            yield decode_key(block[off : off + key_bytes], k), block[off + key_bytes : off + row]
+
+
 def _iter_table_blocks(tbl_path, row: int):
     """Stream a table file of row-byte rows as blocks of up to 2048 whole rows."""
     try:
@@ -253,19 +315,13 @@ def _iter_table_blocks(tbl_path, row: int):
             raise StorageError(
                 f"{tbl_path}: size {size} is not a multiple of the {row}-byte row"
             )
-        while block := f.read(row * 2048):
-            if len(block) % row:
-                raise StorageError(f"{tbl_path}: file changed size while being read")
-            yield block
+        yield from _table_blocks(f.fileno(), tbl_path, row, size // row)
 
 
 def iter_table_cells(tbl_path, k: int, record_width: int):
     """Stream (coordinates, record) from a sorted table file."""
-    key_bytes = k * KEY_FIELD_WIDTH
-    row = key_bytes + record_width
-    for block in _iter_table_blocks(tbl_path, row):
-        for off in range(0, len(block), row):
-            yield decode_key(block[off : off + key_bytes], k), block[off + key_bytes : off + row]
+    row = k * KEY_FIELD_WIDTH + record_width
+    return _block_cells(_iter_table_blocks(tbl_path, row), k, row)
 
 
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
@@ -293,8 +349,13 @@ class TableStore:
 
     Reads go through pread.  The internal B-tree nodes are decoded once
     at open, so btree_lookup reads only its leaf page from the index;
-    last_page_reads still counts every node visited, height + 1.  The
-    per-lookup counters (last_page_reads, last_row_reads) are plain
+    last_page_reads still counts every node visited, height + 1.
+    binary_search_lookup reads from the table file only: one first key
+    per block it compares, then one block of up to B rows.
+    last_row_reads counts those .tbl reads, at most
+    ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1; it comes
+    from a per-table table of bisect's probe counts, so the lookup does
+    no counting of its own.  The per-lookup counters are plain
     attributes and not thread-safe.
     """
 
@@ -312,14 +373,25 @@ class TableStore:
                 f"table size {size} is not a multiple of the {self.row_bytes}-byte row"
             )
         self.row_count = size // self.row_bytes
+        # binary_search_lookup: blocks of B rows, about one default page each
+        self._block_rows = max(2, DEFAULT_PAGE_SIZE // self.row_bytes)
+        block_bytes = self._block_rows * self.row_bytes
+        blocks = -(-self.row_count // self._block_rows)
+        self._block_starts = range(block_bytes, blocks * block_bytes, block_bytes)
+        self._block_probes = _bisect_probes(len(self._block_starts))
+        self._read_key = partial(os.pread, self._tbl_fd, self.key_bytes)
+        self._row_keys = _key_slices(0, self.row_bytes, self._block_rows, self.key_bytes)
         self._btx = btx_file
         self._btx_fd = btx_file.fileno() if btx_file else None
         self.meta: BTreeMeta | None = None
         # internal page number -> (separator keys, child page numbers)
         self._internal: dict[int, tuple[list[bytes], list[int]]] = {}
+        self._leaf_keys: list[slice] = []
         if btx_file is not None:
             self.meta = self._read_meta()
             self._load_internal_nodes()
+            self._leaf_keys = _key_slices(_NODE_HEADER.size, self.key_bytes + RECNO_WIDTH,
+                                          2 * self.meta.t - 1, self.key_bytes)
         self.last_page_reads = 0
         self.last_row_reads = 0
 
@@ -438,7 +510,7 @@ class TableStore:
     def _read_row(self, recno: int) -> bytes:
         data = os.pread(self._tbl_fd, self.row_bytes, (recno - 1) * self.row_bytes)
         if len(data) != self.row_bytes:
-            raise StorageError(f"short read of row {recno}")
+            raise StorageError(f"{self._tbl.name}: short read of row {recno}")
         return data
 
     def btree_lookup(self, indices) -> int | None:
@@ -460,43 +532,37 @@ class TableStore:
         if node_type != _LEAF or count > 2 * meta.t - 1:
             raise StorageError(f"{self._btx.name}: page {page_no} is not a leaf")
         self.last_page_reads = meta.height + 1
-        width = self.key_bytes
-        entry = width + RECNO_WIDTH
-        hdr = _NODE_HEADER.size
-        lo, hi = 0, count
-        while lo < hi:
-            mid = (lo + hi) // 2
-            off = hdr + mid * entry
-            if page[off : off + width] < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < count:
-            off = hdr + lo * entry
-            if page[off : off + width] == key:
-                return struct.unpack_from("<Q", page, off + width)[0]
+        keys = self._leaf_keys
+        i = bisect_left(keys, key, 0, count, key=page.__getitem__)
+        if i < count and page[keys[i]] == key:
+            return struct.unpack_from("<Q", page, keys[i].stop)[0]
         return None
 
     def binary_search_lookup(self, indices) -> int | None:
-        """Record number of a key by bisecting the row file directly."""
+        """Record number of a key by bisecting the row file directly.
+
+        bisect_right picks the last block whose first key is not above
+        the key; one length-checked pread reads it for bisect_left.
+        """
         key = encode_key(indices)
-        width = self.key_bytes
-        reads = 0
-        lo, hi = 1, self.row_count
-        result = None
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            row_key = self._read_row(mid)[:width]
-            reads += 1
-            if row_key == key:
-                result = mid
-                break
-            if row_key < key:
-                lo = mid + 1
-            else:
-                hi = mid - 1
-        self.last_row_reads = reads
-        return result
+        if not self.row_count:
+            self.last_row_reads = 0
+            return None
+        j = bisect_right(self._block_starts, key, key=self._read_key)
+        first = j * self._block_rows
+        rows = min(self._block_rows, self.row_count - first)
+        block = os.pread(self._tbl_fd, rows * self.row_bytes, first * self.row_bytes)
+        if len(block) != rows * self.row_bytes:
+            raise StorageError(
+                f"{self._tbl.name}: short read of rows {first + 1}..{first + rows} "
+                f"at offset {first * self.row_bytes}"
+            )
+        self.last_row_reads = self._block_probes[j] + 1
+        keys = self._row_keys
+        i = bisect_left(keys, key, 0, rows, key=block.__getitem__)
+        if i < rows and block[keys[i]] == key:
+            return first + i + 1
+        return None
 
     def read_row(self, recno: int) -> tuple[tuple[int, ...], bytes]:
         """Decoded coordinates and raw measure record of a 1-based row."""
@@ -513,9 +579,8 @@ class TableStore:
 
     def iter_rows(self):
         """Yield (coordinates, record) in stored (logical) order."""
-        for recno in range(1, self.row_count + 1):
-            raw = self._read_row(recno)
-            yield decode_key(raw[: self.key_bytes], len(self.cards)), raw[self.key_bytes :]
+        blocks = _table_blocks(self._tbl_fd, self._tbl.name, self.row_bytes, self.row_count)
+        return _block_cells(blocks, len(self.cards), self.row_bytes)
 
     def iter_nodes(self):
         """Yield (page number, is_leaf, key count) for every index node."""

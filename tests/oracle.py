@@ -154,6 +154,63 @@ def table_lookup_by_scan(rows, indices):
     return None
 
 
+def binary_search_rows(table: bytes, key_bytes: int, row_bytes: int, key: bytes):
+    """Reference plain binary search over a table file's bytes, one row per probe.
+
+    Returns the 1-based record number of the row holding key, or None.
+    """
+    lo, hi = 1, len(table) // row_bytes
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        off = (mid - 1) * row_bytes
+        row_key = table[off : off + key_bytes]
+        if row_key == key:
+            return mid
+        if row_key < key:
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return None
+
+
+def btree_lookup_by_pages(index: bytes, key: bytes):
+    """Reference B-tree lookup over an index file's bytes, scanning each node.
+
+    Walks from the root through every internal node with a linear scan
+    of its separators, then binary-searches the leaf with a plain loop.
+    Returns the record number stored with key, or None.
+    """
+    _, _, _, page_size, _, width, page_no, _, _, height = _META.unpack_from(index, 0)
+    if not page_no:
+        return None
+    hdr = _NODE_HEADER.size
+    for _ in range(height):
+        page = index[page_no * page_size : (page_no + 1) * page_size]
+        node_type, count = _NODE_HEADER.unpack_from(page, 0)
+        assert node_type == _INTERNAL
+        child = 0
+        while child < count and page[hdr + child * width : hdr + (child + 1) * width] <= key:
+            child += 1
+        page_no = struct.unpack_from("<Q", page, hdr + count * width + child * CHILD_WIDTH)[0]
+    page = index[page_no * page_size : (page_no + 1) * page_size]
+    node_type, count = _NODE_HEADER.unpack_from(page, 0)
+    assert node_type == _LEAF
+    entry = width + RECNO_WIDTH
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        off = hdr + mid * entry
+        if page[off : off + width] < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < count:
+        off = hdr + lo * entry
+        if page[off : off + width] == key:
+            return struct.unpack_from("<Q", page, off + width)[0]
+    return None
+
+
 def space_ratio_by_bytes(record_width: int, row_bytes: int,
                          r: int, cell_total: int) -> Fraction:
     """Uncompressed-array bytes over table bytes, exactly."""

@@ -36,6 +36,18 @@ def ingest_sample(out_dir, **kwargs):
 
 
 class TestIngest:
+    def test_empty_string_key_queried_by_value(self, tmp_path):
+        ds = tmp_path / "ds"
+        ingest_rows(["k", "v"], [("", "1")], ["k"], ds)
+        build_dataset(ds)
+        with open_dataset(ds) as db:
+            (directory,) = db.dimension_directories()
+            assert directory.values == [""]
+            coords = (directory.index_of(""),)
+            assert db.codec.unpack(db.array.get_cell(coords)) == (1,)
+            assert db.table.btree_lookup(coords) == 1
+            assert db.table.binary_search_lookup(coords) == 1
+
     def test_manifest_shape(self, tmp_path):
         manifest = ingest_sample(tmp_path / "ds")
         assert manifest.n == 4

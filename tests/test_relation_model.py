@@ -185,6 +185,12 @@ class TestDimensionDirectory:
         DimensionDirectory([]).save(path)
         assert len(DimensionDirectory.load(path)) == 0
 
+    @pytest.mark.parametrize("values", [[], [""], ["", "a"]])
+    def test_empty_string_value_roundtrip(self, tmp_path, values):
+        path = tmp_path / "dim_1.dim"
+        DimensionDirectory(values).save(path)
+        assert DimensionDirectory.load(path).values == values
+
     def test_missing_trailing_newline_rejected(self, tmp_path):
         path = tmp_path / "dim_1.dim"
         path.write_bytes(b"a\nb")

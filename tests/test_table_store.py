@@ -29,9 +29,14 @@ from cubestore import (
     worst_case_page_reads,
     write_table,
 )
-from cubestore.table_store import resolve_page_size
+from cubestore.table_store import DEFAULT_PAGE_SIZE, KEY_FIELD_WIDTH, resolve_page_size
 from conftest import build_table_files, make_records, random_positions
-from oracle import enumerate_box, table_lookup_by_scan
+from oracle import (
+    binary_search_rows,
+    btree_lookup_by_pages,
+    enumerate_box,
+    table_lookup_by_scan,
+)
 
 
 class TestKeyEncoding:
@@ -386,3 +391,137 @@ class TestIndexCorruption:
             with self.open(tmp_path) as store:
                 for recno, coords in enumerate(rows, 1):
                     assert store.btree_lookup(coords) == recno
+
+
+# (k, record width) of rows 5, 20, 128, 1508 and 2104 bytes wide; the
+# last two give blocks of 4096 // row < 2 rows or just 2, so B clamps to 2.
+ROW_SHAPES = [(1, 1), (3, 8), (2, 120), (2, 1500), (1, 2100)]
+
+
+def block_rows(k: int, width: int) -> int:
+    return max(2, DEFAULT_PAGE_SIZE // (k * KEY_FIELD_WIDTH + width))
+
+
+def write_relation(tmp_path, k: int, width: int, r: int, name: str = "rel"):
+    """A seeded r-row table in a box of about 1.5 r cells; returns (tbl, cards)."""
+    cards = (-(-(3 * r // 2 + 3) // 3 ** (k - 1)),) + (3,) * (k - 1)
+    positions = random_positions(cell_count(cards), r, seed=r * 7 + k)
+    tbl = tmp_path / f"{name}.tbl"
+    with open(tbl, "wb") as f:
+        write_table(
+            ((delinearize(p, cards), rec) for p, rec in make_records(positions, width)),
+            f, cards, width,
+        )
+    return tbl, cards
+
+
+class CountedPread:
+    """os.pread wrapper that counts calls per file descriptor."""
+
+    def __init__(self, pread):
+        self.pread = pread
+        self.calls: dict[int, int] = {}
+
+    def __call__(self, fd, size, offset):
+        self.calls[fd] = self.calls.get(fd, 0) + 1
+        return self.pread(fd, size, offset)
+
+
+class TestSearchMatchesReference:
+    """Both C-level searches give the record number of the plain loops in oracle."""
+
+    @pytest.mark.parametrize("k,width", ROW_SHAPES)
+    def test_every_coordinate(self, tmp_path, k, width):
+        b = block_rows(k, width)
+        for r in sorted({0, 1, b - 1, b, b + 1, 2 * b, 3 * b - 1, 3 * b + 1}):
+            tbl, cards = write_relation(tmp_path, k, width, r)
+            table = tbl.read_bytes()
+            key_bytes = k * KEY_FIELD_WIDTH
+            row = key_bytes + width
+            coords = enumerate_box(cards)
+            keys = [encode_key(c) for c in coords]
+            expected = [binary_search_rows(table, key_bytes, row, key) for key in keys]
+            assert sum(e is not None for e in expected) == r
+            with TableStore.open(tbl, cards, width) as store:
+                assert [store.binary_search_lookup(c) for c in coords] == expected
+            for page_size in (128, 256, 4096):
+                btx = tmp_path / f"rel{page_size}.btx"
+                build_index_from_table(tbl, btx, k, width, page_size)
+                index = btx.read_bytes()
+                with TableStore.open(tbl, cards, width, btx) as store:
+                    for c, key, expect in zip(coords, keys, expected):
+                        assert btree_lookup_by_pages(index, key) == expect
+                        assert store.btree_lookup(c) == expect
+
+    def test_row_read_counter_is_exact(self, tmp_path, monkeypatch):
+        k, width = 3, 8
+        b = block_rows(k, width)
+        counted = CountedPread(os.pread)
+        monkeypatch.setattr(os, "pread", counted)
+        for r in sorted({1, 2, b - 1, b, b + 1, 2 * b, 5 * b - 1, 7 * b + 1}):
+            tbl, cards = write_relation(tmp_path, k, width, r)
+            bound = math.floor(math.log2(r)) + 1
+            with TableStore.open(tbl, cards, width) as store:
+                fd = store._tbl_fd
+                for c in enumerate_box(cards):
+                    before = counted.calls.get(fd, 0)
+                    store.binary_search_lookup(c)
+                    assert store.last_row_reads == counted.calls[fd] - before
+                    assert store.last_row_reads <= bound
+
+
+class TestTruncatedTable:
+    """A .tbl cut after open raises StorageError or still gives the right row."""
+
+    @pytest.mark.parametrize("k,width,r", [(3, 8, 1000), (1, 1, 2000), (2, 1500, 9)])
+    def test_every_cut(self, tmp_path, k, width, r):
+        tbl, cards = write_relation(tmp_path, k, width, r)
+        table = tbl.read_bytes()
+        key_bytes = k * KEY_FIELD_WIDTH
+        row = key_bytes + width
+        b = block_rows(k, width)
+        coords = enumerate_box(cards)
+        expected = [binary_search_rows(table, key_bytes, row, encode_key(c)) for c in coords]
+        cuts = {
+            "zero": 0,
+            "block boundary": 2 * b * row,
+            "half the rows": r // 2 * row,
+            "all but one row": (r - 1) * row,
+            "middle of a row": (r // 3) * row + key_bytes + width // 2,
+            "middle of a key": (2 * r // 3) * row + key_bytes // 2,
+            "last byte": r * row - 1,
+        }
+        answered = {}
+        for what, size in cuts.items():
+            tbl.write_bytes(table)
+            with TableStore.open(tbl, cards, width) as store:
+                os.truncate(tbl, size)
+                answered[what] = 0
+                for c, expect in zip(coords, expected):
+                    try:
+                        got = store.binary_search_lookup(c)
+                    except StorageError as exc:
+                        assert str(tbl) in str(exc)
+                        continue
+                    assert got == expect, (what, c)
+                    answered[what] += 1
+                with pytest.raises(StorageError):
+                    list(store.iter_rows())
+            assert answered[what] < len(coords), what
+        # a short key probe steers the search to a later block, whose
+        # read then fails; lookups whose probes all precede the cut answer
+        assert answered["zero"] == 0
+        assert answered["last byte"] > 0
+
+
+class TestIterRows:
+    def test_blocks_match_row_reads(self, tmp_path, monkeypatch):
+        k, width, r = 2, 3, 2 * 2048 + 5
+        tbl, cards = write_relation(tmp_path, k, width, r)
+        counted = CountedPread(os.pread)
+        monkeypatch.setattr(os, "pread", counted)
+        with TableStore.open(tbl, cards, width) as store:
+            rows = list(store.iter_rows())
+            assert counted.calls[store._tbl_fd] == 3
+            assert rows == list(iter_table_cells(tbl, k, width))
+            assert rows == [store.read_row(recno) for recno in range(1, r + 1)]
