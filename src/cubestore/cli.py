@@ -5,7 +5,7 @@ Subcommands:
   ingest   read a CSV file into a dataset directory
   build    derive the B-tree index and/or compressed array
   query    look up one cell by its dimension values
-  stats    report sparsity figures and the size verdict
+  stats    report sparsity figures, the size verdict and the header encoding
   cost     print the analytic lookup-cost tables
   bench    time point lookups against both representations
   export   write the stored rows back out as CSV
@@ -21,6 +21,7 @@ import csv
 import sys
 from pathlib import Path
 
+from .array_store import Header, PresenceBitmap, header_bytes
 from .bench import DEFAULT_SIZES, report, run_benchmark, write_bench_csv
 from .cost_model import (
     DEFAULT_K_VALUES,
@@ -134,6 +135,16 @@ def _cmd_stats(args) -> int:
             print("verdict: equal size (uncompressed model)")
     else:
         print("size ratio (delta/rho)    undefined (no rows)")
+    hdr = root / manifest.header_file
+    if hdr.exists():
+        header = Header.load(hdr)
+        sizes = header_bytes(header)
+        stored = "presence bitmap" if isinstance(header, PresenceBitmap) else "run header"
+        other = next(name for name in sizes if name != stored)
+        print(f"{'header encoding':26}{stored}, {sizes[stored]:,} bytes "
+              f"({other}: {sizes[other]:,} bytes)")
+    else:
+        print(f"{'header encoding':26}(not built)")
     print()
     print(format_size_report(size_report(root)))
     if args.conjoint is not None:

@@ -7,7 +7,8 @@ A dataset directory holds one relation in up to five file kinds:
   relation.tbl   sorted fixed-width rows (written at ingest time)
   relation.btx   B-tree index over the table (written by build)
   relation.arr   compressed array records (written by build)
-  relation.hdr   run header of the compressed array (written by build)
+  relation.hdr   header of the compressed array, a run header or a
+                 presence bitmap, whichever is smaller (written by build)
 
 Ingestion reads the rows once.  That pass keeps, per key column, a map
 from each distinct value to a first-seen id and each row's id in an
@@ -34,12 +35,13 @@ from operator import add, eq, floordiv, mod, mul
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .array_store import ArrayStore, compress_stream
+from .array_store import ArrayStore, compress_stream, save_header
 from .errors import (
     DatasetError,
     DuplicateKeyError,
     DuplicateRowError,
     MalformedInputError,
+    ParameterError,
 )
 from .linearizer import linearize
 from .relation_model import (
@@ -156,13 +158,13 @@ class Manifest:
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
-            raise DatasetError(f"cannot read manifest: {exc}") from None
+            raise DatasetError(f"cannot read manifest {path}: {exc}") from None
         fields = {}
-        for line in text.splitlines():
+        for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             if "=" not in line:
-                raise DatasetError(f"bad manifest line {line!r}")
+                raise DatasetError(f"{path}: bad manifest line {number} {line!r}")
             key, _, value = line.partition("=")
             fields[key] = value
         try:
@@ -189,16 +191,16 @@ class Manifest:
                 array_file=fields["array_file"],
                 header_file=fields["header_file"],
             )
-        except DatasetError:
-            raise
-        except (KeyError, ValueError) as exc:
-            raise DatasetError(f"bad manifest: {exc}") from None
-        if int(fields["row_bytes"]) != manifest.schema.row_bytes:
-            raise DatasetError("manifest row_bytes disagrees with the schema")
-        if int(fields["record_width"]) != manifest.schema.record_width:
-            raise DatasetError("manifest record_width disagrees with the schema")
-        if fields["case"] != manifest.case:
-            raise DatasetError("manifest case label disagrees with the schema")
+            if int(fields["row_bytes"]) != manifest.schema.row_bytes:
+                raise DatasetError("manifest row_bytes disagrees with the schema")
+            if int(fields["record_width"]) != manifest.schema.record_width:
+                raise DatasetError("manifest record_width disagrees with the schema")
+            if fields["case"] != manifest.case:
+                raise DatasetError("manifest case label disagrees with the schema")
+        except DatasetError as exc:
+            raise DatasetError(f"{path}: {exc}") from None
+        except (KeyError, ValueError, ParameterError) as exc:
+            raise DatasetError(f"{path}: bad manifest: {exc}") from None
         return manifest
 
 
@@ -458,13 +460,18 @@ def build_dataset(dataset_dir, which: str = "both",
     if which in ("both", "array"):
         total = schema.cell_total
         cards = manifest.cards
-        cells = (
-            (linearize(indices, cards), record)
-            for indices, record in iter_table_cells(tbl, manifest.k, schema.record_width)
-        )
+        bits = bytearray(-(-total // 8))
+
+        def cells():
+            # a cell's bit is set once compress_stream has accepted it
+            for indices, record in iter_table_cells(tbl, manifest.k, schema.record_width):
+                position = linearize(indices, cards)
+                yield position, record
+                bits[(position - 1) >> 3] |= 1 << ((position - 1) & 7)
+
         with open(root / manifest.array_file, "wb") as f:
-            header = compress_stream(cells, total, schema.record_width, f)
-        header.save(root / manifest.header_file)
+            header = compress_stream(cells(), total, schema.record_width, f)
+        save_header(header, bits, root / manifest.header_file)
     return size_report(root)
 
 
@@ -542,13 +549,16 @@ class Dataset:
 
     def dimension_directories(self) -> list[DimensionDirectory]:
         if self._dirs is None:
-            self._dirs = [
-                DimensionDirectory.load(self.root / name)
-                for name in self.manifest.dim_files
-            ]
-            for directory, card in zip(self._dirs, self.manifest.cards):
+            dirs = []
+            for name, card in zip(self.manifest.dim_files, self.manifest.cards):
+                directory = DimensionDirectory.load(self.root / name)
                 if len(directory) != card:
-                    raise DatasetError("dimension directory size disagrees with manifest")
+                    raise DatasetError(
+                        f"{self.root / name}: dimension directory holds {len(directory)} "
+                        f"values, manifest says {card}"
+                    )
+                dirs.append(directory)
+            self._dirs = dirs
         return self._dirs
 
     def close(self) -> None:

@@ -104,6 +104,19 @@ def header_runs(occupied, total_cells: int):
     return entries
 
 
+def bitmap_file_bytes(occupied, total_cells: int) -> bytes:
+    """Expected presence-bitmap header file of the occupied positions.
+
+    Preamble: u64 0, the ASCII bytes "PRESENCE", u64 total_cells; then
+    one bit per cell, cell p at bit (p - 1) % 8 of byte (p - 1) // 8,
+    with the bits past the last cell left zero.
+    """
+    body = [0] * ((total_cells + 7) // 8)
+    for position in occupied:
+        body[(position - 1) // 8] += 2 ** ((position - 1) % 8)
+    return struct.pack("<Q8sQ", 0, b"PRESENCE", total_cells) + bytes(body)
+
+
 def decode_header_by_scan(data: bytes):
     """Reference header decode: (entries, None), or (None, first bad index).
 

@@ -21,8 +21,10 @@ from cubestore import (
     delinearize,
     linearize,
 )
+from cubestore.array_store import PresenceBitmap
 from conftest import build_array_files, compress_to_memory, make_records, random_positions
 from oracle import (
+    bitmap_file_bytes,
     decode_header_by_scan,
     dense_array,
     header_runs,
@@ -126,6 +128,25 @@ class TestHeaderLookup:
         header = Header([(4, 4)])
         assert header.record_count == 0
         assert all(header.locate(i) is None for i in range(1, 5))
+
+
+class TestBitmapLookup(TestHeaderLookup):
+    """The same lookups over the presence bitmap of the same cells."""
+
+    @pytest.fixture(autouse=True)
+    def bitmap(self, tmp_path):
+        path = tmp_path / "rel.hdr"
+        path.write_bytes(bitmap_file_bytes([2, 3, 7], 8))
+        self.HEADER = Header.load(path)
+        assert isinstance(self.HEADER, PresenceBitmap)
+
+    def test_empty_header(self, tmp_path):
+        path = tmp_path / "empty.hdr"
+        path.write_bytes(bitmap_file_bytes([], 4))
+        header = Header.load(path)
+        assert header.record_count == 0
+        assert all(header.locate(i) is None for i in range(1, 5))
+        assert list(header) == [(4, 4)]
 
 
 class TestHeaderValidation:

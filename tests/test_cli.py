@@ -138,6 +138,33 @@ class TestStats:
         assert "size ratio (delta/rho)" in out
         # 4 of 9 cells, 17-byte record, 25-byte row: delta/rho > 1
         assert "verdict: table smaller (uncompressed model)" in out
+        # 9 cells take 24 + 2 bitmap bytes; 3 runs take 48; the line follows the verdict
+        lines = out.splitlines()
+        verdict = lines.index("verdict: table smaller (uncompressed model)")
+        assert lines[verdict + 1] == (
+            "header encoding           presence bitmap, 26 bytes (run header: 48 bytes)"
+        )
+
+    def test_header_encoding_before_build(self, dataset, capsys):
+        assert main(["stats", "--dataset", str(dataset)]) == 0
+        assert "header encoding           (not built)" in capsys.readouterr().out
+
+    def test_sparse_relation_keeps_run_header(self, tmp_path, capsys):
+        # 200 diagonal rows of a 200 x 200 box: 200 runs (3,200 bytes)
+        # against 24 + 5,000 bitmap bytes
+        src = tmp_path / "d.csv"
+        src.write_text("a,b,v\n" + "".join(
+            f"a{i:03},b{i:03},{i}\n" for i in range(200)
+        ), encoding="utf-8")
+        ds = tmp_path / "ds"
+        assert main(["ingest", "--csv", str(src), "--keys", "a,b", "--out", str(ds)]) == 0
+        assert main(["build", "--dataset", str(ds)]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--dataset", str(ds)]) == 0
+        out = capsys.readouterr().out
+        assert ("header encoding           run header, 3,200 bytes "
+                "(presence bitmap: 5,024 bytes)") in out
+        assert (ds / "relation.hdr").stat().st_size == 3200
 
     def test_array_smaller_verdict(self, tmp_path, capsys):
         src = tmp_path / "d.csv"

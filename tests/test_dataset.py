@@ -1,5 +1,7 @@
 """Dataset directories: ingest, manifest, build, open, export."""
 
+import re
+
 import pytest
 
 from cubestore import (
@@ -230,6 +232,48 @@ class TestManifest:
         with pytest.raises(DatasetError):
             Manifest.load(path)
 
+    def test_unreadable_manifest_names_file(self, tmp_path):
+        path = tmp_path / "missing.txt"
+        with pytest.raises(DatasetError, match=re.escape(f"cannot read manifest {path}: ")):
+            Manifest.load(path)
+
+    def test_bad_line_names_file_and_line_number(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        lines = path.read_text().splitlines()
+        lines.insert(3, "no equals sign here")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetError,
+                           match=re.escape(f"{path}: bad manifest line 4 'no equals sign here'")):
+            Manifest.load(path)
+
+    def test_unsupported_version_names_file(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        path.write_text(path.read_text().replace("format_version=1", "format_version=9"))
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: unsupported manifest version 9")):
+            Manifest.load(path)
+
+    def test_missing_field_names_file(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        path.write_text("".join(
+            line for line in path.read_text().splitlines(keepends=True)
+            if not line.startswith("row_bytes=")
+        ))
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: bad manifest: 'row_bytes'")):
+            Manifest.load(path)
+
+    def test_bad_schema_names_file(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        good = path.read_text()
+        for old, new in (("cards=3,3", "cards=0,3"), (":int64:8", ":blob:8")):
+            assert old in good
+            path.write_text(good.replace(old, new))
+            with pytest.raises(DatasetError, match=re.escape(f"{path}: bad manifest: ")):
+                Manifest.load(path)
+
 
 class TestBuild:
     def test_build_both(self, tmp_path):
@@ -313,6 +357,18 @@ class TestOpenAndQuery:
                         seen += 1
                         codec.unpack(via_array)
             assert seen == db.r == 4
+
+    def test_dimension_size_mismatch_names_file_and_counts(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        build_dataset(tmp_path / "ds")
+        dim = tmp_path / "ds" / "dim_2.dim"
+        dim.write_text(dim.read_text() + "zzz\n")
+        with open_dataset(tmp_path / "ds") as db:
+            for _ in range(2):  # a failed check caches nothing
+                with pytest.raises(DatasetError,
+                                   match=re.escape(f"{dim}: dimension directory holds 4 "
+                                                   "values, manifest says 3")):
+                    db.dimension_directories()
 
     def test_open_requires_builds(self, tmp_path):
         ingest_sample(tmp_path / "ds")
