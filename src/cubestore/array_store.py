@@ -31,7 +31,9 @@ reader that knows only run headers rejects a bitmap file.
 The build writes the bitmap when it is strictly smaller, that is when
 24 + ceil(N / 8) < 16 * entries (fewer than about N / 128 runs keeps the
 run header).  An empty cell then costs one bit instead of a share of a
-run entry.
+run entry.  r stored cells make at most r + 1 entries, so a build whose
+bitmap could not beat even that many allocates no bitmap and sets no
+bits: building a sparse relation takes O(r) memory, not O(N).
 
 Point lookup is three steps: linearize the coordinates, find whether the
 position is nonempty, then map it to its physical record, the number of
@@ -246,7 +248,7 @@ class PresenceBitmap:
     and the number of nonempty cells up to the end of each block.
     """
 
-    __slots__ = ("_bits", "_blocks", "_ranks", "total_cells")
+    __slots__ = ("_blocks", "_ranks", "total_cells")
 
     @classmethod
     def _of_file(cls, data: bytes, path) -> "PresenceBitmap":
@@ -271,8 +273,7 @@ class PresenceBitmap:
                 f"{path}: padding bits past cell {total} are set in byte {end - 1}"
             )
         bitmap = cls.__new__(cls)
-        bitmap._bits = data[_PREAMBLE_BYTES:]
-        bitmap._blocks = _blocks(bitmap._bits)
+        bitmap._blocks = _blocks(data[_PREAMBLE_BYTES:])
         bitmap._ranks = list(accumulate(map(int.bit_count, bitmap._blocks)))
         bitmap.total_cells = total
         return bitmap
@@ -304,7 +305,10 @@ class PresenceBitmap:
 
     def _run_ends(self) -> int:
         """Bit p - 1 set for each cell p < total_cells that is nonempty before an empty one."""
-        bits = int.from_bytes(self._bits, "little")
+        bits = int.from_bytes(
+            b"".join(block.to_bytes(_BLOCK_BYTES, "little") for block in self._blocks),
+            "little",
+        )
         return bits & ~(bits >> 1) & ((1 << (self.total_cells - 1)) - 1)
 
     def __len__(self) -> int:
@@ -312,7 +316,7 @@ class PresenceBitmap:
 
     def __iter__(self):
         """The run entries of the same cells, as Header yields them."""
-        ends = _blocks(self._run_ends().to_bytes(len(self._bits), "little"))
+        ends = _blocks(self._run_ends().to_bytes(-(-self.total_cells // 8), "little"))
         for block, bits in enumerate(ends):
             while bits:
                 low = bits & -bits
@@ -322,15 +326,30 @@ class PresenceBitmap:
         yield RunEntry(self.total_cells, self.total_cells - self._ranks[-1])
 
 
+def bitmap_body(total_cells: int, records: int) -> bytearray | None:
+    """A zeroed bitmap body for total_cells cells, or None if no bitmap can win.
+
+    records stored cells make at most records + 1 run entries.  When even
+    that many entries take no more bytes than the bitmap, save_header
+    keeps the run header whatever the cells are, so the ceil(total_cells
+    / 8) bytes are not allocated.
+    """
+    size = -(-total_cells // 8)
+    if _PREAMBLE_BYTES + size < _ENTRY_BYTES * (records + 1):
+        return bytearray(size)
+    return None
+
+
 def save_header(header: Header, bits, path) -> None:
     """Write header's cells as a presence bitmap or a run header, whichever is smaller.
 
     bits is the bitmap body of the same cells, ceil(total_cells / 8)
-    bytes with bit p - 1 set for each nonempty cell p.  A tie keeps the
-    run header.
+    bytes with bit p - 1 set for each nonempty cell p, or None when the
+    build kept none (bitmap_body), which keeps the run header.  A tie
+    also keeps the run header.
     """
     sizes = header_bytes(header)
-    if sizes["presence bitmap"] < sizes["run header"]:
+    if bits is not None and sizes["presence bitmap"] < sizes["run header"]:
         Path(path).write_bytes(
             _BITMAP_START + header.total_cells.to_bytes(8, "little") + bits
         )

@@ -35,7 +35,7 @@ from operator import add, eq, floordiv, mod, mul
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .array_store import ArrayStore, compress_stream, save_header
+from .array_store import ArrayStore, bitmap_body, compress_stream, save_header
 from .errors import (
     DatasetError,
     DuplicateKeyError,
@@ -460,14 +460,15 @@ def build_dataset(dataset_dir, which: str = "both",
     if which in ("both", "array"):
         total = schema.cell_total
         cards = manifest.cards
-        bits = bytearray(-(-total // 8))
+        bits = bitmap_body(total, manifest.r)  # None in a box too sparse for a bitmap
 
         def cells():
             # a cell's bit is set once compress_stream has accepted it
             for indices, record in iter_table_cells(tbl, manifest.k, schema.record_width):
                 position = linearize(indices, cards)
                 yield position, record
-                bits[(position - 1) >> 3] |= 1 << ((position - 1) & 7)
+                if bits is not None:
+                    bits[(position - 1) >> 3] |= 1 << ((position - 1) & 7)
 
         with open(root / manifest.array_file, "wb") as f:
             header = compress_stream(cells(), total, schema.record_width, f)

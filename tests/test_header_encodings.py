@@ -2,6 +2,9 @@
 
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +24,8 @@ from cubestore import (
     open_dataset,
     write_table,
 )
-from cubestore.array_store import PresenceBitmap
+import cubestore
+from cubestore.array_store import PresenceBitmap, bitmap_body
 from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME
 from cubestore.relation_model import KIND_TEXT
 from conftest import compress_to_memory, make_records, random_positions
@@ -234,3 +238,45 @@ def test_run_header_files_still_open(tmp_path):
     with open_dataset(root) as db:
         assert type(db.array.header) is Header
         assert list(db.array.iterate_nonempty()) == stored
+
+
+def test_bitmap_body_only_when_it_could_win():
+    # one record makes at most 2 entries (32 bytes): 24 + 7 bitmap bytes
+    # can still win, 24 + 8 cannot
+    assert bitmap_body(56, 1) == bytearray(7)
+    assert bitmap_body(57, 1) is None
+    assert bitmap_body(2**40, 300) is None
+
+
+def test_sparse_build_in_a_huge_box_allocates_no_bitmap(tmp_path):
+    """300 diagonal cells of a 2^40-cell box keep the run header.
+
+    The build runs under a 1 GiB address-space limit, so it fails if it
+    allocates the 2^37 bitmap bytes that could never win.
+    """
+    pytest.importorskip("resource")
+    cards = (2**20, 2**20)
+    total = cell_count(cards)
+    occupied = [linearize((i, i), cards) for i in range(1, 301)]
+    root = tmp_path / "ds"
+    write_cells_dataset(root, cards, make_records(occupied, 2), 2)
+    src = str(Path(cubestore.__file__).parents[1])
+    build = subprocess.run(
+        [sys.executable, "-c",
+         "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)); "
+         f"sys.path.insert(0, {src!r}); "
+         "from cubestore import build_dataset; build_dataset(sys.argv[1], 'array')",
+         str(root)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
+    assert (root / "relation.hdr").stat().st_size == 16 * 301
+    with open_dataset(root, need=("array",)) as db:
+        header = db.array.header
+        assert type(header) is Header
+        # each diagonal cell is a run of its own
+        assert [tuple(entry) for entry in header] == [
+            (p, p - i) for i, p in enumerate(occupied, start=1)
+        ] + [(total, total - 300)]
+        assert db.array.get_cell((300, 300)) == make_records([occupied[-1]], 2)[0][1]
+        assert db.array.get_cell((300, 299)) is None
