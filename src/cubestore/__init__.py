@@ -1,33 +1,21 @@
 """One relation, two physical shapes: a sorted indexed table and a
 header-compressed multidimensional array, with the analytic cost model
-and the benchmark harness that compare them."""
+and the benchmark harness that compare them.
 
-from .array_store import ArrayStore, Header, RunEntry, compress_stream
+The names below are the public API.  Internals such as Header, Manifest
+and RecordCodec are imported from their modules."""
+
+from .array_store import ArrayStore, compress_stream
 from .bench import (
-    BenchResult,
     SplitMix64,
-    draw_sample,
     generate_synthetic,
     run_benchmark,
     sample_percentage,
-    write_bench_csv,
 )
-from .cost_model import (
-    CostParams,
-    CostTable,
-    cost_tables_text,
-    emit_cost_tables,
-    format_cost_table,
-    q_btree,
-    q_plain,
-    round2,
-    write_cost_csv,
-)
+from .cost_model import emit_cost_tables, q_btree, q_plain
 from .dataset import (
     Dataset,
-    Manifest,
     build_dataset,
-    export_rows,
     format_size_report,
     ingest_csv,
     ingest_rows,
@@ -43,7 +31,6 @@ from .errors import (
     DuplicateKeyError,
     DuplicateRowError,
     EmptyRelationError,
-    ImpossibleDensityError,
     MalformedInputError,
     NotSortedError,
     ParameterError,
@@ -53,102 +40,49 @@ from .errors import (
     UnknownDimensionValueError,
 )
 from .linearizer import cell_count, delinearize, linearize
-from .relation_model import (
-    ConjointResult,
-    DimensionDirectory,
-    MeasureColumn,
-    RecordCodec,
-    RelationSchema,
-    RelationStats,
-    build_conjoint,
-    compute_active_domains,
-    density,
-    encode_row,
-    space_ratio,
-)
-from .table_store import (
-    TableStore,
-    build_index,
-    build_index_from_table,
-    build_table,
-    decode_key,
-    encode_key,
-    iter_table_cells,
-    min_degree,
-    worst_case_page_reads,
-    write_table,
-)
+from .relation_model import space_ratio
+from .table_store import TableStore, build_table, encode_key, worst_case_page_reads
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ArrayStore",
-    "BenchResult",
     "CapacityError",
-    "ConjointResult",
-    "CostParams",
-    "CostTable",
     "CubeStoreError",
     "Dataset",
     "DatasetError",
     "DegenerateConjointError",
-    "DimensionDirectory",
     "DuplicateKeyError",
     "DuplicateRowError",
     "EmptyRelationError",
-    "Header",
-    "ImpossibleDensityError",
     "MalformedInputError",
-    "Manifest",
-    "MeasureColumn",
     "NotSortedError",
     "ParameterError",
     "RangeError",
-    "RecordCodec",
-    "RelationSchema",
-    "RelationStats",
-    "RunEntry",
     "SplitMix64",
     "StorageError",
     "TableStore",
     "UndefinedDensityError",
     "UnknownDimensionValueError",
-    "build_conjoint",
     "build_dataset",
-    "build_index",
-    "build_index_from_table",
     "build_table",
     "cell_count",
     "compress_stream",
-    "compute_active_domains",
-    "cost_tables_text",
-    "decode_key",
     "delinearize",
-    "density",
-    "draw_sample",
     "emit_cost_tables",
     "encode_key",
-    "encode_row",
-    "export_rows",
-    "format_cost_table",
     "format_size_report",
     "generate_synthetic",
     "ingest_csv",
     "ingest_rows",
-    "iter_table_cells",
     "linearize",
     "materialize_synthetic",
-    "min_degree",
     "open_dataset",
     "q_btree",
     "q_plain",
-    "round2",
     "run_benchmark",
     "sample_percentage",
     "size_report",
     "space_ratio",
     "worst_case_page_reads",
-    "write_bench_csv",
-    "write_cost_csv",
-    "write_table",
 ]

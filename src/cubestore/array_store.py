@@ -475,9 +475,6 @@ class ArrayStore:
             return None
         return self.read_record(record)
 
-    def logical_of_physical(self, record: int) -> int:
-        return self.header.logical_of_physical(record)
-
     def iterate_nonempty(self):
         """Yield (coordinates, record) for every stored cell in logical order."""
         filled = 0

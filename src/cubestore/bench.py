@@ -20,10 +20,11 @@ direct read of the known record ordinal.
 from __future__ import annotations
 
 import csv
-import math
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
+from .cost_model import round2
 from .errors import CapacityError, DatasetError, EmptyRelationError, ParameterError
 from .linearizer import cell_count, delinearize
 from .relation_model import KIND_TEXT, MeasureColumn, RecordCodec, RelationSchema
@@ -102,18 +103,6 @@ class SyntheticRelation:
     def r(self) -> int:
         return len(self.cells)
 
-    def rows(self):
-        """Yield raw value tuples (dimension values, then decoded measures)."""
-        for position, record in self.cells:
-            coords = delinearize(position, self.schema.cards)
-            values = tuple(
-                self.dimension_values[d][i - 1] for d, i in enumerate(coords)
-            )
-            if self.codec.is_presence:
-                yield values
-            else:
-                yield values + self.codec.unpack(record)
-
 
 def generate_synthetic(k: int, cards, rho_target: float, measure_widths,
                        seed: int) -> SyntheticRelation:
@@ -172,21 +161,7 @@ class BenchResult:
 
 def sample_percentage(size: int, r: int) -> float:
     """100 * size / r rounded to 2 decimals, halves away from zero."""
-    return math.floor(100 * size / r * 100 + 0.5) / 100
-
-
-def _samples_for(r: int, sizes, seed: int) -> list[list[int]]:
-    """The per-size ordinal samples a run with these parameters will use."""
-    rng = SplitMix64(seed)
-    below = rng.below
-    out = []
-    for size in sizes:
-        if size < 1:
-            raise ParameterError(f"sample sizes must be positive, got {size}")
-        if size > MAX_SAMPLE_SIZE:
-            raise CapacityError(f"sample size {size} exceeds {MAX_SAMPLE_SIZE}")
-        out.append([below(r) + 1 for _ in range(size)])
-    return out
+    return round2(100 * size / r)
 
 
 def run_benchmark(db, sizes=DEFAULT_SIZES, seed: int = 1,
@@ -194,8 +169,9 @@ def run_benchmark(db, sizes=DEFAULT_SIZES, seed: int = 1,
     """Time both representations of a built dataset over shared samples.
 
     db must expose .table (TableStore with index) and .array (ArrayStore)
-    over the same relation.  Identical (db, sizes, seed) arguments give
-    identical samples.
+    over the same relation.  The samples are consecutive slices of one
+    draw_sample(r, sum(sizes), seed) stream, so identical (db, sizes,
+    seed) arguments give identical samples.
     """
     table = db.table
     array = db.array
@@ -210,10 +186,14 @@ def run_benchmark(db, sizes=DEFAULT_SIZES, seed: int = 1,
         )
     cards = array.cards
     sizes = tuple(sizes)
-    samples = _samples_for(r, sizes, seed)
+    for size in sizes:
+        if size < 1:
+            raise ParameterError(f"sample sizes must be positive, got {size}")
+    stream = draw_sample(r, sum(sizes), seed)
 
     results = []
-    for size, ordinals in zip(sizes, samples):
+    for size, end in zip(sizes, accumulate(sizes)):
+        ordinals = stream[end - size : end]
         to_logical = array.header.logical_of_physical
         coords = [delinearize(to_logical(p), cards) for p in ordinals]
 

@@ -43,7 +43,7 @@ from .dataset import (
     size_report,
 )
 from .errors import CubeStoreError, MalformedInputError
-from .relation_model import RelationStats, build_conjoint, space_ratio
+from .relation_model import build_conjoint, space_ratio
 from .table_store import iter_table_cells
 
 
@@ -117,15 +117,14 @@ def _cmd_stats(args) -> int:
     root = Path(args.dataset)
     manifest = Manifest.load(root / MANIFEST_NAME)
     schema = manifest.schema
-    stats = RelationStats.from_schema(schema, manifest.r)
-    print(f"{'rows (r)':26}{stats.r:,}")
-    print(f"{'cells':26}{stats.cell_total:,}")
-    print(f"{'row bytes':26}{stats.row_bytes:,}")
-    print(f"{'record bytes':26}{stats.record_width:,}")
-    print(f"{'data ratio (delta)':26}{stats.delta!r}")
-    print(f"{'density (rho)':26}{stats.rho!r}")
-    if stats.r:
-        ratio = space_ratio(stats.delta, stats.rho)
+    print(f"{'rows (r)':26}{manifest.r:,}")
+    print(f"{'cells':26}{schema.cell_total:,}")
+    print(f"{'row bytes':26}{schema.row_bytes:,}")
+    print(f"{'record bytes':26}{schema.record_width:,}")
+    print(f"{'data ratio (delta)':26}{schema.delta!r}")
+    print(f"{'density (rho)':26}{manifest.rho!r}")
+    if manifest.r:
+        ratio = space_ratio(schema.delta, manifest.rho)
         print(f"{'size ratio (delta/rho)':26}{ratio!r}")
         if ratio < 1:
             print("verdict: multidimensional smaller (uncompressed model)")

@@ -34,38 +34,28 @@ DEFAULT_K_VALUES = (5, 10, 15, 20, 25)
 DEFAULT_T = 89
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Validated model parameters: cost ratio p and minimal degree t."""
-
-    p: float
-    t: int = DEFAULT_T
-
-    def __post_init__(self):
-        if not self.p > 0:
-            raise ParameterError(f"cost ratio p must be positive, got {self.p}")
-        if self.t < 2:
-            raise ParameterError(f"minimal degree t must be at least 2, got {self.t}")
-
-
-def q_plain(r: int, k: int, p: float) -> float:
-    """Speed quotient of a binary-searched table against the array."""
-    if r < 2:
-        raise ParameterError(f"row count must be at least 2, got {r}")
+def _check(p: float, t: int = DEFAULT_T, r: int = 2, k: int = 1,
+           min_rows: int = 1) -> None:
+    """Reject model arguments outside their domain, in the order r, k, p, t."""
+    if r < min_rows:
+        raise ParameterError(f"row count must be at least {min_rows}, got {r}")
     if k < 1:
         raise ParameterError(f"key length must be at least 1, got {k}")
     if not p > 0:
         raise ParameterError(f"cost ratio p must be positive, got {p}")
+    if t < 2:
+        raise ParameterError(f"minimal degree t must be at least 2, got {t}")
+
+
+def q_plain(r: int, k: int, p: float) -> float:
+    """Speed quotient of a binary-searched table against the array."""
+    _check(p, r=r, k=k, min_rows=2)
     return (math.log2(r) - 1) / ((k - 1) / p + 1)
 
 
 def q_btree(r: int, k: int, p: float, t: int = DEFAULT_T) -> float:
     """Speed quotient of a B-tree indexed table against the array."""
-    if r < 1:
-        raise ParameterError(f"row count must be at least 1, got {r}")
-    if k < 1:
-        raise ParameterError(f"key length must be at least 1, got {k}")
-    CostParams(p, t)
+    _check(p, t, r, k)
     return (math.log((r + 1) / 2, t) + 1) / ((k - 1) / p + 1)
 
 
@@ -98,7 +88,7 @@ def emit_cost_tables(p_values=None, r_values=None, k_values=None,
     r_values = tuple(r_values) if r_values else DEFAULT_R_VALUES
     k_values = tuple(k_values) if k_values else DEFAULT_K_VALUES
     for p in p_values:
-        CostParams(p, t)
+        _check(p, t)
     tables = []
     for p in p_values:
         cells = tuple(

@@ -37,14 +37,18 @@ from urllib.parse import quote, unquote
 
 from .array_store import ArrayStore, bitmap_body, compress_stream, save_header
 from .errors import (
+    CapacityError,
     DatasetError,
     DuplicateKeyError,
     DuplicateRowError,
     MalformedInputError,
     ParameterError,
+    RangeError,
 )
-from .linearizer import linearize
+from .linearizer import delinearize, linearize
 from .relation_model import (
+    _I64_MAX,
+    _I64_MIN,
     KIND_FLOAT,
     KIND_INT,
     KIND_TEXT,
@@ -68,8 +72,6 @@ HEADER_NAME = "relation.hdr"
 FORMAT_VERSION = 1
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
-_I64_MIN = -(2**63)
-_I64_MAX = 2**63 - 1
 
 
 @dataclass
@@ -95,6 +97,8 @@ class Manifest:
         if not self.dim_files:
             self.dim_files = tuple(f"dim_{i}.dim" for i in range(1, self.k + 1))
         schema = self.schema  # validates shape
+        if self.r < 0:
+            raise DatasetError(f"row count {self.r} is negative")
         if self.r > schema.cell_total:
             raise DatasetError(f"{self.r} rows cannot fit {schema.cell_total} cells")
         if len(self.key_columns) != self.k:
@@ -120,14 +124,11 @@ class Manifest:
         return self.schema.case
 
     @property
-    def delta(self) -> float:
-        return self.schema.delta
-
-    @property
     def rho(self) -> float:
         return self.r / self.schema.cell_total
 
     def save(self, path) -> None:
+        schema = self.schema
         lines = [
             f"format_version={self.format_version}",
             f"schema_name={quote(self.schema_name, safe='')}",
@@ -140,9 +141,9 @@ class Manifest:
                 f"{quote(c.name, safe='')}:{c.kind}:{c.width}" for c in self.measure_columns
             ),
             f"r={self.r}",
-            f"row_bytes={self.schema.row_bytes}",
-            f"record_width={self.schema.record_width}",
-            f"delta={self.delta!r}",
+            f"row_bytes={schema.row_bytes}",
+            f"record_width={schema.record_width}",
+            f"delta={schema.delta!r}",
             f"rho={self.rho!r}",
             "dim_files=" + ",".join(self.dim_files),
             f"table_file={self.table_file}",
@@ -199,7 +200,7 @@ class Manifest:
                 raise DatasetError("manifest case label disagrees with the schema")
         except DatasetError as exc:
             raise DatasetError(f"{path}: {exc}") from None
-        except (KeyError, ValueError, ParameterError) as exc:
+        except (KeyError, ValueError, ParameterError, CapacityError, RangeError) as exc:
             raise DatasetError(f"{path}: bad manifest: {exc}") from None
         return manifest
 
@@ -397,7 +398,6 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
         key_columns=tuple(key_columns),
         measure_columns=tuple(columns),
         r=r,
-        built_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     fields = list(zip(remaps, row_ids))
     cells = (
@@ -405,13 +405,23 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
          records[row * width : row * width + width])
         for row in map(mod, order, repeat(r))
     )
+    return _write_dataset(out_dir, manifest, key_dirs, cells)
+
+
+def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
+    """Write the directories, the table of cells (logical order) and the manifest.
+
+    Stamps the manifest with the current time.  Any OSError becomes a
+    DatasetError naming the directory.
+    """
     out = Path(out_dir)
+    manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     try:
         out.mkdir(parents=True, exist_ok=True)
         for directory, name in zip(key_dirs, manifest.dim_files):
             directory.save(out / name)
         with open(out / manifest.table_file, "wb") as f:
-            write_table(cells, f, cards, width)
+            write_table(cells, f, manifest.cards, manifest.schema.record_width)
         manifest.save(out / MANIFEST_NAME)
     except OSError as exc:
         raise DatasetError(f"cannot write the dataset to {out}: {exc}") from None
@@ -550,16 +560,7 @@ class Dataset:
 
     def dimension_directories(self) -> list[DimensionDirectory]:
         if self._dirs is None:
-            dirs = []
-            for name, card in zip(self.manifest.dim_files, self.manifest.cards):
-                directory = DimensionDirectory.load(self.root / name)
-                if len(directory) != card:
-                    raise DatasetError(
-                        f"{self.root / name}: dimension directory holds {len(directory)} "
-                        f"values, manifest says {card}"
-                    )
-                dirs.append(directory)
-            self._dirs = dirs
+            self._dirs = _load_directories(self.root, self.manifest)
         return self._dirs
 
     def close(self) -> None:
@@ -573,6 +574,24 @@ class Dataset:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def _load_directories(root: Path, manifest: Manifest) -> list[DimensionDirectory]:
+    """Read the dimension directories and check their sizes against the manifest."""
+    dirs = []
+    for name, card in zip(manifest.dim_files, manifest.cards):
+        path = root / name
+        try:
+            directory = DimensionDirectory.load(path)
+        except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
+            raise DatasetError(f"cannot read dimension directory {path}: {exc}") from None
+        if len(directory) != card:
+            raise DatasetError(
+                f"{path}: dimension directory holds {len(directory)} "
+                f"values, manifest says {card}"
+            )
+        dirs.append(directory)
+    return dirs
 
 
 def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
@@ -622,11 +641,10 @@ def export_rows(dataset_dir):
     """
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
-    schema = manifest.schema
-    dirs = [DimensionDirectory.load(root / name) for name in manifest.dim_files]
+    dirs = _load_directories(root, manifest)
     codec = manifest.codec
     for indices, record in iter_table_cells(
-        root / manifest.table_file, manifest.k, schema.record_width
+        root / manifest.table_file, manifest.k, manifest.schema.record_width
     ):
         values = tuple(d.value_of(i) for d, i in zip(dirs, indices))
         if codec.is_presence:
@@ -639,28 +657,17 @@ def export_rows(dataset_dir):
 
 def materialize_synthetic(synth, out_dir, schema_name: str = "synthetic") -> Manifest:
     """Write a generated relation as a dataset directory (dims, table, manifest)."""
-    from .linearizer import delinearize
-
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     schema = synth.schema
-    columns = () if synth.codec.is_presence else synth.codec.columns
     manifest = Manifest(
         schema_name=schema_name,
         n=schema.n,
         k=schema.k,
         cards=schema.cards,
         key_columns=tuple(f"d{i + 1}" for i in range(schema.k)),
-        measure_columns=columns,
+        measure_columns=() if synth.codec.is_presence else synth.codec.columns,
         r=synth.r,
-        built_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
-    for values, name in zip(synth.dimension_values, manifest.dim_files):
-        DimensionDirectory(values).save(out / name)
-    with open(out / manifest.table_file, "wb") as f:
-        write_table(
-            ((delinearize(pos, schema.cards), record) for pos, record in synth.cells),
-            f, schema.cards, schema.record_width,
-        )
-    manifest.save(out / MANIFEST_NAME)
-    return manifest
+    return _write_dataset(
+        out_dir, manifest, [DimensionDirectory(values) for values in synth.dimension_values],
+        ((delinearize(pos, schema.cards), record) for pos, record in synth.cells),
+    )

@@ -33,10 +33,6 @@ class CapacityError(CubeStoreError):
     """A computed quantity does not fit the engine's 64-bit limits."""
 
 
-class ImpossibleDensityError(CubeStoreError):
-    """More rows than cells, so the key set cannot be unique."""
-
-
 class UndefinedDensityError(CubeStoreError):
     """Density zero leaves the space ratio undefined."""
 

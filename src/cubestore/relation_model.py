@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
     DegenerateConjointError,
     DuplicateRowError,
-    ImpossibleDensityError,
     MalformedInputError,
     ParameterError,
     RangeError,
@@ -188,7 +187,6 @@ class RelationSchema:
     k: int
     cards: tuple[int, ...]
     measure_widths: tuple[int, ...] = ()
-    key_widths: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
         if self.k < 1 or self.n < self.k:
@@ -206,10 +204,6 @@ class RelationSchema:
         for w in self.measure_widths:
             if w < 1:
                 raise ParameterError(f"measure width must be >= 1, got {w}")
-        if not self.key_widths:
-            object.__setattr__(self, "key_widths", (KEY_FIELD_WIDTH,) * self.k)
-        elif self.key_widths != (KEY_FIELD_WIDTH,) * self.k:
-            raise ParameterError(f"key fields are fixed at {KEY_FIELD_WIDTH} bytes each")
 
     @property
     def case(self) -> str:
@@ -234,43 +228,12 @@ class RelationSchema:
     @property
     def row_bytes(self) -> int:
         """Bytes per table row: key fields plus the measure record."""
-        return sum(self.key_widths) + self.record_width
+        return KEY_FIELD_WIDTH * self.k + self.record_width
 
     @property
     def delta(self) -> float:
         """Fraction of a row taken by non-key data."""
         return self.record_width / self.row_bytes
-
-
-@dataclass(frozen=True)
-class RelationStats:
-    """Row count and derived sparsity figures for one relation."""
-
-    r: int
-    row_bytes: int
-    record_width: int
-    cell_total: int
-
-    def __post_init__(self):
-        if self.r < 0:
-            raise ParameterError("row count cannot be negative")
-        if self.r > self.cell_total:
-            raise ImpossibleDensityError(
-                f"{self.r} rows cannot have unique keys in {self.cell_total} cells"
-            )
-
-    @classmethod
-    def from_schema(cls, schema: RelationSchema, r: int) -> "RelationStats":
-        return cls(r=r, row_bytes=schema.row_bytes,
-                   record_width=schema.record_width, cell_total=schema.cell_total)
-
-    @property
-    def delta(self) -> float:
-        return self.record_width / self.row_bytes
-
-    @property
-    def rho(self) -> float:
-        return self.r / self.cell_total
 
 
 class DimensionDirectory:
@@ -324,7 +287,7 @@ class DimensionDirectory:
         if not data:  # only a zero-byte file holds no values; "\n" holds ""
             return cls([])
         if not data.endswith("\n"):
-            raise MalformedInputError(f"{path}: missing trailing newline")
+            raise MalformedInputError("missing trailing newline")
         return cls([_unescape(line) for line in data[:-1].split("\n")])
 
 
@@ -380,32 +343,6 @@ def compute_active_domains(rows, arity: int | None = None) -> list[DimensionDire
     if domains is None:
         return [DimensionDirectory([]) for _ in range(arity)] if arity else []
     return [DimensionDirectory.from_values(dom) for dom in domains]
-
-
-def encode_row(row, key_dirs) -> tuple[tuple[int, ...], tuple]:
-    """Dictionary-encode the key of one row.
-
-    Returns (key indices, measure values).  The first len(key_dirs) fields
-    are translated through the directories; the rest are returned as-is.
-    A key-only row yields the presence value (1,) as its measures.
-    """
-    k = len(key_dirs)
-    t = tuple(row)
-    if len(t) < k:
-        raise MalformedInputError(f"row has {len(t)} fields, key needs {k}")
-    indices = tuple(d.index_of(v) for d, v in zip(key_dirs, t))
-    measures = t[k:] if len(t) > k else (1,)
-    return indices, measures
-
-
-def density(r: int, cards) -> float:
-    """Fraction of box cells that hold a row: r divided by the cell count."""
-    if r < 0:
-        raise ParameterError("row count cannot be negative")
-    total = cell_count(cards)
-    if r > total:
-        raise ImpossibleDensityError(f"{r} rows cannot have unique keys in {total} cells")
-    return r / total
 
 
 def space_ratio(delta: float, rho: float) -> float:

@@ -12,7 +12,6 @@ sys.path.insert(0, str(Path(__file__).parent))  # for `import oracle`
 
 from cubestore import (
     ArrayStore,
-    Header,
     SplitMix64,
     TableStore,
     build_table,

@@ -25,7 +25,6 @@ from cubestore.relation_model import (
     MeasureColumn,
     RecordCodec,
     compute_active_domains,
-    encode_row,
 )
 from cubestore.table_store import (
     CHILD_WIDTH,
@@ -265,6 +264,22 @@ def _declared_column(name: str, spec: str, values) -> MeasureColumn:
         inferred = max((len(v.encode("utf-8")) for v in values), default=1)
         return MeasureColumn(name, KIND_TEXT, max(inferred, 1))
     raise MalformedInputError(f"unknown column type {spec!r} for {name}")
+
+
+def encode_row(row, key_dirs) -> tuple[tuple[int, ...], tuple]:
+    """Dictionary-encode the key of one row.
+
+    Returns (key indices, measure values).  The first len(key_dirs) fields
+    are translated through the directories; the rest are returned as-is.
+    A key-only row yields the presence value (1,) as its measures.
+    """
+    k = len(key_dirs)
+    t = tuple(row)
+    if len(t) < k:
+        raise MalformedInputError(f"row has {len(t)} fields, key needs {k}")
+    indices = tuple(d.index_of(v) for d, v in zip(key_dirs, t))
+    measures = t[k:] if len(t) > k else (1,)
+    return indices, measures
 
 
 def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,

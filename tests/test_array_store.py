@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cubestore import (
     ArrayStore,
     DuplicateKeyError,
-    Header,
     MalformedInputError,
     NotSortedError,
     RangeError,
@@ -21,7 +20,7 @@ from cubestore import (
     delinearize,
     linearize,
 )
-from cubestore.array_store import PresenceBitmap
+from cubestore.array_store import Header, PresenceBitmap
 from conftest import build_array_files, compress_to_memory, make_records, random_positions
 from oracle import (
     bitmap_file_bytes,
@@ -348,7 +347,7 @@ class TestArrayStore:
             assert store.record_count == 4
             for ordinal, (position, record) in enumerate(make_records(occupied, 3), 1):
                 assert store.read_record(ordinal) == record
-                assert store.logical_of_physical(ordinal) == position
+                assert store.header.logical_of_physical(ordinal) == position
             with pytest.raises(RangeError):
                 store.read_record(0)
             with pytest.raises(RangeError):

@@ -10,15 +10,25 @@ from cubestore import (
     SplitMix64,
     build_dataset,
     cell_count,
-    draw_sample,
     generate_synthetic,
     materialize_synthetic,
     open_dataset,
     run_benchmark,
     sample_percentage,
-    write_bench_csv,
 )
-from cubestore.bench import MAX_SAMPLE_SIZE, _samples_for, report
+from cubestore.bench import MAX_SAMPLE_SIZE, draw_sample, report, write_bench_csv
+from cubestore.linearizer import delinearize
+
+
+def synthetic_rows(synth):
+    """Yield raw value tuples (dimension values, then decoded measures)."""
+    for position, record in synth.cells:
+        coords = delinearize(position, synth.schema.cards)
+        values = tuple(synth.dimension_values[d][i - 1] for d, i in enumerate(coords))
+        if synth.codec.is_presence:
+            yield values
+        else:
+            yield values + synth.codec.unpack(record)
 
 
 class TestSplitMix64:
@@ -108,7 +118,7 @@ class TestGenerateSynthetic:
 
     def test_rows_decode(self):
         synth = generate_synthetic(2, (4, 3), 0.5, (2,), seed=2)
-        rows = list(synth.rows())
+        rows = list(synthetic_rows(synth))
         assert len(rows) == synth.r
         assert all(len(row) == 3 for row in rows)
 
@@ -128,19 +138,6 @@ class TestSamplePercentage:
         assert sample_percentage(1, 16) == 6.25
 
 
-class TestSamplesFor:
-    def test_one_stream_across_sizes(self):
-        # the first draw of size 2 continues the stream after size 3
-        rng = SplitMix64(9)
-        expect = [rng.below(50) + 1 for _ in range(5)]
-        got = _samples_for(50, (3, 2), seed=9)
-        assert got == [expect[:3], expect[3:]]
-
-    def test_validation(self):
-        with pytest.raises(ParameterError):
-            _samples_for(50, (3, 0), seed=1)
-
-
 @pytest.fixture(scope="module")
 def built_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("bench") / "ds"
@@ -148,6 +145,30 @@ def built_dataset(tmp_path_factory):
     materialize_synthetic(synth, root)
     build_dataset(root)
     return root
+
+
+class TestBenchmarkSamples:
+    def test_one_stream_across_sizes(self, built_dataset, monkeypatch):
+        # the first draw of size 2 continues the stream after size 3;
+        # run_benchmark maps each sampled ordinal once, in sample order
+        seen = []
+        with open_dataset(built_dataset) as db:
+            header_type = type(db.array.header)
+            to_logical = header_type.logical_of_physical
+
+            def recording(header, record):
+                seen.append(record)
+                return to_logical(header, record)
+
+            monkeypatch.setattr(header_type, "logical_of_physical", recording)
+            run_benchmark(db, sizes=(3, 2), seed=9)
+            rng = SplitMix64(9)
+            assert seen == [rng.below(db.r) + 1 for _ in range(5)]
+
+    def test_validation(self, built_dataset):
+        with open_dataset(built_dataset) as db:
+            with pytest.raises(ParameterError, match="sample sizes must be positive, got 0"):
+                run_benchmark(db, sizes=(3, 0), seed=1)
 
 
 class TestRunBenchmark:

@@ -130,20 +130,20 @@ class TestQuery:
 class TestStats:
     def test_figures_and_verdict(self, built, capsys):
         assert main(["stats", "--dataset", str(built)]) == 0
-        out = capsys.readouterr().out
-        assert "rows (r)" in out and "4" in out
-        assert "cells" in out and "9" in out
-        assert "density (rho)" in out
-        assert "data ratio (delta)" in out
-        assert "size ratio (delta/rho)" in out
-        # 4 of 9 cells, 17-byte record, 25-byte row: delta/rho > 1
-        assert "verdict: table smaller (uncompressed model)" in out
-        # 9 cells take 24 + 2 bitmap bytes; 3 runs take 48; the line follows the verdict
-        lines = out.splitlines()
-        verdict = lines.index("verdict: table smaller (uncompressed model)")
-        assert lines[verdict + 1] == (
-            "header encoding           presence bitmap, 26 bytes (run header: 48 bytes)"
-        )
+        # 4 of 9 cells, 16-byte record (int64 + text:8), 24-byte row:
+        # delta = 2/3, rho = 4/9, delta/rho = 1.5 > 1; 9 cells take 24 + 2
+        # bitmap bytes against 3 runs of 16 bytes
+        assert capsys.readouterr().out.splitlines()[:9] == [
+            "rows (r)                  4",
+            "cells                     9",
+            "row bytes                 24",
+            "record bytes              16",
+            "data ratio (delta)        0.6666666666666666",
+            "density (rho)             0.4444444444444444",
+            "size ratio (delta/rho)    1.5",
+            "verdict: table smaller (uncompressed model)",
+            "header encoding           presence bitmap, 26 bytes (run header: 48 bytes)",
+        ]
 
     def test_header_encoding_before_build(self, dataset, capsys):
         assert main(["stats", "--dataset", str(dataset)]) == 0
@@ -191,6 +191,37 @@ class TestStats:
         assert "error:" in capsys.readouterr().err
         assert main(["stats", "--dataset", str(built), "--conjoint", "2",
                      "--allow-degenerate"]) == 0
+
+
+class TestBrokenDimensionDirectory:
+    COMMANDS = {
+        "query": ["query", "--at", "lyon,mon"],
+        "export": ["export"],
+    }
+    MESSAGES = {
+        "missing": "cannot read dimension directory {dim}: ",
+        "invalid-utf8": "cannot read dimension directory {dim}: 'utf-8' codec",
+        "unsorted": "cannot read dimension directory {dim}: directory values must be "
+                    "strictly sorted",
+        "extra-value": "{dim}: dimension directory holds 4 values, manifest says 3",
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("damage", sorted(MESSAGES))
+    def test_error_names_file(self, built, capsys, command, damage):
+        dim = built / "dim_1.dim"
+        if damage == "missing":
+            dim.unlink()
+        elif damage == "invalid-utf8":
+            dim.write_bytes(b"\xff\xfe\n")
+        elif damage == "unsorted":
+            dim.write_text("lyon\narles\nbern\n")
+        else:
+            dim.write_text(dim.read_text() + "zzz\n")
+        argv = self.COMMANDS[command]
+        assert main(argv[:1] + ["--dataset", str(built)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + self.MESSAGES[damage].format(dim=dim))
 
 
 class TestCost:

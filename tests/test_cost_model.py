@@ -6,17 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubestore import (
-    CostParams,
-    ParameterError,
-    cost_tables_text,
-    emit_cost_tables,
-    format_cost_table,
-    q_btree,
-    q_plain,
-    round2,
-    write_cost_csv,
-)
+from cubestore import ParameterError, emit_cost_tables, q_btree, q_plain
+from cubestore.cost_model import cost_tables_text, format_cost_table, round2, write_cost_csv
 
 # frozen spot values the cost formulas must reproduce
 PLAIN_SPOTS = [
@@ -70,18 +61,23 @@ class TestFormulas:
         assert q_plain(10**6, 10, 100.0) > q_plain(10**6, 10, 1.0)
 
     def test_parameter_errors(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="row count must be at least 2, got 1"):
             q_plain(1, 5, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="key length must be at least 1, got 0"):
             q_plain(100, 0, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="cost ratio p must be positive, got 0.0"):
             q_plain(100, 5, 0.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="row count must be at least 1, got 0"):
             q_btree(0, 5, 1.0)
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="minimal degree t must be at least 2, got 1"):
             q_btree(100, 5, 1.0, t=1)
-        with pytest.raises(ParameterError):
-            CostParams(p=-1.0)
+        with pytest.raises(ParameterError, match="cost ratio p must be positive, got -1.0"):
+            q_btree(100, 5, -1.0)
+        # the grid checks every p and t before any row count
+        with pytest.raises(ParameterError, match="minimal degree t must be at least 2, got 1"):
+            emit_cost_tables((2.0,), (1,), (3,), t=1)
+        with pytest.raises(ParameterError, match="cost ratio p must be positive, got -1.0"):
+            emit_cost_tables((2.0, -1.0), (1,), (3,))
 
     def test_btree_minimum(self):
         # a single row costs one page read, scaled by the denominator

@@ -10,10 +10,8 @@ from cubestore import (
     DuplicateKeyError,
     DuplicateRowError,
     MalformedInputError,
-    Manifest,
     build_dataset,
     cell_count,
-    export_rows,
     format_size_report,
     generate_synthetic,
     ingest_csv,
@@ -22,7 +20,7 @@ from cubestore import (
     open_dataset,
     size_report,
 )
-from cubestore.dataset import MANIFEST_NAME
+from cubestore.dataset import MANIFEST_NAME, Manifest, export_rows
 
 HEADER = ["store", "day", "qty", "note"]
 ROWS = [
@@ -230,6 +228,31 @@ class TestManifest:
             Manifest.load(path)
         path.write_text("no equals sign here\n")
         with pytest.raises(DatasetError):
+            Manifest.load(path)
+
+    def test_delta_and_rho_lines(self, tmp_path):
+        # 3 of 6 cells, a 3-byte record in an 11-byte row
+        manifest = ingest_rows(["a", "b", "v"], [("x", "p", "abc"), ("y", "q", "d"),
+                                                 ("x", "r", "ef")], ["a", "b"], tmp_path / "ds")
+        fields = dict(line.split("=", 1) for line in
+                      (tmp_path / "ds" / MANIFEST_NAME).read_text().splitlines())
+        assert fields["delta"] == repr(manifest.schema.delta) == repr(3 / 11)
+        assert fields["rho"] == repr(manifest.rho) == repr(0.5)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("r", "-3", "row count -3 is negative"),
+        ("cards", "4294967295,4294967295,4294967295",
+         "bad manifest: cell count 79228162458924105385300197375 exceeds the unsigned "
+         "64-bit range"),
+    ], ids=["negative-r", "cell-count-overflow"])
+    def test_bad_values_name_file(self, tmp_path, field, value, message):
+        ingest_rows(["a", "b", "c"], [("x", "p", "u")], ["a", "b", "c"], tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        path.write_text("".join(
+            f"{field}={value}\n" if line.startswith(f"{field}=") else line
+            for line in path.read_text().splitlines(keepends=True)
+        ))
+        with pytest.raises(DatasetError, match=re.escape(f"{path}: {message}")):
             Manifest.load(path)
 
     def test_unreadable_manifest_names_file(self, tmp_path):

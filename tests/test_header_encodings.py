@@ -10,24 +10,20 @@ import pytest
 
 from cubestore import (
     DatasetError,
-    Header,
-    Manifest,
-    MeasureColumn,
     SplitMix64,
     StorageError,
     build_dataset,
     cell_count,
     compress_stream,
     delinearize,
-    iter_table_cells,
     linearize,
     open_dataset,
-    write_table,
 )
 import cubestore
-from cubestore.array_store import PresenceBitmap, bitmap_body
-from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME
-from cubestore.relation_model import KIND_TEXT
+from cubestore.array_store import Header, PresenceBitmap, bitmap_body
+from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME, Manifest
+from cubestore.relation_model import KIND_TEXT, MeasureColumn
+from cubestore.table_store import iter_table_cells, write_table
 from conftest import compress_to_memory, make_records, random_positions
 from oracle import bitmap_file_bytes, decode_header_by_scan, dense_array, header_runs
 from test_acceptance import corpus

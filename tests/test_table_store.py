@@ -17,19 +17,23 @@ from cubestore import (
     RangeError,
     StorageError,
     TableStore,
-    build_index_from_table,
     build_table,
     cell_count,
-    decode_key,
     delinearize,
     encode_key,
-    iter_table_cells,
     linearize,
-    min_degree,
     worst_case_page_reads,
+)
+from cubestore.table_store import (
+    DEFAULT_PAGE_SIZE,
+    KEY_FIELD_WIDTH,
+    build_index_from_table,
+    decode_key,
+    iter_table_cells,
+    min_degree,
+    resolve_page_size,
     write_table,
 )
-from cubestore.table_store import DEFAULT_PAGE_SIZE, KEY_FIELD_WIDTH, resolve_page_size
 from conftest import build_table_files, make_records, random_positions
 from oracle import (
     binary_search_rows,

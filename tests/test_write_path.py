@@ -17,11 +17,10 @@ from cubestore import (
     DuplicateKeyError,
     DuplicateRowError,
     MalformedInputError,
-    build_index,
     delinearize,
     ingest_rows,
-    min_degree,
 )
+from cubestore.table_store import build_index, min_degree
 
 _ALPHABET = "abcxyz,\"'é中 \\\n-"
 INPUT_FORMS = ("tuples", "lists", "generator of tuples", "generator of lists",
