@@ -30,6 +30,7 @@ import re
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import compress, count, islice, repeat
 from operator import add, eq, floordiv, mod, mul
 from pathlib import Path
@@ -113,8 +114,9 @@ class Manifest:
             measure_widths=tuple(c.width for c in self.measure_columns),
         )
 
-    @property
+    @cached_property
     def codec(self) -> RecordCodec:
+        """The record codec, built once: measure_columns is never reassigned."""
         if not self.measure_columns:
             return RecordCodec.presence()
         return RecordCodec(self.measure_columns)

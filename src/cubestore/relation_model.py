@@ -15,8 +15,8 @@ and backslashes inside a value are escaped as \\n and \\\\.
 
 from __future__ import annotations
 
+import re
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +43,7 @@ _INT64 = struct.Struct("<q")
 _FLOAT64 = struct.Struct("<d")
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+_STRUCT_CODES = {KIND_INT: "q", KIND_FLOAT: "d"}  # other kinds are "{width}s"
 
 
 @dataclass(frozen=True)
@@ -116,7 +117,12 @@ class MeasureColumn:
         if self.kind == KIND_FLOAT:
             return _FLOAT64.unpack(raw)[0]
         if self.kind == KIND_TEXT:
-            return raw.rstrip(b"\x00").decode("utf-8")
+            try:
+                return raw.rstrip(b"\x00").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedInputError(
+                    f"column {self.name}: corrupt text, byte {exc.start} is not UTF-8"
+                ) from None
         if raw != b"\x01":
             raise MalformedInputError(f"column {self.name}: corrupt presence byte {raw!r}")
         return 1
@@ -129,21 +135,30 @@ class MeasureColumn:
 
 
 class RecordCodec:
-    """Packs and unpacks the fixed-width measure record of one row."""
+    """Packs and unpacks the fixed-width measure record of one row.
 
-    __slots__ = ("columns", "record_width", "_offsets")
+    A record is the columns' fields back to back, with no padding.  It is
+    decoded by one struct compiled here: "<" then, per column, "q" for
+    int64, "d" for float64 and "{width}s" for text and presence.  The
+    byte fields of text and presence columns are then decoded by
+    MeasureColumn.unpack; a record of int64 and float64 columns alone is
+    the struct's tuple.
+    """
+
+    __slots__ = ("columns", "record_width", "_struct", "_byte_fields")
 
     def __init__(self, columns):
         self.columns = tuple(columns)
         if not self.columns:
             raise ParameterError("a record codec needs at least one column")
-        offsets = []
-        pos = 0
-        for col in self.columns:
-            offsets.append(pos)
-            pos += col.width
-        self._offsets = tuple(offsets)
-        self.record_width = pos
+        self._struct = struct.Struct("<" + "".join(
+            _STRUCT_CODES.get(col.kind, f"{col.width}s") for col in self.columns
+        ))
+        self._byte_fields = tuple(
+            (i, col.unpack) for i, col in enumerate(self.columns)
+            if col.kind not in _STRUCT_CODES
+        )
+        self.record_width = self._struct.size
 
     @classmethod
     def presence(cls) -> "RecordCodec":
@@ -166,10 +181,13 @@ class RecordCodec:
             raise MalformedInputError(
                 f"record is {len(raw)} bytes, expected {self.record_width}"
             )
-        return tuple(
-            col.unpack(raw[off : off + col.width])
-            for col, off in zip(self.columns, self._offsets)
-        )
+        values = self._struct.unpack(raw)
+        if not self._byte_fields:
+            return values
+        values = list(values)
+        for i, decode in self._byte_fields:
+            values[i] = decode(values[i])
+        return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -240,10 +258,14 @@ class DimensionDirectory:
     """Distinct values of one dimension in sorted order; index = 1-based position.
 
     Values are compared by their UTF-8 encoding; for UTF-8 that equals
-    code-point order, so plain string sorting is used.
+    code-point order, so plain string sorting is used.  Beside the sorted
+    list, the first index_of builds a dict from each value to its index,
+    so every lookup is one hash lookup; the dict holds one entry per value,
+    O(cardinality) memory.  A directory that only maps indices to values,
+    as in ingest and export, never builds it.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_index")
 
     def __init__(self, values):
         vals = list(values)
@@ -251,6 +273,7 @@ class DimensionDirectory:
             if not a < b:
                 raise MalformedInputError("directory values must be strictly sorted")
         self.values = vals
+        self._index: dict | None = None  # built by the first index_of
 
     @classmethod
     def from_values(cls, values) -> "DimensionDirectory":
@@ -267,10 +290,15 @@ class DimensionDirectory:
         return isinstance(other, DimensionDirectory) and self.values == other.values
 
     def index_of(self, value: str) -> int:
-        pos = bisect_left(self.values, value)
-        if pos == len(self.values) or self.values[pos] != value:
-            raise UnknownDimensionValueError(f"value {value!r} is not in the directory")
-        return pos + 1
+        try:
+            return self._index[value]
+        except (KeyError, TypeError):  # TypeError: no index yet, or unhashable
+            if self._index is None:
+                self._index = {v: i for i, v in enumerate(self.values, 1)}
+                return self.index_of(value)
+            raise UnknownDimensionValueError(
+                f"value {value!r} is not in the directory"
+            ) from None
 
     def value_of(self, index: int) -> str:
         if not 1 <= index <= len(self.values):
@@ -288,31 +316,21 @@ class DimensionDirectory:
             return cls([])
         if not data.endswith("\n"):
             raise MalformedInputError("missing trailing newline")
-        return cls([_unescape(line) for line in data[:-1].split("\n")])
+        return cls([
+            _ESCAPED.sub(_unescape_one, line) if "\\" in line else line
+            for line in data[:-1].split("\n")
+        ])
 
 
 def _escape(value: str) -> str:
     return value.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def _unescape(line: str) -> str:
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and i + 1 < len(line):
-            nxt = line[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+_ESCAPED = re.compile(r"\\([n\\])")
+
+
+def _unescape_one(match) -> str:
+    return "\n" if match.group(1) == "n" else "\\"
 
 
 def compute_active_domains(rows, arity: int | None = None) -> list[DimensionDirectory]:

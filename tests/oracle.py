@@ -229,6 +229,31 @@ def space_ratio_by_bytes(record_width: int, row_bytes: int,
     return Fraction(cell_total * record_width, r * row_bytes)
 
 
+def unescape_by_scan(line: str) -> str:
+    r"""Undo a .dim line's escapes one character at a time.
+
+    \n becomes a newline and \\ a backslash; any other backslash, lone or
+    trailing, is kept as it is.
+    """
+    out = []
+    i = 0
+    while i < len(line):
+        ch = line[i]
+        if ch == "\\" and i + 1 < len(line):
+            nxt = line[i + 1]
+            if nxt == "n":
+                out.append("\n")
+                i += 2
+                continue
+            if nxt == "\\":
+                out.append("\\")
+                i += 2
+                continue
+        out.append(ch)
+        i += 1
+    return "".join(out)
+
+
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1

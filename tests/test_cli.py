@@ -121,6 +121,20 @@ class TestQuery:
         assert code == 2
         assert "2 dimensions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, stored", [
+        (["query", "--at", "bern,mon", "--via", "array"], "relation.arr"),
+        (["query", "--at", "bern,mon", "--via", "table"], "relation.tbl"),
+        (["export"], "relation.tbl"),
+    ])
+    def test_corrupt_text_byte_fails_without_traceback(self, built, capsys, argv, stored):
+        path = built / stored
+        data = bytearray(path.read_bytes())
+        data[data.index(b"late")] = 0xFF
+        path.write_bytes(bytes(data))
+        assert main(argv[:1] + ["--dataset", str(built)] + argv[1:]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: column note: corrupt text, byte 0 is not UTF-8")
+
     def test_query_needs_build(self, dataset, capsys):
         code = main(["query", "--dataset", str(dataset), "--at", "lyon,mon"])
         assert code == 2

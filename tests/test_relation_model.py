@@ -1,9 +1,10 @@
 """Schema, directories, row encoding, sparsity statistics, conjoint folding."""
 
+import struct
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubestore import (
@@ -26,7 +27,9 @@ from cubestore.relation_model import (
     build_conjoint,
     compute_active_domains,
 )
-from oracle import encode_row, space_ratio_by_bytes
+from oracle import encode_row, space_ratio_by_bytes, unescape_by_scan
+
+_I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
 
 
 class TestMeasureColumn:
@@ -66,6 +69,11 @@ class TestMeasureColumn:
         with pytest.raises(MalformedInputError):
             col.pack("éééé")  # 8 UTF-8 bytes
 
+    def test_corrupt_text_names_column(self):
+        col = MeasureColumn("note", "text", 3)
+        with pytest.raises(MalformedInputError, match="column note: corrupt text, byte 0"):
+            col.unpack(b"\xffa\x00")
+
     def test_kind_validation(self):
         with pytest.raises(ParameterError):
             MeasureColumn("x", "int64", 4)
@@ -82,6 +90,30 @@ class TestMeasureColumn:
             col.pack(0)
         with pytest.raises(MalformedInputError):
             col.unpack(b"\x00")
+
+
+@st.composite
+def _field(draw):
+    """One measure column and a value that fills it, at the edges of its kind."""
+    kind = draw(st.sampled_from(("int64", "float64", "text", "presence")))
+    if kind == "int64":
+        value = draw(st.sampled_from((_I64_MIN, _I64_MAX, -1, 0))
+                     | st.integers(_I64_MIN, _I64_MAX))
+        return MeasureColumn("i", kind, 8), value
+    if kind == "float64":
+        edges = (-0.0, float("inf"), float("-inf"), float("nan"))
+        return MeasureColumn("f", kind, 8), draw(st.sampled_from(edges) | st.floats())
+    if kind == "text":
+        value = draw(st.text(st.characters(exclude_characters="\x00"), max_size=6))
+        slack = draw(st.sampled_from((0, 0, 1, 3)))  # 0: the text fills its width
+        return MeasureColumn("t", kind, max(len(value.encode("utf-8")) + slack, 1)), value
+    return MeasureColumn("p", kind, 1), 1
+
+
+def _as_bytes(columns, values):
+    """Decoded values with floats as their packed bytes, so NaN and -0.0 compare."""
+    return [struct.pack("<d", v) if col.kind == "float64" else (type(v), v)
+            for col, v in zip(columns, values)]
 
 
 class TestRecordCodec:
@@ -108,6 +140,24 @@ class TestRecordCodec:
     def test_needs_columns(self):
         with pytest.raises(ParameterError):
             RecordCodec(())
+
+    @settings(max_examples=200)
+    @given(fields=st.lists(_field(), min_size=1, max_size=6))
+    def test_unpack_matches_per_column_decode(self, fields):
+        columns = [col for col, _ in fields]
+        codec = RecordCodec(columns)
+        raw = b"".join(col.pack(value) for col, value in fields)
+        assert codec.record_width == len(raw)
+        expected, pos = [], 0
+        for col in columns:
+            expected.append(col.unpack(raw[pos : pos + col.width]))
+            pos += col.width
+        got = codec.unpack(raw)
+        assert isinstance(got, tuple)
+        assert _as_bytes(columns, got) == _as_bytes(columns, expected)
+        for bad in (raw[:-1], raw + b"\x00"):
+            with pytest.raises(MalformedInputError, match="record is"):
+                codec.unpack(bad)
 
 
 class TestRelationSchema:
@@ -197,6 +247,32 @@ class TestDimensionDirectory:
         path = tmp_path / "dim_1.dim"
         DimensionDirectory(["a\nb", "c"]).save(path)
         assert path.read_bytes() == b"a\\nb\nc\n"
+
+    @settings(max_examples=100)
+    @given(values=st.lists(st.text(max_size=4), unique=True, max_size=30),
+           absent=st.text(max_size=4))
+    def test_index_of_is_one_based_position(self, values, absent):
+        for unhashable in ([], {}, ["a"]):  # also as a fresh directory's first lookup
+            with pytest.raises(UnknownDimensionValueError):
+                DimensionDirectory.from_values(values).index_of(unhashable)
+        d = DimensionDirectory.from_values(values)
+        if absent not in values:
+            with pytest.raises(UnknownDimensionValueError):
+                d.index_of(absent)
+        for pos, value in enumerate(d.values, 1):
+            assert d.index_of(value) == pos
+
+    @settings(max_examples=100)
+    @given(st.lists(st.text("\\na\u00e9", max_size=8), max_size=12))
+    @example(["\\", "a\\", "b\\\\\\", "c\\x\\"])  # lone and trailing backslashes
+    @example(["\\\\", "\\\\n", "\\\\\\n", "\\n\\", "x\\\\y"])
+    @example(["n\\", "\\\\\\\\", "\\a\\nb\\\\"])
+    def test_load_matches_scan_oracle(self, tmp_path_factory, lines):
+        by_value = {unescape_by_scan(line): line for line in lines}
+        lines = [by_value[v] for v in sorted(by_value)]
+        path = tmp_path_factory.mktemp("dim") / "dim_1.dim"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        assert DimensionDirectory.load(path).values == sorted(by_value)
 
 
 class TestDomainsAndEncoding:
