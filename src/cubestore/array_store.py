@@ -37,7 +37,11 @@ bits: building a sparse relation takes O(r) memory, not O(N).
 
 Point lookup is three steps: linearize the coordinates, find whether the
 position is nonempty, then map it to its physical record, the number of
-nonempty cells up to and including it.  Over a run header that means a
+nonempty cells up to and including it.  The first step runs the store's
+position kernel (linearizer.position_kernel), compiled straight-line
+code for the box's k that range-checks every coordinate and costs k - 1
+multiplications; coordinates outside the box, or of the wrong count,
+raise RangeError with linearize's message.  Over a run header that means a
 binary search for the first entry whose end covers the position, a
 comparison against the run's gap, and p minus the entry's empty count.
 Over a bitmap it is one divmod into a 512-bit block, one shift test, and
@@ -78,7 +82,7 @@ from .errors import (
     RangeError,
     StorageError,
 )
-from .linearizer import cell_count, delinearize, linearize
+from .linearizer import cell_count, delinearize, position_kernel
 
 _ENTRY_BYTES = 16  # two unsigned 64-bit little-endian words per entry
 _BITMAP_START = bytes(8) + b"PRESENCE"  # words 0 and the magic of a bitmap preamble
@@ -421,6 +425,7 @@ class ArrayStore:
         self.cards = tuple(cards)
         self.record_width = record_width
         total = cell_count(self.cards)
+        self._position = position_kernel(self.cards)
         if header.total_cells != total:
             raise StorageError(
                 f"{arr_file.name}: header covers {header.total_cells} cells, box has {total}"
@@ -469,8 +474,11 @@ class ArrayStore:
         return data
 
     def get_cell(self, indices) -> bytes | None:
-        """Measure record at the given coordinates, or None for an empty cell."""
-        record = self.header.locate(linearize(indices, self.cards))
+        """Measure record at the given coordinates, or None for an empty cell.
+
+        Coordinates outside the box raise RangeError.
+        """
+        record = self.header.locate(self._position(indices))
         if record is None:
             return None
         return self.read_record(record)

@@ -12,11 +12,26 @@ by logical position.
 
 Logical positions must fit in an unsigned 64-bit integer; anything
 larger is rejected.
+
+linearize is the reference.  A store's point lookups run a kernel
+compiled for its box instead (position_kernel, key_kernel): straight-line
+code for its k that unpacks the coordinates, tests 1 <= i_j <= c_j for
+every dimension, and returns either
+
+    i_1 + i_2 * s_2 + ... + i_k * s_k - offset
+
+with s_1 = 1, s_j = s_{j-1} * c_{j-1} and offset = s_1 + ... + s_k - 1,
+which is k - 1 multiplications, or the coordinates packed last
+dimension first.  Only a tuple or list of k in-box coordinates takes
+that path; any other input goes to linearize, so it raises exactly the
+error linearize raises.  The source is generated from k alone, never
+from the cards, and compiled once per process per k; building a
+store's kernel is then one call of the compiled factory.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import CapacityError, RangeError
 
@@ -71,3 +86,81 @@ def delinearize(position: int, cards: Sequence[int]) -> tuple[int, ...]:
         z //= c
     out.append(z + 1)
     return tuple(out)
+
+
+_SEQUENCES = frozenset((tuple, list))  # the input types a kernel unpacks itself
+_KERNEL_FACTORIES: dict[int, Callable] = {}
+
+
+def _kernel_factory(k: int) -> Callable:
+    """Compile, once per process, the factory of the kernels for k coordinates.
+
+    The factory takes (cards, strides, offset, pack) and returns the
+    position and key kernels of that box.  The source is built from k
+    only; the cards, strides and pack are bound as arguments.  Unpacking
+    raises ValueError for a wrong count, and the range test TypeError
+    for a coordinate that does not compare with an int; both go to
+    linearize, which checks in its own order and names the fault.
+    """
+    factory = _KERNEL_FACTORIES.get(k)
+    if factory is None:
+        dims = range(1, k + 1)
+        coords = "".join(f"i{j}, " for j in dims)
+        inside = " and ".join(f"1 <= i{j} <= c{j}" for j in dims)
+        position = " + ".join(["i1"] + [f"i{j} * s{j}" for j in dims[1:]])
+        key = ", ".join(f"i{j}" for j in reversed(dims))
+        source = f"""\
+def factory(cards, strides, offset, pack):
+    {"".join(f"c{j}, " for j in dims)}= cards
+    {"".join(f"s{j}, " for j in dims)}= strides
+
+    def position(indices):
+        if type(indices) in _SEQUENCES:
+            try:
+                {coords}= indices
+                if {inside}:
+                    return {position} - offset
+            except (TypeError, ValueError):
+                pass
+        return linearize(indices, cards)
+
+    def key(indices):
+        if type(indices) in _SEQUENCES:
+            try:
+                {coords}= indices
+                if {inside}:
+                    return pack({key})
+            except (TypeError, ValueError):
+                pass
+        linearize(indices, cards)
+        return pack(*reversed(indices))
+
+    return position, key
+"""
+        namespace = {"_SEQUENCES": _SEQUENCES, "linearize": linearize}
+        exec(compile(source, f"<cubestore kernels k={k}>", "exec"), namespace)
+        factory = _KERNEL_FACTORIES[k] = namespace["factory"]
+    return factory
+
+
+def _kernels(cards: Sequence[int], pack) -> tuple[Callable, Callable]:
+    cards = tuple(cards)
+    cell_count(cards)
+    strides = [1]
+    for c in cards[:-1]:
+        strides.append(strides[-1] * c)
+    return _kernel_factory(len(cards))(cards, strides, sum(strides) - 1, pack)
+
+
+def position_kernel(cards: Sequence[int]) -> Callable[[Sequence[int]], int]:
+    """linearize(indices, cards) compiled for one box."""
+    return _kernels(cards, None)[0]
+
+
+def key_kernel(cards: Sequence[int], pack) -> Callable[[Sequence[int]], bytes]:
+    """pack(*reversed(indices)) for the coordinates of one box, which it range-checks.
+
+    pack is a struct.Struct(f">{k}I").pack; coordinates outside the box
+    raise what linearize(indices, cards) raises.
+    """
+    return _kernels(cards, pack)[1]

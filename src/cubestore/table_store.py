@@ -23,6 +23,14 @@ checked and held in memory (about one separator per leaf), so a lookup
 bisects the levels above the leaves in memory and reads one leaf page,
 which bisect_left searches through precomputed key slices.
 
+Both lookups first encode the key with the store's key kernel
+(linearizer.key_kernel), compiled straight-line code for the box's k
+that range-checks every coordinate and packs them last dimension
+first.  Coordinates outside the box, or of the wrong count, raise
+RangeError with linearize's message, as ArrayStore.get_cell does, so
+the two representations agree on them too.  encode_key stays the
+reference and the write path's encoder.
+
 The plain binary search uses no index.  It splits the rows into blocks
 of B = max(2, DEFAULT_PAGE_SIZE // row bytes) rows and bisects the
 blocks' first keys, reading each key it compares with one key-sized
@@ -55,7 +63,7 @@ from .errors import (
     RangeError,
     StorageError,
 )
-from .linearizer import cell_count
+from .linearizer import cell_count, key_kernel
 
 KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field
 RECNO_WIDTH = 8
@@ -364,6 +372,7 @@ class TableStore:
         self._tbl_fd = tbl_file.fileno()
         self.cards = tuple(cards)
         cell_count(self.cards)
+        self._key = key_kernel(self.cards, _key_packer(len(self.cards)).pack)
         self.record_width = record_width
         self.key_bytes = len(self.cards) * KEY_FIELD_WIDTH
         self.row_bytes = self.key_bytes + record_width
@@ -514,11 +523,14 @@ class TableStore:
         return data
 
     def btree_lookup(self, indices) -> int | None:
-        """Record number of a key, or None when no row has it."""
+        """Record number of a key, or None when no row has it.
+
+        Coordinates outside the box raise RangeError.
+        """
         meta = self.meta
         if meta is None:
             raise DatasetError("no B-tree index is attached to this table")
-        key = encode_key(indices)
+        key = self._key(indices)
         page_no = meta.root
         if not page_no:
             self.last_page_reads = 0
@@ -543,8 +555,9 @@ class TableStore:
 
         bisect_right picks the last block whose first key is not above
         the key; one length-checked pread reads it for bisect_left.
+        Coordinates outside the box raise RangeError.
         """
-        key = encode_key(indices)
+        key = self._key(indices)
         if not self.row_count:
             self.last_row_reads = 0
             return None
