@@ -5,7 +5,8 @@ Subcommands:
   ingest   read a CSV file into a dataset directory
   build    derive the B-tree index and/or compressed array
   query    look up one cell by its dimension values
-  stats    report sparsity figures, the size verdict and the header encoding
+  stats    report sparsity figures, the size verdict, the header encoding
+           and the B-tree's shape
   cost     print the analytic lookup-cost tables
   bench    time point lookups against both representations
   export   write the stored rows back out as CSV
@@ -144,6 +145,14 @@ def _cmd_stats(args) -> int:
               f"({other}: {sizes[other]:,} bytes)")
     else:
         print(f"{'header encoding':26}(not built)")
+    if (root / manifest.btree_file).exists():
+        with open_dataset(root, need=("table",)) as db:
+            table = db.table
+            leaves = sum(is_leaf for _, is_leaf, _ in table.iter_nodes())
+        meta = table.meta
+        print(f"{'B-tree':26}height {meta.height}, t {meta.t}, "
+              f"leaf capacity {table.leaf_capacity}, "
+              f"pages: {leaves:,} leaf + {meta.node_count - leaves:,} internal")
     print()
     print(format_size_report(size_report(root)))
     if args.conjoint is not None:

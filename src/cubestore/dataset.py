@@ -217,9 +217,10 @@ class _MeasureText:
     parses as a float, else text as wide as the widest value.
     """
 
-    __slots__ = ("data", "ends", "is_int", "is_float", "width")
+    __slots__ = ("name", "data", "ends", "is_int", "is_float", "width")
 
-    def __init__(self):
+    def __init__(self, name: str):
+        self.name = name
         self.data = bytearray()
         self.ends = array("Q")
         self.is_int = True
@@ -227,7 +228,13 @@ class _MeasureText:
         self.width = 1
 
     def add(self, value: str) -> None:
-        raw = value.encode("utf-8")
+        try:
+            raw = value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedInputError(
+                f"column {self.name}, data row {len(self.ends) + 1}: "
+                f"character {exc.start} is not encodable as UTF-8"
+            ) from None
         self.data += raw
         self.ends.append(len(self.data))
         if len(raw) > self.width:
@@ -319,7 +326,7 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
     arity = len(column_names)
     key_ids = [{} for _ in key_columns]
     row_ids = [array("I") for _ in key_columns]
-    measures = [_MeasureText() for _ in measure_names]
+    measures = [_MeasureText(name) for name in measure_names]
     key_fields = list(zip([positions[name] for name in key_columns], key_ids, row_ids))
     measure_fields = list(zip([column_names.index(name) for name in measure_names], measures))
     for row in rows:

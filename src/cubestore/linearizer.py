@@ -11,7 +11,11 @@ the reversed coordinate tuple (i_k, ..., i_1) therefore equals sorting
 by logical position.
 
 Logical positions must fit in an unsigned 64-bit integer; anything
-larger is rejected.
+larger is rejected.  The coordinates must be a sequence (a set, an
+iterator or a mapping is refused) of integers: ints, bool included, or
+values with __index__ such as NumPy integers, which count as their int
+value.  Anything else raises RangeError, naming the dimension of a
+coordinate that is not an integer.
 
 linearize is the reference.  A store's point lookups run a kernel
 compiled for its box instead (position_kernel, key_kernel): straight-line
@@ -22,7 +26,7 @@ every dimension, and returns either
 
 with s_1 = 1, s_j = s_{j-1} * c_{j-1} and offset = s_1 + ... + s_k - 1,
 which is k - 1 multiplications, or the coordinates packed last
-dimension first.  Only a tuple or list of k in-box coordinates takes
+dimension first.  Only a tuple or list of k in-box int coordinates takes
 that path; any other input goes to linearize, so it raises exactly the
 error linearize raises.  The source is generated from k alone, never
 from the cards, and compiled once per process per k; building a
@@ -31,11 +35,15 @@ store's kernel is then one call of the compiled factory.
 
 from __future__ import annotations
 
+import struct
 from collections.abc import Callable, Sequence
+from operator import index
 
 from .errors import CapacityError, RangeError
 
 U64_MAX = 2**64 - 1
+
+_SEQUENCES = frozenset((tuple, list))  # the input types a kernel unpacks itself
 
 
 def cell_count(cards: Sequence[int]) -> int:
@@ -57,14 +65,18 @@ def linearize(indices: Sequence[int], cards: Sequence[int]) -> int:
     k = len(cards)
     if k == 0:
         raise RangeError("box needs at least one dimension")
+    if type(indices) not in _SEQUENCES and not isinstance(indices, Sequence):
+        raise RangeError(f"expected {k} coordinates, got a {type(indices).__name__}")
     if len(indices) != k:
         raise RangeError(f"expected {k} coordinates, got {len(indices)}")
-    i = indices[k - 1]
-    if not 1 <= i <= cards[k - 1]:
-        raise RangeError(f"coordinate {k} is {i}, outside 1..{cards[k - 1]}")
-    acc = i - 1
-    for j in range(k - 2, -1, -1):
+    acc = 0
+    for j in range(k - 1, -1, -1):
         i = indices[j]
+        if type(i) is not int:
+            try:
+                i = index(i)
+            except TypeError:
+                raise RangeError(f"coordinate {j + 1} is {i!r}, not an integer") from None
         c = cards[j]
         if not 1 <= i <= c:
             raise RangeError(f"coordinate {j + 1} is {i}, outside 1..{c}")
@@ -88,7 +100,6 @@ def delinearize(position: int, cards: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-_SEQUENCES = frozenset((tuple, list))  # the input types a kernel unpacks itself
 _KERNEL_FACTORIES: dict[int, Callable] = {}
 
 
@@ -98,9 +109,14 @@ def _kernel_factory(k: int) -> Callable:
     The factory takes (cards, strides, offset, pack) and returns the
     position and key kernels of that box.  The source is built from k
     only; the cards, strides and pack are bound as arguments.  Unpacking
-    raises ValueError for a wrong count, and the range test TypeError
-    for a coordinate that does not compare with an int; both go to
-    linearize, which checks in its own order and names the fault.
+    raises ValueError for a wrong count, the range test TypeError for a
+    coordinate that does not compare with an int, and pack struct.error
+    for one that is not an int; a position that is not an int (some
+    coordinate was a float, Decimal or Fraction in range) is not
+    returned.  All of these go to linearize, which checks in its own
+    order and names the fault.  bool is an int, so True and False pass
+    as 1 and 0 on every path; pack and linearize both take a value with
+    __index__ as its int.
     """
     factory = _KERNEL_FACTORIES.get(k)
     if factory is None:
@@ -119,7 +135,9 @@ def factory(cards, strides, offset, pack):
             try:
                 {coords}= indices
                 if {inside}:
-                    return {position} - offset
+                    p = {position} - offset
+                    if type(p) is int:
+                        return p
             except (TypeError, ValueError):
                 pass
         return linearize(indices, cards)
@@ -130,14 +148,15 @@ def factory(cards, strides, offset, pack):
                 {coords}= indices
                 if {inside}:
                     return pack({key})
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, StructError):
                 pass
         linearize(indices, cards)
         return pack(*reversed(indices))
 
     return position, key
 """
-        namespace = {"_SEQUENCES": _SEQUENCES, "linearize": linearize}
+        namespace = {"_SEQUENCES": _SEQUENCES, "linearize": linearize,
+                     "StructError": struct.error}
         exec(compile(source, f"<cubestore kernels k={k}>", "exec"), namespace)
         factory = _KERNEL_FACTORIES[k] = namespace["factory"]
     return factory

@@ -99,7 +99,12 @@ class MeasureColumn:
         if self.kind == KIND_FLOAT:
             return _FLOAT64.pack(float(value))
         if self.kind == KIND_TEXT:
-            raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
+            try:
+                raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
+            except UnicodeEncodeError as exc:
+                raise MalformedInputError(
+                    f"column {self.name}: character {exc.start} is not encodable as UTF-8"
+                ) from None
             if b"\x00" in raw:
                 raise MalformedInputError(f"column {self.name}: NUL bytes are not allowed in text")
             if len(raw) > self.width:
@@ -307,7 +312,13 @@ class DimensionDirectory:
 
     def save(self, path) -> None:
         data = "".join(_escape(v) + "\n" for v in self.values)
-        Path(path).write_bytes(data.encode("utf-8"))
+        try:
+            raw = data.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise MalformedInputError(
+                f"{path}: character {exc.start} is not encodable as UTF-8"
+            ) from None
+        Path(path).write_bytes(raw)
 
     @classmethod
     def load(cls, path) -> "DimensionDirectory":

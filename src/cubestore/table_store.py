@@ -7,29 +7,37 @@ significant dimension first (i_k, ..., i_1), so comparing the raw key
 bytes equals comparing logical positions and the file is sorted both
 ways at once.
 
-Index file (.btx): fixed-size pages.  Page 0 is metadata (magic "CBTX",
-page size, minimal degree, key width, root page, node count, entry
-count, height; all little-endian).  Pages 1..m hold nodes: an 8-byte
-node header (type byte, pad, 16-bit key count, pad), then for leaves
-key/record-number entries and for internal nodes the separator keys
-followed by the child page numbers.  Leaves carry (key, record number);
-internal nodes carry separators only, each separator being the smallest
-key of the child subtree to its right.  The tree is bulk-loaded bottom
-up from the sorted stream; every node except the root keeps between
-t - 1 and 2t - 1 keys, where the minimal degree t is derived from the
-page size.  A lookup therefore visits at most ceil(log_t((r + 1) / 2)) + 1
-nodes.  At open time the metadata page and every internal node are read,
-checked and held in memory (about one separator per leaf), so a lookup
-bisects the levels above the leaves in memory and reads one leaf page,
-which bisect_left searches through precomputed key slices.
+Index file (.btx), version 2: fixed-size pages.  Page 0 is metadata
+(magic "CBTX", version, page size, minimal degree, key width, root page,
+node count, entry count, height; all little-endian).  Pages 1..m hold
+nodes, each starting with a type byte, a pad byte and a 16-bit key
+count.  A leaf is that, four zero pad bytes and the 8-byte record
+number of its first key (16 bytes, "<BxHxxxxQ"), then its keys back to
+back: the index covers the sorted table, so the i-th key of a leaf is
+row first + i and no record number is stored per key.  An internal node
+is the 8-byte header ("<BxHxxxx"), its separator keys, then its child
+page numbers; each separator is the smallest key of the child subtree
+to its right.  The tree is bulk-loaded bottom up from the sorted
+stream.  The minimal degree t is derived from the page size so that 2t
+children fit an internal page; every internal node except the root
+has t to 2t children.  A leaf holds up to L = (page size - 16) // key
+bytes keys, always more than 2t - 1, and every leaf except a lone root
+holds at least t - 1.  Fewer, fuller leaves only lower the height, so
+a lookup still visits at most ceil(log_t((r + 1) / 2)) + 1 nodes.  At
+open time the metadata page and every internal node are read, checked
+and held in memory (about one separator per leaf), so a lookup bisects
+the levels above the leaves in memory and reads one leaf page, which
+bisect_left searches through precomputed key slices.  The leaf's type,
+count (1..L) and record range (within the entry count) are checked
+before it is searched.
 
 Both lookups first encode the key with the store's key kernel
 (linearizer.key_kernel), compiled straight-line code for the box's k
 that range-checks every coordinate and packs them last dimension
-first.  Coordinates outside the box, or of the wrong count, raise
-RangeError with linearize's message, as ArrayStore.get_cell does, so
-the two representations agree on them too.  encode_key stays the
-reference and the write path's encoder.
+first.  Coordinates outside the box, of the wrong count or not ints
+raise RangeError with linearize's message, as ArrayStore.get_cell
+does, so the two representations agree on them too.  write_table packs
+its rows' keys through the same kernel; encode_key stays the reference.
 
 The plain binary search uses no index.  It splits the rows into blocks
 of B = max(2, DEFAULT_PAGE_SIZE // row bytes) rows and bisects the
@@ -50,7 +58,6 @@ import os
 import struct
 from bisect import bisect_left, bisect_right
 from functools import partial
-from itertools import count
 from pathlib import Path
 from typing import NamedTuple
 
@@ -66,16 +73,17 @@ from .errors import (
 from .linearizer import cell_count, key_kernel
 
 KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field
-RECNO_WIDTH = 8
 CHILD_WIDTH = 8
 
 DEFAULT_PAGE_SIZE = 4096
+MAX_PAGE_SIZE = 65536  # a leaf then holds at most 16,380 keys of 4 bytes
 PAGE_SIZE_ENV = "CUBESTORE_PAGE_SIZE"
 
 _MAGIC = b"CBTX"
-_VERSION = 1
+_VERSION = 2
 _META = struct.Struct("<4sHHIIIQQQI")
-_NODE_HEADER = struct.Struct("<BxHxxxx")
+_NODE_HEADER = struct.Struct("<BxHxxxx")  # type, key count
+_LEAF_HEADER = struct.Struct("<BxHxxxxQ")  # type, key count, first record number
 _LEAF = 0
 _INTERNAL = 1
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
@@ -106,17 +114,27 @@ def resolve_page_size(page_size: int | None = None) -> int:
         page_size = int(env) if env else DEFAULT_PAGE_SIZE
     if page_size < _META.size or page_size < 64:
         raise ParameterError(f"page size {page_size} is too small")
+    if page_size > MAX_PAGE_SIZE:
+        raise ParameterError(
+            f"page size {page_size} is too large; a node's 16-bit key count "
+            f"allows at most {MAX_PAGE_SIZE}"
+        )
     return page_size
 
 
 def min_degree(page_size: int, key_bytes: int) -> int:
-    """Minimal degree t such that any node of 2t - 1 keys fits in one page."""
-    t = (page_size - _NODE_HEADER.size) // (2 * (key_bytes + RECNO_WIDTH))
+    """Minimal degree t such that an internal node of 2t children fits in one page."""
+    t = (page_size - _NODE_HEADER.size) // (2 * (key_bytes + CHILD_WIDTH))
     if t < 2:
         raise ParameterError(
             f"page size {page_size} cannot hold a B-tree of {key_bytes}-byte keys"
         )
     return t
+
+
+def leaf_capacity(page_size: int, key_bytes: int) -> int:
+    """Keys L that fill a leaf page after its header; L > 2t - 1 for any valid t."""
+    return (page_size - _LEAF_HEADER.size) // key_bytes
 
 
 def _bisect_probes(n: int) -> bytes:
@@ -165,19 +183,15 @@ def write_table(cells, out, cards, record_width: int) -> int:
     """Write (coordinates, record) cells as sorted fixed-width rows.
 
     The stream must be strictly ascending in key order; returns the row
-    count.  Equal keys are duplicates, descending keys are a sort error.
+    count.  Coordinates go through the box's key kernel, so a bad one
+    raises linearize's RangeError.  Equal keys are duplicates,
+    descending keys are a sort error.
     """
-    k = len(cards)
-    pack = _key_packer(k).pack
+    key_of = key_kernel(cards, _key_packer(len(cards)).pack)
     prev = b""
     count = 0
     for indices, record in cells:
-        if len(indices) != k:
-            raise RangeError(f"expected {k} coordinates, got {len(indices)}")
-        for pos, (i, c) in enumerate(zip(indices, cards)):
-            if not 1 <= i <= c:
-                raise RangeError(f"coordinate {pos + 1} is {i}, outside 1..{c}")
-        key = pack(*reversed(indices))
+        key = key_of(indices)
         if key == prev:
             raise DuplicateKeyError(f"duplicate key {tuple(indices)}")
         if key < prev:
@@ -210,31 +224,27 @@ def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:
     return chunks
 
 
-def build_index(entries, out_path, key_bytes: int, page_size: int | None = None) -> BTreeMeta:
-    """Bulk-load a B-tree over a sorted (key bytes, record number) stream.
+def build_index(keys, out_path, key_bytes: int, page_size: int | None = None) -> BTreeMeta:
+    """Bulk-load a B-tree over a sorted stream of key bytes.
 
-    The stream is read once.  Each leaf is written as soon as the leaf
-    after it fills; one full leaf is held back so that the last one or
-    two leaves go through _balanced_chunks together and come out as if
-    the whole stream had.  Memory holds those two leaves and one (first
-    key, page number) pair per leaf, the bottom of the internal levels,
-    which _balanced_chunks splits as before.  Pages are numbered in
-    write order (leaves, then each internal level); the metadata page 0
-    is written last.
+    The i-th key of the stream belongs to record number i.  The stream
+    is read once.  Each leaf of up to L = leaf_capacity keys is written
+    as soon as the leaf after it fills; one full leaf is held back so
+    that the last one or two leaves go through _balanced_chunks together
+    and come out as if the whole stream had, each with at least t - 1
+    keys.  Memory holds those two leaves and one (first key, page
+    number) pair per leaf, the bottom of the internal levels, which
+    _balanced_chunks splits into nodes of t to 2t children.  Pages are
+    numbered in write order (leaves, then each internal level); the
+    metadata page 0 is written last.
     """
     page_size = resolve_page_size(page_size)
     t = min_degree(page_size, key_bytes)
-    cap = 2 * t - 1
+    cap = leaf_capacity(page_size, key_bytes)
 
-    def leaf_page(chunk) -> bytes:
-        buf = bytearray(page_size)
-        _NODE_HEADER.pack_into(buf, 0, _LEAF, len(chunk))
-        off = _NODE_HEADER.size
-        for key, recno in chunk:
-            buf[off : off + key_bytes] = key
-            struct.pack_into("<Q", buf, off + key_bytes, recno)
-            off += key_bytes + RECNO_WIDTH
-        return bytes(buf)
+    def leaf_page(chunk, first: int) -> bytes:
+        page = _LEAF_HEADER.pack(_LEAF, len(chunk), first) + b"".join(chunk)
+        return page.ljust(page_size, b"\0")
 
     def internal_page(children) -> bytes:
         buf = bytearray(page_size)
@@ -251,21 +261,26 @@ def build_index(entries, out_path, key_bytes: int, page_size: int | None = None)
     with open(out_path, "wb") as f:
         f.seek(page_size)
         level = []  # (first key, page number) of each node written on this level
+        entry_count = 0
+
+        def write_leaf(leaf) -> None:
+            nonlocal entry_count
+            f.write(leaf_page(leaf, entry_count + 1))
+            entry_count += len(leaf)
+            level.append((leaf[0], len(level) + 1))
+
         held: list = []  # a full leaf, written once the next one fills
         chunk: list = []
-        for entry in entries:
-            chunk.append(entry)
+        for key in keys:
+            chunk.append(key)
             if len(chunk) == cap:
                 if held:
-                    f.write(leaf_page(held))
-                    level.append((held[0][0], len(level) + 1))
+                    write_leaf(held)
                 held, chunk = chunk, []
         tail = held + chunk
-        entry_count = len(level) * cap + len(tail)
         if tail:
             for leaf in _balanced_chunks(tail, cap, t - 1):
-                f.write(leaf_page(leaf))
-                level.append((leaf[0][0], len(level) + 1))
+                write_leaf(leaf)
         node_count = len(level)
         height = 0
         while len(level) > 1:
@@ -340,7 +355,7 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
     keys = (block[off : off + key_bytes]
             for block in _iter_table_blocks(tbl_path, row)
             for off in range(0, len(block), row))
-    return build_index(zip(keys, count(1)), btx_path, key_bytes, page_size)
+    return build_index(keys, btx_path, key_bytes, page_size)
 
 
 def build_table(cells, tbl_path, btx_path, cards, record_width: int,
@@ -395,12 +410,14 @@ class TableStore:
         self.meta: BTreeMeta | None = None
         # internal page number -> (separator keys, child page numbers)
         self._internal: dict[int, tuple[list[bytes], list[int]]] = {}
+        self.leaf_capacity = 0
         self._leaf_keys: list[slice] = []
         if btx_file is not None:
             self.meta = self._read_meta()
             self._load_internal_nodes()
-            self._leaf_keys = _key_slices(_NODE_HEADER.size, self.key_bytes + RECNO_WIDTH,
-                                          2 * self.meta.t - 1, self.key_bytes)
+            self.leaf_capacity = leaf_capacity(self.meta.page_size, self.key_bytes)
+            self._leaf_keys = _key_slices(_LEAF_HEADER.size, self.key_bytes,
+                                          self.leaf_capacity, self.key_bytes)
         self.last_page_reads = 0
         self.last_row_reads = 0
 
@@ -447,7 +464,10 @@ class TableStore:
         if magic != _MAGIC:
             raise StorageError(f"{name}: bad index magic {magic!r}")
         if version != _VERSION:
-            raise StorageError(f"{name}: unsupported index version {version}")
+            raise StorageError(
+                f"{name}: unsupported index version {version}, expected {_VERSION}; "
+                f"rebuild it with `cubestore build --only table`"
+            )
         if key_bytes != self.key_bytes:
             raise StorageError(
                 f"{name}: index keys are {key_bytes} bytes, table keys are {self.key_bytes}"
@@ -540,14 +560,18 @@ class TableStore:
             separators, children = internal[page_no]
             page_no = children[bisect_right(separators, key)]
         page = self._read_page(page_no)
-        node_type, count = _NODE_HEADER.unpack_from(page, 0)
-        if node_type != _LEAF or count > 2 * meta.t - 1:
-            raise StorageError(f"{self._btx.name}: page {page_no} is not a leaf")
+        node_type, count, first = _LEAF_HEADER.unpack_from(page, 0)
+        if (node_type != _LEAF or not 1 <= count <= self.leaf_capacity
+                or not 1 <= first <= meta.entry_count - count + 1):
+            raise StorageError(
+                f"{self._btx.name}: page {page_no} is not a valid leaf "
+                f"(type {node_type}, {count} keys from record {first})"
+            )
         self.last_page_reads = meta.height + 1
         keys = self._leaf_keys
         i = bisect_left(keys, key, 0, count, key=page.__getitem__)
         if i < count and page[keys[i]] == key:
-            return struct.unpack_from("<Q", page, keys[i].stop)[0]
+            return first + i
         return None
 
     def binary_search_lookup(self, indices) -> int | None:

@@ -28,10 +28,10 @@ from cubestore.relation_model import (
 )
 from cubestore.table_store import (
     CHILD_WIDTH,
-    RECNO_WIDTH,
     BTreeMeta,
     _INTERNAL,
     _LEAF,
+    _LEAF_HEADER,
     _MAGIC,
     _META,
     _NODE_HEADER,
@@ -189,8 +189,9 @@ def btree_lookup_by_pages(index: bytes, key: bytes):
     """Reference B-tree lookup over an index file's bytes, scanning each node.
 
     Walks from the root through every internal node with a linear scan
-    of its separators, then binary-searches the leaf with a plain loop.
-    Returns the record number stored with key, or None.
+    of its separators, then binary-searches the leaf's keys with a plain
+    loop.  Returns the leaf's first record number plus the key's place
+    in the leaf, or None.
     """
     _, _, _, page_size, _, width, page_no, _, _, height = _META.unpack_from(index, 0)
     if not page_no:
@@ -205,21 +206,21 @@ def btree_lookup_by_pages(index: bytes, key: bytes):
             child += 1
         page_no = struct.unpack_from("<Q", page, hdr + count * width + child * CHILD_WIDTH)[0]
     page = index[page_no * page_size : (page_no + 1) * page_size]
-    node_type, count = _NODE_HEADER.unpack_from(page, 0)
+    node_type, count, first = _LEAF_HEADER.unpack_from(page, 0)
     assert node_type == _LEAF
-    entry = width + RECNO_WIDTH
+    hdr = _LEAF_HEADER.size
     lo, hi = 0, count
     while lo < hi:
         mid = (lo + hi) // 2
-        off = hdr + mid * entry
+        off = hdr + mid * width
         if page[off : off + width] < key:
             lo = mid + 1
         else:
             hi = mid
     if lo < count:
-        off = hdr + lo * entry
+        off = hdr + lo * width
         if page[off : off + width] == key:
-            return struct.unpack_from("<Q", page, off + width)[0]
+            return first + lo
     return None
 
 
@@ -415,26 +416,26 @@ def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:
     return chunks
 
 
-def build_index_in_memory(entries, out_path, key_bytes: int,
+def build_index_in_memory(keys, out_path, key_bytes: int,
                           page_size: int | None = None) -> BTreeMeta:
-    """Reference B-tree bulk load: list every entry and every page, then write.
+    """Reference B-tree bulk load: list every key and every page, then write.
 
     The production build_index streams its leaves and must write the
-    same bytes.
+    same bytes.  The i-th key is record number i; a leaf holds up to
+    (page_size - 16) // key_bytes keys after its 16-byte header.
     """
     page_size = resolve_page_size(page_size)
     t = min_degree(page_size, key_bytes)
-    entries = list(entries)
+    keys = list(keys)
     pages: list[bytes] = []
 
-    def leaf_page(chunk) -> bytes:
+    def leaf_page(chunk, first) -> bytes:
         buf = bytearray(page_size)
-        _NODE_HEADER.pack_into(buf, 0, _LEAF, len(chunk))
-        off = _NODE_HEADER.size
-        for key, recno in chunk:
+        _LEAF_HEADER.pack_into(buf, 0, _LEAF, len(chunk), first)
+        off = _LEAF_HEADER.size
+        for key in chunk:
             buf[off : off + key_bytes] = key
-            struct.pack_into("<Q", buf, off + key_bytes, recno)
-            off += key_bytes + RECNO_WIDTH
+            off += key_bytes
         return bytes(buf)
 
     def internal_page(children) -> bytes:
@@ -451,11 +452,13 @@ def build_index_in_memory(entries, out_path, key_bytes: int,
 
     root = 0
     height = 0
-    if entries:
+    if keys:
         level = []
-        for chunk in _balanced_chunks(entries, 2 * t - 1, t - 1):
-            pages.append(leaf_page(chunk))
-            level.append((chunk[0][0], len(pages)))
+        first = 1
+        for chunk in _balanced_chunks(keys, (page_size - _LEAF_HEADER.size) // key_bytes, t - 1):
+            pages.append(leaf_page(chunk, first))
+            level.append((chunk[0], len(pages)))
+            first += len(chunk)
         while len(level) > 1:
             parents = []
             for chunk in _balanced_chunks(level, 2 * t, t):
@@ -465,7 +468,7 @@ def build_index_in_memory(entries, out_path, key_bytes: int,
             height += 1
         root = level[0][1]
 
-    meta = BTreeMeta(page_size, t, key_bytes, root, len(pages), len(entries), height)
+    meta = BTreeMeta(page_size, t, key_bytes, root, len(pages), len(keys), height)
     with open(out_path, "wb") as f:
         head = bytearray(page_size)
         head[: _META.size] = _META.pack(

@@ -161,7 +161,26 @@ class TestStats:
 
     def test_header_encoding_before_build(self, dataset, capsys):
         assert main(["stats", "--dataset", str(dataset)]) == 0
-        assert "header encoding           (not built)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "header encoding           (not built)" in out
+        assert not any(line.startswith("B-tree ") for line in out.splitlines())
+
+    def test_btree_shape(self, tmp_path, capsys, monkeypatch):
+        # 200 rows of 8-byte keys in 256-byte pages: t = 248 // 32 = 7 and
+        # L = 240 // 8 = 30, so 7 leaves under one root
+        src = tmp_path / "d.csv"
+        src.write_text("a,b,v\n" + "".join(
+            f"a{i:03},b{i % 7},{i}\n" for i in range(200)
+        ), encoding="utf-8")
+        ds = tmp_path / "ds"
+        assert main(["ingest", "--csv", str(src), "--keys", "a,b", "--out", str(ds)]) == 0
+        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", "256")
+        assert main(["build", "--dataset", str(ds)]) == 0
+        capsys.readouterr()
+        assert main(["stats", "--dataset", str(ds)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[9] == ("B-tree                    height 1, t 7, leaf capacity 30, "
+                            "pages: 7 leaf + 1 internal")
 
     def test_sparse_relation_keeps_run_header(self, tmp_path, capsys):
         # 200 diagonal rows of a 200 x 200 box: 200 runs (3,200 bytes)

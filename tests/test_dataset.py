@@ -150,6 +150,19 @@ class TestIngest:
             ingest_rows(["k", "k"], [("a", "1")], ["k"], tmp_path / "ds")
 
 
+    def test_unencodable_text_names_column_or_file(self, tmp_path):
+        with pytest.raises(MalformedInputError, match=(
+                "column v, data row 2: character 1 is not encodable as UTF-8")):
+            ingest_rows(["k", "v"], [("a", "x"), ("b", "x\ud800")], ["k"], tmp_path / "ds")
+        with pytest.raises(MalformedInputError, match=(
+                "column v, data row 1: character 1 is not encodable as UTF-8")):
+            ingest_rows(["k", "v"], [("a", "x\ud800")], ["k"], tmp_path / "ds",
+                        types={"v": "text:4"})
+        with pytest.raises(MalformedInputError, match=(
+                r"dim_1\.dim: character 1 is not encodable as UTF-8")):
+            ingest_rows(["k", "v"], [("a\ud800", "x")], ["k"], tmp_path / "ds")
+
+
 class TestIngestCsv:
     def test_csv_with_quoting(self, tmp_path):
         src = tmp_path / "in.csv"

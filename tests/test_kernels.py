@@ -1,15 +1,24 @@
 """Compiled coordinate kernels against linearize and encode_key, and the
 out-of-box behaviour they give all three lookup paths."""
 
+import os
 import struct
+import tempfile
+from collections.abc import Iterator
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubestore import RangeError, encode_key, linearize
+from cubestore import ArrayStore, RangeError, cell_count, encode_key, linearize
+from cubestore.array_store import Header, PresenceBitmap
 from cubestore.linearizer import U64_MAX, key_kernel, position_kernel
+from cubestore.table_store import write_table
 from conftest import build_array_files, build_table_files, make_records, random_positions
+from oracle import bitmap_file_bytes
 
 # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 = 2**64 - 1 cells
 FULL_BOX = (3, 5, 17, 257, 641, 65537, 6700417)
@@ -151,3 +160,121 @@ def test_stores_of_one_k_share_the_compiled_kernels(tmp_path):
         assert ta._key.__code__ is tb._key.__code__
         assert (a._position((4, 3, 2)), b._position((2, 2, 5))) == (24, 20)
         assert position_kernel((4, 3)).__code__ is not a._position.__code__
+
+
+# cells {1, 2, 3, 7} of a 4 x 2 box: (1, 1), (2, 1), (3, 1) and (3, 2)
+SMALL_CARDS = (4, 2)
+SMALL_POSITIONS = [1, 2, 3, 7]
+NOT_INTS = [(3.5, 1), (2, 2.0), (1.0, 1), (Decimal(2), 1), (Fraction(3), 1),
+            (1, Fraction(1, 2)), ("1", 1), (1, None), [2.0, 1]]
+BOOLS = [((True, 1), (1, 1)), ((True, True), (1, 1)), ((3, True), (3, 1)), ([2, True], (2, 1))]
+
+
+@pytest.fixture(params=[Header, PresenceBitmap], ids=["run header", "presence bitmap"])
+def small_stores(request, tmp_path):
+    cells = make_records(SMALL_POSITIONS, 3)
+    array = build_array_files(tmp_path, cells, SMALL_CARDS, 3)  # saves a run header
+    if request.param is PresenceBitmap:
+        array.close()
+        (tmp_path / "rel.hdr").write_bytes(bitmap_file_bytes(SMALL_POSITIONS, 8))
+        array = ArrayStore.open(tmp_path / "rel.arr", tmp_path / "rel.hdr", SMALL_CARDS, 3)
+    assert type(array.header) is request.param
+    table = build_table_files(tmp_path, cells, SMALL_CARDS, 3)
+    yield array, table
+    array.close()
+    table.close()
+
+
+def test_non_int_coordinates_raise_range_error_on_every_path(small_stores):
+    array, table = small_stores
+    for coords in NOT_INTS:
+        expected = raised(lambda c: linearize(c, SMALL_CARDS), coords)
+        assert expected[0] is RangeError and "not an integer" in expected[1], coords
+        for path in (array.get_cell, table.btree_lookup, table.binary_search_lookup):
+            assert raised(path, coords) == expected, (path.__name__, coords)
+        with open(os.devnull, "wb") as sink:
+            assert raised(lambda c: write_table([(c, b"abc")], sink, SMALL_CARDS, 3),
+                          coords) == expected
+    # bool is an int: True and False are 1 and 0 on every path
+    for coords, same in BOOLS:
+        assert array.get_cell(coords) == array.get_cell(same) is not None
+        assert table.btree_lookup(coords) == table.btree_lookup(same) is not None
+        assert table.binary_search_lookup(coords) == table.binary_search_lookup(same)
+    expected = raised(lambda c: linearize(c, SMALL_CARDS), (False, 1))
+    assert expected == (RangeError, "coordinate 1 is 0, outside 1..4")
+    for path in (array.get_cell, table.btree_lookup, table.binary_search_lookup):
+        assert raised(path, (False, 1)) == expected
+
+
+class Integral:
+    """An integer that is not an int, as a NumPy integer is: it has __index__ only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+    def __repr__(self):
+        return f"Integral({self.value})"
+
+
+@st.composite
+def any_coordinates(draw, cards):
+    """Coordinates of any shape a caller might pass for this box."""
+    k = len(cards)
+    ints = [draw(st.integers(1, c)) for c in cards]
+    j = draw(st.integers(0, k - 1))
+    odd = draw(st.sampled_from([
+        0, -1, cards[j] + 1, 2**32, 2**64, True, False, float(ints[j]), ints[j] + 0.5,
+        Decimal(ints[j]), Fraction(ints[j]), Fraction(1, 2), str(ints[j]), None,
+        Integral(ints[j]), Integral(cards[j] + 1),
+    ]))
+    bad = ints[:j] + [odd] + ints[j + 1:]
+    return draw(st.sampled_from([
+        tuple(ints), ints, tuple(bad), bad, tuple(ints[:-1]), tuple(ints) + (1,),
+        set(ints), iter(ints), dict(enumerate(ints)), None, ints[0],
+    ]))
+
+
+def answer(fn, coords):
+    try:
+        return fn(coords)
+    except Exception as exc:
+        return type(exc)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_every_path_equals_the_dense_oracle_or_raises_the_same_error(data):
+    cards = tuple(data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    total = cell_count(cards)
+    positions = sorted(data.draw(st.sets(st.integers(1, total), max_size=total)))
+    cells = make_records(positions, 3)
+    dense = dict(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        array = build_array_files(root, cells, cards, 3)  # a run header
+        table = build_table_files(root, cells, cards, 3)
+        (root / "bitmap.hdr").write_bytes(bitmap_file_bytes(positions, total))
+        bitmap = ArrayStore.open(root / "rel.arr", root / "bitmap.hdr", cards, 3)
+        with array, table, bitmap:
+            assert type(array.header) is Header and type(bitmap.header) is PresenceBitmap
+
+            def via(lookup):
+                return lambda c: (None if (recno := lookup(c)) is None
+                                  else table.read_measures(recno))
+
+            paths = [array.get_cell, bitmap.get_cell,
+                     via(table.btree_lookup), via(table.binary_search_lookup)]
+            for _ in range(30):
+                coords = data.draw(any_coordinates(cards))
+                snapshot = list(coords) if isinstance(coords, Iterator) else None
+                try:
+                    expected = dense.get(linearize(coords, cards))
+                except RangeError:
+                    expected = RangeError
+                for path in paths:
+                    if snapshot is not None:  # an iterator is used up by one call
+                        coords = iter(snapshot)
+                    assert answer(path, coords) == expected, (cards, coords)

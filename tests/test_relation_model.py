@@ -69,6 +69,12 @@ class TestMeasureColumn:
         with pytest.raises(MalformedInputError):
             col.pack("éééé")  # 8 UTF-8 bytes
 
+    def test_unencodable_text_names_column(self):
+        col = MeasureColumn("t", "text", 4)
+        with pytest.raises(MalformedInputError,
+                           match="column t: character 1 is not encodable as UTF-8"):
+            col.pack("x\ud800")
+
     def test_corrupt_text_names_column(self):
         col = MeasureColumn("note", "text", 3)
         with pytest.raises(MalformedInputError, match="column note: corrupt text, byte 0"):

@@ -14,6 +14,7 @@ from cubestore import (
     DuplicateKeyError,
     MalformedInputError,
     NotSortedError,
+    ParameterError,
     RangeError,
     StorageError,
     TableStore,
@@ -30,6 +31,7 @@ from cubestore.table_store import (
     build_index_from_table,
     decode_key,
     iter_table_cells,
+    leaf_capacity,
     min_degree,
     resolve_page_size,
     write_table,
@@ -109,6 +111,20 @@ class TestDegreeAndBounds:
         assert min_degree(256, 12) == 6
         with pytest.raises(Exception):
             min_degree(64, 100)
+
+    def test_leaf_capacity(self):
+        # (4096 - 16) // 12 = 340 keys after the 16-byte leaf header
+        assert leaf_capacity(4096, 12) == 340
+        assert leaf_capacity(256, 12) == 20
+        for page_size in (64, 128, 256, 4096, 65536):
+            for key_bytes in range(4, 80, 4):
+                if page_size >= 4 * key_bytes + 40:  # where min_degree gives t >= 2
+                    t = min_degree(page_size, key_bytes)
+                    assert leaf_capacity(page_size, key_bytes) >= 2 * t
+        # the largest page keeps every key count within 16 bits
+        assert leaf_capacity(65536, 4) < 2**16
+        with pytest.raises(ParameterError, match="page size 65537 is too large"):
+            resolve_page_size(65537)
 
     def test_resolve_page_size(self, monkeypatch):
         monkeypatch.delenv("CUBESTORE_PAGE_SIZE", raising=False)
@@ -225,12 +241,14 @@ class TestNodeInvariants:
         with store:
             t = store.meta.t
             assert store.meta.height >= 2  # the tree actually has internal levels
+            cap = store.leaf_capacity
+            assert cap == leaf_capacity(256, 12) == 20
             leaf_total = 0
             for page_no, is_leaf, count in store.iter_nodes():
                 if is_leaf:
                     leaf_total += count
                     if page_no != store.meta.root:
-                        assert t - 1 <= count <= 2 * t - 1
+                        assert t - 1 <= count <= cap
                 else:
                     # count is the key count; child count is one more
                     assert count + 1 <= 2 * t
@@ -319,9 +337,13 @@ class TestIndexCorruption:
     CARDS = (30, 20, 10)
     KEY_BYTES = 12
     PAGE = 256
-    # byte offsets of t and root in the metadata page
+    # byte offsets of the version, t and root in the metadata page
+    META_VERSION = 4
     META_T = 12
     META_ROOT = 20
+    # byte offsets of a leaf's key count and first record number in its page
+    LEAF_COUNT = 2
+    LEAF_FIRST = 8
 
     def build(self, tmp_path):
         total = cell_count(self.CARDS)
@@ -348,6 +370,16 @@ class TestIndexCorruption:
         with pytest.raises(StorageError, match="rel.btx: size"):
             self.open(tmp_path)
 
+    def test_version_1_index(self, tmp_path):
+        self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        raw = bytearray(btx.read_bytes())
+        struct.pack_into("<H", raw, self.META_VERSION, 1)
+        btx.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match=re.escape(
+                f"{btx}: unsupported index version 1, expected 2; rebuild it")):
+            self.open(tmp_path)
+
     @pytest.mark.parametrize("field", ["root past nodes", "root zero", "wrong t"])
     def test_bad_metadata(self, tmp_path, field):
         _, _, meta = self.build(tmp_path)
@@ -365,7 +397,8 @@ class TestIndexCorruption:
 
     @pytest.mark.parametrize("damage", [
         "internal type byte", "child past node count", "swapped separators",
-        "leaf type byte", "child reached twice",
+        "leaf type byte", "child reached twice", "leaf count above L",
+        "leaf count zero", "first record past entry count", "first record zero",
     ])
     def test_damaged_node(self, tmp_path, damage):
         rows, nodes, meta = self.build(tmp_path)
@@ -387,6 +420,14 @@ class TestIndexCorruption:
                 raw[second : second + self.KEY_BYTES], raw[first:second])
         elif damage == "leaf type byte":
             raw[self.PAGE] = 1  # page 1 is the first leaf; 1 is the internal type
+        elif damage.startswith("leaf count"):
+            count = leaf_capacity(self.PAGE, self.KEY_BYTES) + 1 if "above" in damage else 0
+            struct.pack_into("<H", raw, self.PAGE + self.LEAF_COUNT, count)
+        elif damage.startswith("first record"):
+            # the last leaf's keys would end one row past the table
+            page_no = max(p for p, is_leaf, _ in nodes if is_leaf)
+            first = meta.entry_count - counts[page_no] + 2 if "past" in damage else 0
+            struct.pack_into("<Q", raw, page_no * self.PAGE + self.LEAF_FIRST, first)
         else:
             first = self.first_child_offset(root, counts[root])
             raw[first + 8 : first + 16] = raw[first : first + 8]

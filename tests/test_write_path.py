@@ -20,7 +20,7 @@ from cubestore import (
     delinearize,
     ingest_rows,
 )
-from cubestore.table_store import build_index, min_degree
+from cubestore.table_store import build_index, leaf_capacity, min_degree
 
 _ALPHABET = "abcxyz,\"'é中 \\\n-"
 INPUT_FORMS = ("tuples", "lists", "generator of tuples", "generator of lists",
@@ -236,18 +236,19 @@ def test_duplicate_row_found_among_three_rows_of_one_key(tmp_path):
 
 def _index_sizes(key_bytes, page_size):
     t = min_degree(page_size, key_bytes)
-    sizes = {0, 1, 2 * t - 2, 2 * t - 1, 2 * t, 2 * t - 1 + t - 2}
+    cap = leaf_capacity(page_size, key_bytes)
+    sizes = {0, 1, cap - 1, cap, cap + 1, cap + t - 2}
     for m in (2, 3, 2 * t, 2 * t + 1):
-        sizes |= {m * (2 * t - 1) - 1, m * (2 * t - 1) + 1}
+        sizes |= {m * cap - 1, m * cap + 1}
     return sorted(sizes)
 
 
 @pytest.mark.parametrize("key_bytes", [4, 12, 20])
 def test_build_index_matches_reference(tmp_path, key_bytes):
     for r in _index_sizes(key_bytes, 128):
-        entries = [(i.to_bytes(key_bytes, "big"), i + 1) for i in range(r)]
-        expected = oracle.build_index_in_memory(entries, tmp_path / "ref.btx", key_bytes, 128)
-        got = build_index(iter(entries), tmp_path / "new.btx", key_bytes, 128)
+        keys = [i.to_bytes(key_bytes, "big") for i in range(r)]
+        expected = oracle.build_index_in_memory(keys, tmp_path / "ref.btx", key_bytes, 128)
+        got = build_index(iter(keys), tmp_path / "new.btx", key_bytes, 128)
         assert got == expected, r
         assert (tmp_path / "new.btx").read_bytes() == (tmp_path / "ref.btx").read_bytes(), r
 
@@ -275,10 +276,10 @@ def test_ingest_memory_per_row(tmp_path):
 
 
 def test_build_index_memory_is_flat(tmp_path):
-    def entries(n):
-        return ((i.to_bytes(12, "big"), i + 1) for i in range(n))
+    def keys(n):
+        return (i.to_bytes(12, "big") for i in range(n))
 
-    build_index(entries(1000), tmp_path / "warm.btx", 12, 4096)
-    small = _traced_peak(lambda: build_index(entries(16_384), tmp_path / "a.btx", 12, 4096))
-    large = _traced_peak(lambda: build_index(entries(65_536), tmp_path / "b.btx", 12, 4096))
+    build_index(keys(1000), tmp_path / "warm.btx", 12, 4096)
+    small = _traced_peak(lambda: build_index(keys(16_384), tmp_path / "a.btx", 12, 4096))
+    large = _traced_peak(lambda: build_index(keys(65_536), tmp_path / "b.btx", 12, 4096))
     assert large <= 1.5 * small
