@@ -150,7 +150,7 @@ def _cmd_stats(args) -> int:
             table = db.table
             leaves = sum(is_leaf for _, is_leaf, _ in table.iter_nodes())
         meta = table.meta
-        print(f"{'B-tree':26}height {meta.height}, t {meta.t}, "
+        print(f"{'B-tree':26}height {meta.height}, t {meta.t}, key {meta.key_bytes} bytes, "
               f"leaf capacity {table.leaf_capacity}, "
               f"pages: {leaves:,} leaf + {meta.node_count - leaves:,} internal")
     print()

@@ -46,7 +46,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .linearizer import delinearize, linearize
+from .linearizer import delinearize, position_kernel
 from .relation_model import (
     _I64_MAX,
     _I64_MIN,
@@ -478,13 +478,13 @@ def build_dataset(dataset_dir, which: str = "both",
                                manifest.k, schema.record_width, page_size)
     if which in ("both", "array"):
         total = schema.cell_total
-        cards = manifest.cards
+        position_of = position_kernel(manifest.cards)
         bits = bitmap_body(total, manifest.r)  # None in a box too sparse for a bitmap
 
         def cells():
             # a cell's bit is set once compress_stream has accepted it
             for indices, record in iter_table_cells(tbl, manifest.k, schema.record_width):
-                position = linearize(indices, cards)
+                position = position_of(indices)
                 yield position, record
                 if bits is not None:
                     bits[(position - 1) >> 3] |= 1 << ((position - 1) & 7)

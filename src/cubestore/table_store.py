@@ -7,37 +7,43 @@ significant dimension first (i_k, ..., i_1), so comparing the raw key
 bytes equals comparing logical positions and the file is sorted both
 ways at once.
 
-Index file (.btx), version 2: fixed-size pages.  Page 0 is metadata
+Index file (.btx), version 3: fixed-size pages.  Page 0 is metadata
 (magic "CBTX", version, page size, minimal degree, key width, root page,
-node count, entry count, height; all little-endian).  Pages 1..m hold
-nodes, each starting with a type byte, a pad byte and a 16-bit key
-count.  A leaf is that, four zero pad bytes and the 8-byte record
-number of its first key (16 bytes, "<BxHxxxxQ"), then its keys back to
-back: the index covers the sorted table, so the i-th key of a leaf is
-row first + i and no record number is stored per key.  An internal node
-is the 8-byte header ("<BxHxxxx"), its separator keys, then its child
-page numbers; each separator is the smallest key of the child subtree
-to its right.  The tree is bulk-loaded bottom up from the sorted
-stream.  The minimal degree t is derived from the page size so that 2t
-children fit an internal page; every internal node except the root
-has t to 2t children.  A leaf holds up to L = (page size - 16) // key
-bytes keys, always more than 2t - 1, and every leaf except a lone root
-holds at least t - 1.  Fewer, fuller leaves only lower the height, so
-a lookup still visits at most ceil(log_t((r + 1) / 2)) + 1 nodes.  At
-open time the metadata page and every internal node are read, checked
-and held in memory (about one separator per leaf), so a lookup bisects
-the levels above the leaves in memory and reads one leaf page, which
-bisect_left searches through precomputed key slices.  The leaf's type,
-count (1..L) and record range (within the entry count) are checked
-before it is searched.
+node count, entry count, height; all little-endian).  An index key is
+the table key with each field cut to w bytes, w in {1, 2, 4} the fewest
+that hold every coordinate stored in the table; the cut keys sort as
+the table's keys do.  w is not stored apart: the key width is k * w.
+Pages 1..m hold nodes, each starting with a type byte, a pad byte and a
+16-bit key count.  A leaf is that, four zero pad bytes and the 8-byte
+record number of its first key (16 bytes, "<BxHxxxxQ"), then its keys
+back to back: the index covers the sorted table, so the i-th key of a
+leaf is row first + i and no record number is stored per key.  An
+internal node is the 8-byte header ("<BxHxxxx"), its separator keys,
+then its child page numbers; each separator is the smallest key of the
+child subtree to its right.  The tree is bulk-loaded bottom up from the
+sorted stream.  The minimal degree t is derived from the page size and
+key width so that 2t children fit an internal page; every internal node
+except the root has t to 2t children.  A leaf holds up to L = (page
+size - 16) // key bytes keys, always more than 2t - 1, and every leaf
+except a lone root holds at least t - 1.  Fewer, fuller leaves only
+lower the height, so a lookup still visits at most
+ceil(log_t((r + 1) / 2)) + 1 nodes.  At open time the metadata page and
+every internal node are read, checked and held in memory (about one
+separator per leaf), so a lookup bisects the levels above the leaves in
+memory and reads one leaf page, which bisect_left searches through
+precomputed key slices.  The leaf's type, count (1..L) and record range
+(within the entry count) are checked before it is searched.
 
-Both lookups first encode the key with the store's key kernel
+Both lookups first encode the key with a key kernel
 (linearizer.key_kernel), compiled straight-line code for the box's k
 that range-checks every coordinate and packs them last dimension
-first.  Coordinates outside the box, of the wrong count or not ints
+first: the B-tree's packs w-byte fields, the binary search's 4-byte
+ones.  Coordinates outside the box, of the wrong count or not ints
 raise RangeError with linearize's message, as ArrayStore.get_cell
-does, so the two representations agree on them too.  write_table packs
-its rows' keys through the same kernel; encode_key stays the reference.
+does, so the two representations agree on them too.  An in-box
+coordinate too wide for w bytes is stored in no row, so the B-tree
+answers None for it.  write_table packs its rows' keys through the
+4-byte kernel; encode_key stays the reference.
 
 The plain binary search uses no index.  It splits the rows into blocks
 of B = max(2, DEFAULT_PAGE_SIZE // row bytes) rows and bisects the
@@ -72,15 +78,15 @@ from .errors import (
 )
 from .linearizer import cell_count, key_kernel
 
-KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field
+KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field in the table
 CHILD_WIDTH = 8
 
 DEFAULT_PAGE_SIZE = 4096
-MAX_PAGE_SIZE = 65536  # a leaf then holds at most 16,380 keys of 4 bytes
+MAX_PAGE_SIZE = 65536  # a leaf then holds at most 65,520 keys of 1 byte
 PAGE_SIZE_ENV = "CUBESTORE_PAGE_SIZE"
 
 _MAGIC = b"CBTX"
-_VERSION = 2
+_VERSION = 3
 _META = struct.Struct("<4sHHIIIQQQI")
 _NODE_HEADER = struct.Struct("<BxHxxxx")  # type, key count
 _LEAF_HEADER = struct.Struct("<BxHxxxxQ")  # type, key count, first record number
@@ -88,13 +94,15 @@ _LEAF = 0
 _INTERNAL = 1
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
-_KEY_PACKERS: dict[int, struct.Struct] = {}
+_FIELD_CODES = {1: "B", 2: "H", 4: "I"}  # struct code of a w-byte key field
+
+_KEY_PACKERS: dict[tuple[int, int], struct.Struct] = {}
 
 
-def _key_packer(k: int) -> struct.Struct:
-    packer = _KEY_PACKERS.get(k)
+def _key_packer(k: int, width: int = KEY_FIELD_WIDTH) -> struct.Struct:
+    packer = _KEY_PACKERS.get((k, width))
     if packer is None:
-        packer = _KEY_PACKERS[k] = struct.Struct(f">{k}I")
+        packer = _KEY_PACKERS[k, width] = struct.Struct(f">{k}{_FIELD_CODES[width]}")
     return packer
 
 
@@ -347,15 +355,57 @@ def iter_table_cells(tbl_path, k: int, record_width: int):
     return _block_cells(_iter_table_blocks(tbl_path, row), k, row)
 
 
+def _field_width(blocks, k: int, row: int) -> int:
+    """Fewest bytes, 1, 2 or 4, that hold every key field of a table's rows.
+
+    A 4-byte big-endian field fits in w bytes when its first 4 - w bytes
+    are zero; each test compares one strided slice of a block, one byte
+    per row, with zeros.
+    """
+    width = 1
+    for block in blocks:
+        zeros = bytes(len(block) // row)
+        for field in range(0, k * KEY_FIELD_WIDTH, KEY_FIELD_WIDTH):
+            if block[field::row] != zeros or block[field + 1 :: row] != zeros:
+                return 4
+            if block[field + 2 :: row] != zeros:
+                width = 2
+    return width
+
+
+def _index_keys(blocks, k: int, row: int, width: int):
+    """Each row's key with every field cut to its last `width` bytes.
+
+    Key byte i of every row in a block is copied in one strided slice
+    assignment; the keys are then sliced from the packed block.
+    """
+    key_bytes = k * width
+    sources = [field + KEY_FIELD_WIDTH - width + b
+               for field in range(0, k * KEY_FIELD_WIDTH, KEY_FIELD_WIDTH)
+               for b in range(width)]
+    for block in blocks:
+        packed = bytearray(len(block) // row * key_bytes)
+        for i, source in enumerate(sources):
+            packed[i::key_bytes] = block[source::row]
+        packed = bytes(packed)
+        yield from (packed[off : off + key_bytes] for off in range(0, len(packed), key_bytes))
+
+
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
                            page_size: int | None = None) -> BTreeMeta:
-    """Index an existing sorted table file."""
-    key_bytes = k * KEY_FIELD_WIDTH
-    row = key_bytes + record_width
-    keys = (block[off : off + key_bytes]
-            for block in _iter_table_blocks(tbl_path, row)
-            for off in range(0, len(block), row))
-    return build_index(keys, btx_path, key_bytes, page_size)
+    """Index an existing sorted table file, with key fields cut to w bytes.
+
+    A first pass over the table finds w (_field_width), a second
+    streams the cut keys into build_index.
+    """
+    row = k * KEY_FIELD_WIDTH + record_width
+    blocks = _iter_table_blocks(tbl_path, row)
+    try:
+        width = _field_width(blocks, k, row)
+    finally:
+        blocks.close()
+    keys = _index_keys(_iter_table_blocks(tbl_path, row), k, row, width)
+    return build_index(keys, btx_path, k * width, page_size)
 
 
 def build_table(cells, tbl_path, btx_path, cards, record_width: int,
@@ -404,7 +454,8 @@ class TableStore:
         self._block_starts = range(block_bytes, blocks * block_bytes, block_bytes)
         self._block_probes = _bisect_probes(len(self._block_starts))
         self._read_key = partial(os.pread, self._tbl_fd, self.key_bytes)
-        self._row_keys = _key_slices(0, self.row_bytes, self._block_rows, self.key_bytes)
+        self._row_keys = _key_slices(0, self.row_bytes, min(self._block_rows, self.row_count),
+                                     self.key_bytes)
         self._btx = btx_file
         self._btx_fd = btx_file.fileno() if btx_file else None
         self.meta: BTreeMeta | None = None
@@ -414,10 +465,14 @@ class TableStore:
         self._leaf_keys: list[slice] = []
         if btx_file is not None:
             self.meta = self._read_meta()
+            width = self.meta.key_bytes
+            k = len(self.cards)
+            self._index_key = key_kernel(self.cards, _key_packer(k, width // k).pack)
             self._load_internal_nodes()
-            self.leaf_capacity = leaf_capacity(self.meta.page_size, self.key_bytes)
-            self._leaf_keys = _key_slices(_LEAF_HEADER.size, self.key_bytes,
-                                          self.leaf_capacity, self.key_bytes)
+            self.leaf_capacity = leaf_capacity(self.meta.page_size, width)
+            # a leaf holds at most L keys and no more than the table's rows
+            self._leaf_keys = _key_slices(_LEAF_HEADER.size, width,
+                                          min(self.leaf_capacity, self.row_count), width)
         self.last_page_reads = 0
         self.last_row_reads = 0
 
@@ -468,9 +523,11 @@ class TableStore:
                 f"{name}: unsupported index version {version}, expected {_VERSION}; "
                 f"rebuild it with `cubestore build --only table`"
             )
-        if key_bytes != self.key_bytes:
+        k = len(self.cards)
+        if key_bytes not in (k, 2 * k, 4 * k):
             raise StorageError(
-                f"{name}: index keys are {key_bytes} bytes, table keys are {self.key_bytes}"
+                f"{name}: index keys are {key_bytes} bytes, not 1, 2 or 4 bytes "
+                f"for each of the table's {k} key fields"
             )
         if entries != self.row_count:
             raise StorageError(
@@ -504,7 +561,7 @@ class TableStore:
         if not meta.root:
             return
         name = self._btx.name
-        width = self.key_bytes
+        width = meta.key_bytes
         hdr = _NODE_HEADER.size
         level = [meta.root]
         seen = {meta.root}
@@ -536,21 +593,21 @@ class TableStore:
             raise StorageError(f"{self._btx.name}: short read of index page {page_no}")
         return page
 
-    def _read_row(self, recno: int) -> bytes:
-        data = os.pread(self._tbl_fd, self.row_bytes, (recno - 1) * self.row_bytes)
-        if len(data) != self.row_bytes:
-            raise StorageError(f"{self._tbl.name}: short read of row {recno}")
-        return data
-
     def btree_lookup(self, indices) -> int | None:
         """Record number of a key, or None when no row has it.
 
-        Coordinates outside the box raise RangeError.
+        Coordinates outside the box raise RangeError.  An in-box
+        coordinate too wide for the index's w-byte fields answers None
+        without reading a page: no stored row holds it.
         """
         meta = self.meta
         if meta is None:
             raise DatasetError("no B-tree index is attached to this table")
-        key = self._key(indices)
+        try:
+            key = self._index_key(indices)
+        except struct.error:
+            self.last_page_reads = 0
+            return None
         page_no = meta.root
         if not page_no:
             self.last_page_reads = 0
@@ -605,14 +662,20 @@ class TableStore:
         """Decoded coordinates and raw measure record of a 1-based row."""
         if not 1 <= recno <= self.row_count:
             raise RangeError(f"record number {recno} outside 1..{self.row_count}")
-        raw = self._read_row(recno)
+        raw = os.pread(self._tbl_fd, self.row_bytes, (recno - 1) * self.row_bytes)
+        if len(raw) != self.row_bytes:
+            raise StorageError(f"{self._tbl.name}: short read of row {recno}")
         return decode_key(raw[: self.key_bytes], len(self.cards)), raw[self.key_bytes :]
 
     def read_measures(self, recno: int) -> bytes:
-        """Raw measure record of a 1-based row (no key decode)."""
+        """Raw measure record of a 1-based row; the key is not read."""
         if not 1 <= recno <= self.row_count:
             raise RangeError(f"record number {recno} outside 1..{self.row_count}")
-        return self._read_row(recno)[self.key_bytes :]
+        data = os.pread(self._tbl_fd, self.record_width,
+                        (recno - 1) * self.row_bytes + self.key_bytes)
+        if len(data) != self.record_width:
+            raise StorageError(f"{self._tbl.name}: short read of the record of row {recno}")
+        return data
 
     def iter_rows(self):
         """Yield (coordinates, record) in stored (logical) order."""

@@ -185,17 +185,21 @@ def binary_search_rows(table: bytes, key_bytes: int, row_bytes: int, key: bytes)
     return None
 
 
-def btree_lookup_by_pages(index: bytes, key: bytes):
+def btree_lookup_by_pages(index: bytes, coords):
     """Reference B-tree lookup over an index file's bytes, scanning each node.
 
-    Walks from the root through every internal node with a linear scan
-    of its separators, then binary-searches the leaf's keys with a plain
-    loop.  Returns the leaf's first record number plus the key's place
-    in the leaf, or None.
+    The key is the in-box coordinates, last first, each in w big-endian
+    bytes, where w is the index's key width over k; a coordinate that w
+    bytes cannot hold is stored in no row.  Walks from the root through
+    every internal node with a linear scan of its separators, then
+    binary-searches the leaf's keys with a plain loop.  Returns the
+    leaf's first record number plus the key's place in the leaf, or None.
     """
     _, _, _, page_size, _, width, page_no, _, _, height = _META.unpack_from(index, 0)
-    if not page_no:
+    w = width // len(coords)
+    if not page_no or max(coords) >= 256**w:
         return None
+    key = b"".join(i.to_bytes(w, "big") for i in reversed(coords))
     hdr = _NODE_HEADER.size
     for _ in range(height):
         page = index[page_no * page_size : (page_no + 1) * page_size]
@@ -397,6 +401,18 @@ def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,
         )
     manifest.save(out / MANIFEST_NAME)
     return manifest
+
+
+def index_keys_by_value(coords, k: int) -> tuple[int, list[bytes]]:
+    """(key width, keys) of a version-3 index over sorted coordinates.
+
+    Every field takes w bytes, the fewest of 1, 2 and 4 that hold the
+    largest coordinate; a key is the coordinates, last first, in w
+    big-endian bytes each.
+    """
+    top = max((max(c) for c in coords), default=0)
+    w = next(w for w in (1, 2, 4) if top < 256**w)
+    return k * w, [b"".join(i.to_bytes(w, "big") for i in reversed(c)) for c in coords]
 
 
 def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:

@@ -166,8 +166,9 @@ class TestStats:
         assert not any(line.startswith("B-tree ") for line in out.splitlines())
 
     def test_btree_shape(self, tmp_path, capsys, monkeypatch):
-        # 200 rows of 8-byte keys in 256-byte pages: t = 248 // 32 = 7 and
-        # L = 240 // 8 = 30, so 7 leaves under one root
+        # 200 rows, both coordinates at most 200, so the index keeps one
+        # byte of each 4-byte key field: 2-byte keys in 256-byte pages give
+        # t = 248 // 20 = 12 and L = 240 // 2 = 120, so 2 leaves under one root
         src = tmp_path / "d.csv"
         src.write_text("a,b,v\n" + "".join(
             f"a{i:03},b{i % 7},{i}\n" for i in range(200)
@@ -179,8 +180,8 @@ class TestStats:
         capsys.readouterr()
         assert main(["stats", "--dataset", str(ds)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[9] == ("B-tree                    height 1, t 7, leaf capacity 30, "
-                            "pages: 7 leaf + 1 internal")
+        assert lines[9] == ("B-tree                    height 1, t 12, key 2 bytes, "
+                            "leaf capacity 120, pages: 2 leaf + 1 internal")
 
     def test_sparse_relation_keeps_run_header(self, tmp_path, capsys):
         # 200 diagonal rows of a 200 x 200 box: 200 runs (3,200 bytes)

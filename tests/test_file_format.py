@@ -35,11 +35,13 @@ SHARED = {
         "relation.hdr": "e31255796a5a2e6f69f249c02352d47a94a33ddc2db5bb29b72646f0be94210a",
     },
 }
+# index version 3: one key byte per field for dense (coordinates up to
+# 30), two for sparse (up to 600)
 INDEX = {
-    ("dense", 4096): "3132ff166dc1147cabbe65bbdbaf5027e9908bb84b3e585794dbd739a23513e8",
-    ("dense", 256): "b47c669563e061730e3071022bc0f2d5b6082ddcc7565654c189f1b9f1f9fd30",
-    ("sparse", 4096): "c53d55bb5adcb488f118f5d20dffa94ef8fea513a7ea1f32c356413b3a6ca116",
-    ("sparse", 256): "b6b9a19452d9ad4fdfb2d5ea212132acc2b6e97d3cbd57894b48832fc06c7cb1",
+    ("dense", 4096): "fb15019e028d707cfeca05ac81638195c3a698c5966ab4c321f206a419e9ea64",
+    ("dense", 256): "aa867ac19ed785d4999b6e5fdd8e949eb7dd30d4bf5cb5bec6c1020dbcb564c6",
+    ("sparse", 4096): "3856330972d55d2619e6b03a1d70d5355785a4043487b56f9651aa27569782ac",
+    ("sparse", 256): "db588d0a0354ed09f0081c206c6f81e0e85b3773d6b552497f3da35155c4c3d1",
 }
 ENCODING = {"dense": PresenceBitmap, "sparse": Header}
 

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import cubestore
+from cubestore.table_store import TableStore, build_index_from_table, write_table
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +57,23 @@ def test_perfbench_imports_resolve():
         if name is not None and not hasattr(target, name):
             missing.append(f"{file}: from {module} import {name}")
     assert missing == []
+
+
+def test_perfbench_calls_keep_working(tmp_path):
+    """The calls perfbench makes into the table store, pinned on every Python version.
+
+    Its traced run builds an index with build_index_from_table(tbl, btx,
+    k, record width, page size), all positional and k an int, and its
+    calibrate_p times comparisons of TableStore.key_bytes-byte keys: the
+    table's key, four bytes per field, whatever width the index chose.
+    perfbench/selftest.py covers the same calls but runs on fewer versions.
+    """
+    cards = (300, 5, 2)
+    tbl, btx = tmp_path / "t.tbl", tmp_path / "t.btx"
+    with open(tbl, "wb") as f:
+        write_table([((1, 1, 1), b"ab"), ((299, 5, 2), b"cd")], f, cards, 2)
+    meta = build_index_from_table(tbl, btx, 3, 2, 256)
+    assert (meta.page_size, meta.entry_count, meta.key_bytes) == (256, 2, 6)
+    with TableStore.open(tbl, cards, 2, btx) as store:
+        assert store.key_bytes == 4 * 3
+        assert store.btree_lookup((299, 5, 2)) == 2

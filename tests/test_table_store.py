@@ -40,7 +40,9 @@ from conftest import build_table_files, make_records, random_positions
 from oracle import (
     binary_search_rows,
     btree_lookup_by_pages,
+    build_index_in_memory,
     enumerate_box,
+    index_keys_by_value,
     table_lookup_by_scan,
 )
 
@@ -165,6 +167,27 @@ class TestLookup:
             assert store.btree_lookup(delinearize(1, self.CARDS)) == 1
             assert store.btree_lookup(delinearize(positions[-1], self.CARDS)) == 3
 
+    def test_read_measures_reads_only_the_record(self, tmp_path, monkeypatch):
+        positions = [2, 9, 30]
+        with self.build(tmp_path, positions) as store:
+            fd = store._tbl_fd
+            reads = []
+            real_pread = os.pread
+
+            def recording_pread(fd_, size, offset):
+                if fd_ == fd:
+                    reads.append((size, offset))
+                return real_pread(fd_, size, offset)
+
+            monkeypatch.setattr(os, "pread", recording_pread)
+            assert store.read_measures(2) == make_records([9])[0][1]
+            assert reads == [(3, store.row_bytes + 12)]
+            monkeypatch.undo()
+            os.truncate(tmp_path / "rel.tbl", 2 * store.row_bytes + 13)
+            with pytest.raises(StorageError, match=re.escape(
+                    "rel.tbl: short read of the record of row 3")):
+                store.read_measures(3)
+
     def test_read_row(self, tmp_path):
         positions = [2, 9, 30]
         cells = make_records(positions, 3)
@@ -237,12 +260,13 @@ class TestNodeInvariants:
         total = cell_count(self.CARDS)
         positions = random_positions(total, 1500, seed=9)
         cells = make_records(positions, 2)
-        store = build_table_files(tmp_path, cells, self.CARDS, 2, page_size=256)
+        store = build_table_files(tmp_path, cells, self.CARDS, 2, page_size=128)
         with store:
             t = store.meta.t
             assert store.meta.height >= 2  # the tree actually has internal levels
             cap = store.leaf_capacity
-            assert cap == leaf_capacity(256, 12) == 20
+            # every coordinate is at most 30, so the keys are 3 bytes
+            assert cap == leaf_capacity(128, 3) == 37
             leaf_total = 0
             for page_no, is_leaf, count in store.iter_nodes():
                 if is_leaf:
@@ -261,7 +285,7 @@ class TestNodeInvariants:
     def test_one_index_pread_per_lookup(self, tmp_path, monkeypatch):
         total = cell_count(self.CARDS)
         cells = make_records(random_positions(total, 1500, seed=9), 2)
-        store = build_table_files(tmp_path, cells, self.CARDS, 2, page_size=256)
+        store = build_table_files(tmp_path, cells, self.CARDS, 2, page_size=128)
         btx_inode = os.stat(tmp_path / "rel.btx").st_ino
         real_pread = os.pread
         index_reads = []
@@ -289,6 +313,58 @@ class TestNodeInvariants:
         first = (tmp_path / "rel.btx").read_bytes()
         build_index_from_table(tmp_path / "rel.tbl", tmp_path / "rel.btx", 3, 2)
         assert (tmp_path / "rel.btx").read_bytes() == first
+
+
+class TestIndexKeyWidth:
+    """Index keys keep the fewest of 1, 2 or 4 bytes per field that hold the stored data."""
+
+    @pytest.mark.parametrize("top,width", [(255, 1), (256, 2), (65_535, 2), (65_536, 4)])
+    @pytest.mark.parametrize("dim", [0, 1])
+    def test_width_follows_the_largest_stored_coordinate(self, tmp_path, top, width, dim):
+        cards = (top, 3) if dim == 0 else (3, top)
+        highest = (top, 3) if dim == 0 else (3, top)
+        below = (top - 1, 3) if dim == 0 else (3, top - 1)
+        cells = sorted([((1, 1), b"ab"), ((2, 2), b"cd"), (highest, b"ef")],
+                       key=lambda cell: encode_key(cell[0]))
+        tbl, btx = tmp_path / "t.tbl", tmp_path / "t.btx"
+        build_table(iter(cells), tbl, btx, cards, 2)
+        with TableStore.open(tbl, cards, 2, btx) as store:
+            assert store.meta.key_bytes == 2 * width
+            assert store.key_bytes == 2 * KEY_FIELD_WIDTH  # the table keeps 4-byte fields
+            for recno, (coords, _) in enumerate(cells, 1):
+                assert store.btree_lookup(coords) == recno
+                assert btree_lookup_by_pages(btx.read_bytes(), coords) == recno
+            assert store.btree_lookup(below) is None
+
+    @pytest.mark.parametrize("cards,width", [((40, 7, 3), 1), ((300, 2), 2), ((70_000, 2), 4)])
+    @pytest.mark.parametrize("page_size", [128, 4096])
+    def test_both_builds_write_the_reference_bytes(self, tmp_path, cards, width, page_size):
+        positions = random_positions(cell_count(cards), 400, seed=5)
+        cells = [(delinearize(p, cards), rec) for p, rec in make_records(positions, 2)]
+        tbl = tmp_path / "t.tbl"
+        build_table(iter(cells), tbl, tmp_path / "a.btx", cards, 2, page_size)
+        meta = build_index_from_table(tbl, tmp_path / "b.btx", len(cards), 2, page_size)
+        key_bytes, keys = index_keys_by_value([c for c, _ in cells], len(cards))
+        assert meta.key_bytes == key_bytes == len(cards) * width
+        build_index_in_memory(keys, tmp_path / "ref.btx", key_bytes, page_size)
+        ref = (tmp_path / "ref.btx").read_bytes()
+        assert (tmp_path / "a.btx").read_bytes() == ref
+        assert (tmp_path / "b.btx").read_bytes() == ref
+
+    def test_empty_table_has_one_byte_fields(self, tmp_path):
+        with build_table_files(tmp_path, [], (300, 2), 2) as store:
+            assert store.meta.key_bytes == 2
+            assert store.btree_lookup((300, 2)) is None
+
+    def test_open_slices_at_most_the_rows(self, tmp_path):
+        # one-byte keys in a 64 KB page: L is 65,520, but a 3-row table
+        # needs no more than 3 key slices in a leaf or a block
+        with build_table_files(tmp_path, make_records([1, 2, 5]), (8,), 3,
+                               page_size=65_536) as store:
+            assert store.leaf_capacity == 65_520
+            assert len(store._leaf_keys) == len(store._row_keys) == 3
+            assert [store.btree_lookup((i,)) for i in range(1, 9)] == [1, 2, None, None, 3,
+                                                                      None, None, None]
 
 
 class TestStoreValidation:
@@ -335,11 +411,12 @@ class TestIndexCorruption:
     """A damaged .btx raises StorageError at open or lookup, never a wrong row."""
 
     CARDS = (30, 20, 10)
-    KEY_BYTES = 12
-    PAGE = 256
+    KEY_BYTES = 3  # every coordinate fits in one byte
+    PAGE = 128  # small enough for a tree of height 2 over 1,500 rows
     # byte offsets of the version, t and root in the metadata page
     META_VERSION = 4
     META_T = 12
+    META_KEY_BYTES = 16
     META_ROOT = 20
     # byte offsets of a leaf's key count and first record number in its page
     LEAF_COUNT = 2
@@ -377,7 +454,31 @@ class TestIndexCorruption:
         struct.pack_into("<H", raw, self.META_VERSION, 1)
         btx.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: unsupported index version 1, expected 2; rebuild it")):
+                f"{btx}: unsupported index version 1, expected 3; rebuild it")):
+            self.open(tmp_path)
+
+    def test_version_2_index(self, tmp_path):
+        # version 2 stored every key field in 4 bytes; it is not read
+        self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        raw = bytearray(btx.read_bytes())
+        struct.pack_into("<H", raw, self.META_VERSION, 2)
+        btx.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match=re.escape(
+                f"{btx}: unsupported index version 2, expected 3; rebuild it with "
+                f"`cubestore build --only table`")):
+            self.open(tmp_path)
+
+    @pytest.mark.parametrize("key_bytes", [0, 1, 4, 5, 8, 24])
+    def test_key_width_not_k_2k_or_4k(self, tmp_path, key_bytes):
+        self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        raw = bytearray(btx.read_bytes())
+        struct.pack_into("<I", raw, self.META_KEY_BYTES, key_bytes)
+        btx.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match=re.escape(
+                f"{btx}: index keys are {key_bytes} bytes, not 1, 2 or 4 bytes "
+                f"for each of the table's 3 key fields")):
             self.open(tmp_path)
 
     @pytest.mark.parametrize("field", ["root past nodes", "root zero", "wrong t"])
@@ -494,8 +595,8 @@ class TestSearchMatchesReference:
                 build_index_from_table(tbl, btx, k, width, page_size)
                 index = btx.read_bytes()
                 with TableStore.open(tbl, cards, width, btx) as store:
-                    for c, key, expect in zip(coords, keys, expected):
-                        assert btree_lookup_by_pages(index, key) == expect
+                    for c, expect in zip(coords, expected):
+                        assert btree_lookup_by_pages(index, c) == expect
                         assert store.btree_lookup(c) == expect
 
     def test_row_read_counter_is_exact(self, tmp_path, monkeypatch):

@@ -243,7 +243,7 @@ def _index_sizes(key_bytes, page_size):
     return sorted(sizes)
 
 
-@pytest.mark.parametrize("key_bytes", [4, 12, 20])
+@pytest.mark.parametrize("key_bytes", [2, 3, 4, 12, 20])
 def test_build_index_matches_reference(tmp_path, key_bytes):
     for r in _index_sizes(key_bytes, 128):
         keys = [i.to_bytes(key_bytes, "big") for i in range(r)]
