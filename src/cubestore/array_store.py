@@ -28,12 +28,12 @@ cell N in the last byte are zero.  A run header can never start with an
 end of 0, so the first 16 bytes tell the two encodings apart, and a
 reader that knows only run headers rejects a bitmap file.
 
-The build writes the bitmap when it is strictly smaller, that is when
+save_header writes the bitmap when it is strictly smaller, that is when
 24 + ceil(N / 8) < 16 * entries (fewer than about N / 128 runs keeps the
 run header).  An empty cell then costs one bit instead of a share of a
-run entry.  r stored cells make at most r + 1 entries, so a build whose
-bitmap could not beat even that many allocates no bitmap and sets no
-bits: building a sparse relation takes O(r) memory, not O(N).
+run entry.  The bits are set from the run header's columns, and only
+after the bitmap has won; r stored cells make at most r + 1 entries, so
+building a sparse relation takes O(r) memory, not O(N).
 
 Point lookup is three steps: linearize the coordinates, find whether the
 position is nonempty, then map it to its physical record, the number of
@@ -217,6 +217,21 @@ class Header:
             words.byteswap()
         Path(path).write_bytes(words.tobytes())
 
+    def _presence_bits(self) -> bytearray:
+        """The bitmap body of the same cells: bit p - 1 set for each nonempty cell p."""
+        bits = bytearray(-(-self._ends[-1] // 8) + 1)  # a spare byte for end >> 3 at the end
+        for end, records in zip(self._ends, map(sub, self._filled, chain((0,), self._filled))):
+            first = end - records  # the run's records are bits first .. end - 1
+            lo, hi = first >> 3, end >> 3
+            if lo == hi:
+                bits[lo] |= (1 << (end & 7)) - (1 << (first & 7))
+            else:  # the first byte's high bits, whole bytes, the last byte's low bits
+                bits[lo] |= 256 - (1 << (first & 7))
+                bits[lo + 1 : hi] = b"\xff" * (hi - lo - 1)
+                bits[hi] |= (1 << (end & 7)) - 1
+        del bits[-1]
+        return bits
+
     @classmethod
     def load(cls, path) -> "Header | PresenceBitmap":
         """Read and validate a header file in either encoding."""
@@ -330,32 +345,17 @@ class PresenceBitmap:
         yield RunEntry(self.total_cells, self.total_cells - self._ranks[-1])
 
 
-def bitmap_body(total_cells: int, records: int) -> bytearray | None:
-    """A zeroed bitmap body for total_cells cells, or None if no bitmap can win.
-
-    records stored cells make at most records + 1 run entries.  When even
-    that many entries take no more bytes than the bitmap, save_header
-    keeps the run header whatever the cells are, so the ceil(total_cells
-    / 8) bytes are not allocated.
-    """
-    size = -(-total_cells // 8)
-    if _PREAMBLE_BYTES + size < _ENTRY_BYTES * (records + 1):
-        return bytearray(size)
-    return None
-
-
-def save_header(header: Header, bits, path) -> None:
+def save_header(header: Header, path) -> None:
     """Write header's cells as a presence bitmap or a run header, whichever is smaller.
 
-    bits is the bitmap body of the same cells, ceil(total_cells / 8)
-    bytes with bit p - 1 set for each nonempty cell p, or None when the
-    build kept none (bitmap_body), which keeps the run header.  A tie
-    also keeps the run header.
+    A tie keeps the run header.  The bits are set from the runs, and only
+    once the bitmap has won, so a box too sparse for a bitmap never
+    allocates its ceil(total_cells / 8) bytes.
     """
     sizes = header_bytes(header)
-    if bits is not None and sizes["presence bitmap"] < sizes["run header"]:
+    if sizes["presence bitmap"] < sizes["run header"]:
         Path(path).write_bytes(
-            _BITMAP_START + header.total_cells.to_bytes(8, "little") + bits
+            _BITMAP_START + header.total_cells.to_bytes(8, "little") + header._presence_bits()
         )
     else:
         header.save(path)

@@ -34,8 +34,11 @@ from .cost_model import (
     write_cost_csv,
 )
 from .dataset import (
-    Manifest,
+    BTREE_NAME,
+    HEADER_NAME,
     MANIFEST_NAME,
+    TABLE_NAME,
+    Manifest,
     build_dataset,
     export_rows,
     format_size_report,
@@ -135,7 +138,7 @@ def _cmd_stats(args) -> int:
             print("verdict: equal size (uncompressed model)")
     else:
         print("size ratio (delta/rho)    undefined (no rows)")
-    hdr = root / manifest.header_file
+    hdr = root / HEADER_NAME
     if hdr.exists():
         header = Header.load(hdr)
         sizes = header_bytes(header)
@@ -145,7 +148,7 @@ def _cmd_stats(args) -> int:
               f"({other}: {sizes[other]:,} bytes)")
     else:
         print(f"{'header encoding':26}(not built)")
-    if (root / manifest.btree_file).exists():
+    if (root / BTREE_NAME).exists():
         with open_dataset(root, need=("table",)) as db:
             table = db.table
             leaves = sum(is_leaf for _, is_leaf, _ in table.iter_nodes())
@@ -159,7 +162,7 @@ def _cmd_stats(args) -> int:
         cells = [
             (indices, record)
             for indices, record in iter_table_cells(
-                root / manifest.table_file, manifest.k, schema.record_width
+                root / TABLE_NAME, manifest.k, schema.record_width
             )
         ]
         result, _ = build_conjoint(cells, args.conjoint, manifest.cards,

@@ -1,14 +1,14 @@
 """Dataset directories: manifest, ingestion, builds, and open handles.
 
-A dataset directory holds one relation in up to five file kinds:
+A dataset directory holds one relation under these fixed names:
 
   manifest.txt   line-based key=value description of the relation
   dim_<i>.dim    sorted distinct values of key dimension i (1-based)
   relation.tbl   sorted fixed-width rows (written at ingest time)
   relation.btx   B-tree index over the table (written by build)
   relation.arr   compressed array records (written by build)
-  relation.hdr   header of the compressed array, a run header or a
-                 presence bitmap, whichever is smaller (written by build)
+  relation.hdr   header of the compressed array, a run header or a presence
+                 bitmap, whichever array_store.save_header finds smaller
 
 Ingestion reads the rows once.  That pass keeps, per key column, a map
 from each distinct value to a first-seen id and each row's id in an
@@ -28,7 +28,7 @@ from __future__ import annotations
 import csv
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import compress, count, islice, repeat
@@ -36,7 +36,7 @@ from operator import add, eq, floordiv, mod, mul
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .array_store import ArrayStore, bitmap_body, compress_stream, save_header
+from .array_store import ArrayStore, compress_stream, save_header
 from .errors import (
     CapacityError,
     DatasetError,
@@ -75,9 +75,25 @@ FORMAT_VERSION = 1
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
+def _dim_paths(root: Path, k: int) -> list[Path]:
+    """The dimension directory files dim_1.dim .. dim_<k>.dim of a dataset."""
+    return [root / f"dim_{i}.dim" for i in range(1, k + 1)]
+
+
+def _existing(path: Path, kind: str, remedy: str) -> Path:
+    """path, or a DatasetError naming it when no such file exists."""
+    if not path.exists():
+        raise DatasetError(f"{kind} file {path} is missing; {remedy}")
+    return path
+
+
 @dataclass
 class Manifest:
-    """Everything needed to reopen a dataset, as written to manifest.txt."""
+    """Everything needed to reopen a dataset, as written to manifest.txt.
+
+    It names no file: load ignores the name lines of older manifests, and
+    table_file, btree_file and header_file are the fixed names.
+    """
 
     schema_name: str
     n: int
@@ -87,16 +103,9 @@ class Manifest:
     measure_columns: tuple[MeasureColumn, ...]  # empty for key-only relations
     r: int
     built_at: str = ""
-    format_version: int = FORMAT_VERSION
-    dim_files: tuple[str, ...] = field(default=())
-    table_file: str = TABLE_NAME
-    btree_file: str = BTREE_NAME
-    array_file: str = ARRAY_NAME
-    header_file: str = HEADER_NAME
+    table_file, btree_file, header_file = TABLE_NAME, BTREE_NAME, HEADER_NAME
 
     def __post_init__(self):
-        if not self.dim_files:
-            self.dim_files = tuple(f"dim_{i}.dim" for i in range(1, self.k + 1))
         schema = self.schema  # validates shape
         if self.r < 0:
             raise DatasetError(f"row count {self.r} is negative")
@@ -132,7 +141,7 @@ class Manifest:
     def save(self, path) -> None:
         schema = self.schema
         lines = [
-            f"format_version={self.format_version}",
+            f"format_version={FORMAT_VERSION}",
             f"schema_name={quote(self.schema_name, safe='')}",
             f"n={self.n}",
             f"k={self.k}",
@@ -147,11 +156,6 @@ class Manifest:
             f"record_width={schema.record_width}",
             f"delta={schema.delta!r}",
             f"rho={self.rho!r}",
-            "dim_files=" + ",".join(self.dim_files),
-            f"table_file={self.table_file}",
-            f"btree_file={self.btree_file}",
-            f"array_file={self.array_file}",
-            f"header_file={self.header_file}",
             f"built_at={self.built_at}",
         ]
         Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -188,11 +192,6 @@ class Manifest:
                 measure_columns=tuple(columns),
                 r=int(fields["r"]),
                 built_at=fields.get("built_at", ""),
-                dim_files=tuple(fields["dim_files"].split(",")),
-                table_file=fields["table_file"],
-                btree_file=fields["btree_file"],
-                array_file=fields["array_file"],
-                header_file=fields["header_file"],
             )
             if int(fields["row_bytes"]) != manifest.schema.row_bytes:
                 raise DatasetError("manifest row_bytes disagrees with the schema")
@@ -427,9 +426,9 @@ def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
     manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for directory, name in zip(key_dirs, manifest.dim_files):
-            directory.save(out / name)
-        with open(out / manifest.table_file, "wb") as f:
+        for directory, path in zip(key_dirs, _dim_paths(out, manifest.k)):
+            directory.save(path)
+        with open(out / TABLE_NAME, "wb") as f:
             write_table(cells, f, manifest.cards, manifest.schema.record_width)
         manifest.save(out / MANIFEST_NAME)
     except OSError as exc:
@@ -470,28 +469,17 @@ def build_dataset(dataset_dir, which: str = "both",
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
     schema = manifest.schema
-    tbl = root / manifest.table_file
-    if not tbl.exists():
-        raise DatasetError(f"table file {tbl} is missing; ingest first")
+    tbl = _existing(root / TABLE_NAME, "table", "ingest first")
     if which in ("both", "table"):
-        build_index_from_table(tbl, root / manifest.btree_file,
+        build_index_from_table(tbl, root / BTREE_NAME,
                                manifest.k, schema.record_width, page_size)
     if which in ("both", "array"):
-        total = schema.cell_total
         position_of = position_kernel(manifest.cards)
-        bits = bitmap_body(total, manifest.r)  # None in a box too sparse for a bitmap
-
-        def cells():
-            # a cell's bit is set once compress_stream has accepted it
-            for indices, record in iter_table_cells(tbl, manifest.k, schema.record_width):
-                position = position_of(indices)
-                yield position, record
-                if bits is not None:
-                    bits[(position - 1) >> 3] |= 1 << ((position - 1) & 7)
-
-        with open(root / manifest.array_file, "wb") as f:
-            header = compress_stream(cells(), total, schema.record_width, f)
-        save_header(header, bits, root / manifest.header_file)
+        cells = ((position_of(indices), record) for indices, record
+                 in iter_table_cells(tbl, manifest.k, schema.record_width))
+        with open(root / ARRAY_NAME, "wb") as f:
+            header = compress_stream(cells, schema.cell_total, schema.record_width, f)
+        save_header(header, root / HEADER_NAME)
     return size_report(root)
 
 
@@ -500,22 +488,18 @@ def size_report(dataset_dir) -> dict:
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
 
-    def size_of(name):
-        path = root / name
+    def size_of(path):
         return path.stat().st_size if path.exists() else None
 
-    dims = [size_of(name) for name in manifest.dim_files]
-    dim_total = sum(s for s in dims if s is not None) if any(
-        s is not None for s in dims
-    ) else None
+    dims = [size for size in map(size_of, _dim_paths(root, manifest.k)) if size is not None]
     return {
         "dimensions": manifest.k,
         "rows": manifest.r,
-        "table": size_of(manifest.table_file),
-        "btree": size_of(manifest.btree_file),
-        "array": size_of(manifest.array_file),
-        "header": size_of(manifest.header_file),
-        "dimension_values": dim_total,
+        "table": size_of(root / TABLE_NAME),
+        "btree": size_of(root / BTREE_NAME),
+        "array": size_of(root / ARRAY_NAME),
+        "header": size_of(root / HEADER_NAME),
+        "dimension_values": sum(dims) if dims else None,
     }
 
 
@@ -588,8 +572,7 @@ class Dataset:
 def _load_directories(root: Path, manifest: Manifest) -> list[DimensionDirectory]:
     """Read the dimension directories and check their sizes against the manifest."""
     dirs = []
-    for name, card in zip(manifest.dim_files, manifest.cards):
-        path = root / name
+    for path, card in zip(_dim_paths(root, manifest.k), manifest.cards):
         try:
             directory = DimensionDirectory.load(path)
         except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
@@ -604,7 +587,9 @@ def _load_directories(root: Path, manifest: Manifest) -> list[DimensionDirectory
 
 
 def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
-    """Open the stores of a built dataset; missing files raise DatasetError."""
+    """Open the stores need names ("table", "array"), checked against the manifest."""
+    if set(need) - {"table", "array"}:
+        raise DatasetError(f"need names the stores 'table' and 'array' only, not {need!r}")
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
     schema = manifest.schema
@@ -612,27 +597,20 @@ def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
     array = None
     try:
         if "table" in need:
-            tbl = root / manifest.table_file
-            btx = root / manifest.btree_file
-            if not tbl.exists():
-                raise DatasetError(f"table file {tbl} is missing; ingest first")
-            if not btx.exists():
-                raise DatasetError(f"index file {btx} is missing; run build")
+            tbl = _existing(root / TABLE_NAME, "table", "ingest first")
+            btx = _existing(root / BTREE_NAME, "index", "run build")
             table = TableStore.open(tbl, manifest.cards, schema.record_width, btx)
             if table.row_count != manifest.r:
                 raise DatasetError(
-                    f"table holds {table.row_count} rows, manifest says {manifest.r}"
+                    f"{tbl}: table holds {table.row_count} rows, manifest says {manifest.r}"
                 )
         if "array" in need:
-            arr = root / manifest.array_file
-            hdr = root / manifest.header_file
-            if not arr.exists() or not hdr.exists():
-                raise DatasetError("array files are missing; run build")
+            arr = _existing(root / ARRAY_NAME, "array", "run build")
+            hdr = _existing(root / HEADER_NAME, "header", "run build")
             array = ArrayStore.open(arr, hdr, manifest.cards, schema.record_width)
             if array.record_count != manifest.r:
-                raise DatasetError(
-                    f"array holds {array.record_count} records, manifest says {manifest.r}"
-                )
+                raise DatasetError(f"{hdr}: array holds {array.record_count} records, "
+                                   f"manifest says {manifest.r}")
     except Exception:
         if table:
             table.close()
@@ -653,7 +631,7 @@ def export_rows(dataset_dir):
     dirs = _load_directories(root, manifest)
     codec = manifest.codec
     for indices, record in iter_table_cells(
-        root / manifest.table_file, manifest.k, manifest.schema.record_width
+        root / TABLE_NAME, manifest.k, manifest.schema.record_width
     ):
         values = tuple(d.value_of(i) for d, i in zip(dirs, indices))
         if codec.is_presence:

@@ -334,6 +334,14 @@ def _block_cells(blocks, k: int, row: int):
             yield decode_key(block[off : off + key_bytes], k), block[off + key_bytes : off + row]
 
 
+def _table_rows(f, row: int) -> int:
+    """Row count of an open table file; a partial row raises StorageError naming it."""
+    size = os.fstat(f.fileno()).st_size
+    if size % row:
+        raise StorageError(f"{f.name}: size {size} is not a multiple of the {row}-byte row")
+    return size // row
+
+
 def _iter_table_blocks(tbl_path, row: int):
     """Stream a table file of row-byte rows as blocks of up to 2048 whole rows."""
     try:
@@ -341,12 +349,7 @@ def _iter_table_blocks(tbl_path, row: int):
     except OSError as exc:
         raise StorageError(f"cannot open {tbl_path}: {exc}") from None
     with f:
-        size = os.fstat(f.fileno()).st_size
-        if size % row:
-            raise StorageError(
-                f"{tbl_path}: size {size} is not a multiple of the {row}-byte row"
-            )
-        yield from _table_blocks(f.fileno(), tbl_path, row, size // row)
+        yield from _table_blocks(f.fileno(), tbl_path, row, _table_rows(f, row))
 
 
 def iter_table_cells(tbl_path, k: int, record_width: int):
@@ -441,12 +444,7 @@ class TableStore:
         self.record_width = record_width
         self.key_bytes = len(self.cards) * KEY_FIELD_WIDTH
         self.row_bytes = self.key_bytes + record_width
-        size = os.fstat(self._tbl_fd).st_size
-        if size % self.row_bytes:
-            raise StorageError(
-                f"table size {size} is not a multiple of the {self.row_bytes}-byte row"
-            )
-        self.row_count = size // self.row_bytes
+        self.row_count = _table_rows(tbl_file, self.row_bytes)
         # binary_search_lookup: blocks of B rows, about one default page each
         self._block_rows = max(2, DEFAULT_PAGE_SIZE // self.row_bytes)
         block_bytes = self._block_rows * self.row_bytes

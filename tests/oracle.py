@@ -392,8 +392,8 @@ def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,
         r=len(encoded),
         built_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
-    for directory, name in zip(key_dirs, manifest.dim_files):
-        directory.save(out / name)
+    for i, directory in enumerate(key_dirs, start=1):
+        directory.save(out / f"dim_{i}.dim")
     with open(out / manifest.table_file, "wb") as f:
         write_table(
             ((indices, record) for _, indices, record in encoded),

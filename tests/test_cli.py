@@ -1,5 +1,9 @@
 """End-to-end command-line runs against real dataset directories."""
 
+import re
+import shlex
+from pathlib import Path
+
 import pytest
 
 from cubestore.cli import main
@@ -256,6 +260,83 @@ class TestBrokenDimensionDirectory:
         assert main(argv[:1] + ["--dataset", str(built)] + argv[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + self.MESSAGES[damage].format(dim=dim))
+
+
+class TestBrokenDatasetFile:
+    """A missing file, or one that disagrees with the manifest: exit 2, the file named."""
+
+    CASES = {
+        "partial-row": ("table", "relation.tbl",
+                        "{path}: size 95 is not a multiple of the 24-byte row"),
+        "table-rows": ("table", "relation.tbl", "{path}: table holds 4 rows, manifest says 3"),
+        "array-records": ("array", "relation.hdr",
+                          "{path}: array holds 4 records, manifest says 3"),
+        "missing-array": ("array", "relation.arr", "array file {path} is missing; run build"),
+        "missing-header": ("array", "relation.hdr", "header file {path} is missing; run build"),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(CASES))
+    def test_error_names_file(self, built, capsys, damage):
+        via, name, message = self.CASES[damage]
+        path = built / name
+        if damage == "partial-row":
+            path.write_bytes(path.read_bytes()[:-1])
+        elif damage.startswith("missing"):
+            path.unlink()
+        else:
+            manifest = built / "manifest.txt"
+            manifest.write_text(manifest.read_text().replace("\nr=4\n", "\nr=3\n"))
+        assert main(["query", "--dataset", str(built), "--at", "bern,mon", "--via", via]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path))
+
+
+class TestManifestFileNames:
+    """The file names are fixed: name lines in a manifest are ignored."""
+
+    def test_names_outside_the_dataset_are_not_written(self, dataset, tmp_path, capsys):
+        outside = tmp_path / "outside"
+        outside.mkdir()
+        manifest = dataset / "manifest.txt"
+        manifest.write_text(manifest.read_text() + f"btree_file={outside / 'escaped.btx'}\n"
+                            "header_file=../outside.hdr\n")
+        assert main(["build", "--dataset", str(dataset)]) == 0
+        assert list(outside.iterdir()) == []
+        assert not (tmp_path / "outside.hdr").exists()
+        capsys.readouterr()
+        for via in ("array", "table"):
+            assert main(["query", "--dataset", str(dataset), "--at", "bern,mon",
+                         "--via", via]) == 0
+            assert capsys.readouterr().out == "qty=12\nnote=late\n"
+
+    def test_dim_files_line_drops_no_column(self, built, capsys):
+        manifest = built / "manifest.txt"
+        manifest.write_text(manifest.read_text() + "dim_files=dim_1.dim\n")
+        assert main(["export", "--dataset", str(built)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "store,day,qty,note"
+        assert "bern,mon,12,late" in lines
+
+
+def readme_walkthrough() -> tuple[str, str, list[list[str]]]:
+    """(CSV file name, CSV text, each command's arguments) of README's "CLI walkthrough"."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI walkthrough\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    name, csv_text = re.search(r"^cat > (\S+) <<'EOF'\n(.*?^)EOF$", block, re.M | re.S).groups()
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("cubestore ")]
+    return name, csv_text, commands
+
+
+def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    name, csv_text, commands = readme_walkthrough()
+    assert [argv[0] for argv in commands] == ["ingest", "build", "query", "stats", "bench",
+                                              "cost", "export"]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(csv_text, encoding="utf-8")
+    for argv in commands:
+        assert main(argv) == 0, (argv, capsys.readouterr().err)
+    assert (tmp_path / "back.csv").read_text().splitlines()[0] == "store,day,qty,note"
 
 
 class TestCost:

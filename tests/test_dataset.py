@@ -1,6 +1,7 @@
 """Dataset directories: ingest, manifest, build, open, export."""
 
 import re
+from itertools import product
 
 import pytest
 
@@ -21,6 +22,7 @@ from cubestore import (
     size_report,
 )
 from cubestore.dataset import MANIFEST_NAME, Manifest, export_rows
+from cubestore.relation_model import MeasureColumn
 
 HEADER = ["store", "day", "qty", "note"]
 ROWS = [
@@ -33,6 +35,15 @@ ROWS = [
 
 def ingest_sample(out_dir, **kwargs):
     return ingest_rows(HEADER, ROWS, ["store", "day"], out_dir, **kwargs)
+
+
+def every_answer(root) -> tuple[list, list]:
+    """Each cell's answer on the three lookup paths, and the exported rows."""
+    with open_dataset(root) as db:
+        cells = [(db.array.get_cell(c), db.table.btree_lookup(c),
+                  db.table.binary_search_lookup(c))
+                 for c in product(*(range(1, card + 1) for card in db.cards))]
+    return cells, list(export_rows(root))
 
 
 class TestIngest:
@@ -268,6 +279,36 @@ class TestManifest:
         with pytest.raises(DatasetError, match=re.escape(f"{path}: {message}")):
             Manifest.load(path)
 
+    def test_file_names_are_not_fields(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        text = (tmp_path / "ds" / MANIFEST_NAME).read_text()
+        assert text.startswith("format_version=1\n")
+        assert re.findall(r"^(?:dim_files|\w+_file)=", text, re.M) == []
+        for name in ("format_version", "dim_files", "table_file", "btree_file",
+                     "array_file", "header_file"):
+            with pytest.raises(TypeError):
+                Manifest(schema_name="s", n=2, k=1, cards=(2,), key_columns=("a",),
+                         measure_columns=(MeasureColumn("v", "int64", 8),), r=1,
+                         **{name: "x"})
+
+    def test_manifest_that_names_its_files_still_opens(self, tmp_path):
+        """A manifest in the earlier format, which listed the file names, answers as before."""
+        root = tmp_path / "ds"
+        ingest_sample(root)
+        build_dataset(root)
+        expected = every_answer(root)
+        assert len(expected[1]) == 4
+        path = root / MANIFEST_NAME
+        lines = path.read_text().splitlines()
+        assert lines[-1].startswith("built_at=")
+        lines[-1:-1] = ["dim_files=dim_1.dim,dim_2.dim", "table_file=relation.tbl",
+                        "btree_file=relation.btx", "array_file=relation.arr",
+                        "header_file=relation.hdr"]
+        path.write_text("\n".join(lines) + "\n")
+        assert every_answer(root) == expected
+        build_dataset(root)
+        assert every_answer(root) == expected
+
     def test_unreadable_manifest_names_file(self, tmp_path):
         path = tmp_path / "missing.txt"
         with pytest.raises(DatasetError, match=re.escape(f"cannot read manifest {path}: ")):
@@ -405,6 +446,14 @@ class TestOpenAndQuery:
                                    match=re.escape(f"{dim}: dimension directory holds 4 "
                                                    "values, manifest says 3")):
                     db.dimension_directories()
+
+    def test_open_refuses_unknown_store_names(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        build_dataset(tmp_path / "ds")
+        for need in (("tabel",), ("table", "arrays"), "table"):
+            with pytest.raises(DatasetError, match=re.escape(
+                    f"need names the stores 'table' and 'array' only, not {need!r}")):
+                open_dataset(tmp_path / "ds", need=need)
 
     def test_open_requires_builds(self, tmp_path):
         ingest_sample(tmp_path / "ds")

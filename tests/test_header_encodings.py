@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubestore import (
     DatasetError,
@@ -20,7 +22,7 @@ from cubestore import (
     open_dataset,
 )
 import cubestore
-from cubestore.array_store import Header, PresenceBitmap, bitmap_body
+from cubestore.array_store import Header, PresenceBitmap
 from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME, Manifest
 from cubestore.relation_model import KIND_TEXT, MeasureColumn
 from cubestore.table_store import iter_table_cells, write_table
@@ -92,6 +94,15 @@ def test_bitmap_matches_runs_and_oracle_on_the_corpus(tmp_path):
             chosen["run header"] += 1
         check_same_cells(Header.load(root / "relation.hdr"), header, occupied, total)
     assert all(chosen.values()), chosen
+
+
+@given(st.integers(1, 80).flatmap(
+    lambda total: st.tuples(st.just(total), st.sets(st.integers(1, total)))))
+def test_bits_set_from_the_runs_match_the_oracle(case):
+    """Every run shape: within one byte, across bytes, at the box end, none at all."""
+    total, occupied = case
+    header, _ = compress_to_memory(make_records(sorted(occupied), 1), total, 1)
+    assert header._presence_bits() == bitmap_file_bytes(sorted(occupied), total)[24:]
 
 
 class TestBitmapErrors:
@@ -234,14 +245,6 @@ def test_run_header_files_still_open(tmp_path):
     with open_dataset(root) as db:
         assert type(db.array.header) is Header
         assert list(db.array.iterate_nonempty()) == stored
-
-
-def test_bitmap_body_only_when_it_could_win():
-    # one record makes at most 2 entries (32 bytes): 24 + 7 bitmap bytes
-    # can still win, 24 + 8 cannot
-    assert bitmap_body(56, 1) == bytearray(7)
-    assert bitmap_body(57, 1) is None
-    assert bitmap_body(2**40, 300) is None
 
 
 def test_sparse_build_in_a_huge_box_allocates_no_bitmap(tmp_path):

@@ -206,6 +206,16 @@ def test_non_int_coordinates_raise_range_error_on_every_path(small_stores):
         assert raised(path, (False, 1)) == expected
 
 
+def test_bytes_coordinates_are_small_ints_on_every_path(small_stores):
+    # bytes are a sequence of ints, so b"\x02\x01" is (2, 1) on every path
+    array, table = small_stores
+    for path in (array.get_cell, table.btree_lookup, table.binary_search_lookup):
+        assert path(b"\x02\x01") == path((2, 1)) is not None
+        assert path(b"\x04\x01") is path((4, 1)) is None
+        assert raised(path, b"\x05\x01") == raised(path, (5, 1)) == (
+            RangeError, "coordinate 1 is 5, outside 1..4")
+
+
 class Integral:
     """An integer that is not an int, as a NumPy integer is: it has __index__ only."""
 

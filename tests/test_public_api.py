@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import cubestore
+from cubestore.dataset import MANIFEST_NAME, Manifest, ingest_rows
 from cubestore.table_store import TableStore, build_index_from_table, write_table
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,3 +78,11 @@ def test_perfbench_calls_keep_working(tmp_path):
     with TableStore.open(tbl, cards, 2, btx) as store:
         assert store.key_bytes == 4 * 3
         assert store.btree_lookup((299, 5, 2)) == 2
+
+
+def test_perfbench_reads_file_names_off_a_manifest(tmp_path):
+    """perfbench's harness and lookups take these three names from a loaded manifest."""
+    ingest_rows(["k", "v"], [("a", "1")], ["k"], tmp_path)
+    manifest = Manifest.load(tmp_path / MANIFEST_NAME)
+    assert (manifest.table_file, manifest.btree_file, manifest.header_file) == (
+        "relation.tbl", "relation.btx", "relation.hdr")
