@@ -151,11 +151,11 @@ def _cmd_stats(args) -> int:
     if (root / BTREE_NAME).exists():
         with open_dataset(root, need=("table",)) as db:
             table = db.table
-            leaves = sum(is_leaf for _, is_leaf, _ in table.iter_nodes())
         meta = table.meta
+        blocks = -(-table.row_count // table.leaf_rows)
         print(f"{'B-tree':26}height {meta.height}, t {meta.t}, key {meta.key_bytes} bytes, "
-              f"leaf capacity {table.leaf_capacity}, "
-              f"pages: {leaves:,} leaf + {meta.node_count - leaves:,} internal")
+              f"pages: {meta.node_count:,} internal over {blocks:,} table blocks "
+              f"of {table.leaf_rows} rows")
     print()
     print(format_size_report(size_report(root)))
     if args.conjoint is not None:

@@ -14,10 +14,10 @@ cost to a multiplication's cost:
 As p grows the denominator tends to 1 and q_plain approaches
 log2(r) - 1; at p = 1 it equals (log2(r) - 1) / k.
 
-The t of a built index follows its key width, which follows the data:
-the index keeps 1, 2 or 4 bytes per key field, so narrower keys give a
-larger t and a shallower tree (t = 185 for three one-byte fields in
-4 KB pages, t = 102 for three four-byte fields).
+The t of a built index follows its separator width, the table's 4 bytes
+per key field: t = 102 for three fields in 4 KB pages, 73 for five.
+Its leaves are the table's blocks of B >= 2 rows, so the bound counts
+the block a lookup reads as its last page.
 
 q_plain counts key comparisons, not file reads.  TableStore's binary
 search still makes about log2 r comparisons, but it reads only one key

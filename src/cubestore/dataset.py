@@ -419,6 +419,8 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
 def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
     """Write the directories, the table of cells (logical order) and the manifest.
 
+    Removes an earlier build's index, array and header first, so they
+    cannot answer for the new table; the next query asks for a build.
     Stamps the manifest with the current time.  Any OSError becomes a
     DatasetError naming the directory.
     """
@@ -426,6 +428,8 @@ def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
     manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for name in (BTREE_NAME, ARRAY_NAME, HEADER_NAME):
+            (out / name).unlink(missing_ok=True)
         for directory, path in zip(key_dirs, _dim_paths(out, manifest.k)):
             directory.save(path)
         with open(out / TABLE_NAME, "wb") as f:

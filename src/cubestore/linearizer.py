@@ -179,9 +179,8 @@ def position_kernel(cards: Sequence[int]) -> Callable[[Sequence[int]], int]:
 def key_kernel(cards: Sequence[int], pack) -> Callable[[Sequence[int]], bytes]:
     """pack(*reversed(indices)) for the coordinates of one box, which it range-checks.
 
-    pack is a struct.Struct(f">{k}I").pack, or one of 1- or 2-byte
-    fields ("B", "H"); coordinates outside the box raise what
-    linearize(indices, cards) raises, and in-box ints too wide for pack
-    raise struct.error.
+    pack is a struct.Struct(f">{k}I").pack; coordinates outside the box
+    raise what linearize(indices, cards) raises, and in-box ints too
+    wide for pack raise struct.error.
     """
     return _kernels(cards, pack)[1]

@@ -30,8 +30,6 @@ from cubestore.table_store import (
     CHILD_WIDTH,
     BTreeMeta,
     _INTERNAL,
-    _LEAF,
-    _LEAF_HEADER,
     _MAGIC,
     _META,
     _NODE_HEADER,
@@ -185,47 +183,59 @@ def binary_search_rows(table: bytes, key_bytes: int, row_bytes: int, key: bytes)
     return None
 
 
-def btree_lookup_by_pages(index: bytes, coords):
-    """Reference B-tree lookup over an index file's bytes, scanning each node.
+def btree_lookup_by_pages(index: bytes, table: bytes, row_bytes: int, coords):
+    """Reference B-tree lookup over an index file's and its table's bytes.
 
-    The key is the in-box coordinates, last first, each in w big-endian
-    bytes, where w is the index's key width over k; a coordinate that w
-    bytes cannot hold is stored in no row.  Walks from the root through
-    every internal node with a linear scan of its separators, then
-    binary-searches the leaf's keys with a plain loop.  Returns the
-    leaf's first record number plus the key's place in the leaf, or None.
+    The key is the coordinates, last first, in 4 big-endian bytes each.
+    Walks from the root through every internal node with a linear scan
+    of its separators down to a block number j, then scans the rows of
+    block j, which start at row (j - 1) * B + 1 for B = max(2, page size
+    // row bytes).  Returns the record number of the key, or None.
     """
-    _, _, _, page_size, _, width, page_no, _, _, height = _META.unpack_from(index, 0)
-    w = width // len(coords)
-    if not page_no or max(coords) >= 256**w:
+    _, _, _, page_size, _, width, node, _, entries, height = _META.unpack_from(index, 0)
+    if not node:
         return None
-    key = b"".join(i.to_bytes(w, "big") for i in reversed(coords))
+    key = b"".join(i.to_bytes(4, "big") for i in reversed(coords))
     hdr = _NODE_HEADER.size
     for _ in range(height):
-        page = index[page_no * page_size : (page_no + 1) * page_size]
+        page = index[node * page_size : (node + 1) * page_size]
         node_type, count = _NODE_HEADER.unpack_from(page, 0)
         assert node_type == _INTERNAL
         child = 0
         while child < count and page[hdr + child * width : hdr + (child + 1) * width] <= key:
             child += 1
-        page_no = struct.unpack_from("<Q", page, hdr + count * width + child * CHILD_WIDTH)[0]
-    page = index[page_no * page_size : (page_no + 1) * page_size]
-    node_type, count, first = _LEAF_HEADER.unpack_from(page, 0)
-    assert node_type == _LEAF
-    hdr = _LEAF_HEADER.size
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) // 2
-        off = hdr + mid * width
-        if page[off : off + width] < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < count:
-        off = hdr + lo * width
-        if page[off : off + width] == key:
-            return first + lo
+        node = struct.unpack_from("<Q", page, hdr + count * width + child * CHILD_WIDTH)[0]
+    b = max(2, page_size // row_bytes)
+    for recno in range((node - 1) * b + 1, min(node * b, entries) + 1):
+        off = (recno - 1) * row_bytes
+        if table[off : off + width] == key:
+            return recno
     return None
+
+
+def index_levels(index: bytes) -> list[list[tuple[int, list[bytes], list[int]]]]:
+    """An index's internal nodes, level by level from the root, in key order.
+
+    Each node is (page number, separators, child numbers), decoded by
+    slicing the page; the bottom level's children are block numbers.
+    """
+    _, _, _, page_size, _, width, root, _, _, height = _META.unpack_from(index, 0)
+    hdr = _NODE_HEADER.size
+    levels = []
+    pages = [root]
+    for _ in range(height):
+        level = []
+        for page_no in pages:
+            off = page_no * page_size
+            _, count = _NODE_HEADER.unpack_from(index, off)
+            separators = [index[off + hdr + i * width : off + hdr + (i + 1) * width]
+                          for i in range(count)]
+            children = list(struct.unpack_from(f"<{count + 1}Q", index,
+                                               off + hdr + count * width))
+            level.append((page_no, separators, children))
+        levels.append(level)
+        pages = [child for _, _, children in level for child in children]
+    return levels
 
 
 def space_ratio_by_bytes(record_width: int, row_bytes: int,
@@ -403,18 +413,6 @@ def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,
     return manifest
 
 
-def index_keys_by_value(coords, k: int) -> tuple[int, list[bytes]]:
-    """(key width, keys) of a version-3 index over sorted coordinates.
-
-    Every field takes w bytes, the fewest of 1, 2 and 4 that hold the
-    largest coordinate; a key is the coordinates, last first, in w
-    big-endian bytes each.
-    """
-    top = max((max(c) for c in coords), default=0)
-    w = next(w for w in (1, 2, 4) if top < 256**w)
-    return k * w, [b"".join(i.to_bytes(w, "big") for i in reversed(c)) for c in coords]
-
-
 def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:
     """Split into chunks of at most cap items, rebalancing the tail.
 
@@ -432,27 +430,22 @@ def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:
     return chunks
 
 
-def build_index_in_memory(keys, out_path, key_bytes: int,
+def build_index_in_memory(table: bytes, out_path, k: int, record_width: int,
                           page_size: int | None = None) -> BTreeMeta:
-    """Reference B-tree bulk load: list every key and every page, then write.
+    """Reference B-tree bulk load: list every key, block and page, then write.
 
-    The production build_index streams its leaves and must write the
-    same bytes.  The i-th key is record number i; a leaf holds up to
-    (page_size - 16) // key_bytes keys after its 16-byte header.
+    The production build streams the table's block keys and must write
+    the same bytes.  Block j holds B = max(2, page size // row bytes)
+    rows from row (j - 1) * B + 1 on; the bottom level's children are
+    block numbers and its separators the first keys of blocks 2, 3, ...
     """
     page_size = resolve_page_size(page_size)
+    key_bytes = 4 * k
+    row = key_bytes + record_width
     t = min_degree(page_size, key_bytes)
-    keys = list(keys)
+    b = max(2, page_size // row)
+    keys = [table[off : off + key_bytes] for off in range(0, len(table), row)]
     pages: list[bytes] = []
-
-    def leaf_page(chunk, first) -> bytes:
-        buf = bytearray(page_size)
-        _LEAF_HEADER.pack_into(buf, 0, _LEAF, len(chunk), first)
-        off = _LEAF_HEADER.size
-        for key in chunk:
-            buf[off : off + key_bytes] = key
-            off += key_bytes
-        return bytes(buf)
 
     def internal_page(children) -> bytes:
         buf = bytearray(page_size)
@@ -461,28 +454,21 @@ def build_index_in_memory(keys, out_path, key_bytes: int,
         for key, _ in children[1:]:
             buf[off : off + key_bytes] = key
             off += key_bytes
-        for _, page_no in children:
-            struct.pack_into("<Q", buf, off, page_no)
+        for _, number in children:
+            struct.pack_into("<Q", buf, off, number)
             off += CHILD_WIDTH
         return bytes(buf)
 
-    root = 0
+    level = [(keys[i], i // b + 1) for i in range(0, len(keys), b)]
     height = 0
-    if keys:
-        level = []
-        first = 1
-        for chunk in _balanced_chunks(keys, (page_size - _LEAF_HEADER.size) // key_bytes, t - 1):
-            pages.append(leaf_page(chunk, first))
-            level.append((chunk[0], len(pages)))
-            first += len(chunk)
-        while len(level) > 1:
-            parents = []
-            for chunk in _balanced_chunks(level, 2 * t, t):
-                pages.append(internal_page(chunk))
-                parents.append((chunk[0][0], len(pages)))
-            level = parents
-            height += 1
-        root = level[0][1]
+    while len(level) > 1:
+        parents = []
+        for chunk in _balanced_chunks(level, 2 * t, t):
+            pages.append(internal_page(chunk))
+            parents.append((chunk[0][0], len(pages)))
+        level = parents
+        height += 1
+    root = level[0][1] if level else 0
 
     meta = BTreeMeta(page_size, t, key_bytes, root, len(pages), len(keys), height)
     with open(out_path, "wb") as f:

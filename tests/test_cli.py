@@ -99,6 +99,13 @@ class TestBuild:
         assert main(["build", "--dataset", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "4k"])
+    def test_page_size_variable_not_a_number(self, dataset, capsys, monkeypatch, value):
+        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", value)
+        assert main(["build", "--dataset", str(dataset)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: CUBESTORE_PAGE_SIZE={value!r} is not a whole number of bytes\n")
+
 
 class TestQuery:
     def test_hit_via_both_paths(self, built, capsys):
@@ -144,6 +151,28 @@ class TestQuery:
         assert code == 2
         assert "build" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via,name", [("array", "relation.arr"), ("table", "relation.btx")])
+    def test_ingest_over_a_built_dataset_needs_a_new_build(self, tmp_path, capsys, via, name):
+        # the old build's files would answer for the old table: v=1 via the
+        # array while the table says v=7
+        ds = tmp_path / "ds"
+        for rows in ("a,1\nb,2\n", "a,7\nb,8\n"):
+            src = tmp_path / "in.csv"
+            src.write_text("k,v\n" + rows, encoding="utf-8")
+            assert main(["ingest", "--csv", str(src), "--keys", "k", "--out", str(ds)]) == 0
+            if rows.startswith("a,1"):
+                assert main(["build", "--dataset", str(ds)]) == 0
+        for built in ("relation.btx", "relation.arr", "relation.hdr"):
+            assert not (ds / built).exists()
+        capsys.readouterr()
+        assert main(["query", "--dataset", str(ds), "--at", "a", "--via", via]) == 2
+        kind = {"relation.arr": "array", "relation.btx": "index"}[name]
+        assert capsys.readouterr().err == f"error: {kind} file {ds / name} is missing; run build\n"
+        assert main(["build", "--dataset", str(ds)]) == 0
+        capsys.readouterr()
+        assert main(["query", "--dataset", str(ds), "--at", "a", "--via", via]) == 0
+        assert capsys.readouterr().out == "v=7\n"
+
 
 class TestStats:
     def test_figures_and_verdict(self, built, capsys):
@@ -170,9 +199,9 @@ class TestStats:
         assert not any(line.startswith("B-tree ") for line in out.splitlines())
 
     def test_btree_shape(self, tmp_path, capsys, monkeypatch):
-        # 200 rows, both coordinates at most 200, so the index keeps one
-        # byte of each 4-byte key field: 2-byte keys in 256-byte pages give
-        # t = 248 // 20 = 12 and L = 240 // 2 = 120, so 2 leaves under one root
+        # 200 rows of two 4-byte key fields and an 8-byte measure: 8-byte
+        # separators in 256-byte pages give t = 248 // 32 = 7, and the
+        # 16-byte rows make 13 blocks of 256 // 16 = 16 rows under one root
         src = tmp_path / "d.csv"
         src.write_text("a,b,v\n" + "".join(
             f"a{i:03},b{i % 7},{i}\n" for i in range(200)
@@ -184,8 +213,8 @@ class TestStats:
         capsys.readouterr()
         assert main(["stats", "--dataset", str(ds)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[9] == ("B-tree                    height 1, t 12, key 2 bytes, "
-                            "leaf capacity 120, pages: 2 leaf + 1 internal")
+        assert lines[9] == ("B-tree                    height 1, t 7, key 8 bytes, "
+                            "pages: 1 internal over 13 table blocks of 16 rows")
 
     def test_sparse_relation_keeps_run_header(self, tmp_path, capsys):
         # 200 diagonal rows of a 200 x 200 box: 200 runs (3,200 bytes)

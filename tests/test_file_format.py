@@ -35,13 +35,14 @@ SHARED = {
         "relation.hdr": "e31255796a5a2e6f69f249c02352d47a94a33ddc2db5bb29b72646f0be94210a",
     },
 }
-# index version 3: one key byte per field for dense (coordinates up to
-# 30), two for sparse (up to 600)
+# index version 4: separators of two 4-byte key fields, one per block of
+# the table's 27-byte rows (4 blocks of 151 rows in 4096-byte pages, 67
+# blocks of 9 rows in 256-byte pages)
 INDEX = {
-    ("dense", 4096): "fb15019e028d707cfeca05ac81638195c3a698c5966ab4c321f206a419e9ea64",
-    ("dense", 256): "aa867ac19ed785d4999b6e5fdd8e949eb7dd30d4bf5cb5bec6c1020dbcb564c6",
-    ("sparse", 4096): "3856330972d55d2619e6b03a1d70d5355785a4043487b56f9651aa27569782ac",
-    ("sparse", 256): "db588d0a0354ed09f0081c206c6f81e0e85b3773d6b552497f3da35155c4c3d1",
+    ("dense", 4096): "3bd43d3dc9f4edb76a49ac70dff6fe00f9a28fb5f7ddfb5354650b02e5597f99",
+    ("dense", 256): "a00a1ad1126ec738e988c62cb852dca42c2483596053520fc28d60b28d7f0139",
+    ("sparse", 4096): "fbbe0953a23d908eb769f8427929c27847ceac55a8011f64b1ffdaddbd562e25",
+    ("sparse", 256): "00e6e56e928a3f6a6a720c4f996082c21fa25d08afb0c84315278d6646683605",
 }
 ENCODING = {"dense": PresenceBitmap, "sparse": Header}
 

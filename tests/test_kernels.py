@@ -230,15 +230,15 @@ class Integral:
 
 
 def test_in_box_coordinates_beyond_the_stored_ones_miss_on_every_path(tmp_path):
-    # every stored first coordinate is at most 255, so the index keeps one
-    # byte per field, yet 256..300 are in the box
+    # every stored first coordinate is at most 255, yet 256..300 are in
+    # the box; the index separates blocks by the table's 4-byte fields
     cards = (300, 4)
     stored = [(1, 1), (255, 1), (17, 3), (255, 4)]
     cells = make_records(sorted(linearize(c, cards) for c in stored), 3)
     array = build_array_files(tmp_path, cells, cards, 3)
     table = build_table_files(tmp_path, cells, cards, 3)
     with array, table:
-        assert table.meta.key_bytes == 2
+        assert table.meta.key_bytes == 8
         paths = (array.get_cell, table.btree_lookup, table.binary_search_lookup)
         for coords in stored:
             assert all(path(coords) is not None for path in paths), coords
@@ -247,7 +247,7 @@ def test_in_box_coordinates_beyond_the_stored_ones_miss_on_every_path(tmp_path):
                 for path in paths:
                     assert path(coords) is None, (path.__name__, coords)
                 table.btree_lookup(coords)
-                assert table.last_page_reads == 0
+                assert table.last_page_reads == table.meta.height + 1
         for coords in [(301, 1), (Integral(301), 4), (256, 5), (256, 1.0)]:
             expected = raised(lambda c: linearize(c, cards), coords)
             assert expected[0] is RangeError

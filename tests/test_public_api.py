@@ -66,7 +66,7 @@ def test_perfbench_calls_keep_working(tmp_path):
     Its traced run builds an index with build_index_from_table(tbl, btx,
     k, record width, page size), all positional and k an int, and its
     calibrate_p times comparisons of TableStore.key_bytes-byte keys: the
-    table's key, four bytes per field, whatever width the index chose.
+    table's key, four bytes per field, which the index's separators are.
     perfbench/selftest.py covers the same calls but runs on fewer versions.
     """
     cards = (300, 5, 2)
@@ -74,7 +74,7 @@ def test_perfbench_calls_keep_working(tmp_path):
     with open(tbl, "wb") as f:
         write_table([((1, 1, 1), b"ab"), ((299, 5, 2), b"cd")], f, cards, 2)
     meta = build_index_from_table(tbl, btx, 3, 2, 256)
-    assert (meta.page_size, meta.entry_count, meta.key_bytes) == (256, 2, 6)
+    assert (meta.page_size, meta.entry_count, meta.key_bytes) == (256, 2, 12)
     with TableStore.open(tbl, cards, 2, btx) as store:
         assert store.key_bytes == 4 * 3
         assert store.btree_lookup((299, 5, 2)) == 2

@@ -5,8 +5,11 @@ import os
 import re
 import struct
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubestore import (
@@ -28,10 +31,10 @@ from cubestore import (
 from cubestore.table_store import (
     DEFAULT_PAGE_SIZE,
     KEY_FIELD_WIDTH,
+    block_rows,
     build_index_from_table,
     decode_key,
     iter_table_cells,
-    leaf_capacity,
     min_degree,
     resolve_page_size,
     write_table,
@@ -42,7 +45,7 @@ from oracle import (
     btree_lookup_by_pages,
     build_index_in_memory,
     enumerate_box,
-    index_keys_by_value,
+    index_levels,
     table_lookup_by_scan,
 )
 
@@ -115,16 +118,15 @@ class TestDegreeAndBounds:
             min_degree(64, 100)
 
     def test_leaf_capacity(self):
-        # (4096 - 16) // 12 = 340 keys after the 16-byte leaf header
-        assert leaf_capacity(4096, 12) == 340
-        assert leaf_capacity(256, 12) == 20
-        for page_size in (64, 128, 256, 4096, 65536):
-            for key_bytes in range(4, 80, 4):
-                if page_size >= 4 * key_bytes + 40:  # where min_degree gives t >= 2
-                    t = min_degree(page_size, key_bytes)
-                    assert leaf_capacity(page_size, key_bytes) >= 2 * t
-        # the largest page keeps every key count within 16 bits
-        assert leaf_capacity(65536, 4) < 2**16
+        # a leaf is a table block of B = max(2, page size // row bytes) rows
+        assert block_rows(4096, 14) == 292
+        assert block_rows(256, 14) == 18
+        # a row wider than half a page still gets two to a block, so r rows
+        # make at most (r + 1) / 2 blocks, whatever t is
+        for page_size in (64, 88, 4096, 65536):
+            for row_bytes in (4, 5, 60, 2049, 4097, 70_000):
+                assert block_rows(page_size, row_bytes) >= 2
+        assert block_rows(4096, 2049) == block_rows(4096, 70_000) == 2
         with pytest.raises(ParameterError, match="page size 65537 is too large"):
             resolve_page_size(65537)
 
@@ -135,6 +137,13 @@ class TestDegreeAndBounds:
         monkeypatch.setenv("CUBESTORE_PAGE_SIZE", "1024")
         assert resolve_page_size(None) == 1024
         assert resolve_page_size(512) == 512  # explicit argument wins
+
+    @pytest.mark.parametrize("value", ["abc", "4k", "4096.0", " "])
+    def test_page_size_variable_that_is_not_a_number(self, monkeypatch, value):
+        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", value)
+        with pytest.raises(ParameterError, match=re.escape(
+                f"CUBESTORE_PAGE_SIZE={value!r} is not a whole number of bytes")):
+            resolve_page_size(None)
 
     def test_worst_case_page_reads(self):
         assert worst_case_page_reads(1, 89) == 1
@@ -262,46 +271,52 @@ class TestNodeInvariants:
         cells = make_records(positions, 2)
         store = build_table_files(tmp_path, cells, self.CARDS, 2, page_size=128)
         with store:
-            t = store.meta.t
-            assert store.meta.height >= 2  # the tree actually has internal levels
-            cap = store.leaf_capacity
-            # every coordinate is at most 30, so the keys are 3 bytes
-            assert cap == leaf_capacity(128, 3) == 37
-            leaf_total = 0
-            for page_no, is_leaf, count in store.iter_nodes():
-                if is_leaf:
-                    leaf_total += count
-                    if page_no != store.meta.root:
-                        assert t - 1 <= count <= cap
-                else:
-                    # count is the key count; child count is one more
-                    assert count + 1 <= 2 * t
-                    if page_no != store.meta.root:
-                        assert count + 1 >= t
-                    else:
-                        assert count + 1 >= 2
-            assert leaf_total == store.row_count
+            meta = store.meta
+            t = meta.t
+            assert meta.height >= 2  # the tree actually has internal levels
+            # 14-byte rows in 128-byte pages: leaves are blocks of 9 rows
+            assert store.leaf_rows == block_rows(128, 14) == 9
+            blocks = -(-store.row_count // 9)
+            table = (tmp_path / "rel.tbl").read_bytes()
+            levels = index_levels((tmp_path / "rel.btx").read_bytes())
+            assert len(levels) == meta.height
+            assert sum(map(len, levels)) == meta.node_count
+            for level in levels:
+                for page_no, separators, children in level:
+                    assert len(children) == len(separators) + 1 <= 2 * t
+                    assert len(children) >= (2 if page_no == meta.root else t)
+            # the bottom level names every block once, in table order, and
+            # each of its separators is the first table key of the block to
+            # its right
+            bottom = [(sep, child) for _, seps, children in levels[-1]
+                      for sep, child in zip([None] + seps, children)]
+            assert [child for _, child in bottom] == list(range(1, blocks + 1))
+            for sep, block in bottom:
+                off = (block - 1) * 9 * 14
+                assert sep in (None, table[off : off + 12])
 
     def test_one_index_pread_per_lookup(self, tmp_path, monkeypatch):
+        # the leaf level is the table: a lookup reads one block of .tbl and
+        # no page of .btx, whose internal levels are in memory
         total = cell_count(self.CARDS)
         cells = make_records(random_positions(total, 1500, seed=9), 2)
         store = build_table_files(tmp_path, cells, self.CARDS, 2, page_size=128)
-        btx_inode = os.stat(tmp_path / "rel.btx").st_ino
+        inodes = {os.stat(tmp_path / f"rel.{ext}").st_ino: ext for ext in ("tbl", "btx")}
         real_pread = os.pread
-        index_reads = []
+        reads = []
 
         def counting_pread(fd, length, offset):
-            if os.fstat(fd).st_ino == btx_inode:
-                index_reads.append(offset)
+            reads.append((inodes.get(os.fstat(fd).st_ino), length))
             return real_pread(fd, length, offset)
 
         with store:
             assert store.meta.height >= 2
             monkeypatch.setattr(os, "pread", counting_pread)
             for coords in enumerate_box(self.CARDS):  # hits and misses
-                index_reads.clear()
+                reads.clear()
                 store.btree_lookup(coords)
-                assert len(index_reads) == 1
+                assert len(reads) == 1 and reads[0][0] == "tbl"
+                assert reads[0][1] <= store.leaf_rows * store.row_bytes
                 assert store.last_page_reads == store.meta.height + 1
 
     def test_rebuild_is_identical(self, tmp_path):
@@ -316,11 +331,14 @@ class TestNodeInvariants:
 
 
 class TestIndexKeyWidth:
-    """Index keys keep the fewest of 1, 2 or 4 bytes per field that hold the stored data."""
+    """Separators are the table's keys, 4 bytes per field, whatever the stored coordinates."""
 
     @pytest.mark.parametrize("top,width", [(255, 1), (256, 2), (65_535, 2), (65_536, 4)])
     @pytest.mark.parametrize("dim", [0, 1])
-    def test_width_follows_the_largest_stored_coordinate(self, tmp_path, top, width, dim):
+    def test_keys_stay_four_bytes_per_field(self, tmp_path, top, width, dim):
+        # width: the bytes the largest stored coordinate needs; the
+        # separators keep 4 per field whatever it is
+        assert top < 256**width
         cards = (top, 3) if dim == 0 else (3, top)
         highest = (top, 3) if dim == 0 else (3, top)
         below = (top - 1, 3) if dim == 0 else (3, top - 1)
@@ -329,40 +347,43 @@ class TestIndexKeyWidth:
         tbl, btx = tmp_path / "t.tbl", tmp_path / "t.btx"
         build_table(iter(cells), tbl, btx, cards, 2)
         with TableStore.open(tbl, cards, 2, btx) as store:
-            assert store.meta.key_bytes == 2 * width
-            assert store.key_bytes == 2 * KEY_FIELD_WIDTH  # the table keeps 4-byte fields
+            assert store.meta.key_bytes == store.key_bytes == 2 * KEY_FIELD_WIDTH
             for recno, (coords, _) in enumerate(cells, 1):
                 assert store.btree_lookup(coords) == recno
-                assert btree_lookup_by_pages(btx.read_bytes(), coords) == recno
+                assert btree_lookup_by_pages(btx.read_bytes(), tbl.read_bytes(),
+                                             store.row_bytes, coords) == recno
             assert store.btree_lookup(below) is None
 
     @pytest.mark.parametrize("cards,width", [((40, 7, 3), 1), ((300, 2), 2), ((70_000, 2), 4)])
     @pytest.mark.parametrize("page_size", [128, 4096])
     def test_both_builds_write_the_reference_bytes(self, tmp_path, cards, width, page_size):
+        # width: the bytes per field the largest coordinate of the box needs
         positions = random_positions(cell_count(cards), 400, seed=5)
         cells = [(delinearize(p, cards), rec) for p, rec in make_records(positions, 2)]
         tbl = tmp_path / "t.tbl"
         build_table(iter(cells), tbl, tmp_path / "a.btx", cards, 2, page_size)
         meta = build_index_from_table(tbl, tmp_path / "b.btx", len(cards), 2, page_size)
-        key_bytes, keys = index_keys_by_value([c for c, _ in cells], len(cards))
-        assert meta.key_bytes == key_bytes == len(cards) * width
-        build_index_in_memory(keys, tmp_path / "ref.btx", key_bytes, page_size)
+        assert max(cards) < 256**width
+        assert meta.key_bytes == len(cards) * KEY_FIELD_WIDTH
+        build_index_in_memory(tbl.read_bytes(), tmp_path / "ref.btx", len(cards), 2, page_size)
         ref = (tmp_path / "ref.btx").read_bytes()
         assert (tmp_path / "a.btx").read_bytes() == ref
         assert (tmp_path / "b.btx").read_bytes() == ref
 
-    def test_empty_table_has_one_byte_fields(self, tmp_path):
+    def test_empty_table_index(self, tmp_path):
         with build_table_files(tmp_path, [], (300, 2), 2) as store:
-            assert store.meta.key_bytes == 2
+            assert store.meta.key_bytes == 8
+            assert (store.meta.root, store.meta.node_count, store.meta.height) == (0, 0, 0)
             assert store.btree_lookup((300, 2)) is None
+        assert (tmp_path / "rel.btx").stat().st_size == DEFAULT_PAGE_SIZE
 
     def test_open_slices_at_most_the_rows(self, tmp_path):
-        # one-byte keys in a 64 KB page: L is 65,520, but a 3-row table
-        # needs no more than 3 key slices in a leaf or a block
+        # 7-byte rows in a 64 KB page: B is 9,362, but a 3-row table
+        # needs no more than 3 key slices in a block
         with build_table_files(tmp_path, make_records([1, 2, 5]), (8,), 3,
                                page_size=65_536) as store:
-            assert store.leaf_capacity == 65_520
-            assert len(store._leaf_keys) == len(store._row_keys) == 3
+            assert store.leaf_rows == 9_362
+            assert len(store._row_keys) == 3
             assert [store.btree_lookup((i,)) for i in range(1, 9)] == [1, 2, None, None, 3,
                                                                       None, None, None]
 
@@ -413,16 +434,14 @@ class TestIndexCorruption:
     """A damaged .btx raises StorageError at open or lookup, never a wrong row."""
 
     CARDS = (30, 20, 10)
-    KEY_BYTES = 3  # every coordinate fits in one byte
-    PAGE = 128  # small enough for a tree of height 2 over 1,500 rows
-    # byte offsets of the version, t and root in the metadata page
+    KEY_BYTES = 12
+    PAGE = 128  # small enough for a tree of height 3 over 1,500 rows
+    # byte offsets of the version, t, key width, root and height in the metadata page
     META_VERSION = 4
     META_T = 12
     META_KEY_BYTES = 16
     META_ROOT = 20
-    # byte offsets of a leaf's key count and first record number in its page
-    LEAF_COUNT = 2
-    LEAF_FIRST = 8
+    META_HEIGHT = 44
 
     def build(self, tmp_path):
         total = cell_count(self.CARDS)
@@ -430,17 +449,15 @@ class TestIndexCorruption:
         with build_table_files(tmp_path, cells, self.CARDS, 2,
                                page_size=self.PAGE) as store:
             assert store.meta.height >= 2
-            rows = [coords for coords, _ in store.iter_rows()]
-            nodes = list(store.iter_nodes())
             meta = store.meta
-        return rows, nodes, meta
+        return index_levels((tmp_path / "rel.btx").read_bytes()), meta
 
     def open(self, tmp_path):
         return TableStore.open(tmp_path / "rel.tbl", self.CARDS, 2, tmp_path / "rel.btx")
 
-    def first_child_offset(self, page_no, count):
-        """Offset of an internal node's first child number: after header and separators."""
-        return page_no * self.PAGE + 8 + count * self.KEY_BYTES
+    def child_offset(self, page_no, count, i=0):
+        """Offset of an internal node's i-th child number: after header and separators."""
+        return page_no * self.PAGE + 8 + count * self.KEY_BYTES + 8 * i
 
     def test_truncated_by_one_page(self, tmp_path):
         self.build(tmp_path)
@@ -449,25 +466,34 @@ class TestIndexCorruption:
         with pytest.raises(StorageError, match="rel.btx: size"):
             self.open(tmp_path)
 
-    def test_version_1_index(self, tmp_path):
+    def set_version(self, tmp_path, version):
         self.build(tmp_path)
         btx = tmp_path / "rel.btx"
         raw = bytearray(btx.read_bytes())
-        struct.pack_into("<H", raw, self.META_VERSION, 1)
+        struct.pack_into("<H", raw, self.META_VERSION, version)
         btx.write_bytes(bytes(raw))
+        return btx
+
+    def test_version_1_index(self, tmp_path):
+        btx = self.set_version(tmp_path, 1)
         with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: unsupported index version 1, expected 3; rebuild it")):
+                f"{btx}: unsupported index version 1, expected 4; rebuild it")):
             self.open(tmp_path)
 
     def test_version_2_index(self, tmp_path):
         # version 2 stored every key field in 4 bytes; it is not read
-        self.build(tmp_path)
-        btx = tmp_path / "rel.btx"
-        raw = bytearray(btx.read_bytes())
-        struct.pack_into("<H", raw, self.META_VERSION, 2)
-        btx.write_bytes(bytes(raw))
+        btx = self.set_version(tmp_path, 2)
         with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: unsupported index version 2, expected 3; rebuild it with "
+                f"{btx}: unsupported index version 2, expected 4; rebuild it with "
+                f"`cubestore build --only table`")):
+            self.open(tmp_path)
+
+    def test_version_3_index(self, tmp_path):
+        # version 3 copied every key, cut to 1, 2 or 4 bytes per field, into
+        # leaf pages; it is not read
+        btx = self.set_version(tmp_path, 3)
+        with pytest.raises(StorageError, match=re.escape(
+                f"{btx}: unsupported index version 3, expected 4; rebuild it with "
                 f"`cubestore build --only table`")):
             self.open(tmp_path)
 
@@ -479,13 +505,18 @@ class TestIndexCorruption:
         struct.pack_into("<I", raw, self.META_KEY_BYTES, key_bytes)
         btx.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: index keys are {key_bytes} bytes, not 1, 2 or 4 bytes "
+                f"{btx}: index keys are {key_bytes} bytes, not 4 bytes "
                 f"for each of the table's 3 key fields")):
             self.open(tmp_path)
 
+    @pytest.mark.parametrize("key_bytes", [3, 6])
+    def test_key_width_cut_to_k_or_2k(self, tmp_path, key_bytes):
+        # the field widths version 3 could cut keys to are refused too
+        self.test_key_width_not_k_2k_or_4k(tmp_path, key_bytes)
+
     @pytest.mark.parametrize("field", ["root past nodes", "root zero", "wrong t"])
     def test_bad_metadata(self, tmp_path, field):
-        _, _, meta = self.build(tmp_path)
+        _, meta = self.build(tmp_path)
         btx = tmp_path / "rel.btx"
         raw = bytearray(btx.read_bytes())
         if field == "root past nodes":
@@ -498,47 +529,125 @@ class TestIndexCorruption:
         with pytest.raises(StorageError, match="rel.btx"):
             self.open(tmp_path)
 
-    @pytest.mark.parametrize("damage", [
-        "internal type byte", "child past node count", "swapped separators",
-        "leaf type byte", "child reached twice", "leaf count above L",
-        "leaf count zero", "first record past entry count", "first record zero",
-    ])
+    # what open says about each damage, after "<.btx>: "
+    DAMAGE = {
+        "internal type byte": r"page \d+ is not an internal node",
+        "child past node count": r"page \d+ has a child outside 1\.\.",
+        "swapped separators": r"page \d+ separators are not ascending",
+        "child reached twice": r"page \d+ reaches a page twice",
+        "first record past entry count": r"page \d+ has a child outside 1\.\.167$",
+        "first record zero": r"page \d+ has a child outside 1\.\.167$",
+        "separator count lowered": r"page \d+ has a child outside 1\.\.167$",
+        "height raised": r"page \d+ ",
+        "height lowered": r"the bottom level names \d+ blocks, the table has 167$",
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
     def test_damaged_node(self, tmp_path, damage):
-        rows, nodes, meta = self.build(tmp_path)
+        levels, meta = self.build(tmp_path)
         btx = tmp_path / "rel.btx"
         raw = bytearray(btx.read_bytes())
-        counts = {page_no: count for page_no, _, count in nodes}
         root = meta.root
+        root_count = len(levels[0][0][1])
+        last_page, last_seps, _ = levels[-1][-1]  # the bottom level's last node
         if damage == "internal type byte":
-            raw[root * self.PAGE] = 0  # the leaf type
+            raw[root * self.PAGE] = 0
         elif damage == "child past node count":
-            off = self.first_child_offset(root, counts[root])
-            struct.pack_into("<Q", raw, off, meta.node_count + 1)
+            struct.pack_into("<Q", raw, self.child_offset(root, root_count), meta.node_count + 1)
         elif damage == "swapped separators":
-            page_no = next(p for p, is_leaf, n in nodes
-                           if not is_leaf and p != root and n >= 2)
+            page_no = next(p for p, seps, _ in levels[1] if len(seps) >= 2)
             first = page_no * self.PAGE + 8
             second = first + self.KEY_BYTES
             raw[first:second], raw[second : second + self.KEY_BYTES] = (
                 raw[second : second + self.KEY_BYTES], raw[first:second])
-        elif damage == "leaf type byte":
-            raw[self.PAGE] = 1  # page 1 is the first leaf; 1 is the internal type
-        elif damage.startswith("leaf count"):
-            count = leaf_capacity(self.PAGE, self.KEY_BYTES) + 1 if "above" in damage else 0
-            struct.pack_into("<H", raw, self.PAGE + self.LEAF_COUNT, count)
         elif damage.startswith("first record"):
-            # the last leaf's keys would end one row past the table
-            page_no = max(p for p, is_leaf, _ in nodes if is_leaf)
-            first = meta.entry_count - counts[page_no] + 2 if "past" in damage else 0
-            struct.pack_into("<Q", raw, page_no * self.PAGE + self.LEAF_FIRST, first)
+            # a bottom child is a block number j, so the leaf's first record
+            # is (j - 1) * B + 1: block 0, or one past the table's last block
+            blocks = -(-meta.entry_count // block_rows(self.PAGE, 14))
+            block = blocks + 1 if "past" in damage else 0
+            struct.pack_into("<Q", raw, self.child_offset(last_page, len(last_seps)), block)
+        elif damage == "separator count lowered":
+            struct.pack_into("<H", raw, last_page * self.PAGE + 2, len(last_seps) - 1)
+        elif damage.startswith("height"):
+            struct.pack_into("<I", raw, self.META_HEIGHT,
+                             meta.height + (1 if "raised" in damage else -1))
         else:
-            first = self.first_child_offset(root, counts[root])
-            raw[first + 8 : first + 16] = raw[first : first + 8]
+            off = self.child_offset(root, root_count)
+            raw[off + 8 : off + 16] = raw[off : off + 8]
         btx.write_bytes(bytes(raw))
-        with pytest.raises(StorageError, match="rel.btx: page"):
-            with self.open(tmp_path) as store:
-                for recno, coords in enumerate(rows, 1):
-                    assert store.btree_lookup(coords) == recno
+        with pytest.raises(StorageError, match=re.escape(f"{btx}: ") + self.DAMAGE[damage]):
+            self.open(tmp_path)
+
+
+class TestRoutingCheck:
+    """A damaged bottom-level entry fails exactly the lookups routed through it.
+
+    The block a descent reaches must start with the last separator it
+    passed, or with the table's first key when it passed none.  Every
+    other lookup must still answer as the undamaged index does.
+    """
+
+    CARDS = (30, 20, 10)
+    PAGE = 256  # t = 6 and blocks of 18 rows: height 2 over 1,500 rows
+    B = 18
+
+    def build(self, tmp_path):
+        cells = make_records(random_positions(cell_count(self.CARDS), 1500, seed=12), 2)
+        build_table_files(tmp_path, cells, self.CARDS, 2, page_size=self.PAGE).close()
+        table = (tmp_path / "rel.tbl").read_bytes()
+        firsts = [table[off : off + 12] for off in range(0, len(table), self.B * 14)]
+        levels = index_levels((tmp_path / "rel.btx").read_bytes())
+        assert len(levels) == 2
+        return table, firsts, levels
+
+    def check(self, tmp_path, table, damaged, raw):
+        """Open the damaged index; keys damaged() names must fail, the others answer."""
+        btx = tmp_path / "rel.btx"
+        btx.write_bytes(raw)
+        failed = 0
+        with TableStore.open(tmp_path / "rel.tbl", self.CARDS, 2, btx) as store:
+            for coords in enumerate_box(self.CARDS):
+                key = encode_key(coords)
+                if damaged(key):
+                    with pytest.raises(StorageError, match=re.escape(f"{btx}: block ")):
+                        store.btree_lookup(coords)
+                    failed += 1
+                else:
+                    assert store.btree_lookup(coords) == binary_search_rows(table, 12, 14, key)
+        return failed
+
+    @pytest.mark.parametrize("to", ["next block", "previous block", "block 1", "from block 1"])
+    def test_corrupt_block_number(self, tmp_path, to):
+        table, firsts, levels = self.build(tmp_path)
+        raw = bytearray((tmp_path / "rel.btx").read_bytes())
+        # the middle child of the second bottom node, or the leftmost child
+        page_no, seps, children = levels[1][0 if to == "from block 1" else 1]
+        i = 0 if to == "from block 1" else len(children) // 2
+        block = children[i]
+        target = {"next block": block + 1, "previous block": block - 1, "block 1": 1,
+                  "from block 1": 2}[to]
+        struct.pack_into("<Q", raw, page_no * self.PAGE + 8 + len(seps) * 12 + 8 * i, target)
+        low, high = firsts[block - 1], firsts[block]
+
+        def damaged(key):  # the keys whose descent ends at the damaged entry
+            return (low <= key or block == 1) and key < high
+
+        assert self.check(tmp_path, table, damaged, bytes(raw)) > 0
+
+    def test_lowered_separator(self, tmp_path):
+        table, firsts, levels = self.build(tmp_path)
+        raw = bytearray((tmp_path / "rel.btx").read_bytes())
+        page_no, seps, children = levels[1][1]
+        i = len(seps) // 2
+        block = children[i + 1]
+        # lower the separator of block j to the last key of block j - 1: every
+        # key that then passes it last is routed to block j and must fail
+        lowered = table[((block - 1) * self.B - 1) * 14 :][:12]
+        assert seps[i - 1] < lowered < seps[i] == firsts[block - 1]
+        off = page_no * self.PAGE + 8 + 12 * i
+        raw[off : off + 12] = lowered
+        damaged = lambda key: lowered <= key < firsts[block]  # noqa: E731
+        assert self.check(tmp_path, table, damaged, bytes(raw)) > 0
 
 
 # (k, record width) of rows 5, 20, 128, 1508 and 2104 bytes wide; the
@@ -546,7 +655,7 @@ class TestIndexCorruption:
 ROW_SHAPES = [(1, 1), (3, 8), (2, 120), (2, 1500), (1, 2100)]
 
 
-def block_rows(k: int, width: int) -> int:
+def bsearch_block_rows(k: int, width: int) -> int:
     return max(2, DEFAULT_PAGE_SIZE // (k * KEY_FIELD_WIDTH + width))
 
 
@@ -580,7 +689,7 @@ class TestSearchMatchesReference:
 
     @pytest.mark.parametrize("k,width", ROW_SHAPES)
     def test_every_coordinate(self, tmp_path, k, width):
-        b = block_rows(k, width)
+        b = bsearch_block_rows(k, width)
         for r in sorted({0, 1, b - 1, b, b + 1, 2 * b, 3 * b - 1, 3 * b + 1}):
             tbl, cards = write_relation(tmp_path, k, width, r)
             table = tbl.read_bytes()
@@ -598,12 +707,12 @@ class TestSearchMatchesReference:
                 index = btx.read_bytes()
                 with TableStore.open(tbl, cards, width, btx) as store:
                     for c, expect in zip(coords, expected):
-                        assert btree_lookup_by_pages(index, c) == expect
+                        assert btree_lookup_by_pages(index, table, row, c) == expect
                         assert store.btree_lookup(c) == expect
 
     def test_row_read_counter_is_exact(self, tmp_path, monkeypatch):
         k, width = 3, 8
-        b = block_rows(k, width)
+        b = bsearch_block_rows(k, width)
         counted = CountedPread(os.pread)
         monkeypatch.setattr(os, "pread", counted)
         for r in sorted({1, 2, b - 1, b, b + 1, 2 * b, 5 * b - 1, 7 * b + 1}):
@@ -627,7 +736,7 @@ class TestTruncatedTable:
         table = tbl.read_bytes()
         key_bytes = k * KEY_FIELD_WIDTH
         row = key_bytes + width
-        b = block_rows(k, width)
+        b = bsearch_block_rows(k, width)
         coords = enumerate_box(cards)
         expected = [binary_search_rows(table, key_bytes, row, encode_key(c)) for c in coords]
         cuts = {
@@ -673,3 +782,61 @@ class TestIterRows:
             assert counted.calls[store._tbl_fd] == 3
             assert rows == list(iter_table_cells(tbl, k, width))
             assert rows == [store.read_row(recno) for recno in range(1, r + 1)]
+
+
+# The smallest page whose internal node fits 2t >= 4 children of 4k-byte
+# separators: (page - 8) // (2 * (4k + 8)) >= 2 gives 56, 72, 88 and 104
+# bytes for k = 1..4, and no page is below 64 bytes.
+SMALLEST_PAGE = {1: 64, 2: 72, 3: 88, 4: 104}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_smallest_page(k):
+    smallest = SMALLEST_PAGE[k]
+    assert resolve_page_size(smallest) == smallest
+    assert min_degree(smallest, 4 * k) == 2
+    with pytest.raises(ParameterError):
+        min_degree(resolve_page_size(smallest - 1), 4 * k)
+
+
+@given(k=st.integers(1, 4), record_width=st.integers(0, 2100),
+       page=st.one_of(st.integers(64, 160), st.integers(64, DEFAULT_PAGE_SIZE)),
+       rows=st.sampled_from(["0", "1", "B", "B + 1", "blocks"]),
+       blocks=st.integers(2, 60), seed=st.integers(0, 2**16))
+@example(k=1, record_width=2100, page=4096, rows="blocks", blocks=7, seed=1)  # B = 2 < t = 170
+@example(k=2, record_width=120, page=4096, rows="blocks", blocks=9, seed=2)  # B = 32 < t = 127
+@example(k=3, record_width=30, page=88, rows="blocks", blocks=20, seed=3)  # B = 2 = t, height 4
+@example(k=4, record_width=0, page=104, rows="B + 1", blocks=2, seed=4)  # B = 6 > t = 2
+@settings(max_examples=60, deadline=None)
+def test_block_shapes_agree_with_the_dense_oracle(k, record_width, page, rows, blocks, seed):
+    """Both table searches equal a dense oracle over blocks of every shape.
+
+    k = 1..4, records of 0..2,100 bytes and index pages from the
+    smallest valid one (SMALLEST_PAGE) to 4096 bytes give blocks of
+    B = 2 up to over a thousand rows, B below, at and above t, and
+    r of 0, 1, B, B + 1 or several blocks (at most 2,000 rows).  Every
+    coordinate of the box is looked up, and no B-tree lookup visits
+    more nodes than worst_case_page_reads allows.
+    """
+    page_size = max(page, SMALLEST_PAGE[k])
+    key_bytes = k * KEY_FIELD_WIDTH
+    t = min_degree(page_size, key_bytes)
+    b = block_rows(page_size, key_bytes + record_width)
+    r = {"0": 0, "1": 1, "B": b, "B + 1": b + 1,
+         "blocks": blocks * b + seed % b}[rows]
+    r = min(r, 2000)
+    cards = (-(-(3 * r // 2 + 3) // 3 ** (k - 1)),) + (3,) * (k - 1)
+    positions = random_positions(cell_count(cards), r, seed=seed)
+    cells = make_records(positions, record_width)
+    dense = dict(cells)
+    with tempfile.TemporaryDirectory() as tmp:
+        with build_table_files(Path(tmp), cells, cards, record_width,
+                               page_size=page_size) as store:
+            assert (store.leaf_rows, store.meta.t) == (b, t)
+            bound = worst_case_page_reads(r, t)
+            for coords in enumerate_box(cards):
+                recno = store.btree_lookup(coords)
+                assert store.last_page_reads <= bound
+                assert recno == store.binary_search_lookup(coords)
+                got = None if recno is None else store.read_measures(recno)
+                assert got == dense.get(linearize(coords, cards)), coords

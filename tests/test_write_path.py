@@ -20,7 +20,7 @@ from cubestore import (
     delinearize,
     ingest_rows,
 )
-from cubestore.table_store import build_index, leaf_capacity, min_degree
+from cubestore.table_store import block_rows, build_index_from_table, min_degree
 
 _ALPHABET = "abcxyz,\"'é中 \\\n-"
 INPUT_FORMS = ("tuples", "lists", "generator of tuples", "generator of lists",
@@ -234,21 +234,30 @@ def test_duplicate_row_found_among_three_rows_of_one_key(tmp_path):
         ingest_rows(["k", "v"], rows, ["k"], tmp_path / "ds")
 
 
-def _index_sizes(key_bytes, page_size):
-    t = min_degree(page_size, key_bytes)
-    cap = leaf_capacity(page_size, key_bytes)
-    sizes = {0, 1, cap - 1, cap, cap + 1, cap + t - 2}
-    for m in (2, 3, 2 * t, 2 * t + 1):
-        sizes |= {m * cap - 1, m * cap + 1}
+def _index_sizes(b, t):
+    """Row counts around one block, one node and two levels of blocks of b rows."""
+    sizes = {0, 1, b - 1, b, b + 1}
+    for m in (2, 3, t, 2 * t, 2 * t + 1, 4 * t * t + 1):
+        sizes |= {m * b - 1, m * b + 1}
     return sorted(sizes)
 
 
-@pytest.mark.parametrize("key_bytes", [2, 3, 4, 12, 20])
-def test_build_index_matches_reference(tmp_path, key_bytes):
-    for r in _index_sizes(key_bytes, 128):
-        keys = [i.to_bytes(key_bytes, "big") for i in range(r)]
-        expected = oracle.build_index_in_memory(keys, tmp_path / "ref.btx", key_bytes, 128)
-        got = build_index(iter(keys), tmp_path / "new.btx", key_bytes, 128)
+def _write_rows(path, n, key_bytes, record_width):
+    """An n-row table of ascending keys 0, 1, ... and zero records."""
+    path.write_bytes(b"".join(i.to_bytes(key_bytes, "big") + bytes(record_width)
+                              for i in range(n)))
+    return path
+
+
+@pytest.mark.parametrize("record_width", [2, 3, 4, 12, 20])
+def test_build_index_matches_reference(tmp_path, record_width):
+    # two 4-byte key fields in 128-byte pages: t = 3, and B from 12 down to 4
+    t = min_degree(128, 8)
+    for r in _index_sizes(block_rows(128, 8 + record_width), t):
+        tbl = _write_rows(tmp_path / "t.tbl", r, 8, record_width)
+        expected = oracle.build_index_in_memory(tbl.read_bytes(), tmp_path / "ref.btx", 2,
+                                                record_width, 128)
+        got = build_index_from_table(tbl, tmp_path / "new.btx", 2, record_width, 128)
         assert got == expected, r
         assert (tmp_path / "new.btx").read_bytes() == (tmp_path / "ref.btx").read_bytes(), r
 
@@ -276,10 +285,14 @@ def test_ingest_memory_per_row(tmp_path):
 
 
 def test_build_index_memory_is_flat(tmp_path):
-    def keys(n):
-        return (i.to_bytes(12, "big") for i in range(n))
+    # 112-byte rows make blocks of 36 rows: 456 and 1,821 blocks, whose
+    # first keys are streamed into the bottom level rather than held
+    tables = {n: _write_rows(tmp_path / f"{n}.tbl", n, 12, 100) for n in (1000, 16_384, 65_536)}
 
-    build_index(keys(1000), tmp_path / "warm.btx", 12, 4096)
-    small = _traced_peak(lambda: build_index(keys(16_384), tmp_path / "a.btx", 12, 4096))
-    large = _traced_peak(lambda: build_index(keys(65_536), tmp_path / "b.btx", 12, 4096))
+    def build(n):
+        return build_index_from_table(tables[n], tmp_path / f"{n}.btx", 3, 100, 4096)
+
+    build(1000)
+    small = _traced_peak(lambda: build(16_384))
+    large = _traced_peak(lambda: build(65_536))
     assert large <= 1.5 * small
