@@ -532,6 +532,9 @@ class TestIndexCorruption:
     # what open says about each damage, after "<.btx>: "
     DAMAGE = {
         "internal type byte": r"page \d+ is not an internal node",
+        "leaf type byte": r"page \d+ is not an internal node",
+        "leaf count above L": r"page \d+ is not an internal node",
+        "leaf count zero": r"page \d+ is not an internal node",
         "child past node count": r"page \d+ has a child outside 1\.\.",
         "swapped separators": r"page \d+ separators are not ascending",
         "child reached twice": r"page \d+ reaches a page twice",
@@ -554,6 +557,15 @@ class TestIndexCorruption:
             raw[root * self.PAGE] = 0
         elif damage == "child past node count":
             struct.pack_into("<Q", raw, self.child_offset(root, root_count), meta.node_count + 1)
+        elif damage == "leaf type byte":
+            # a bottom node marked with type 0, the type of version 3's leaf
+            # pages: version 4 has no leaf pages, its leaves are table blocks
+            raw[levels[-1][0][0] * self.PAGE] = 0
+        elif damage.startswith("leaf count"):
+            # a bottom node's count of separators between its leaf blocks:
+            # 0, or above L = 2t - 1, the most a node holds
+            count = 2 * meta.t if "above" in damage else 0
+            struct.pack_into("<H", raw, last_page * self.PAGE + 2, count)
         elif damage == "swapped separators":
             page_no = next(p for p, seps, _ in levels[1] if len(seps) >= 2)
             first = page_no * self.PAGE + 8
