@@ -82,7 +82,7 @@ from .errors import (
     RangeError,
     StorageError,
 )
-from .linearizer import cell_count, delinearize, position_kernel
+from .linearizer import _integer, cell_count, delinearize, position_kernel
 
 _ENTRY_BYTES = 16  # two unsigned 64-bit little-endian words per entry
 _BITMAP_START = bytes(8) + b"PRESENCE"  # words 0 and the magic of a bitmap preamble
@@ -465,6 +465,8 @@ class ArrayStore:
 
     def read_record(self, record: int) -> bytes:
         """Raw measure record at a 1-based physical position."""
+        if type(record) is not int:
+            record = _integer(record, "record number")
         if not 1 <= record <= self.header.record_count:
             raise RangeError(f"record number {record} outside 1..{self.header.record_count}")
         w = self.record_width

@@ -9,8 +9,8 @@ A benchmark run samples stored rows (physical record ordinals) with
 equal probability and with repetition, converts them to coordinates
 before any clock starts, then times one bulk lookup loop per
 representation over the same coordinates: the table path encodes the
-key, descends the B-tree, and reads the row; the array path linearizes
-the coordinates, searches the cached header, and reads the record.
+key, descends the B-tree and reads one block, the row's only read; the
+array path linearizes, searches the cached header and reads the record.
 Coordinate-to-key and coordinate-to-position work is inside the timed
 region on both sides.  The quotient is table time over array time.
 After timing, every sampled lookup is cross-checked untimed against a

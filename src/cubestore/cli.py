@@ -159,12 +159,7 @@ def _cmd_stats(args) -> int:
     print()
     print(format_size_report(size_report(root)))
     if args.conjoint is not None:
-        cells = [
-            (indices, record)
-            for indices, record in iter_table_cells(
-                root / TABLE_NAME, manifest.k, schema.record_width
-            )
-        ]
+        cells = list(iter_table_cells(root / TABLE_NAME, manifest.k, schema.record_width))
         result, _ = build_conjoint(cells, args.conjoint, manifest.cards,
                                    allow_degenerate=args.allow_degenerate)
         print()
@@ -205,8 +200,7 @@ def _cmd_export(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
-        for row in export_rows(args.dataset):
-            writer.writerow(row)
+        writer.writerows(export_rows(args.dataset))
     finally:
         if args.out:
             out.close()

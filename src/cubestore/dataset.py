@@ -139,26 +139,33 @@ class Manifest:
         return self.r / self.schema.cell_total
 
     def save(self, path) -> None:
+        Path(path).write_bytes(self._encoded())
+
+    def _encoded(self) -> bytes:
         schema = self.schema
-        lines = [
-            f"format_version={FORMAT_VERSION}",
-            f"schema_name={quote(self.schema_name, safe='')}",
-            f"n={self.n}",
-            f"k={self.k}",
-            f"case={self.case}",
-            "cards=" + ",".join(str(c) for c in self.cards),
-            "key_columns=" + ",".join(quote(c, safe="") for c in self.key_columns),
-            "measure_columns=" + ",".join(
-                f"{quote(c.name, safe='')}:{c.kind}:{c.width}" for c in self.measure_columns
-            ),
-            f"r={self.r}",
-            f"row_bytes={schema.row_bytes}",
-            f"record_width={schema.record_width}",
-            f"delta={schema.delta!r}",
-            f"rho={self.rho!r}",
-            f"built_at={self.built_at}",
-        ]
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        try:
+            lines = [
+                f"format_version={FORMAT_VERSION}",
+                f"schema_name={quote(self.schema_name, safe='')}",
+                f"n={self.n}",
+                f"k={self.k}",
+                f"case={self.case}",
+                "cards=" + ",".join(str(c) for c in self.cards),
+                "key_columns=" + ",".join(quote(c, safe="") for c in self.key_columns),
+                "measure_columns=" + ",".join(
+                    f"{quote(c.name, safe='')}:{c.kind}:{c.width}" for c in self.measure_columns
+                ),
+                f"r={self.r}",
+                f"row_bytes={schema.row_bytes}",
+                f"record_width={schema.record_width}",
+                f"delta={schema.delta!r}",
+                f"rho={self.rho!r}",
+                f"built_at={self.built_at}",
+            ]
+        except UnicodeEncodeError as exc:
+            raise MalformedInputError(f"{MANIFEST_NAME}: name {exc.object!r}, character "
+                                      f"{exc.start}, is not encodable as UTF-8") from None
+        return ("\n".join(lines) + "\n").encode("utf-8")
 
     @classmethod
     def load(cls, path) -> "Manifest":
@@ -419,22 +426,26 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
 def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
     """Write the directories, the table of cells (logical order) and the manifest.
 
-    Removes an earlier build's index, array and header first, so they
-    cannot answer for the new table; the next query asks for a build.
-    Stamps the manifest with the current time.  Any OSError becomes a
-    DatasetError naming the directory.
+    Encodes the directories and manifest first: text with no UTF-8
+    encoding changes no file.  Then removes an earlier build's index,
+    array and header, so they cannot answer for the new table; the next
+    query asks for a build.  Stamps the manifest with the current time.
+    Any OSError becomes a DatasetError naming the directory.
     """
     out = Path(out_dir)
     manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    dim_paths = _dim_paths(out, manifest.k)
+    dims = [directory._encoded(path) for directory, path in zip(key_dirs, dim_paths)]
+    text = manifest._encoded()
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name in (BTREE_NAME, ARRAY_NAME, HEADER_NAME):
             (out / name).unlink(missing_ok=True)
-        for directory, path in zip(key_dirs, _dim_paths(out, manifest.k)):
-            directory.save(path)
+        for path, raw in zip(dim_paths, dims):
+            path.write_bytes(raw)
         with open(out / TABLE_NAME, "wb") as f:
             write_table(cells, f, manifest.cards, manifest.schema.record_width)
-        manifest.save(out / MANIFEST_NAME)
+        (out / MANIFEST_NAME).write_bytes(text)
     except OSError as exc:
         raise DatasetError(f"cannot write the dataset to {out}: {exc}") from None
     return manifest

@@ -15,7 +15,8 @@ larger is rejected.  The coordinates must be a sequence (a set, an
 iterator or a mapping is refused) of integers: ints, bool included, or
 values with __index__ such as NumPy integers, which count as their int
 value.  Anything else raises RangeError, naming the dimension of a
-coordinate that is not an integer.
+coordinate that is not an integer.  The stores' record numbers follow
+the same rule.
 
 linearize is the reference.  A store's point lookups run a kernel
 compiled for its box instead (position_kernel, key_kernel): straight-line
@@ -46,6 +47,14 @@ U64_MAX = 2**64 - 1
 _SEQUENCES = frozenset((tuple, list))  # the input types a kernel unpacks itself
 
 
+def _integer(value, what: str) -> int:
+    """value as an int by the coordinate rule, else RangeError naming what and value."""
+    try:
+        return index(value)
+    except TypeError:
+        raise RangeError(f"{what} is {value!r}, not an integer") from None
+
+
 def cell_count(cards: Sequence[int]) -> int:
     """Return the total cell count of a box, enforcing the 64-bit cap."""
     if not cards:
@@ -73,10 +82,7 @@ def linearize(indices: Sequence[int], cards: Sequence[int]) -> int:
     for j in range(k - 1, -1, -1):
         i = indices[j]
         if type(i) is not int:
-            try:
-                i = index(i)
-            except TypeError:
-                raise RangeError(f"coordinate {j + 1} is {i!r}, not an integer") from None
+            i = _integer(i, f"coordinate {j + 1}")
         c = cards[j]
         if not 1 <= i <= c:
             raise RangeError(f"coordinate {j + 1} is {i}, outside 1..{c}")

@@ -311,14 +311,16 @@ class DimensionDirectory:
         return self.values[index - 1]
 
     def save(self, path) -> None:
+        Path(path).write_bytes(self._encoded(path))
+
+    def _encoded(self, path) -> bytes:
         data = "".join(_escape(v) + "\n" for v in self.values)
         try:
-            raw = data.encode("utf-8")
+            return data.encode("utf-8")
         except UnicodeEncodeError as exc:
             raise MalformedInputError(
                 f"{path}: character {exc.start} is not encodable as UTF-8"
             ) from None
-        Path(path).write_bytes(raw)
 
     @classmethod
     def load(cls, path) -> "DimensionDirectory":

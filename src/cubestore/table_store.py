@@ -58,6 +58,13 @@ the file reads fall to about log2(r / B) + 1.  A key probe is not
 length-checked: a probe cut short by a truncated file compares low,
 which only steers the search to a later block, and that block's read
 is checked.  The binary search reads and holds no table key at open.
+
+A hit on either path keeps (record number, record), sliced from the
+block it searched, as one tuple, until the next hit or close; a miss
+leaves it.  read_measures of that number answers from it with no read.
+The pair carries its own number, so a store shared between threads at
+worst reads again, never another row's record, and the record stays the
+one the lookup found even if the table file is rewritten in between.
 """
 
 from __future__ import annotations
@@ -80,7 +87,7 @@ from .errors import (
     RangeError,
     StorageError,
 )
-from .linearizer import key_kernel
+from .linearizer import _integer, key_kernel
 
 KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field in the table
 CHILD_WIDTH = 8
@@ -165,10 +172,10 @@ def _bisect_probes(n: int) -> bytes:
     return probes(n)
 
 
-def _key_slices(step: int, keys: int, width: int) -> list[slice]:
-    """Slices of the width-byte keys that start each of `keys` rows of step bytes."""
-    end = keys * step
-    return list(map(slice, range(0, end, step), range(width, end + width, step)))
+def _row_slices(step: int, rows: int, start: int, stop: int) -> list[slice]:
+    """Slices of bytes start..stop of each of `rows` rows of step bytes."""
+    end = rows * step
+    return list(map(slice, range(start, end + start, step), range(stop, end + stop, step)))
 
 
 def worst_case_page_reads(r: int, t: int) -> int:
@@ -267,16 +274,12 @@ def _table_rows(f, row: int) -> int:
     return size // row
 
 
-def _iter_table_blocks(tbl_path, row: int):
-    """Stream a table file of row-byte rows as blocks of up to 2048 whole rows."""
-    with _open(tbl_path) as f:
-        yield from _table_blocks(f.fileno(), tbl_path, row, _table_rows(f, row))
-
-
 def iter_table_cells(tbl_path, k: int, record_width: int):
-    """Stream (coordinates, record) from a sorted table file."""
+    """Stream (coordinates, record) from a sorted table file, in blocks of up to 2048 rows."""
     row = k * KEY_FIELD_WIDTH + record_width
-    return _block_cells(_iter_table_blocks(tbl_path, row), k, row)
+    with _open(tbl_path) as f:
+        yield from _block_cells(_table_blocks(f.fileno(), tbl_path, row, _table_rows(f, row)),
+                                k, row)
 
 
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
@@ -356,7 +359,8 @@ class TableStore:
     ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1; it comes
     from a per-table table of bisect's probe counts, so the lookup does
     no counting of its own.  The per-lookup counters are plain
-    attributes and not thread-safe.
+    attributes and not thread-safe.  The record a hit keeps for
+    read_measures is described in the module notes.
     """
 
     def __init__(self, tbl_file, cards, record_width: int, btx_file=None):
@@ -386,11 +390,15 @@ class TableStore:
             self._load_internal_nodes()
             # where the leftmost descent routes: block 1 starts with it
             self._first_key = self._read_key(0)
+            height = self.meta.height  # btree_lookup reads plain attributes, not meta
+            self._root, self._levels, self._page_reads = self.meta.root, range(height), height + 1
         # a block holds at most B rows and no more than the table's
-        self._row_keys = _key_slices(self.row_bytes, min(max(self._block_rows, self.leaf_rows),
-                                                         self.row_count), self.key_bytes)
+        rows = min(max(self._block_rows, self.leaf_rows), self.row_count)
+        self._row_keys = _row_slices(self.row_bytes, rows, 0, self.key_bytes)
+        self._row_records = _row_slices(self.row_bytes, rows, self.key_bytes, self.row_bytes)
         self.last_page_reads = 0
         self.last_row_reads = 0
+        self._kept = (None, b"")  # (record number, record) of the last hit; None is no row
 
     @classmethod
     def open(cls, tbl_path, cards, record_width: int, btx_path=None) -> "TableStore":
@@ -407,6 +415,7 @@ class TableStore:
             raise
 
     def close(self) -> None:
+        self._kept = (None, b"")
         self._tbl.close()
         if self._btx:
             self._btx.close()
@@ -513,23 +522,22 @@ class TableStore:
         reads, checks against the descent and searches.  Coordinates
         outside the box raise RangeError.
         """
-        meta = self.meta
-        if meta is None:
+        if self.meta is None:
             raise DatasetError("no B-tree index is attached to this table")
         key = self._key(indices)
-        node = meta.root
+        node = self._root
         if not node:
             self.last_page_reads = 0
             return None
         left = self._first_key
         internal = self._internal
-        for _ in range(meta.height):
+        for _ in self._levels:
             separators, children = internal[node]
             i = bisect_right(separators, key)
             if i:
                 left = separators[i - 1]
             node = children[i]
-        self.last_page_reads = meta.height + 1
+        self.last_page_reads = self._page_reads
         return self._search_block(node - 1, self.leaf_rows, key, left)
 
     def binary_search_lookup(self, indices) -> int | None:
@@ -555,13 +563,14 @@ class TableStore:
         or the table's first key when it passed none: the block must
         start with it.
         """
+        row = self.row_bytes
         first = j * size
         rows = min(size, self.row_count - first)
-        block = os.pread(self._tbl_fd, rows * self.row_bytes, first * self.row_bytes)
-        if len(block) != rows * self.row_bytes:
+        block = os.pread(self._tbl_fd, rows * row, first * row)
+        if len(block) != rows * row:
             raise StorageError(
                 f"{self._tbl.name}: short read of rows {first + 1}..{first + rows} "
-                f"at offset {first * self.row_bytes}"
+                f"at offset {first * row}"
             )
         if not block.startswith(left):
             raise StorageError(f"{self._btx.name}: block {j + 1} does not start with key "
@@ -569,27 +578,33 @@ class TableStore:
         keys = self._row_keys
         i = bisect_left(keys, key, 0, rows, key=block.__getitem__)
         if i < rows and block[keys[i]] == key:
-            return first + i + 1
+            recno = first + i + 1
+            self._kept = recno, block[self._row_records[i]]
+            return recno
         return None
+
+    def _read(self, recno, start: int, size: int, what: str) -> bytes:
+        """One pread of size bytes from byte start of a 1-based row; what names them."""
+        if type(recno) is not int:
+            recno = _integer(recno, "record number")
+        if not 1 <= recno <= self.row_count:
+            raise RangeError(f"record number {recno} outside 1..{self.row_count}")
+        data = os.pread(self._tbl_fd, size, (recno - 1) * self.row_bytes + start)
+        if len(data) != size:
+            raise StorageError(f"{self._tbl.name}: short read of {what} {recno}")
+        return data
 
     def read_row(self, recno: int) -> tuple[tuple[int, ...], bytes]:
         """Decoded coordinates and raw measure record of a 1-based row."""
-        if not 1 <= recno <= self.row_count:
-            raise RangeError(f"record number {recno} outside 1..{self.row_count}")
-        raw = os.pread(self._tbl_fd, self.row_bytes, (recno - 1) * self.row_bytes)
-        if len(raw) != self.row_bytes:
-            raise StorageError(f"{self._tbl.name}: short read of row {recno}")
+        raw = self._read(recno, 0, self.row_bytes, "row")
         return decode_key(raw[: self.key_bytes], len(self.cards)), raw[self.key_bytes :]
 
     def read_measures(self, recno: int) -> bytes:
-        """Raw measure record of a 1-based row; the key is not read."""
-        if not 1 <= recno <= self.row_count:
-            raise RangeError(f"record number {recno} outside 1..{self.row_count}")
-        data = os.pread(self._tbl_fd, self.record_width,
-                        (recno - 1) * self.row_bytes + self.key_bytes)
-        if len(data) != self.record_width:
-            raise StorageError(f"{self._tbl.name}: short read of the record of row {recno}")
-        return data
+        """Raw measure record of a 1-based row; the last hit's costs no read."""
+        kept, record = self._kept
+        if type(recno) is int and recno == kept:
+            return record
+        return self._read(recno, self.key_bytes, self.record_width, "the record of row")
 
     def iter_rows(self):
         """Yield (coordinates, record) in stored (logical) order."""

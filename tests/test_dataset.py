@@ -1,5 +1,6 @@
 """Dataset directories: ingest, manifest, build, open, export."""
 
+import hashlib
 import re
 from itertools import product
 
@@ -21,6 +22,7 @@ from cubestore import (
     open_dataset,
     size_report,
 )
+from cubestore.cli import main
 from cubestore.dataset import MANIFEST_NAME, Manifest, export_rows
 from cubestore.relation_model import MeasureColumn
 
@@ -172,6 +174,34 @@ class TestIngest:
         with pytest.raises(MalformedInputError, match=(
                 r"dim_1\.dim: character 1 is not encodable as UTF-8")):
             ingest_rows(["k", "v"], [("a\ud800", "x")], ["k"], tmp_path / "ds")
+
+    @pytest.mark.parametrize("columns,rows,message", [
+        (["a", "b", "v"], [("y", "p", "7"), ("z", "\ud800", "8")],
+         r"dim_2\.dim: character 2 is not encodable as UTF-8"),
+        (["a", "b", "v\ud800"], [("y", "p", "7")],
+         re.escape(r"manifest.txt: name 'v\ud800', character 1, is not encodable as UTF-8")),
+    ], ids=["key value", "measure column name"])
+    def test_unencodable_text_leaves_the_dataset_as_it_was(self, tmp_path, capsys,
+                                                           columns, rows, message):
+        # the second ingest fails on text it cannot write; no file changes,
+        # and both paths still answer the first relation
+        ds = tmp_path / "ds"
+        ingest_rows(["a", "b", "v"], [("x", "p", "1"), ("y", "q", "2")], ["a", "b"], ds)
+        build_dataset(ds)
+
+        def digests():
+            return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                    for path in sorted(ds.iterdir())}
+
+        before = digests()
+        with pytest.raises(MalformedInputError, match=message):
+            ingest_rows(columns, rows, ["a", "b"], ds)
+        assert digests() == before
+        capsys.readouterr()
+        for via in ("array", "table"):
+            for at, code, out in (("x,p", 0, "v=1\n"), ("y,q", 0, "v=2\n"), ("y,p", 1, "empty\n")):
+                assert main(["query", "--dataset", str(ds), "--at", at, "--via", via]) == code
+                assert capsys.readouterr().out == out, (via, at)
 
 
 class TestIngestCsv:

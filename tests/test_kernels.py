@@ -229,6 +229,30 @@ class Integral:
         return f"Integral({self.value})"
 
 
+def test_record_numbers_follow_the_coordinate_rule(small_stores):
+    # read_record, read_row and read_measures take what a coordinate may be:
+    # an int, a bool, or a value with __index__; anything else is RangeError
+    array, table = small_stores
+    records = [record for _, record in make_records(SMALL_POSITIONS, 3)]
+    readers = {"read_record": array.read_record,
+               "read_row": lambda recno: table.read_row(recno)[1],
+               "read_measures": table.read_measures}
+    for name, read in readers.items():
+        for recno, record in [(2, records[1]), (True, records[0]), (Integral(3), records[2])]:
+            assert read(recno) == record, (name, recno)
+        for recno in [2.0, 2.5, "2", None, Decimal(2), Fraction(2), b"\x02", [2]]:
+            assert raised(read, recno) == (
+                RangeError, f"record number is {recno!r}, not an integer"), (name, recno)
+        for recno in [0, False, 5, Integral(5)]:
+            assert raised(read, recno) == (
+                RangeError, f"record number {int(recno)} outside 1..4"), (name, recno)
+    # a hit on record 2 keeps it, but only the int 2 is answered from it
+    assert table.btree_lookup((2, 1)) == 2
+    assert table.read_measures(2) == records[1]
+    assert raised(table.read_measures, 2.0)[0] is RangeError
+    assert table.read_measures(Integral(2)) == records[1]
+
+
 def test_in_box_coordinates_beyond_the_stored_ones_miss_on_every_path(tmp_path):
     # every stored first coordinate is at most 255, yet 256..300 are in
     # the box; the index separates blocks by the table's 4-byte fields
@@ -297,9 +321,19 @@ def test_every_path_equals_the_dense_oracle_or_raises_the_same_error(data):
         with array, table, bitmap:
             assert type(array.header) is Header and type(bitmap.header) is PresenceBitmap
 
+            records = [record for _, record in cells]
+
             def via(lookup):
-                return lambda c: (None if (recno := lookup(c)) is None
-                                  else table.read_measures(recno))
+                def path(c):
+                    recno = lookup(c)
+                    if recno is None:
+                        return None
+                    # a record other than the one just found, when r > 1, is
+                    # read from the table and leaves the found one in place
+                    other = recno % len(records) + 1
+                    assert table.read_measures(other) == records[other - 1]
+                    return table.read_measures(recno)
+                return path
 
             paths = [array.get_cell, bitmap.get_cell,
                      via(table.btree_lookup), via(table.binary_search_lookup)]

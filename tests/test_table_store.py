@@ -1,5 +1,6 @@
 """Sorted table file and its disk B-tree index."""
 
+import errno
 import math
 import os
 import re
@@ -737,6 +738,93 @@ class TestSearchMatchesReference:
                     store.binary_search_lookup(c)
                     assert store.last_row_reads == counted.calls[fd] - before
                     assert store.last_row_reads <= bound
+
+
+class TestReadOnce:
+    """A lookup hit keeps its record, so read_measures of it reads nothing more."""
+
+    K, WIDTH, ROWS = 3, 8, 700
+
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        """(store, records by record number, pread counter) over a 256-byte-page index."""
+        tbl, cards = write_relation(tmp_path, self.K, self.WIDTH, self.ROWS)
+        btx = tmp_path / "rel.btx"
+        build_index_from_table(tbl, btx, self.K, self.WIDTH, 256)
+        records = dict(enumerate((rec for _, rec in iter_table_cells(tbl, self.K, self.WIDTH)),
+                                 1))
+        counted = CountedPread(os.pread)
+        monkeypatch.setattr(os, "pread", counted)
+        with TableStore.open(tbl, cards, self.WIDTH, btx) as store:
+            assert store.meta.height >= 2
+            yield store, records, counted
+
+    @staticmethod
+    def reads(store, counted) -> int:
+        return counted.calls.get(store._tbl_fd, 0)
+
+    def test_a_lookup_and_its_record_read_the_table_as_the_lookup_counts(self, store):
+        # a B-tree lookup reads its block and nothing more, a binary search
+        # last_row_reads times; a hit's read_measures adds no read to either
+        store, records, counted = store
+        hits = 0
+        for c in enumerate_box(store.cards):
+            for lookup, count in ((store.btree_lookup, lambda: 1),
+                                  (store.binary_search_lookup, lambda: store.last_row_reads)):
+                before = self.reads(store, counted)
+                recno = lookup(c)
+                if recno is not None:
+                    assert store.read_measures(recno) == records[recno]
+                    hits += 1
+                assert self.reads(store, counted) - before == count(), (lookup.__name__, c)
+        assert hits == 2 * self.ROWS
+
+    def test_any_other_record_is_read_once(self, store):
+        store, records, counted = store
+        kept = store.btree_lookup(store.read_row(350)[0])
+        assert kept == 350
+        for recno in records:
+            before = self.reads(store, counted)
+            assert store.read_measures(recno) == records[recno]
+            assert self.reads(store, counted) - before == (recno != kept)
+
+    def test_interleaved_lookups(self, store):
+        store, records, counted = store
+        a, b = store.read_row(10)[0], store.read_row(600)[0]
+        miss = next(c for c in enumerate_box(store.cards) if store.btree_lookup(c) is None)
+        for first, then in ((store.btree_lookup, store.binary_search_lookup),
+                            (store.binary_search_lookup, store.btree_lookup)):
+            # hit A, hit B: A's record is read from the table, and is A's
+            assert (first(a), then(b)) == (10, 600)
+            before = self.reads(store, counted)
+            assert store.read_measures(10) == records[10]
+            assert self.reads(store, counted) - before == 1
+            assert store.read_measures(600) == records[600]
+            # hit A, miss C: the miss leaves A's record in place
+            assert (first(a), then(miss)) == (10, None)
+            before = self.reads(store, counted)
+            assert store.read_measures(10) == records[10]
+            assert self.reads(store, counted) == before
+
+    def test_kept_record_is_the_one_the_lookup_searched(self, tmp_path, store):
+        # the table rewritten in place between a lookup and read_measures:
+        # the answer is the searched block's record, not the new file's
+        store, records, counted = store
+        tbl = tmp_path / "rel.tbl"
+        table = tbl.read_bytes()
+        recno = store.btree_lookup(store.read_row(123)[0])
+        tbl.write_bytes(bytes(len(table)))
+        assert store.read_measures(recno) == records[123]
+        assert store.read_measures(124) == bytes(self.WIDTH)
+
+    def test_close_forgets_the_record(self, store):
+        store, records, counted = store
+        recno = store.btree_lookup(store.read_row(5)[0])
+        assert store.read_measures(recno) == records[5]
+        store.close()
+        with pytest.raises(OSError) as failure:
+            store.read_measures(recno)
+        assert failure.value.errno == errno.EBADF
 
 
 class TestTruncatedTable:
