@@ -627,10 +627,7 @@ def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
                 raise DatasetError(f"{hdr}: array holds {array.record_count} records, "
                                    f"manifest says {manifest.r}")
     except Exception:
-        if table:
-            table.close()
-        if array:
-            array.close()
+        Dataset(root, manifest, table, array).close()
         raise
     return Dataset(root, manifest, table, array)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from collections.abc import Callable, Sequence
+from functools import lru_cache
 from operator import index
 
 from .errors import CapacityError, RangeError
@@ -106,9 +107,7 @@ def delinearize(position: int, cards: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-_KERNEL_FACTORIES: dict[int, Callable] = {}
-
-
+@lru_cache(maxsize=None)
 def _kernel_factory(k: int) -> Callable:
     """Compile, once per process, the factory of the kernels for k coordinates.
 
@@ -124,14 +123,12 @@ def _kernel_factory(k: int) -> Callable:
     as 1 and 0 on every path; pack and linearize both take a value with
     __index__ as its int.
     """
-    factory = _KERNEL_FACTORIES.get(k)
-    if factory is None:
-        dims = range(1, k + 1)
-        coords = "".join(f"i{j}, " for j in dims)
-        inside = " and ".join(f"1 <= i{j} <= c{j}" for j in dims)
-        position = " + ".join(["i1"] + [f"i{j} * s{j}" for j in dims[1:]])
-        key = ", ".join(f"i{j}" for j in reversed(dims))
-        source = f"""\
+    dims = range(1, k + 1)
+    coords = "".join(f"i{j}, " for j in dims)
+    inside = " and ".join(f"1 <= i{j} <= c{j}" for j in dims)
+    position = " + ".join(["i1"] + [f"i{j} * s{j}" for j in dims[1:]])
+    key = ", ".join(f"i{j}" for j in reversed(dims))
+    source = f"""\
 def factory(cards, strides, offset, pack):
     {"".join(f"c{j}, " for j in dims)}= cards
     {"".join(f"s{j}, " for j in dims)}= strides
@@ -161,11 +158,10 @@ def factory(cards, strides, offset, pack):
 
     return position, key
 """
-        namespace = {"_SEQUENCES": _SEQUENCES, "linearize": linearize,
-                     "StructError": struct.error}
-        exec(compile(source, f"<cubestore kernels k={k}>", "exec"), namespace)
-        factory = _KERNEL_FACTORIES[k] = namespace["factory"]
-    return factory
+    namespace = {"_SEQUENCES": _SEQUENCES, "linearize": linearize,
+                 "StructError": struct.error}
+    exec(compile(source, f"<cubestore kernels k={k}>", "exec"), namespace)
+    return namespace["factory"]
 
 
 def _kernels(cards: Sequence[int], pack) -> tuple[Callable, Callable]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import (
@@ -142,15 +143,16 @@ class MeasureColumn:
 class RecordCodec:
     """Packs and unpacks the fixed-width measure record of one row.
 
-    A record is the columns' fields back to back, with no padding.  It is
-    decoded by one struct compiled here: "<" then, per column, "q" for
-    int64, "d" for float64 and "{width}s" for text and presence.  The
-    byte fields of text and presence columns are then decoded by
-    MeasureColumn.unpack; a record of int64 and float64 columns alone is
-    the struct's tuple.
+    A record is the columns' fields back to back, with no padding, read by
+    one struct: "<" then "q" for int64, "d" for float64 and "{width}s" for
+    text and presence.  unpack is straight-line code compiled for the column
+    kinds: a length check, the struct unpack, each text field decoded, each
+    presence byte checked.  Its source names fields by position only, never
+    by column name, for names come from CSV headers and may hold any text.
+    A record it refuses is decoded field by field, raising MeasureColumn.unpack's error.
     """
 
-    __slots__ = ("columns", "record_width", "_struct", "_byte_fields")
+    __slots__ = ("columns", "record_width", "_struct", "unpack")
 
     def __init__(self, columns):
         self.columns = tuple(columns)
@@ -159,11 +161,9 @@ class RecordCodec:
         self._struct = struct.Struct("<" + "".join(
             _STRUCT_CODES.get(col.kind, f"{col.width}s") for col in self.columns
         ))
-        self._byte_fields = tuple(
-            (i, col.unpack) for i, col in enumerate(self.columns)
-            if col.kind not in _STRUCT_CODES
-        )
         self.record_width = self._struct.size
+        factory = _decoder_factory(tuple(col.kind for col in self.columns))
+        self.unpack = factory(self._struct.unpack, self.record_width, self._refused)
 
     @classmethod
     def presence(cls) -> "RecordCodec":
@@ -181,18 +181,41 @@ class RecordCodec:
             )
         return b"".join(col.pack(v) for col, v in zip(self.columns, values))
 
-    def unpack(self, raw: bytes) -> tuple:
+    def _refused(self, raw: bytes) -> tuple:
+        """Decode, field by field, a record the compiled decoder refused."""
         if len(raw) != self.record_width:
             raise MalformedInputError(
                 f"record is {len(raw)} bytes, expected {self.record_width}"
             )
-        values = self._struct.unpack(raw)
-        if not self._byte_fields:
-            return values
-        values = list(values)
-        for i, decode in self._byte_fields:
-            values[i] = decode(values[i])
-        return tuple(values)
+        return tuple(value if col.kind in _STRUCT_CODES else col.unpack(value)
+                     for col, value in zip(self.columns, self._struct.unpack(raw)))
+
+
+@lru_cache(maxsize=None)
+def _decoder_factory(kinds: tuple):
+    """Compile once per process the decoder factory (unpack, width, refused) of these kinds."""
+    fields = [f"f{i}" for i in range(len(kinds))]
+    text = "{}.rstrip(b'\\0').decode('utf-8')"
+    values = [text.format(f) if k == KIND_TEXT else "1" if k == KIND_PRESENCE else f
+              for f, k in zip(fields, kinds)]
+    present = "".join(f" and {f} == b'\\x01'" for f, k in zip(fields, kinds)
+                      if k == KIND_PRESENCE)
+    source = f"""\
+def factory(unpack, width, refused):
+    def decode(raw):
+        if len(raw) == width:
+            {", ".join(fields)}, = unpack(raw)
+            if True{present}:
+                try:
+                    return ({", ".join(values)},)
+                except UnicodeDecodeError:
+                    pass
+        return refused(raw)
+    return decode
+"""
+    namespace = {}
+    exec(compile(source, f"<cubestore record decoder {len(kinds)} columns>", "exec"), namespace)
+    return namespace["factory"]
 
 
 @dataclass(frozen=True)
@@ -329,10 +352,10 @@ class DimensionDirectory:
             return cls([])
         if not data.endswith("\n"):
             raise MalformedInputError("missing trailing newline")
-        return cls([
-            _ESCAPED.sub(_unescape_one, line) if "\\" in line else line
-            for line in data[:-1].split("\n")
-        ])
+        values = data[:-1].split("\n")
+        if "\\" in data:  # only escaped values need the substitution
+            values = [_ESCAPED.sub(_unescape_one, v) if "\\" in v else v for v in values]
+        return cls(values)
 
 
 def _escape(value: str) -> str:

@@ -73,7 +73,7 @@ import math
 import os
 import struct
 from bisect import bisect_left, bisect_right
-from functools import partial
+from functools import lru_cache, partial
 from itertools import count, islice
 from operator import lt
 from typing import NamedTuple
@@ -103,14 +103,9 @@ _NODE_HEADER = struct.Struct("<BxHxxxx")  # type, separator count
 _INTERNAL = 1
 _PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
-_KEY_PACKERS: dict[int, struct.Struct] = {}
-
-
+@lru_cache(maxsize=None)
 def _key_packer(k: int) -> struct.Struct:
-    packer = _KEY_PACKERS.get(k)
-    if packer is None:
-        packer = _KEY_PACKERS[k] = struct.Struct(f">{k}I")
-    return packer
+    return struct.Struct(f">{k}I")
 
 
 def encode_key(indices) -> bytes:
@@ -416,6 +411,8 @@ class TableStore:
 
     def close(self) -> None:
         self._kept = (None, b"")
+        self._tbl_fd = -1  # later reads raise EBADF, not reads of a reused descriptor
+        self._read_key = partial(os.pread, -1, self.key_bytes)
         self._tbl.close()
         if self._btx:
             self._btx.close()

@@ -1,7 +1,10 @@
 """Dataset directories: ingest, manifest, build, open, export."""
 
+import errno
 import hashlib
+import os
 import re
+from contextlib import ExitStack
 from itertools import product
 
 import pytest
@@ -25,6 +28,7 @@ from cubestore import (
 from cubestore.cli import main
 from cubestore.dataset import MANIFEST_NAME, Manifest, export_rows
 from cubestore.relation_model import MeasureColumn
+from test_table_store import CountedPread
 
 HEADER = ["store", "day", "qty", "note"]
 ROWS = [
@@ -495,6 +499,45 @@ class TestOpenAndQuery:
         with open_dataset(tmp_path / "ds", need=("array",)) as db:
             assert db.table is None
             assert db.array.record_count == 4
+
+    def test_a_closed_store_reads_no_other_file(self, tmp_path, monkeypatch):
+        """Once closed, every reader raises EBADF and reads no file, even
+        after another file has taken over the descriptor numbers the stores
+        held.  The table has three blocks, so the binary search compares keys."""
+        counted = CountedPread(os.pread)
+        monkeypatch.setattr(os, "pread", counted)
+        synth = generate_synthetic(2, (40, 40), 0.5, (4,), seed=3)
+        materialize_synthetic(synth, tmp_path / "ds")
+        build_dataset(tmp_path / "ds")
+        db = open_dataset(tmp_path / "ds")
+        table, array = db.table, db.array
+        coords = table.read_row(5)[0]
+        assert array.get_cell(coords) == table.read_measures(table.btree_lookup(coords))
+        held = {table._tbl_fd, array._fd}
+        db.close()
+        with ExitStack() as files:
+            opened = set()
+            for i in range(64):
+                if held <= opened:
+                    break
+                path = tmp_path / f"other{i}"
+                path.write_bytes(b"Z" * 4096)
+                opened.add(files.enter_context(open(path, "rb")).fileno())
+            assert held <= opened  # both numbers now name files of Z
+            readers = {
+                "btree_lookup": lambda: table.btree_lookup(coords),
+                "binary_search_lookup": lambda: table.binary_search_lookup(coords),
+                "read_measures": lambda: table.read_measures(5),
+                "read_row": lambda: table.read_row(5),
+                "get_cell": lambda: array.get_cell(coords),
+                "read_record": lambda: array.read_record(1),
+            }
+            for name, read in readers.items():
+                counted.calls.clear()
+                with pytest.raises(OSError) as failure:
+                    read()
+                assert failure.value.errno == errno.EBADF, name
+                assert set(counted.calls) == {-1}, name
 
 
 class TestMaterializeSynthetic:

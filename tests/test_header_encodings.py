@@ -1,5 +1,6 @@
 """The two header encodings: bitmap equivalence, choice, faults, old files."""
 
+import os
 import re
 import struct
 import subprocess
@@ -29,6 +30,7 @@ from cubestore.table_store import iter_table_cells, write_table
 from conftest import compress_to_memory, make_records, random_positions
 from oracle import bitmap_file_bytes, decode_header_by_scan, dense_array, header_runs
 from test_acceptance import corpus
+from test_table_store import CountedPread
 
 
 def write_cells_dataset(root, cards, cells, width: int) -> None:
@@ -103,6 +105,37 @@ def test_bits_set_from_the_runs_match_the_oracle(case):
     total, occupied = case
     header, _ = compress_to_memory(make_records(sorted(occupied), 1), total, 1)
     assert header._presence_bits() == bitmap_file_bytes(sorted(occupied), total)[24:]
+
+
+def filled_cells(total: int, fill: str) -> list:
+    """Occupied positions of a box of total cells: sparse, dense or random."""
+    if fill == "sparse":
+        return sorted({p for p in range(1, total + 1, 97)} | {total})
+    if fill == "dense":
+        return [p for p in range(1, total + 1) if p % 97]
+    rng = SplitMix64(total)
+    return [p for p in range(1, total + 1) if rng.below(2)]
+
+
+@pytest.mark.parametrize("fill", ["sparse", "dense", "random"])
+@pytest.mark.parametrize("body", [1, 63, 64, 65, 4095, 4096, 4097, 8200])
+def test_bitmap_blocks_at_every_boundary(tmp_path, body, fill):
+    """Bodies around a 512-bit block and a 64-block group load as the dense oracle says.
+
+    Three padding bits stay in the last byte, so the padding check sees
+    every size too.
+    """
+    total = 8 * body - 3
+    occupied = filled_cells(total, fill)
+    path = tmp_path / "rel.hdr"
+    data = bitmap_file_bytes(occupied, total)
+    path.write_bytes(data)
+    header, _ = compress_to_memory(make_records(occupied, 1), total, 1)
+    check_same_cells(Header.load(path), header, occupied, total)
+    path.write_bytes(data[:-1] + bytes([data[-1] | 0x80]))
+    with pytest.raises(StorageError, match=re.escape(
+            f"{path}: padding bits past cell {total} are set in byte {len(data) - 1}")):
+        Header.load(path)
 
 
 class TestBitmapErrors:
@@ -206,6 +239,27 @@ def test_hdr_faults_never_give_silent_wrong_answers(tmp_path, count, encoding):
     assert accepted + rejected == 100 + -(-len(data) // 8)
     print(f"{encoding.__name__}: {len(data)} bytes, "
           f"{rejected} mutations rejected, {accepted} accepted with the same answers")
+
+
+@pytest.mark.parametrize("count,encoding", [(2945, PresenceBitmap), (30, Header)])
+def test_get_cell_reads_once_per_hit_and_never_on_a_miss(tmp_path, monkeypatch, count,
+                                                         encoding):
+    root = tmp_path / "ds"
+    expected = fault_dataset(root, count, seed=count)
+    counted = CountedPread(os.pread)
+    monkeypatch.setattr(os, "pread", counted)
+    with open_dataset(root, need=("array",)) as db:
+        assert type(db.array.header) is encoding
+        arr = db.array._fd
+
+        def reads():  # (all preads, preads of the .arr file)
+            return sum(counted.calls.values()), counted.calls.get(arr, 0)
+
+        for position, answer in enumerate(expected, start=1):
+            before = reads()
+            assert db.array.get_cell(delinearize(position, FAULT_CARDS)) == answer
+            hit = answer is not None
+            assert tuple(map(int.__sub__, reads(), before)) == (hit, hit), position
 
 
 def test_padding_bit_rejected_at_open(tmp_path):

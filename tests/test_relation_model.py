@@ -167,6 +167,55 @@ class TestRecordCodec:
             with pytest.raises(MalformedInputError, match="record is"):
                 codec.unpack(bad)
 
+    # a record of 27 bytes: label 0..5, qty 6..13, here 14, price 15..22, note 23..26
+    MIXED = (MeasureColumn("label", "text", 6), MeasureColumn("qty", "int64", 8),
+             MeasureColumn("here", "presence", 1), MeasureColumn("price", "float64", 8),
+             MeasureColumn("note", "text", 4))
+
+    @staticmethod
+    def error_of(decode, raw) -> str:
+        with pytest.raises(MalformedInputError) as info:
+            decode(raw)
+        return str(info.value)
+
+    def test_decoder_raises_the_columns_errors(self):
+        codec = RecordCodec(self.MIXED)
+        label, _, here, _, note = self.MIXED
+        raw = codec.pack(("ab", -3, 1, 0.5, "\u00e9"))
+        assert codec.unpack(raw) == ("ab", -3, 1, 0.5, "\u00e9")
+        bad_label = b"a\xffb" + raw[3:]
+        bad_here = raw[:14] + b"\x00" + raw[15:]
+        bad_note = raw[:23] + b"\xc3\0\0\0"  # a cut two-byte character
+        for bad, col, field in ((bad_label, label, bad_label[:6]),
+                                (bad_here, here, bad_here[14:15]),
+                                (bad_note, note, bad_note[23:])):
+            assert self.error_of(codec.unpack, bad) == self.error_of(col.unpack, field)
+        assert self.error_of(codec.unpack, bad_label) == (
+            "column label: corrupt text, byte 1 is not UTF-8")
+        assert self.error_of(codec.unpack, bad_here) == (
+            "column here: corrupt presence byte b'\\x00'")
+        # of two bad fields, the first column's error
+        both = bad_label[:14] + b"\x02" + bad_label[15:]
+        assert self.error_of(codec.unpack, both) == self.error_of(label.unpack, both[:6])
+        assert self.error_of(codec.unpack, raw + b"\0") == "record is 28 bytes, expected 27"
+
+    @pytest.mark.parametrize("names", [
+        ('a"b', "c'd", "e)f", "g\\"),
+        ("x\ny", '"""', "); raise SystemExit(", "\\0'\n#"),
+    ])
+    def test_column_names_stay_out_of_the_decoder(self, names):
+        columns = tuple(MeasureColumn(name, kind, width) for name, (kind, width) in zip(
+            names, (("text", 4), ("presence", 1), ("int64", 8), ("text", 2))))
+        codec = RecordCodec(columns)
+        raw = codec.pack(("h\u00e9", 1, 7, "z"))
+        assert codec.unpack(raw) == ("h\u00e9", 1, 7, "z")
+        assert self.error_of(codec.unpack, b"\xff" + raw[1:]) == (
+            f"column {names[0]}: corrupt text, byte 0 is not UTF-8")
+        assert self.error_of(codec.unpack, raw[:4] + b"\x05" + raw[5:]) == (
+            f"column {names[1]}: corrupt presence byte b'\\x05'")
+        assert self.error_of(codec.unpack, raw[:-1] + b"\xe9") == (
+            f"column {names[3]}: corrupt text, byte 1 is not UTF-8")
+
 
 class TestRelationSchema:
     def test_cases(self):
