@@ -50,8 +50,8 @@ one bit_count added to the block's cumulative rank.
 In memory a run header is three parallel int lists (columns) with one
 item per entry: the run ends, the empty counts, and the filled counts
 (end minus empties, the physical number of the run's last record).  No
-per-entry object is kept; RunEntry values are built only when the
-entries are iterated.  Opening a run header costs one file read, one
+per-entry object is kept; iterating a header yields plain (end,
+empties) tuples.  Opening a run header costs one file read, one
 array('Q') decode, two column slices, one subtraction pass for the
 filled counts and two C-level checks (a sort of the already sorted
 empty counts, and one map over operator.lt for the filled counts) that
@@ -79,7 +79,6 @@ from bisect import bisect_left
 from itertools import accumulate, chain, compress, count, islice, repeat
 from operator import le, lt, not_, sub
 from pathlib import Path
-from typing import NamedTuple
 
 from .errors import (
     DuplicateKeyError,
@@ -97,11 +96,6 @@ _BLOCK_BYTES = 64  # 512 bits per in-memory block of a bitmap
 _BLOCK_BITS = 8 * _BLOCK_BYTES
 _GROUP = struct.Struct(f"{_BLOCK_BYTES}s" * 64)  # 64 blocks per iter_unpack step
 _SWAP = sys.byteorder != "little"
-
-
-class RunEntry(NamedTuple):
-    end: int      # logical position of the run's last nonempty cell (or the box end)
-    empties: int  # empty cells up to and including this run's leading gap
 
 
 def _first_false(flags) -> int | None:
@@ -193,7 +187,7 @@ class Header:
         return len(self._ends)
 
     def __iter__(self):
-        return map(RunEntry, self._ends, self._empties)
+        return zip(self._ends, self._empties)
 
     def __eq__(self, other):
         return (isinstance(other, Header) and self._ends == other._ends
@@ -350,9 +344,9 @@ class PresenceBitmap:
             while bits:
                 low = bits & -bits
                 end = block * _BLOCK_BITS + low.bit_length()
-                yield RunEntry(end, end - self.locate(end))
+                yield end, end - self.locate(end)
                 bits ^= low
-        yield RunEntry(self.total_cells, self.total_cells - self._ranks[-1])
+        yield self.total_cells, self.total_cells - self._ranks[-1]
 
 
 def save_header(header: Header, path) -> None:

@@ -12,7 +12,8 @@ Subcommands:
   export   write the stored rows back out as CSV
 
 Exit status: 0 on success, 1 when a query finds an empty cell,
-2 on any error (bad arguments, malformed input, missing files).
+2 on any error (bad arguments, malformed input, missing files, an
+output file that cannot be written).
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except CubeStoreError as exc:
+    except (CubeStoreError, OSError) as exc:  # an OSError names its path, e.g. an output file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

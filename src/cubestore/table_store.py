@@ -48,16 +48,17 @@ ArrayStore.get_cell does, so the two representations agree on them
 too.  write_table packs its rows' keys through the same kernel;
 encode_key stays the reference.
 
-The plain binary search uses no index.  It splits the rows into blocks
-of B = max(2, DEFAULT_PAGE_SIZE // row bytes) rows and bisects the
-blocks' first keys, reading each key it compares with one key-sized
-pread; then it reads the one block that can hold the key and bisects
-its rows in memory.  Both searches run inside C-level bisect calls.
-The comparisons stay about log2 r, the q_plain model's count, while
-the file reads fall to about log2(r / B) + 1.  A key probe is not
-length-checked: a probe cut short by a truncated file compares low,
-which only steers the search to a later block, and that block's read
-is checked.  The binary search reads and holds no table key at open.
+A TableStore always opens its index.  The plain binary search reads
+nothing of it, but cuts the table into the index's blocks of B rows,
+the leaf level, and bisects the blocks' first keys, reading each key
+it compares with one key-sized pread; then it reads the one block
+that can hold the key and bisects its rows in memory.  Both
+searches run inside C-level bisect calls.  The comparisons stay about
+log2 r, the q_plain model's count, while the file reads fall to about
+log2(r / B) + 1.  A key probe is not length-checked: a probe cut short
+by a truncated file compares low, which only steers the search to a
+later block, and that block's read is checked.  The binary search
+holds no table key from open.
 
 A hit on either path keeps (record number, record), sliced from the
 block it searched, as one tuple, until the next hit or close; a miss
@@ -73,13 +74,13 @@ import math
 import os
 import struct
 from bisect import bisect_left, bisect_right
+from contextlib import ExitStack
 from functools import lru_cache, partial
 from itertools import count, islice
 from operator import lt
 from typing import NamedTuple
 
 from .errors import (
-    DatasetError,
     DuplicateKeyError,
     MalformedInputError,
     NotSortedError,
@@ -343,22 +344,23 @@ def build_table(cells, tbl_path, btx_path, cards, record_width: int,
 
 
 class TableStore:
-    """Read handle over a sorted table file and its optional B-tree index.
+    """Read handle over a sorted table file and its B-tree index, which it requires.
 
     Reads go through pread.  The internal B-tree nodes are decoded once
-    at open, so btree_lookup reads only its block from the table;
-    last_page_reads still counts every node visited, height + 1, the
-    block as the leaf.  binary_search_lookup reads from the table file
-    only: one first key per block it compares, then one block of up to
-    B rows.  last_row_reads counts those .tbl reads, at most
-    ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1; it comes
-    from a per-table table of bisect's probe counts, so the lookup does
-    no counting of its own.  The per-lookup counters are plain
-    attributes and not thread-safe.  The record a hit keeps for
+    at open, so btree_lookup reads only its block from the table.
+    Every lookup visits the same height + 1 nodes, the block as the
+    leaf, so last_page_reads is set to that at open (0 for an empty
+    table) and no lookup writes it.  binary_search_lookup reads from
+    the table file only: one first key per block it compares, then one
+    block of up to B rows.  last_row_reads, the only per-lookup counter,
+    counts those .tbl reads, at most ceil(log2(blocks)) + 1, which is at
+    most floor(log2 r) + 1; it comes from a per-table table of bisect's
+    probe counts, so the lookup does no counting of its own.  It is a
+    plain attribute and not thread-safe.  The record a hit keeps for
     read_measures is described in the module notes.
     """
 
-    def __init__(self, tbl_file, cards, record_width: int, btx_file=None):
+    def __init__(self, tbl_file, cards, record_width: int, btx_file):
         self._tbl = tbl_file
         self._tbl_fd = tbl_file.fileno()
         self.cards = tuple(cards)
@@ -367,55 +369,46 @@ class TableStore:
         self.key_bytes = len(self.cards) * KEY_FIELD_WIDTH
         self.row_bytes = self.key_bytes + record_width
         self.row_count = _table_rows(tbl_file, self.row_bytes)
-        # binary_search_lookup: blocks of B rows, about one default page each
-        self._block_rows = block_rows(DEFAULT_PAGE_SIZE, self.row_bytes)
-        block_bytes = self._block_rows * self.row_bytes
-        blocks = -(-self.row_count // self._block_rows)
-        self._block_starts = range(block_bytes, blocks * block_bytes, block_bytes)
-        self._block_probes = _bisect_probes(len(self._block_starts))
         self._read_key = partial(os.pread, self._tbl_fd, self.key_bytes)
         self._btx = btx_file
-        self.meta: BTreeMeta | None = None
+        self.meta = self._read_meta()
+        # rows per block of the index's leaf level, the blocks both searches read
+        self.leaf_rows = block_rows(self.meta.page_size, self.row_bytes)
+        block_bytes = self.leaf_rows * self.row_bytes
+        blocks = -(-self.row_count // self.leaf_rows)
+        self._block_starts = range(block_bytes, blocks * block_bytes, block_bytes)
+        self._block_probes = _bisect_probes(len(self._block_starts))
         # internal page number -> (separator keys, child numbers)
         self._internal: dict[int, tuple[tuple[bytes, ...], tuple[int, ...]]] = {}
-        self.leaf_rows = 0  # rows per block of the index's leaf level
-        if btx_file is not None:
-            self.meta = self._read_meta()
-            self.leaf_rows = block_rows(self.meta.page_size, self.row_bytes)
-            self._load_internal_nodes()
-            # where the leftmost descent routes: block 1 starts with it
-            self._first_key = self._read_key(0)
-            height = self.meta.height  # btree_lookup reads plain attributes, not meta
-            self._root, self._levels, self._page_reads = self.meta.root, range(height), height + 1
+        self._load_internal_nodes(blocks)
+        # where the leftmost descent routes: block 1 starts with it
+        self._first_key = self._read_key(0)
+        height = self.meta.height  # btree_lookup reads plain attributes, not meta
+        self._root, self._levels = self.meta.root, range(height)
         # a block holds at most B rows and no more than the table's
-        rows = min(max(self._block_rows, self.leaf_rows), self.row_count)
+        rows = min(self.leaf_rows, self.row_count)
         self._row_keys = _row_slices(self.row_bytes, rows, 0, self.key_bytes)
         self._row_records = _row_slices(self.row_bytes, rows, self.key_bytes, self.row_bytes)
-        self.last_page_reads = 0
+        # every lookup visits the same nodes, its block included; an empty table none
+        self.last_page_reads = height + 1 if self.row_count else 0
         self.last_row_reads = 0
         self._kept = (None, b"")  # (record number, record) of the last hit; None is no row
 
     @classmethod
-    def open(cls, tbl_path, cards, record_width: int, btx_path=None) -> "TableStore":
-        tbl = _open(tbl_path)
-        btx = None
-        try:
-            if btx_path is not None:
-                btx = _open(btx_path)
-            return cls(tbl, cards, record_width, btx)
-        except Exception:
-            tbl.close()
-            if btx:
-                btx.close()
-            raise
+    def open(cls, tbl_path, cards, record_width: int, btx_path) -> "TableStore":
+        with ExitStack() as opened:  # closes both files if either open or the check fails
+            tbl = opened.enter_context(_open(tbl_path))
+            btx = opened.enter_context(_open(btx_path))
+            store = cls(tbl, cards, record_width, btx)
+            opened.pop_all()
+        return store
 
     def close(self) -> None:
         self._kept = (None, b"")
         self._tbl_fd = -1  # later reads raise EBADF, not reads of a reused descriptor
         self._read_key = partial(os.pread, -1, self.key_bytes)
         self._tbl.close()
-        if self._btx:
-            self._btx.close()
+        self._btx.close()
 
     def __enter__(self):
         return self
@@ -463,8 +456,8 @@ class TableStore:
             )
         return BTreeMeta(page_size, t, key_bytes, root, nodes, entries, height)
 
-    def _load_internal_nodes(self) -> None:
-        """Decode and check every internal node, level by level from the root.
+    def _load_internal_nodes(self, blocks: int) -> None:
+        """Decode and check every internal node over the table's blocks, from the root.
 
         Each internal page may be reached once, so a corrupt child
         number or height cannot make the walk loop, and the bottom
@@ -473,7 +466,6 @@ class TableStore:
         """
         meta = self.meta
         name = self._btx.name
-        blocks = -(-self.row_count // self.leaf_rows)
         if not (1 <= meta.root <= meta.node_count if meta.height else meta.root == blocks <= 1):
             raise StorageError(f"{name}: root {meta.root} at height {meta.height} is invalid "
                                f"for {meta.node_count} nodes over {blocks} blocks")
@@ -519,12 +511,9 @@ class TableStore:
         reads, checks against the descent and searches.  Coordinates
         outside the box raise RangeError.
         """
-        if self.meta is None:
-            raise DatasetError("no B-tree index is attached to this table")
         key = self._key(indices)
         node = self._root
         if not node:
-            self.last_page_reads = 0
             return None
         left = self._first_key
         internal = self._internal
@@ -534,8 +523,7 @@ class TableStore:
             if i:
                 left = separators[i - 1]
             node = children[i]
-        self.last_page_reads = self._page_reads
-        return self._search_block(node - 1, self.leaf_rows, key, left)
+        return self._search_block(node - 1, key, left)
 
     def binary_search_lookup(self, indices) -> int | None:
         """Record number of a key by bisecting the row file directly.
@@ -550,10 +538,10 @@ class TableStore:
             return None
         j = bisect_right(self._block_starts, key, key=self._read_key)
         self.last_row_reads = self._block_probes[j] + 1
-        return self._search_block(j, self._block_rows, key)
+        return self._search_block(j, key)
 
-    def _search_block(self, j: int, size: int, key: bytes, left: bytes = b""):
-        """Record number of key in block j (0-based) of size-row blocks, or None.
+    def _search_block(self, j: int, key: bytes, left: bytes = b""):
+        """Record number of key in block j (0-based) of the leaf level, or None.
 
         One length-checked pread reads the block for bisect_left.  A
         B-tree lookup passes left, the last separator its descent passed,
@@ -561,6 +549,7 @@ class TableStore:
         start with it.
         """
         row = self.row_bytes
+        size = self.leaf_rows
         first = j * size
         rows = min(size, self.row_count - first)
         block = os.pread(self._tbl_fd, rows * row, first * row)

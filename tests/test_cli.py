@@ -368,6 +368,15 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
     assert (tmp_path / "back.csv").read_text().splitlines()[0] == "store,day,qty,note"
 
 
+def assert_unwritable(tmp_path, capsys, run):
+    """run(directory) writes into a directory that does not exist: one error line, exit 2."""
+    missing = tmp_path / "missing"
+    assert run(missing) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+
+
 class TestCost:
     def test_custom_grid(self, capsys):
         assert main(["cost", "--p", "2", "--r", "1000", "--k", "5", "--t", "10"]) == 0
@@ -388,6 +397,10 @@ class TestCost:
         assert (tmp_path / "cost_p3.csv").exists()
         assert (tmp_path / "cost_btree_p3_t89.csv").exists()
 
+    def test_unwritable_csv_prefix(self, tmp_path, capsys):
+        assert_unwritable(tmp_path, capsys, lambda path: main(
+            ["cost", "--p", "3", "--r", "100", "--k", "4", "--csv", str(path / "cost")]))
+
 
 class TestBench:
     def test_run_and_csv(self, built, tmp_path, capsys):
@@ -398,6 +411,10 @@ class TestBench:
         assert "lookup cross-check: OK" in out
         lines = (tmp_path / "b.csv").read_text().splitlines()
         assert len(lines) == 3
+
+    def test_unwritable_csv(self, built, tmp_path, capsys):
+        assert_unwritable(tmp_path, capsys, lambda path: main(
+            ["bench", "--dataset", str(built), "--sizes", "5", "--csv", str(path / "b.csv")]))
 
     def test_deterministic_samples(self, built, capsys):
         assert main(["bench", "--dataset", str(built), "--sizes", "10",
@@ -429,6 +446,10 @@ class TestExport:
         assert main(["export", "--dataset", str(built)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("store,day,qty,note")
+
+    def test_unwritable_output(self, built, tmp_path, capsys):
+        assert_unwritable(tmp_path, capsys, lambda path: main(
+            ["export", "--dataset", str(built), "--out", str(path / "x.csv")]))
 
 
 class TestParser:

@@ -1,12 +1,13 @@
 """Sorted table file and its disk B-tree index."""
 
 import errno
+import gc
 import math
 import os
 import re
 import struct
-
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubestore import (
-    DatasetError,
     DuplicateKeyError,
     MalformedInputError,
     NotSortedError,
@@ -248,19 +248,18 @@ class TestLookup:
                 store.binary_search_lookup(coords)
                 assert store.last_row_reads <= bound
 
-    def test_lookup_without_index(self, tmp_path):
-        positions = [3, 8]
-        cells = make_records(positions, 3)
-        tbl = tmp_path / "plain.tbl"
-        with open(tbl, "wb") as f:
-            write_table(
-                iter([(delinearize(p, self.CARDS), rec) for p, rec in cells]),
-                f, self.CARDS, 3,
-            )
-        with TableStore.open(tbl, self.CARDS, 3) as store:
-            assert store.binary_search_lookup(delinearize(8, self.CARDS)) == 2
-            with pytest.raises(DatasetError):
-                store.btree_lookup((1, 1, 1))
+    def test_open_without_its_index(self, tmp_path):
+        # the index is part of every store: open names the missing .btx
+        # and closes the table file it had already opened
+        self.build(tmp_path, [3, 8]).close()
+        btx = tmp_path / "rel.btx"
+        btx.unlink()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StorageError, match=re.escape(f"cannot open {btx}: ")):
+                TableStore.open(tmp_path / "rel.tbl", self.CARDS, 3, btx)
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestNodeInvariants:
@@ -668,10 +667,6 @@ class TestRoutingCheck:
 ROW_SHAPES = [(1, 1), (3, 8), (2, 120), (2, 1500), (1, 2100)]
 
 
-def bsearch_block_rows(k: int, width: int) -> int:
-    return max(2, DEFAULT_PAGE_SIZE // (k * KEY_FIELD_WIDTH + width))
-
-
 def write_relation(tmp_path, k: int, width: int, r: int, name: str = "rel"):
     """A seeded r-row table in a box of about 1.5 r cells; returns (tbl, cards)."""
     cards = (-(-(3 * r // 2 + 3) // 3 ** (k - 1)),) + (3,) * (k - 1)
@@ -683,6 +678,13 @@ def write_relation(tmp_path, k: int, width: int, r: int, name: str = "rel"):
             f, cards, width,
         )
     return tbl, cards
+
+
+def open_indexed(tbl, cards, width: int, page_size: int | None = None) -> TableStore:
+    """Index tbl at page_size, beside it as <stem>.btx, and open both."""
+    btx = tbl.with_suffix(".btx")
+    build_index_from_table(tbl, btx, len(cards), width, page_size)
+    return TableStore.open(tbl, cards, width, btx)
 
 
 class CountedPread:
@@ -702,7 +704,9 @@ class TestSearchMatchesReference:
 
     @pytest.mark.parametrize("k,width", ROW_SHAPES)
     def test_every_coordinate(self, tmp_path, k, width):
-        b = bsearch_block_rows(k, width)
+        # r around the blocks of a 4096-byte index; the 128- and 256-byte
+        # indexes cut the same tables into blocks of a few rows
+        b = block_rows(DEFAULT_PAGE_SIZE, k * KEY_FIELD_WIDTH + width)
         for r in sorted({0, 1, b - 1, b, b + 1, 2 * b, 3 * b - 1, 3 * b + 1}):
             tbl, cards = write_relation(tmp_path, k, width, r)
             table = tbl.read_bytes()
@@ -712,26 +716,23 @@ class TestSearchMatchesReference:
             keys = [encode_key(c) for c in coords]
             expected = [binary_search_rows(table, key_bytes, row, key) for key in keys]
             assert sum(e is not None for e in expected) == r
-            with TableStore.open(tbl, cards, width) as store:
-                assert [store.binary_search_lookup(c) for c in coords] == expected
             for page_size in (128, 256, 4096):
-                btx = tmp_path / f"rel{page_size}.btx"
-                build_index_from_table(tbl, btx, k, width, page_size)
-                index = btx.read_bytes()
-                with TableStore.open(tbl, cards, width, btx) as store:
+                with open_indexed(tbl, cards, width, page_size) as store:
+                    index = tbl.with_suffix(".btx").read_bytes()
+                    assert [store.binary_search_lookup(c) for c in coords] == expected
                     for c, expect in zip(coords, expected):
                         assert btree_lookup_by_pages(index, table, row, c) == expect
                         assert store.btree_lookup(c) == expect
 
     def test_row_read_counter_is_exact(self, tmp_path, monkeypatch):
         k, width = 3, 8
-        b = bsearch_block_rows(k, width)
+        b = block_rows(DEFAULT_PAGE_SIZE, k * KEY_FIELD_WIDTH + width)
         counted = CountedPread(os.pread)
         monkeypatch.setattr(os, "pread", counted)
         for r in sorted({1, 2, b - 1, b, b + 1, 2 * b, 5 * b - 1, 7 * b + 1}):
             tbl, cards = write_relation(tmp_path, k, width, r)
             bound = math.floor(math.log2(r)) + 1
-            with TableStore.open(tbl, cards, width) as store:
+            with open_indexed(tbl, cards, width) as store:
                 fd = store._tbl_fd
                 for c in enumerate_box(cards):
                     before = counted.calls.get(fd, 0)
@@ -827,6 +828,46 @@ class TestReadOnce:
         assert failure.value.errno == errno.EBADF
 
 
+class TestOneBlockGeometry:
+    """Both searches read the index's blocks, and the page count is fixed at open."""
+
+    K, WIDTH, ROWS = 3, 8, 700
+
+    def test_binary_search_reads_index_blocks_and_no_index_page(self, tmp_path, monkeypatch):
+        tbl, cards = write_relation(tmp_path, self.K, self.WIDTH, self.ROWS)
+        store = open_indexed(tbl, cards, self.WIDTH, 256)
+        inodes = {os.stat(tmp_path / f"rel.{ext}").st_ino: ext for ext in ("tbl", "btx")}
+        real_pread = os.pread
+        reads = []
+
+        def recording_pread(fd, size, offset):
+            reads.append((inodes.get(os.fstat(fd).st_ino), size, offset))
+            return real_pread(fd, size, offset)
+
+        with store:
+            # 20-byte rows: blocks of 12 rows at 256-byte pages, not 204 at 4096
+            assert store.leaf_rows == block_rows(256, 20) == 12
+            block = store.leaf_rows * store.row_bytes
+            monkeypatch.setattr(os, "pread", recording_pread)
+            for coords in enumerate_box(cards):  # hits and misses
+                reads.clear()
+                store.binary_search_lookup(coords)
+                assert all(f == "tbl" and size <= block for f, size, _ in reads), coords
+                assert reads[-1][2] % block == 0  # the searched block is an index block
+                reads.clear()
+                store.btree_lookup(coords)
+                assert [f for f, _, _ in reads] == ["tbl"]
+
+    @pytest.mark.parametrize("page_size", [88, 256, 4096])
+    def test_page_reads_are_set_at_open(self, tmp_path, page_size):
+        tbl, cards = write_relation(tmp_path, self.K, self.WIDTH, self.ROWS)
+        with open_indexed(tbl, cards, self.WIDTH, page_size) as store:
+            assert store.last_page_reads == store.meta.height + 1
+            for coords in enumerate_box(cards)[::37]:
+                store.btree_lookup(coords)
+                assert store.last_page_reads == store.meta.height + 1
+
+
 class TestTruncatedTable:
     """A .tbl cut after open raises StorageError or still gives the right row."""
 
@@ -836,7 +877,7 @@ class TestTruncatedTable:
         table = tbl.read_bytes()
         key_bytes = k * KEY_FIELD_WIDTH
         row = key_bytes + width
-        b = bsearch_block_rows(k, width)
+        b = block_rows(DEFAULT_PAGE_SIZE, row)
         coords = enumerate_box(cards)
         expected = [binary_search_rows(table, key_bytes, row, encode_key(c)) for c in coords]
         cuts = {
@@ -851,7 +892,7 @@ class TestTruncatedTable:
         answered = {}
         for what, size in cuts.items():
             tbl.write_bytes(table)
-            with TableStore.open(tbl, cards, width) as store:
+            with open_indexed(tbl, cards, width) as store:
                 os.truncate(tbl, size)
                 answered[what] = 0
                 for c, expect in zip(coords, expected):
@@ -876,8 +917,8 @@ class TestIterRows:
         k, width, r = 2, 3, 2 * 2048 + 5
         tbl, cards = write_relation(tmp_path, k, width, r)
         counted = CountedPread(os.pread)
-        monkeypatch.setattr(os, "pread", counted)
-        with TableStore.open(tbl, cards, width) as store:
+        with open_indexed(tbl, cards, width) as store:
+            monkeypatch.setattr(os, "pread", counted)
             rows = list(store.iter_rows())
             assert counted.calls[store._tbl_fd] == 3
             assert rows == list(iter_table_cells(tbl, k, width))
