@@ -263,10 +263,10 @@ def report(results, warmup: bool = False) -> str:
     return "\n".join(lines)
 
 
-def write_bench_csv(results, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["sample_size", "sample_pct", "table_ns", "array_ns", "quotient"])
-        for b in results:
-            writer.writerow([b.sample_size, f"{b.sample_pct:.2f}",
-                             b.table_ns, b.array_ns, f"{b.quotient:.6f}"])
+def write_bench_csv(results, out) -> None:
+    """Write the results as CSV to an open text file."""
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["sample_size", "sample_pct", "table_ns", "array_ns", "quotient"])
+    for b in results:
+        writer.writerow([b.sample_size, f"{b.sample_pct:.2f}",
+                         b.table_ns, b.array_ns, f"{b.quotient:.6f}"])

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from .array_store import Header, PresenceBitmap, header_bytes
@@ -61,6 +63,24 @@ def _parse_types(text: str) -> dict:
             raise MalformedInputError(f"bad type override {item!r}, expected name=kind[:width]")
         out[name] = spec
     return out
+
+
+@contextmanager
+def _replacing(path):
+    """A text file that replaces path only if the block completes.
+
+    It is created beside path before any work, so an unwritable
+    directory fails at once; on any failure it is removed and path
+    keeps its bytes.
+    """
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _cmd_ingest(args) -> int:
@@ -176,20 +196,22 @@ def _cmd_cost(args) -> int:
     tables = emit_cost_tables(
         tuple(args.p), tuple(args.r), tuple(args.k), t=args.t,
     )
-    print(cost_tables_text(tables))
     if args.csv:
         for path in write_cost_csv(tables, args.csv):
             print(f"wrote {path}", file=sys.stderr)
+    print(cost_tables_text(tables))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    with open_dataset(args.dataset) as db:
-        results = run_benchmark(db, sizes=tuple(args.sizes), seed=args.seed,
-                                warmup=args.warmup)
-    print(report(results, warmup=args.warmup))
+    with _replacing(args.csv) if args.csv else nullcontext() as out:
+        with open_dataset(args.dataset) as db:
+            results = run_benchmark(db, sizes=tuple(args.sizes), seed=args.seed,
+                                    warmup=args.warmup)
+        print(report(results, warmup=args.warmup))
+        if out is not None:
+            write_bench_csv(results, out)
     if args.csv:
-        write_bench_csv(results, args.csv)
         print(f"wrote {args.csv}", file=sys.stderr)
     return 0
 
@@ -197,14 +219,10 @@ def _cmd_bench(args) -> int:
 def _cmd_export(args) -> int:
     manifest = Manifest.load(Path(args.dataset) / MANIFEST_NAME)
     header = list(manifest.key_columns) + [c.name for c in manifest.measure_columns]
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _replacing(args.out) if args.out else nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(export_rows(args.dataset))
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

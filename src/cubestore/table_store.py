@@ -27,17 +27,18 @@ height 0.  Blocks hold at least two rows, so there are at most
 ceil(log_t((r + 1) / 2)) + 1 nodes, its block included.
 
 At open the metadata page is read and checked, then every internal
-node, with one pread of the index: its type and count, its separators
-strictly ascending, its children in range, every internal page reached
-once, and one bottom-level child per table block.  A lookup bisects the
-levels in memory, then reads and searches one block, the step the
-binary search ends with too.  The block must start with the last
-separator the descent passed on its left, or, when it passed none, with
-the table's first key, which open reads, so that only block 1 fits;
-otherwise StorageError names the index and the block.  That
-catches a corrupt block number and a lowered separator.  A raised
-separator can still route a key one block early, which only a checksum
-can catch.
+node, with one pread of the index: its type and count, its children in
+range, every internal page reached once, and one bottom-level child per
+table block.  The walk lists each block's fence, the key it must start
+with: the last separator on its left, or for the leftmost block the
+table's first key, which open reads.  The fences must strictly ascend,
+which orders every node's separators too.  A lookup bisects them once,
+then reads and searches one block, the step the binary search ends
+with too; a block that does not start with its fence raises
+StorageError naming the index and the block.  That catches a corrupt
+block number, a lowered separator and one raised past the next fence; a
+separator raised less can still route a key one block early, which
+only a checksum can catch.
 
 Both lookups first encode the key with the box's key kernel
 (linearizer.key_kernel), compiled straight-line code for the box's k
@@ -102,7 +103,6 @@ _VERSION = 4
 _META = struct.Struct("<4sHHIIIQQQI")
 _NODE_HEADER = struct.Struct("<BxHxxxx")  # type, separator count
 _INTERNAL = 1
-_PLUS_ONE = bytes(range(1, 256)) + b"\xff"
 
 @lru_cache(maxsize=None)
 def _key_packer(k: int) -> struct.Struct:
@@ -147,25 +147,6 @@ def min_degree(page_size: int, key_bytes: int) -> int:
 def block_rows(page_size: int, row_bytes: int) -> int:
     """Rows B in a block of about one page; at least 2, so r rows make at most (r + 1) / 2."""
     return max(2, page_size // row_bytes)
-
-
-def _bisect_probes(n: int) -> bytes:
-    """Keys bisect compares over n items, indexed by the position it returns.
-
-    A probe splits a range of m items into m // 2 on its left and
-    m - m // 2 - 1 on its right.  The ranges on one level differ in
-    size by at most one, so the memo holds two sizes per level and the
-    table is built by C-level bytes operations.
-    """
-    memo = {0: b"\0"}
-
-    def probes(m: int) -> bytes:
-        if m not in memo:
-            half = m // 2
-            memo[m] = (probes(half) + probes(m - half - 1)).translate(_PLUS_ONE)
-        return memo[m]
-
-    return probes(n)
 
 
 def _row_slices(step: int, rows: int, start: int, stop: int) -> list[slice]:
@@ -346,18 +327,16 @@ def build_table(cells, tbl_path, btx_path, cards, record_width: int,
 class TableStore:
     """Read handle over a sorted table file and its B-tree index, which it requires.
 
-    Reads go through pread.  The internal B-tree nodes are decoded once
-    at open, so btree_lookup reads only its block from the table.
-    Every lookup visits the same height + 1 nodes, the block as the
-    leaf, so last_page_reads is set to that at open (0 for an empty
-    table) and no lookup writes it.  binary_search_lookup reads from
-    the table file only: one first key per block it compares, then one
-    block of up to B rows.  last_row_reads, the only per-lookup counter,
-    counts those .tbl reads, at most ceil(log2(blocks)) + 1, which is at
-    most floor(log2 r) + 1; it comes from a per-table table of bisect's
-    probe counts, so the lookup does no counting of its own.  It is a
-    plain attribute and not thread-safe.  The record a hit keeps for
-    read_measures is described in the module notes.
+    Reads go through pread.  Open keeps the leaf level's fences and block
+    numbers, so btree_lookup bisects them and reads only its block from
+    the table.  Every lookup visits the same height + 1 nodes, the block
+    as the leaf, so last_page_reads is set to that at open (0 for an
+    empty table).  binary_search_lookup reads from the table file only:
+    one first key per block it compares, then one block of up to B rows.
+    It keeps the block bisect picked, one attribute that is not
+    thread-safe, and last_row_reads derives its .tbl reads from it: at
+    most ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1.  The
+    record a hit keeps for read_measures is described in the module notes.
     """
 
     def __init__(self, tbl_file, cards, record_width: int, btx_file):
@@ -377,21 +356,15 @@ class TableStore:
         block_bytes = self.leaf_rows * self.row_bytes
         blocks = -(-self.row_count // self.leaf_rows)
         self._block_starts = range(block_bytes, blocks * block_bytes, block_bytes)
-        self._block_probes = _bisect_probes(len(self._block_starts))
-        # internal page number -> (separator keys, child numbers)
-        self._internal: dict[int, tuple[tuple[bytes, ...], tuple[int, ...]]] = {}
-        self._load_internal_nodes(blocks)
-        # where the leftmost descent routes: block 1 starts with it
-        self._first_key = self._read_key(0)
-        height = self.meta.height  # btree_lookup reads plain attributes, not meta
-        self._root, self._levels = self.meta.root, range(height)
+        # the key each leaf block must start with, in key order, and its block number
+        self._fences, self._blocks = self._load_fences(blocks)
         # a block holds at most B rows and no more than the table's
         rows = min(self.leaf_rows, self.row_count)
         self._row_keys = _row_slices(self.row_bytes, rows, 0, self.key_bytes)
         self._row_records = _row_slices(self.row_bytes, rows, self.key_bytes, self.row_bytes)
         # every lookup visits the same nodes, its block included; an empty table none
-        self.last_page_reads = height + 1 if self.row_count else 0
-        self.last_row_reads = 0
+        self.last_page_reads = self.meta.height + 1 if self.row_count else 0
+        self._picked = None  # the block the last binary_search_lookup picked
         self._kept = (None, b"")  # (record number, record) of the last hit; None is no row
 
     @classmethod
@@ -456,74 +429,73 @@ class TableStore:
             )
         return BTreeMeta(page_size, t, key_bytes, root, nodes, entries, height)
 
-    def _load_internal_nodes(self, blocks: int) -> None:
-        """Decode and check every internal node over the table's blocks, from the root.
+    def _load_fences(self, blocks: int) -> tuple[list[bytes], list[int]]:
+        """Check every internal node from the root; return the leaf level's fences and blocks.
 
         Each internal page may be reached once, so a corrupt child
-        number or height cannot make the walk loop, and the bottom
-        level must name one block per table block.  Separators are
-        decoded, and their order checked, by C-level calls.
+        number or height cannot make the walk loop.  Ascending leaf
+        fences order every node's separators; the levels above the
+        bottom also check theirs node by node, so that error names the page.
         """
         meta = self.meta
         name = self._btx.name
         if not (1 <= meta.root <= meta.node_count if meta.height else meta.root == blocks <= 1):
             raise StorageError(f"{name}: root {meta.root} at height {meta.height} is invalid "
                                f"for {meta.node_count} nodes over {blocks} blocks")
+        fences, below = [self._read_key(0)], [meta.root]
         if not meta.height:
-            return
+            return fences, below
         data = os.pread(self._btx.fileno(), (meta.node_count + 1) * meta.page_size, 0)
         if len(data) != (meta.node_count + 1) * meta.page_size:
             raise StorageError(f"{name}: short read of the index")
         width = meta.key_bytes
-        level = [meta.root]
         seen = {meta.root}
         for depth in range(meta.height, 0, -1):
             limit = meta.node_count if depth > 1 else blocks
-            below = []
-            for page_no in level:
+            level = zip(below, fences)
+            fences, below = [], []
+            for page_no, fence in level:
                 off = page_no * meta.page_size
                 node_type, n = _NODE_HEADER.unpack_from(data, off)
                 if node_type != _INTERNAL or not 1 <= n <= 2 * meta.t - 1:
                     raise StorageError(f"{name}: page {page_no} is not an internal node")
                 off += _NODE_HEADER.size
                 separators = struct.unpack_from(f"{width}s" * n, data, off)
-                if not all(map(lt, separators, separators[1:])):
-                    raise StorageError(f"{name}: page {page_no} separators are not ascending")
                 children = struct.unpack_from(f"<{n + 1}Q", data, off + n * width)
                 if depth > 1:  # page numbers, each reached once
+                    if not all(map(lt, separators, separators[1:])):
+                        raise StorageError(f"{name}: page {page_no} separators are not ascending")
                     reached = len(seen)
                     seen.update(children)
                     if len(seen) - reached <= n:
                         raise StorageError(f"{name}: page {page_no} reaches a page twice")
                 if min(children) < 1 or max(children) > limit:
                     raise StorageError(f"{name}: page {page_no} has a child outside 1..{limit}")
-                self._internal[page_no] = (separators, children)
+                fences.append(fence)
+                fences += separators
                 below += children
-            level = below
-        if len(level) != blocks:
-            raise StorageError(f"{name}: the bottom level names {len(level)} blocks, "
+        if len(below) != blocks:
+            raise StorageError(f"{name}: the bottom level names {len(below)} blocks, "
                                f"the table has {blocks}")
+        if not all(map(lt, fences, islice(fences, 1, None))):
+            i = next(i for i in range(1, blocks) if fences[i] <= fences[i - 1])
+            raise StorageError(f"{name}: block {below[i]} has fence {fences[i].hex()}, "
+                               f"not above the fence {fences[i - 1].hex()} before it")
+        return fences, below
 
     def btree_lookup(self, indices) -> int | None:
         """Record number of a key, or None when no row has it.
 
-        Descends the in-memory levels to one block, which _search_block
-        reads, checks against the descent and searches.  Coordinates
-        outside the box raise RangeError.
+        bisect_right picks the last leaf block whose fence is not above
+        the key, or the first for a key below them all; _search_block
+        reads it, checks that it starts with its fence and searches it.
+        Coordinates outside the box raise RangeError.
         """
         key = self._key(indices)
-        node = self._root
-        if not node:
+        if not self.row_count:
             return None
-        left = self._first_key
-        internal = self._internal
-        for _ in self._levels:
-            separators, children = internal[node]
-            i = bisect_right(separators, key)
-            if i:
-                left = separators[i - 1]
-            node = children[i]
-        return self._search_block(node - 1, key, left)
+        i = bisect_right(self._fences, key, 1) - 1
+        return self._search_block(self._blocks[i] - 1, key, self._fences[i])
 
     def binary_search_lookup(self, indices) -> int | None:
         """Record number of a key by bisecting the row file directly.
@@ -534,18 +506,35 @@ class TableStore:
         """
         key = self._key(indices)
         if not self.row_count:
-            self.last_row_reads = 0
             return None
-        j = bisect_right(self._block_starts, key, key=self._read_key)
-        self.last_row_reads = self._block_probes[j] + 1
+        self._picked = j = bisect_right(self._block_starts, key, key=self._read_key)
         return self._search_block(j, key)
+
+    @property
+    def last_row_reads(self) -> int:
+        """.tbl reads of the last binary_search_lookup; 0 before one.
+
+        bisect_right's path is fixed by the block it returned, so this
+        replays it, counting the key probes, and adds the block read.
+        """
+        j = self._picked
+        if j is None:
+            return 0
+        lo, hi, reads = 0, len(self._block_starts), 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            reads += 1
+            if j <= mid:
+                hi = mid
+            else:
+                lo = mid + 1
+        return reads
 
     def _search_block(self, j: int, key: bytes, left: bytes = b""):
         """Record number of key in block j (0-based) of the leaf level, or None.
 
         One length-checked pread reads the block for bisect_left.  A
-        B-tree lookup passes left, the last separator its descent passed,
-        or the table's first key when it passed none: the block must
+        B-tree lookup passes left, the block's fence: the block must
         start with it.
         """
         row = self.row_bytes

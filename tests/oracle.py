@@ -238,6 +238,31 @@ def index_levels(index: bytes) -> list[list[tuple[int, list[bytes], list[int]]]]
     return levels
 
 
+def fences_in_order(index: bytes, first_key: bytes) -> list[bytes]:
+    """The key each leaf block must start with, in key order, by a recursive walk.
+
+    The leftmost block's is the table's first key, and every other
+    block's is the separator just before it in an in-order walk of the
+    nodes index_levels decodes.  A valid index's fences strictly ascend.
+    """
+    *_, root, _, _, height = _META.unpack_from(index, 0)
+    nodes = {page_no: (separators, children)
+             for level in index_levels(index) for page_no, separators, children in level}
+    fences = [first_key]
+
+    def walk(page_no: int, depth: int) -> None:
+        separators, children = nodes[page_no]
+        for i, child in enumerate(children):
+            if i:
+                fences.append(separators[i - 1])
+            if depth > 1:
+                walk(child, depth - 1)
+
+    if height:
+        walk(root, height)
+    return fences
+
+
 def space_ratio_by_bytes(record_width: int, row_bytes: int,
                          r: int, cell_total: int) -> Fraction:
     """Uncompressed-array bytes over table bytes, exactly."""

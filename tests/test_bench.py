@@ -227,7 +227,8 @@ class TestReporting:
     def test_csv(self, built_dataset, tmp_path):
         results = self.make_results(built_dataset)
         path = tmp_path / "bench.csv"
-        write_bench_csv(results, path)
+        with open(path, "w", newline="") as out:
+            write_bench_csv(results, out)
         lines = path.read_text().splitlines()
         assert lines[0] == "sample_size,sample_pct,table_ns,array_ns,quotient"
         assert len(lines) == 3

@@ -369,10 +369,14 @@ def test_readme_walkthrough_runs(tmp_path, monkeypatch, capsys):
 
 
 def assert_unwritable(tmp_path, capsys, run):
-    """run(directory) writes into a directory that does not exist: one error line, exit 2."""
+    """run(directory) writes into a directory that does not exist: one error line, exit 2.
+
+    The command fails before it prints anything.
+    """
     missing = tmp_path / "missing"
     assert run(missing) == 2
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(missing) in err
 
@@ -450,6 +454,18 @@ class TestExport:
     def test_unwritable_output(self, built, tmp_path, capsys):
         assert_unwritable(tmp_path, capsys, lambda path: main(
             ["export", "--dataset", str(built), "--out", str(path / "x.csv")]))
+
+    def test_failed_export_keeps_the_old_output(self, built, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        out_file = out_dir / "out.csv"
+        out_file.write_bytes(b"k,v\n1,2\n")
+        tbl = built / "relation.tbl"
+        tbl.write_bytes(tbl.read_bytes()[:-3])
+        assert main(["export", "--dataset", str(built), "--out", str(out_file)]) == 2
+        assert f"{tbl}: size" in capsys.readouterr().err
+        assert out_file.read_bytes() == b"k,v\n1,2\n"
+        assert list(out_dir.iterdir()) == [out_file]  # no temporary file is left
 
 
 class TestParser:

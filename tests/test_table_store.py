@@ -20,6 +20,7 @@ from cubestore import (
     NotSortedError,
     ParameterError,
     RangeError,
+    SplitMix64,
     StorageError,
     TableStore,
     build_table,
@@ -46,6 +47,7 @@ from oracle import (
     btree_lookup_by_pages,
     build_index_in_memory,
     enumerate_box,
+    fences_in_order,
     index_levels,
     table_lookup_by_scan,
 )
@@ -543,6 +545,8 @@ class TestIndexCorruption:
         "separator count lowered": r"page \d+ has a child outside 1\.\.167$",
         "height raised": r"page \d+ ",
         "height lowered": r"the bottom level names \d+ blocks, the table has 167$",
+        "separator raised past the next": (r"block \d+ has fence [0-9a-f]{24}, "
+                                           r"not above the fence [0-9a-f]{24} before it$"),
     }
 
     @pytest.mark.parametrize("damage", list(DAMAGE))
@@ -583,12 +587,49 @@ class TestIndexCorruption:
         elif damage.startswith("height"):
             struct.pack_into("<I", raw, self.META_HEIGHT,
                              meta.height + (1 if "raised" in damage else -1))
+        elif damage == "separator raised past the next":
+            # the first bottom node's last separator, raised past the fence of
+            # its right sibling, its parent's first separator: every node's
+            # separators still ascend, the leaf fences do not
+            page_no, seps, _ = levels[-1][0]
+            parent_first = levels[-2][0][1][0]
+            raised = parent_first[:-1] + bytes([parent_first[-1] + 1])
+            off = page_no * self.PAGE + 8 + (len(seps) - 1) * self.KEY_BYTES
+            raw[off : off + self.KEY_BYTES] = raised
         else:
             off = self.child_offset(root, root_count)
             raw[off + 8 : off + 16] = raw[off : off + 8]
         btx.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match=re.escape(f"{btx}: ") + self.DAMAGE[damage]):
             self.open(tmp_path)
+
+    def test_open_refuses_exactly_the_fences_that_do_not_ascend(self, tmp_path):
+        # seeded flips of separator bits only, so every node keeps its shape
+        # and fences_in_order can decode it; a flip can reorder a node's
+        # separators, cross a fence in a neighbouring node, or neither
+        levels, _ = self.build(tmp_path)
+        assert len(levels) == 3
+        btx = tmp_path / "rel.btx"
+        index = btx.read_bytes()
+        first_key = (tmp_path / "rel.tbl").read_bytes()[: self.KEY_BYTES]
+        bits = [8 * (page_no * self.PAGE + 8) + bit
+                for level in levels for page_no, seps, _ in level
+                for bit in range(8 * self.KEY_BYTES * len(seps))]
+        rng = SplitMix64(19)
+        refused = 0
+        for _ in range(300):
+            bit = bits[rng.below(len(bits))]
+            raw = bytearray(index)
+            raw[bit // 8] ^= 1 << (bit % 8)
+            fences = fences_in_order(bytes(raw), first_key)
+            btx.write_bytes(bytes(raw))
+            if all(a < b for a, b in zip(fences, fences[1:])):
+                self.open(tmp_path).close()
+            else:
+                with pytest.raises(StorageError, match=re.escape(f"{btx}: ")):
+                    self.open(tmp_path)
+                refused += 1
+        assert 0 < refused < 300
 
 
 class TestRoutingCheck:
