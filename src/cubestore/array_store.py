@@ -37,15 +37,13 @@ building a sparse relation takes O(r) memory, not O(N).
 
 Point lookup is three steps: linearize the coordinates, find whether the
 position is nonempty, then map it to its physical record, the number of
-nonempty cells up to and including it.  The first step runs the store's
-position kernel (linearizer.position_kernel), compiled straight-line
-code for the box's k that range-checks every coordinate and costs k - 1
-multiplications; coordinates outside the box, or of the wrong count,
-raise RangeError with linearize's message.  Over a run header that means a
-binary search for the first entry whose end covers the position, a
-comparison against the run's gap, and p minus the entry's empty count.
-Over a bitmap it is one divmod into a 512-bit block, one shift test, and
-one bit_count added to the block's cumulative rank.
+nonempty cells up to and including it.  Over a run header the second and
+third steps are a binary search for the first entry whose end covers the
+position, a comparison against the run's gap, and p minus the entry's
+empty count.  Over a bitmap they are one shift and mask into a 512-bit
+block, one shift test, and one bit_count taken from the block's
+cumulative rank.  linearize, header.locate and read_record are the
+reference steps.
 
 In memory a run header is three parallel int lists (columns) with one
 item per entry: the run ends, the empty counts, and the filled counts
@@ -64,9 +62,19 @@ bytes of a 2^20-cell bitmap is C-level passes: iter_unpack cuts groups
 of 64 blocks, one map over int.from_bytes makes the ints and one
 accumulate over bit_count the ranks, about 0.44 ms on the same host.
 
-get_cell trusts the header validated at open, whose locate returns None
-or a record number in 1..record_count: a hit is one pread and its
-short-read check, without the type and range checks read_record keeps.
+get_cell runs the three steps in one frame: a function compiled once per
+process per (k, header encoding) and bound to the store at open.  It
+holds the position kernel's coordinate test (linearizer.position_kernel:
+straight-line code for the box's k that range-checks every coordinate
+and costs k - 1 multiplications), then the header's locate step without
+locate's range test, which the coordinate test has already made, then a
+hit's one pread and its short-read check, without the type and range
+checks read_record keeps.  A miss reads nothing.  Any input the
+coordinate test refuses runs linearize and locate, so coordinates
+outside the box, or of the wrong count or type, raise the RangeError
+that linearize raises.  The function holds the header's columns and a
+one-slot descriptor that close sets to -1, never the store, so a closed
+store is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -76,8 +84,10 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left
-from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import le, lt, not_, sub
+from collections.abc import Callable
+from functools import lru_cache
+from itertools import accumulate, chain, compress, count, islice, product, repeat
+from operator import add, floordiv, le, lt, mod, not_, sub
 from pathlib import Path
 
 from .errors import (
@@ -87,15 +97,18 @@ from .errors import (
     RangeError,
     StorageError,
 )
-from .linearizer import _integer, cell_count, delinearize, position_kernel
+from .linearizer import _box, _compile, _integer, _prelude, cell_count
+from .table_store import _row_blocks
 
 _ENTRY_BYTES = 16  # two unsigned 64-bit little-endian words per entry
 _BITMAP_START = bytes(8) + b"PRESENCE"  # words 0 and the magic of a bitmap preamble
 _PREAMBLE_BYTES = 24  # _BITMAP_START, then total_cells
 _BLOCK_BYTES = 64  # 512 bits per in-memory block of a bitmap
 _BLOCK_BITS = 8 * _BLOCK_BYTES
+_BLOCK_SHIFT = _BLOCK_BITS.bit_length() - 1  # p >> _BLOCK_SHIFT is p // _BLOCK_BITS
 _GROUP = struct.Struct(f"{_BLOCK_BYTES}s" * 64)  # 64 blocks per iter_unpack step
 _SWAP = sys.byteorder != "little"
+_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]  # bit o of byte v is [v][o]
 
 
 def _first_false(flags) -> int | None:
@@ -193,6 +206,20 @@ class Header:
         return (isinstance(other, Header) and self._ends == other._ends
                 and self._empties == other._empties)
 
+    # locate after its range test, as the compiled get_cell runs it (see
+    # _lookup_factory): p is the position counted from _ORIGIN, a miss
+    # returns None and a hit sets before, the number of records ahead of it.
+    _ORIGIN = 1
+    _COLUMNS = "ends, empties, filled"
+    _STEP = """\
+j = bisect_left(ends, p)
+before = p - empties[j] - 1
+if before < (filled[j - 1] if j else 0):
+    return None"""
+
+    def _columns(self) -> tuple:
+        return self._ends, self._empties, self._filled
+
     def locate(self, position: int) -> int | None:
         """Physical record number of a logical position, or None if empty."""
         if not 1 <= position <= self._ends[-1]:
@@ -203,6 +230,11 @@ class Header:
         if record > (self._filled[j - 1] if j else 0):
             return record
         return None
+
+    def _cells(self):
+        """The stored cells' positions minus one, ascending, computed in C."""
+        firsts = map(add, chain((0,), self._filled), self._empties)
+        return chain.from_iterable(map(range, firsts, self._ends))
 
     def logical_of_physical(self, record: int) -> int:
         """Logical position of the record'th stored cell (inverse of locate)."""
@@ -305,6 +337,19 @@ class PresenceBitmap:
     def record_count(self) -> int:
         return self._ranks[-1]
 
+    # as Header's, with p counted from 0, so that p is the cell's bit index
+    _ORIGIN = 0
+    _COLUMNS = "blocks, ranks"
+    _STEP = f"""\
+b = p >> {_BLOCK_SHIFT}
+rest = blocks[b] >> (p & {_BLOCK_BITS - 1})
+if not rest & 1:
+    return None
+before = ranks[b] - rest.bit_count()"""
+
+    def _columns(self) -> tuple:
+        return self._blocks, self._ranks
+
     def locate(self, position: int) -> int | None:
         """Physical record number of a logical position, or None if empty."""
         if not 1 <= position <= self.total_cells:
@@ -314,6 +359,11 @@ class PresenceBitmap:
         if rest & 1:
             return self._ranks[block] - rest.bit_count() + 1
         return None
+
+    def _cells(self):
+        """The set bits' indexes (stored positions minus one), ascending, computed in C."""
+        data = b"".join(map(int.to_bytes, self._blocks, repeat(_BLOCK_BYTES), repeat("little")))
+        return compress(count(), chain.from_iterable(map(_BYTE_BITS.__getitem__, data)))
 
     def logical_of_physical(self, record: int) -> int:
         """Logical position of the record'th stored cell (inverse of locate)."""
@@ -414,11 +464,52 @@ def compress_stream(cells, total_cells: int, record_width: int, out) -> Header:
     return Header._of_columns(ends, empties, "compressed header")
 
 
+@lru_cache(maxsize=None)
+def _lookup_factory(k: int, encoding: type) -> Callable:
+    """Compile, once per process, the factory of get_cell for k coordinates over encoding.
+
+    encoding is Header or PresenceBitmap (see the module notes).  The
+    factory takes (cards, strides, offset, columns, locate, width, name,
+    fd), with offset set so that p counts from encoding._ORIGIN, and
+    returns get_cell and a function that sets its descriptor to -1.
+    """
+    step = encoding._STEP.replace("\n", "\n    ")
+    bind, test = _prelude(k, f"p = {{position}} - offset\nif type(p) is int:\n    {step}")
+    source = f"""\
+def factory(cards, strides, offset, columns, locate, width, name, fd):
+{bind}\
+    {encoding._COLUMNS}, = columns
+
+    def get_cell(indices):
+        before = -1
+{test}\
+        if before < 0:
+            record = locate(linearize(indices, cards))
+            if record is None:
+                return None
+            before = record - 1
+        data = os.pread(fd, width, before * width)
+        if len(data) != width:
+            raise StorageError(f"{{name}}: short read at record {{before + 1}}")
+        return data
+
+    def forget_fd():
+        nonlocal fd
+        fd = -1
+
+    return get_cell, forget_fd
+"""
+    return _compile(source, f"get_cell k={k} {encoding.__name__}", os=os,
+                    bisect_left=bisect_left, StorageError=StorageError)
+
+
 class ArrayStore:
     """Read handle over a compressed array file plus its cached header.
 
     The header is loaded and validated up front; record reads go through
     pread, so a handle can serve interleaved lookups without seek state.
+    get_cell(indices), the measure record at the coordinates or None for
+    an empty cell, is the compiled lookup of the module notes.
     """
 
     def __init__(self, arr_file, header: "Header | PresenceBitmap", cards,
@@ -429,8 +520,6 @@ class ArrayStore:
         self.cards = tuple(cards)
         self.record_width = record_width
         total = cell_count(self.cards)
-        self._position = position_kernel(self.cards)
-        self._locate = header.locate
         if header.total_cells != total:
             raise StorageError(
                 f"{arr_file.name}: header covers {header.total_cells} cells, box has {total}"
@@ -441,6 +530,11 @@ class ArrayStore:
                 f"{arr_file.name}: array file is {size} bytes, header expects "
                 f"{header.record_count * record_width}"
             )
+        cards, strides, offset = _box(self.cards)
+        factory = _lookup_factory(len(cards), type(header))
+        self.get_cell, self._forget_fd = factory(
+            cards, strides, offset + 1 - header._ORIGIN, header._columns(), header.locate,
+            record_width, arr_file.name, self._fd)
 
     @classmethod
     def open(cls, arr_path, hdr_path, cards, record_width: int) -> "ArrayStore":
@@ -461,6 +555,7 @@ class ArrayStore:
 
     def close(self) -> None:
         self._fd = -1  # a later read raises EBADF, not a read of a reused descriptor
+        self._forget_fd()
         self._file.close()
 
     def __enter__(self):
@@ -481,25 +576,20 @@ class ArrayStore:
             raise StorageError(f"{self._file.name}: short read at record {record}")
         return data
 
-    def get_cell(self, indices) -> bytes | None:
-        """Measure record at the given coordinates, or None for an empty cell.
-
-        Coordinates outside the box raise RangeError.  A hit is one pread and
-        its short-read check, not read_record's checks (see the module notes).
-        """
-        record = self._locate(self._position(indices))
-        if record is None:
-            return None
-        w = self.record_width
-        data = os.pread(self._fd, w, (record - 1) * w)
-        if len(data) != w:
-            raise StorageError(f"{self._file.name}: short read at record {record}")
-        return data
-
     def iterate_nonempty(self):
-        """Yield (coordinates, record) for every stored cell in logical order."""
-        filled = 0
-        for end, empties in self.header:
-            for position in range(filled + empties + 1, end + 1):
-                yield delinearize(position, self.cards), self.read_record(position - empties)
-            filled = end - empties
+        """Yield (coordinates, record) for every stored cell in logical order.
+
+        The records are read in blocks of up to 2048, one pread each, and
+        each block's coordinates are delinearized column by column in C.
+        """
+        w = self.record_width
+        blocks = _row_blocks(self._fd, self._file.name, w, self.header.record_count)
+        cells = self.header._cells()
+        for block in blocks:
+            z = list(islice(cells, len(block) // w))
+            columns = []
+            for c in self.cards[:-1]:
+                columns.append(map(add, map(mod, z, repeat(c)), repeat(1)))
+                z = list(map(floordiv, z, repeat(c)))
+            columns.append(map(add, z, repeat(1)))
+            yield from zip(zip(*columns), (block[i : i + w] for i in range(0, len(block), w)))

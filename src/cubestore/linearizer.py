@@ -31,7 +31,9 @@ dimension first.  Only a tuple or list of k in-box int coordinates takes
 that path; any other input goes to linearize, so it raises exactly the
 error linearize raises.  The source is generated from k alone, never
 from the cards, and compiled once per process per k; building a
-store's kernel is then one call of the compiled factory.
+store's kernel is then one call of the compiled factory.  _prelude
+writes the coordinate test for both these kernels and the array
+store's compiled get_cell, which goes on to the header and the read.
 """
 
 from __future__ import annotations
@@ -107,6 +109,53 @@ def delinearize(position: int, cards: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _prelude(k: int, then: str, errors: str = "TypeError, ValueError") -> tuple[str, str]:
+    """Source of the coordinate step of a kernel compiled for k coordinates.
+
+    Returns (bind, test).  bind, statements of the factory's body, unpacks
+    its cards and strides arguments into c1..ck and s1..sk.  test, a
+    statement of the kernel's body, takes only a tuple or list of k
+    coordinates that pass 1 <= i_j <= c_j, and for them runs the source
+    then, which may name {position} (i1 + i2 * s2 + ... + ik * sk) and
+    {key} (ik, ..., i1).  A coordinate count that does not unpack, or any
+    of errors raised on the way, leaves test with no result, so the
+    kernel goes on to its reference fallback.
+    """
+    dims = range(1, k + 1)
+    then = then.format(position=" + ".join(["i1"] + [f"i{j} * s{j}" for j in dims[1:]]),
+                       key=", ".join(f"i{j}" for j in reversed(dims)))
+    then = then.replace("\n", "\n" + " " * 20)  # indented under the range test
+    bind = (f"    {''.join(f'c{j}, ' for j in dims)}= cards\n"
+            f"    {''.join(f's{j}, ' for j in dims)}= strides\n")
+    test = f"""\
+        if type(indices) in _SEQUENCES:
+            try:
+                {"".join(f"i{j}, " for j in dims)}= indices
+                if {" and ".join(f"1 <= i{j} <= c{j}" for j in dims)}:
+                    {then}
+            except ({errors}):
+                pass
+"""
+    return bind, test
+
+
+def _compile(source: str, name: str, **names) -> Callable:
+    """The function `factory` that source defines, compiled with the kernels' globals."""
+    namespace = {"_SEQUENCES": _SEQUENCES, "linearize": linearize, **names}
+    exec(compile(source, f"<cubestore {name}>", "exec"), namespace)
+    return namespace["factory"]
+
+
+def _box(cards: Sequence[int]) -> tuple[tuple, list, int]:
+    """(cards, strides, offset) of a box: position = i1 + i2 * s2 + ... - offset."""
+    cards = tuple(cards)
+    cell_count(cards)
+    strides = [1]
+    for c in cards[:-1]:
+        strides.append(strides[-1] * c)
+    return cards, strides, sum(strides) - 1
+
+
 @lru_cache(maxsize=None)
 def _kernel_factory(k: int) -> Callable:
     """Compile, once per process, the factory of the kernels for k coordinates.
@@ -123,54 +172,28 @@ def _kernel_factory(k: int) -> Callable:
     as 1 and 0 on every path; pack and linearize both take a value with
     __index__ as its int.
     """
-    dims = range(1, k + 1)
-    coords = "".join(f"i{j}, " for j in dims)
-    inside = " and ".join(f"1 <= i{j} <= c{j}" for j in dims)
-    position = " + ".join(["i1"] + [f"i{j} * s{j}" for j in dims[1:]])
-    key = ", ".join(f"i{j}" for j in reversed(dims))
+    bind, position = _prelude(k, "p = {position} - offset\nif type(p) is int:\n    return p")
+    _, key = _prelude(k, "return pack({key})", "TypeError, ValueError, StructError")
     source = f"""\
 def factory(cards, strides, offset, pack):
-    {"".join(f"c{j}, " for j in dims)}= cards
-    {"".join(f"s{j}, " for j in dims)}= strides
-
+{bind}
     def position(indices):
-        if type(indices) in _SEQUENCES:
-            try:
-                {coords}= indices
-                if {inside}:
-                    p = {position} - offset
-                    if type(p) is int:
-                        return p
-            except (TypeError, ValueError):
-                pass
+{position}\
         return linearize(indices, cards)
 
     def key(indices):
-        if type(indices) in _SEQUENCES:
-            try:
-                {coords}= indices
-                if {inside}:
-                    return pack({key})
-            except (TypeError, ValueError, StructError):
-                pass
+{key}\
         linearize(indices, cards)
         return pack(*reversed(indices))
 
     return position, key
 """
-    namespace = {"_SEQUENCES": _SEQUENCES, "linearize": linearize,
-                 "StructError": struct.error}
-    exec(compile(source, f"<cubestore kernels k={k}>", "exec"), namespace)
-    return namespace["factory"]
+    return _compile(source, f"kernels k={k}", StructError=struct.error)
 
 
 def _kernels(cards: Sequence[int], pack) -> tuple[Callable, Callable]:
-    cards = tuple(cards)
-    cell_count(cards)
-    strides = [1]
-    for c in cards[:-1]:
-        strides.append(strides[-1] * c)
-    return _kernel_factory(len(cards))(cards, strides, sum(strides) - 1, pack)
+    cards, strides, offset = _box(cards)
+    return _kernel_factory(len(cards))(cards, strides, offset, pack)
 
 
 def position_kernel(cards: Sequence[int]) -> Callable[[Sequence[int]], int]:

@@ -220,8 +220,8 @@ def _open(path):
         raise StorageError(f"cannot open {path}: {exc}") from None
 
 
-def _table_blocks(fd, name, row: int, rows: int):
-    """Yield the first `rows` rows of an open table file as blocks of up to 2048 rows."""
+def _row_blocks(fd, name, row: int, rows: int):
+    """Yield the first `rows` rows of an open file of fixed-width rows, up to 2048 per block."""
     end = rows * row
     step = row * 2048
     for off in range(0, end, step):
@@ -255,7 +255,7 @@ def iter_table_cells(tbl_path, k: int, record_width: int):
     """Stream (coordinates, record) from a sorted table file, in blocks of up to 2048 rows."""
     row = k * KEY_FIELD_WIDTH + record_width
     with _open(tbl_path) as f:
-        yield from _block_cells(_table_blocks(f.fileno(), tbl_path, row, _table_rows(f, row)),
+        yield from _block_cells(_row_blocks(f.fileno(), tbl_path, row, _table_rows(f, row)),
                                 k, row)
 
 
@@ -583,5 +583,5 @@ class TableStore:
 
     def iter_rows(self):
         """Yield (coordinates, record) in stored (logical) order."""
-        blocks = _table_blocks(self._tbl_fd, self._tbl.name, self.row_bytes, self.row_count)
+        blocks = _row_blocks(self._tbl_fd, self._tbl.name, self.row_bytes, self.row_count)
         return _block_cells(blocks, len(self.cards), self.row_bytes)

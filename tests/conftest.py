@@ -56,6 +56,17 @@ def build_array_files(tmp_path: Path, cells, cards, record_width: int,
     return ArrayStore.open(arr, hdr, cards, record_width)
 
 
+def build_both_encodings(tmp_path: Path, positions, cards, record_width: int = 3):
+    """Array stores of make_records(positions) over a run header and over a presence bitmap."""
+    from oracle import bitmap_file_bytes
+
+    runs = build_array_files(tmp_path, make_records(positions, record_width), cards,
+                             record_width)
+    (tmp_path / "bitmap.hdr").write_bytes(bitmap_file_bytes(positions, cell_count(cards)))
+    bitmap = ArrayStore.open(tmp_path / "rel.arr", tmp_path / "bitmap.hdr", cards, record_width)
+    return runs, bitmap
+
+
 def build_table_files(tmp_path: Path, cells, cards, record_width: int,
                       name: str = "rel", page_size: int | None = None) -> TableStore:
     tbl = tmp_path / f"{name}.tbl"

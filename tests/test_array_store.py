@@ -1,5 +1,6 @@
 """Header compression: frozen worked examples, oracle sweeps, store round-trips."""
 
+import os
 import re
 import struct
 
@@ -21,7 +22,10 @@ from cubestore import (
     linearize,
 )
 from cubestore.array_store import Header, PresenceBitmap
-from conftest import build_array_files, compress_to_memory, make_records, random_positions
+from conftest import (
+    build_array_files, build_both_encodings, compress_to_memory, make_records, random_positions,
+)
+from test_table_store import CountedPread
 from oracle import (
     bitmap_file_bytes,
     decode_header_by_scan,
@@ -361,6 +365,27 @@ class TestArrayStore:
         ]
         with self.open_store(tmp_path, occupied) as store:
             assert list(store.iterate_nonempty()) == expected
+
+    @pytest.mark.parametrize("encoding", [Header, PresenceBitmap])
+    def test_iterate_nonempty_reads_2048_records_per_pread(self, tmp_path, monkeypatch,
+                                                            encoding):
+        cards = (31, 19, 10)
+        occupied = random_positions(cell_count(cards), 4500, seed=20)
+        runs, bitmap = build_both_encodings(tmp_path, occupied, cards, 5)
+        with runs, bitmap:
+            store = runs if encoding is Header else bitmap
+            assert type(store.header) is encoding
+            expected = [(delinearize(p, cards), store.read_record(n))
+                        for n, p in enumerate(occupied, start=1)]
+            counted = CountedPread(os.pread)
+            monkeypatch.setattr(os, "pread", counted)
+            assert list(store.iterate_nonempty()) == expected
+            assert counted.calls == {store._fd: 3}  # 2048 + 2048 + 404 records
+            with open(tmp_path / "rel.arr", "r+b") as f:
+                f.truncate(5 * 4000)
+            cells = store.iterate_nonempty()
+            with pytest.raises(StorageError, match="short read of 10240 bytes at offset 10240"):
+                list(cells)
 
     def test_get_cell_bounds(self, tmp_path):
         with self.open_store(tmp_path, [2]) as store:

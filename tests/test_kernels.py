@@ -1,23 +1,31 @@
 """Compiled coordinate kernels against linearize and encode_key, and the
 out-of-box behaviour they give all three lookup paths."""
 
+import gc
 import os
 import struct
+import sys
 import tempfile
+import weakref
 from collections.abc import Iterator
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from types import CodeType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubestore import ArrayStore, RangeError, cell_count, encode_key, linearize
+from cubestore import (
+    ArrayStore, RangeError, SplitMix64, cell_count, delinearize, encode_key, linearize,
+)
 from cubestore.array_store import Header, PresenceBitmap
 from cubestore.linearizer import U64_MAX, key_kernel, position_kernel
 from cubestore.table_store import write_table
-from conftest import build_array_files, build_table_files, make_records, random_positions
+from conftest import (
+    build_array_files, build_both_encodings, build_table_files, make_records, random_positions,
+)
 from oracle import bitmap_file_bytes
 
 # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 = 2**64 - 1 cells
@@ -147,19 +155,111 @@ def test_out_of_box_raises_the_same_range_error_on_every_path(both_stores, coord
         assert raised(path, coords) == expected, path.__name__
 
 
+def constants(code: CodeType):
+    """Every constant of a code object and of the code objects nested in it."""
+    for value in code.co_consts:
+        if isinstance(value, CodeType):
+            yield from constants(value)
+        else:
+            yield value
+
+
 def test_stores_of_one_k_share_the_compiled_kernels(tmp_path):
+    # cards no constant of the compiled source could equal by chance
+    boxes = [(41, 43, 47), (53, 59, 61)]
     cells = make_records([1, 5, 9], 3)
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    with build_array_files(tmp_path / "a", cells, (4, 3, 2), 3) as a, \
-            build_array_files(tmp_path / "b", cells, (2, 2, 5), 3) as b, \
-            build_table_files(tmp_path / "a", cells, (4, 3, 2), 3) as ta, \
-            build_table_files(tmp_path / "b", cells, (2, 2, 5), 3) as tb:
-        assert a._position is not b._position
-        assert a._position.__code__ is b._position.__code__
+    arrays = []
+    for name, cards in zip("ab", boxes):
+        (tmp_path / name).mkdir()
+        arrays.append(build_both_encodings(tmp_path / name, [1, 5, 9], cards))
+    (a, a_bits), (b, b_bits) = arrays
+    with a, a_bits, b, b_bits, \
+            build_table_files(tmp_path / "a", cells, boxes[0], 3) as ta, \
+            build_table_files(tmp_path / "b", cells, boxes[1], 3) as tb:
         assert ta._key.__code__ is tb._key.__code__
-        assert (a._position((4, 3, 2)), b._position((2, 2, 5))) == (24, 20)
-        assert position_kernel((4, 3)).__code__ is not a._position.__code__
+        # one code object per (k, header encoding), whatever the cards
+        assert a.get_cell is not b.get_cell
+        assert a.get_cell.__code__ is b.get_cell.__code__
+        assert a_bits.get_cell.__code__ is b_bits.get_cell.__code__
+        assert a.get_cell.__code__ is not a_bits.get_cell.__code__
+        with build_array_files(tmp_path, cells, (41, 43), 3) as k2:
+            assert k2.get_cell.__code__ is not a.get_cell.__code__
+        for store in (a, a_bits, ta):
+            code = (store._key if store is ta else store.get_cell).__code__
+            assert not set(boxes[0] + boxes[1]) & set(constants(code))
+        for store in (a, a_bits):
+            assert store.get_cell((5, 1, 1)) == cells[1][1]
+        assert position_kernel(boxes[0]).__code__ is position_kernel(boxes[1]).__code__
+        assert position_kernel((4, 3)).__code__ is not position_kernel(boxes[0]).__code__
+
+
+def test_a_closed_dropped_store_is_freed_without_the_cyclic_collector(tmp_path):
+    stores = list(build_both_encodings(tmp_path, [1, 5, 9], (4, 3, 2)))
+    while stores:
+        store = stores.pop()
+        assert store.get_cell((1, 1, 1)) is not None
+        refs = [weakref.ref(store), weakref.ref(store._file)]
+        header = store.header  # a header takes no weak reference
+        store.close()
+        gc.disable()
+        try:
+            del store
+            assert [ref() for ref in refs] == [None, None]
+            # only this name holds it, plus the call's own argument where counted
+            assert sys.getrefcount(header) <= 2
+        finally:
+            gc.enable()
+
+
+def reference_cell(store, coords):
+    """The reference array steps: linearize, locate, read_record."""
+    record = store.header.locate(linearize(coords, store.cards))
+    return None if record is None else store.read_record(record)
+
+
+# boxes of k = 1..4 past two 512-bit blocks, each with padding bits in its
+# bitmap's last byte, and the 5,890-cell box of the header fault tests
+REFERENCE_BOXES = [(1500,), (50, 31), (12, 11, 13), (5, 7, 6, 9), (31, 19, 10)]
+
+
+def reference_fills(total: int) -> dict:
+    rng = SplitMix64(total)
+    gaps = sorted(random_positions(total - 90, 30, seed=total))
+    return {
+        "every cell": list(range(1, total + 1)),
+        "none": [],
+        "odd cells": list(range(1, total + 1, 2)),
+        "block edges": [1, 511, 512, 513, 1024, 1025, total],
+        "a third": sorted(p for p in range(1, total + 1) if rng.below(3) == 0),
+        # 30 runs of 3 records, after gaps of at least one empty cell
+        "30 runs of 3": [g + 3 * n + d for n, g in enumerate(gaps) for d in range(3)],
+    }
+
+
+@pytest.mark.parametrize("cards", REFERENCE_BOXES, ids=str)
+def test_compiled_get_cell_equals_the_reference_steps_at_every_cell(tmp_path, cards):
+    total = cell_count(cards)
+    assert total > 1025 and total % 8
+    for name, positions in reference_fills(total).items():
+        root = tmp_path / name
+        root.mkdir()
+        runs, bitmap = build_both_encodings(root, positions, cards)
+        with runs, bitmap:
+            assert type(runs.header) is Header and type(bitmap.header) is PresenceBitmap
+            assert runs.record_count == len(positions)
+            for store in (runs, bitmap):
+                answers = [store.get_cell(delinearize(p, cards)) for p in range(1, total + 1)]
+                assert answers == [reference_cell(store, delinearize(p, cards))
+                                   for p in range(1, total + 1)], (name, type(store.header))
+                assert [p for p, a in enumerate(answers, 1) if a is not None] == positions
+                for p in (511, 512, 513, 1024, 1025, total):
+                    assert store.get_cell(list(delinearize(p, cards))) == answers[p - 1]
+                # no coordinates reach the bitmap's padding bits: one past the
+                # box in any dimension raises what the reference raises
+                for coords in [cards[:-1] + (cards[-1] + 1,), (cards[0] + 1,) + cards[1:]]:
+                    expected = raised(lambda c: reference_cell(store, c), coords)
+                    assert expected[0] is RangeError
+                    assert raised(store.get_cell, coords) == expected
 
 
 # cells {1, 2, 3, 7} of a 4 x 2 box: (1, 1), (2, 1), (3, 1) and (3, 2)
@@ -314,10 +414,8 @@ def test_every_path_equals_the_dense_oracle_or_raises_the_same_error(data):
     dense = dict(cells)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        array = build_array_files(root, cells, cards, 3)  # a run header
+        array, bitmap = build_both_encodings(root, positions, cards)
         table = build_table_files(root, cells, cards, 3)
-        (root / "bitmap.hdr").write_bytes(bitmap_file_bytes(positions, total))
-        bitmap = ArrayStore.open(root / "rel.arr", root / "bitmap.hdr", cards, 3)
         with array, table, bitmap:
             assert type(array.header) is Header and type(bitmap.header) is PresenceBitmap
 
