@@ -88,7 +88,6 @@ from collections.abc import Callable
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, product, repeat
 from operator import add, floordiv, le, lt, mod, not_, sub
-from pathlib import Path
 
 from .errors import (
     DuplicateKeyError,
@@ -97,8 +96,8 @@ from .errors import (
     RangeError,
     StorageError,
 )
+from .files import open_for_pread, read_binary, row_blocks, write_file
 from .linearizer import _box, _compile, _integer, _prelude, cell_count
-from .table_store import _row_blocks
 
 _ENTRY_BYTES = 16  # two unsigned 64-bit little-endian words per entry
 _BITMAP_START = bytes(8) + b"PRESENCE"  # words 0 and the magic of a bitmap preamble
@@ -248,7 +247,7 @@ if before < (filled[j - 1] if j else 0):
         words[1::2] = array("Q", self._empties)
         if _SWAP:
             words.byteswap()
-        Path(path).write_bytes(words.tobytes())
+        write_file(path, words.tobytes())
 
     def _presence_bits(self) -> bytearray:
         """The bitmap body of the same cells: bit p - 1 set for each nonempty cell p."""
@@ -268,10 +267,7 @@ if before < (filled[j - 1] if j else 0):
     @classmethod
     def load(cls, path) -> "Header | PresenceBitmap":
         """Read and validate a header file in either encoding."""
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise StorageError(f"cannot read header {path}: {exc}") from None
+        data = read_binary(path, "header")
         if data.startswith(_BITMAP_START):
             return PresenceBitmap._of_file(data, path)
         if len(data) % _ENTRY_BYTES:
@@ -408,9 +404,8 @@ def save_header(header: Header, path) -> None:
     """
     sizes = header_bytes(header)
     if sizes["presence bitmap"] < sizes["run header"]:
-        Path(path).write_bytes(
-            _BITMAP_START + header.total_cells.to_bytes(8, "little") + header._presence_bits()
-        )
+        write_file(path, _BITMAP_START + header.total_cells.to_bytes(8, "little")
+                   + header._presence_bits())
     else:
         header.save(path)
 
@@ -539,10 +534,7 @@ class ArrayStore:
     @classmethod
     def open(cls, arr_path, hdr_path, cards, record_width: int) -> "ArrayStore":
         header = Header.load(hdr_path)
-        try:
-            f = open(arr_path, "rb")
-        except OSError as exc:
-            raise StorageError(f"cannot open {arr_path}: {exc}") from None
+        f = open_for_pread(arr_path)
         try:
             return cls(f, header, cards, record_width)
         except Exception:
@@ -583,7 +575,7 @@ class ArrayStore:
         each block's coordinates are delinearized column by column in C.
         """
         w = self.record_width
-        blocks = _row_blocks(self._fd, self._file.name, w, self.header.record_count)
+        blocks = row_blocks(self._fd, self._file.name, w, self.header.record_count)
         cells = self.header._cells()
         for block in blocks:
             z = list(islice(cells, len(block) // w))

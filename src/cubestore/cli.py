@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from pathlib import Path
 
 from .array_store import Header, PresenceBitmap, header_bytes
@@ -40,7 +39,6 @@ from .dataset import (
     BTREE_NAME,
     HEADER_NAME,
     MANIFEST_NAME,
-    TABLE_NAME,
     Manifest,
     build_dataset,
     export_rows,
@@ -48,10 +46,11 @@ from .dataset import (
     ingest_csv,
     open_dataset,
     size_report,
+    stored_cells,
 )
 from .errors import CubeStoreError, MalformedInputError
+from .files import replacing
 from .relation_model import build_conjoint, space_ratio
-from .table_store import iter_table_cells
 
 
 def _parse_types(text: str) -> dict:
@@ -63,24 +62,6 @@ def _parse_types(text: str) -> dict:
             raise MalformedInputError(f"bad type override {item!r}, expected name=kind[:width]")
         out[name] = spec
     return out
-
-
-@contextmanager
-def _replacing(path):
-    """A text file that replaces path only if the block completes.
-
-    It is created beside path before any work, so an unwritable
-    directory fails at once; on any failure it is removed and path
-    keeps its bytes.
-    """
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as out:
-            yield out
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _cmd_ingest(args) -> int:
@@ -180,7 +161,7 @@ def _cmd_stats(args) -> int:
     print()
     print(format_size_report(size_report(root)))
     if args.conjoint is not None:
-        cells = list(iter_table_cells(root / TABLE_NAME, manifest.k, schema.record_width))
+        cells = list(stored_cells(root, manifest))
         result, _ = build_conjoint(cells, args.conjoint, manifest.cards,
                                    allow_degenerate=args.allow_degenerate)
         print()
@@ -204,7 +185,7 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with _replacing(args.csv) if args.csv else nullcontext() as out:
+    with replacing(args.csv) if args.csv else nullcontext() as out:
         with open_dataset(args.dataset) as db:
             results = run_benchmark(db, sizes=tuple(args.sizes), seed=args.seed,
                                     warmup=args.warmup)
@@ -219,7 +200,7 @@ def _cmd_bench(args) -> int:
 def _cmd_export(args) -> int:
     manifest = Manifest.load(Path(args.dataset) / MANIFEST_NAME)
     header = list(manifest.key_columns) + [c.name for c in manifest.measure_columns]
-    with _replacing(args.out) if args.out else nullcontext(sys.stdout) as out:
+    with replacing(args.out) if args.out else nullcontext(sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(export_rows(args.dataset))

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
+from .files import replacing
 
 DEFAULT_P_VALUES = (1.0, 10.0, 100.0, 500.0, 1000.0, 1500.0)
 DEFAULT_R_VALUES = (10**3, 10**4, 10**5, 10**6, 10**7)
@@ -130,14 +131,14 @@ def cost_tables_text(tables) -> str:
 
 
 def write_cost_csv(tables, prefix) -> list[str]:
-    """Write one CSV file per table next to the given path prefix."""
+    """Write one UTF-8 CSV file per table next to the path prefix, each all or nothing."""
     paths = []
     for table in tables:
         if table.kind == "plain":
             name = f"{prefix}_p{table.p:g}.csv"
         else:
             name = f"{prefix}_btree_p{table.p:g}_t{table.t}.csv"
-        with open(name, "w", newline="") as f:
+        with replacing(name) as f:
             writer = csv.writer(f, lineterminator="\n")
             writer.writerow(["r"] + [f"k={k}" for k in table.k_values])
             for r, row in zip(table.r_values, table.cells):

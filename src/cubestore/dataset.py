@@ -10,6 +10,9 @@ A dataset directory holds one relation under these fixed names:
   relation.hdr   header of the compressed array, a run header or a presence
                  bitmap, whichever array_store.save_header finds smaller
 
+Only the files module opens, reads, writes or removes them; a failure
+raises DatasetError or StorageError naming the file.
+
 Ingestion reads the rows once.  That pass keeps, per key column, a map
 from each distinct value to a first-seen id and each row's id in an
 array('I'), and per measure column the raw text as UTF-8 bytes while it
@@ -46,6 +49,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
+from .files import clear_directory, read_utf8, write_file, writing
 from .linearizer import delinearize, position_kernel
 from .relation_model import (
     _I64_MAX,
@@ -138,9 +142,6 @@ class Manifest:
     def rho(self) -> float:
         return self.r / self.schema.cell_total
 
-    def save(self, path) -> None:
-        Path(path).write_bytes(self._encoded())
-
     def _encoded(self) -> bytes:
         schema = self.schema
         try:
@@ -169,10 +170,7 @@ class Manifest:
 
     @classmethod
     def load(cls, path) -> "Manifest":
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise DatasetError(f"cannot read manifest {path}: {exc}") from None
+        text = read_utf8(path, "manifest")
         fields = {}
         for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
@@ -430,24 +428,18 @@ def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
     encoding changes no file.  Then removes an earlier build's index,
     array and header, so they cannot answer for the new table; the next
     query asks for a build.  Stamps the manifest with the current time.
-    Any OSError becomes a DatasetError naming the directory.
     """
     out = Path(out_dir)
     manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     dim_paths = _dim_paths(out, manifest.k)
     dims = [directory._encoded(path) for directory, path in zip(key_dirs, dim_paths)]
     text = manifest._encoded()
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        for name in (BTREE_NAME, ARRAY_NAME, HEADER_NAME):
-            (out / name).unlink(missing_ok=True)
-        for path, raw in zip(dim_paths, dims):
-            path.write_bytes(raw)
-        with open(out / TABLE_NAME, "wb") as f:
-            write_table(cells, f, manifest.cards, manifest.schema.record_width)
-        (out / MANIFEST_NAME).write_bytes(text)
-    except OSError as exc:
-        raise DatasetError(f"cannot write the dataset to {out}: {exc}") from None
+    clear_directory(out, (BTREE_NAME, ARRAY_NAME, HEADER_NAME))
+    for path, raw in zip(dim_paths, dims):
+        write_file(path, raw)
+    with writing(out / TABLE_NAME) as f:
+        write_table(cells, f, manifest.cards, manifest.schema.record_width)
+    write_file(out / MANIFEST_NAME, text)
     return manifest
 
 
@@ -484,15 +476,14 @@ def build_dataset(dataset_dir, which: str = "both",
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
     schema = manifest.schema
-    tbl = _existing(root / TABLE_NAME, "table", "ingest first")
+    stored = stored_cells(root, manifest)
     if which in ("both", "table"):
-        build_index_from_table(tbl, root / BTREE_NAME,
+        build_index_from_table(root / TABLE_NAME, root / BTREE_NAME,
                                manifest.k, schema.record_width, page_size)
     if which in ("both", "array"):
         position_of = position_kernel(manifest.cards)
-        cells = ((position_of(indices), record) for indices, record
-                 in iter_table_cells(tbl, manifest.k, schema.record_width))
-        with open(root / ARRAY_NAME, "wb") as f:
+        cells = ((position_of(indices), record) for indices, record in stored)
+        with writing(root / ARRAY_NAME) as f:
             header = compress_stream(cells, schema.cell_total, schema.record_width, f)
         save_header(header, root / HEADER_NAME)
     return size_report(root)
@@ -590,7 +581,7 @@ def _load_directories(root: Path, manifest: Manifest) -> list[DimensionDirectory
     for path, card in zip(_dim_paths(root, manifest.k), manifest.cards):
         try:
             directory = DimensionDirectory.load(path)
-        except (OSError, UnicodeDecodeError, MalformedInputError) as exc:
+        except MalformedInputError as exc:
             raise DatasetError(f"cannot read dimension directory {path}: {exc}") from None
         if len(directory) != card:
             raise DatasetError(
@@ -632,6 +623,18 @@ def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
     return Dataset(root, manifest, table, array)
 
 
+def stored_cells(root: Path, manifest: Manifest):
+    """Stream the table's cells; whole rows but not manifest.r of them raise DatasetError.
+
+    That check runs at the call; a partial row raises StorageError as it streams.
+    """
+    tbl = _existing(root / TABLE_NAME, "table", "ingest first")
+    rows, partial = divmod(tbl.stat().st_size, manifest.schema.row_bytes)
+    if rows != manifest.r and not partial:
+        raise DatasetError(f"{tbl}: table holds {rows} rows, manifest says {manifest.r}")
+    return iter_table_cells(tbl, manifest.k, manifest.schema.record_width)
+
+
 def export_rows(dataset_dir):
     """Reconstruct the ingested rows (key values first, canonical measures).
 
@@ -642,9 +645,7 @@ def export_rows(dataset_dir):
     manifest = Manifest.load(root / MANIFEST_NAME)
     dirs = _load_directories(root, manifest)
     codec = manifest.codec
-    for indices, record in iter_table_cells(
-        root / TABLE_NAME, manifest.k, manifest.schema.record_width
-    ):
+    for indices, record in stored_cells(root, manifest):
         values = tuple(d.value_of(i) for d, i in zip(dirs, indices))
         if codec.is_presence:
             yield values

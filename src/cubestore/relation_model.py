@@ -19,7 +19,6 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from .errors import (
     DegenerateConjointError,
@@ -30,6 +29,7 @@ from .errors import (
     UndefinedDensityError,
     UnknownDimensionValueError,
 )
+from .files import read_utf8
 from .linearizer import cell_count
 from .table_store import KEY_FIELD_WIDTH
 
@@ -333,9 +333,6 @@ class DimensionDirectory:
             raise RangeError(f"directory index {index} outside 1..{len(self.values)}")
         return self.values[index - 1]
 
-    def save(self, path) -> None:
-        Path(path).write_bytes(self._encoded(path))
-
     def _encoded(self, path) -> bytes:
         data = "".join(_escape(v) + "\n" for v in self.values)
         try:
@@ -347,7 +344,7 @@ class DimensionDirectory:
 
     @classmethod
     def load(cls, path) -> "DimensionDirectory":
-        data = Path(path).read_bytes().decode("utf-8")
+        data = read_utf8(path, "dimension directory")
         if not data:  # only a zero-byte file holds no values; "\n" holds ""
             return cls([])
         if not data.endswith("\n"):

@@ -89,6 +89,7 @@ from .errors import (
     RangeError,
     StorageError,
 )
+from .files import open_for_pread, row_blocks, writing
 from .linearizer import _integer, key_kernel
 
 KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field in the table
@@ -213,28 +214,6 @@ def _balanced_sizes(n: int, cap: int, minimum: int) -> list[int]:
     return sizes
 
 
-def _open(path):
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise StorageError(f"cannot open {path}: {exc}") from None
-
-
-def _row_blocks(fd, name, row: int, rows: int):
-    """Yield the first `rows` rows of an open file of fixed-width rows, up to 2048 per block."""
-    end = rows * row
-    step = row * 2048
-    for off in range(0, end, step):
-        size = min(step, end - off)
-        block = os.pread(fd, size, off)
-        if len(block) != size:
-            raise StorageError(
-                f"{name}: short read of {size} bytes at offset {off}; "
-                f"the file changed size while being read"
-            )
-        yield block
-
-
 def _block_cells(blocks, k: int, row: int):
     """Decode (coordinates, record) from each row of each block."""
     key_bytes = k * KEY_FIELD_WIDTH
@@ -254,8 +233,8 @@ def _table_rows(f, row: int) -> int:
 def iter_table_cells(tbl_path, k: int, record_width: int):
     """Stream (coordinates, record) from a sorted table file, in blocks of up to 2048 rows."""
     row = k * KEY_FIELD_WIDTH + record_width
-    with _open(tbl_path) as f:
-        yield from _block_cells(_row_blocks(f.fileno(), tbl_path, row, _table_rows(f, row)),
+    with open_for_pread(tbl_path) as f:
+        yield from _block_cells(row_blocks(f.fileno(), tbl_path, row, _table_rows(f, row)),
                                 k, row)
 
 
@@ -289,7 +268,7 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
             node_count += 1
             yield keys[0], node_count
 
-    with _open(tbl_path) as tbl:
+    with open_for_pread(tbl_path) as tbl:
         rows = _table_rows(tbl, row)
 
         def first_keys():
@@ -300,7 +279,7 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
                                        f"the file changed size while being read")
                 yield key
 
-        with open(btx_path, "wb") as out:
+        with writing(btx_path) as out:
             out.seek(page_size)
             level = zip(first_keys(), count(1))
             n = -(-rows // b)
@@ -318,7 +297,7 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
 def build_table(cells, tbl_path, btx_path, cards, record_width: int,
                 page_size: int | None = None) -> int:
     """Write the sorted row file and its index in one go; returns the row count."""
-    with open(tbl_path, "wb") as f:
+    with writing(tbl_path) as f:
         count = write_table(cells, f, cards, record_width)
     build_index_from_table(tbl_path, btx_path, len(cards), record_width, page_size)
     return count
@@ -370,8 +349,8 @@ class TableStore:
     @classmethod
     def open(cls, tbl_path, cards, record_width: int, btx_path) -> "TableStore":
         with ExitStack() as opened:  # closes both files if either open or the check fails
-            tbl = opened.enter_context(_open(tbl_path))
-            btx = opened.enter_context(_open(btx_path))
+            tbl = opened.enter_context(open_for_pread(tbl_path))
+            btx = opened.enter_context(open_for_pread(btx_path))
             store = cls(tbl, cards, record_width, btx)
             opened.pop_all()
         return store
@@ -583,5 +562,5 @@ class TableStore:
 
     def iter_rows(self):
         """Yield (coordinates, record) in stored (logical) order."""
-        blocks = _row_blocks(self._tbl_fd, self._tbl.name, self.row_bytes, self.row_count)
+        blocks = row_blocks(self._tbl_fd, self._tbl.name, self.row_bytes, self.row_count)
         return _block_cells(blocks, len(self.cards), self.row_bytes)

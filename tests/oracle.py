@@ -428,13 +428,14 @@ def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,
         built_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
     for i, directory in enumerate(key_dirs, start=1):
-        directory.save(out / f"dim_{i}.dim")
+        path = out / f"dim_{i}.dim"
+        path.write_bytes(directory._encoded(path))
     with open(out / manifest.table_file, "wb") as f:
         write_table(
             ((indices, record) for _, indices, record in encoded),
             f, cards, codec.record_width,
         )
-    manifest.save(out / MANIFEST_NAME)
+    (out / MANIFEST_NAME).write_bytes(manifest._encoded())
     return manifest
 
 

@@ -267,7 +267,7 @@ class TestBrokenDimensionDirectory:
     }
     MESSAGES = {
         "missing": "cannot read dimension directory {dim}: ",
-        "invalid-utf8": "cannot read dimension directory {dim}: 'utf-8' codec",
+        "invalid-utf8": "cannot read dimension directory {dim}: byte 0 is not UTF-8",
         "unsorted": "cannot read dimension directory {dim}: directory values must be "
                     "strictly sorted",
         "extra-value": "{dim}: dimension directory holds 4 values, manifest says 3",
@@ -318,6 +318,22 @@ class TestBrokenDatasetFile:
         assert main(["query", "--dataset", str(built), "--at", "bern,mon", "--via", via]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(path=path))
+
+
+class TestNonUtf8Manifest:
+    """A manifest byte that is not UTF-8: exit 2 and one error line naming the file."""
+
+    @pytest.mark.parametrize("argv", [["query", "--at", "lyon,mon"], ["stats"], ["export"]])
+    def test_exit_code(self, built, capsys, argv):
+        manifest = built / "manifest.txt"
+        data = bytearray(manifest.read_bytes())
+        data[20] = 0xFF
+        manifest.write_bytes(bytes(data))
+        assert main(argv[:1] + ["--dataset", str(built)] + argv[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot read manifest {manifest}: "
+                                f"byte 20 is not UTF-8\n")
 
 
 class TestManifestFileNames:

@@ -1,5 +1,6 @@
 """Analytic lookup-cost quotients and their table renderer."""
 
+import dataclasses
 import math
 
 import pytest
@@ -146,6 +147,20 @@ class TestTables:
         assert "1.79" in text
         combined = cost_tables_text(tables)
         assert combined.count("p =") >= 7
+
+    def test_failed_csv_write_leaves_no_file(self, tmp_path):
+        good, bad = emit_cost_tables((1.0,), (100, 1000), (3,), t=5)
+        bad = dataclasses.replace(bad, cells=((1.0,), ("not a number",)))
+        kept = tmp_path / "cost_btree_p1_t5.csv"
+        kept.write_bytes(b"old\n")
+        with pytest.raises(ValueError):
+            write_cost_csv([good, bad], str(tmp_path / "cost"))
+        assert kept.read_bytes() == b"old\n"  # the file that failed keeps its bytes
+        assert (tmp_path / "cost_p1.csv").read_text(encoding="utf-8").startswith("r,k=3\n")
+        kept.unlink()
+        with pytest.raises(ValueError):
+            write_cost_csv([bad], str(tmp_path / "cost"))
+        assert [p.name for p in tmp_path.iterdir()] == ["cost_p1.csv"]  # no partial, no temp
 
     def test_csv_files(self, tmp_path):
         tables = emit_cost_tables((1.0, 2.0), (100,), (3,), t=5)

@@ -427,6 +427,14 @@ class TestBuild:
         with pytest.raises(DatasetError):
             build_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize("name", ["relation.btx", "relation.arr", "relation.hdr"])
+    def test_unwritable_output_is_a_dataset_error(self, tmp_path, name):
+        ingest_sample(tmp_path / "ds")
+        path = tmp_path / "ds" / name
+        path.mkdir()
+        with pytest.raises(DatasetError, match=re.escape(f"cannot write {path}: ")):
+            build_dataset(tmp_path / "ds")
+
     def test_torn_table_fails_both_builds(self, tmp_path):
         ingest_sample(tmp_path / "ds")
         tbl = tmp_path / "ds" / "relation.tbl"
@@ -447,6 +455,37 @@ class TestBuild:
         ingest_sample(tmp_path / "ds")
         text = format_size_report(size_report(tmp_path / "ds"))
         assert "(not built)" in text
+
+
+class TestTableShortByWholeRows:
+    """A table cut by a whole row fails wherever it is streamed, naming the table."""
+
+    @pytest.fixture
+    def short(self, tmp_path):
+        ds = tmp_path / "ds"
+        manifest = ingest_rows(["k", "j", "v"], [("a", "x", "1"), ("b", "x", "2"),
+                                                 ("c", "y", "3")], ["k", "j"], ds)
+        tbl = ds / "relation.tbl"
+        tbl.write_bytes(tbl.read_bytes()[: -manifest.schema.row_bytes])
+        return ds, re.escape(f"{tbl}: table holds 2 rows, manifest says 3")
+
+    def test_export_rows(self, short):
+        ds, message = short
+        with pytest.raises(DatasetError, match=message):
+            list(export_rows(ds))
+
+    @pytest.mark.parametrize("which", ["both", "table", "array"])
+    def test_build_writes_nothing(self, short, which):
+        ds, message = short
+        with pytest.raises(DatasetError, match=message):
+            build_dataset(ds, which)
+        assert not [p for p in ds.iterdir() if p.suffix in (".btx", ".arr", ".hdr")]
+
+    @pytest.mark.parametrize("argv", [["stats", "--conjoint", "1"], ["export"]])
+    def test_cli(self, short, capsys, argv):
+        ds, message = short
+        assert main(argv[:1] + ["--dataset", str(ds)] + argv[1:]) == 2
+        assert re.search(f"^error: {message}$", capsys.readouterr().err, re.MULTILINE)
 
 
 class TestOpenAndQuery:

@@ -43,7 +43,7 @@ def write_cells_dataset(root, cards, cells, width: int) -> None:
     )
     with open(root / manifest.table_file, "wb") as f:
         write_table(((delinearize(p, cards), rec) for p, rec in cells), f, cards, width)
-    manifest.save(root / MANIFEST_NAME)
+    (root / MANIFEST_NAME).write_bytes(manifest._encoded())
 
 
 def check_same_cells(got, header: Header, occupied, total: int) -> None:

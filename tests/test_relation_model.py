@@ -280,18 +280,18 @@ class TestDimensionDirectory:
         awkward = ["", "a\nb", "c\\n", "d\\\\e", "líne"]
         d = DimensionDirectory.from_values(awkward)
         path = tmp_path / "dim_1.dim"
-        d.save(path)
+        path.write_bytes(d._encoded(path))
         assert DimensionDirectory.load(path) == d
 
     def test_empty_roundtrip(self, tmp_path):
         path = tmp_path / "dim_1.dim"
-        DimensionDirectory([]).save(path)
+        path.write_bytes(DimensionDirectory([])._encoded(path))
         assert len(DimensionDirectory.load(path)) == 0
 
     @pytest.mark.parametrize("values", [[], [""], ["", "a"]])
     def test_empty_string_value_roundtrip(self, tmp_path, values):
         path = tmp_path / "dim_1.dim"
-        DimensionDirectory(values).save(path)
+        path.write_bytes(DimensionDirectory(values)._encoded(path))
         assert DimensionDirectory.load(path).values == values
 
     def test_missing_trailing_newline_rejected(self, tmp_path):
@@ -302,7 +302,7 @@ class TestDimensionDirectory:
 
     def test_file_is_one_escaped_line_per_value(self, tmp_path):
         path = tmp_path / "dim_1.dim"
-        DimensionDirectory(["a\nb", "c"]).save(path)
+        path.write_bytes(DimensionDirectory(["a\nb", "c"])._encoded(path))
         assert path.read_bytes() == b"a\\nb\nc\n"
 
     @settings(max_examples=100)
