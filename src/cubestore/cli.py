@@ -53,11 +53,19 @@ from .files import replacing
 from .relation_model import build_conjoint, space_ratio
 
 
+def _record(text: str) -> list[str]:
+    """An option's values as one CSV record, quoted as export writes; "" is one empty value."""
+    try:
+        return next(csv.reader([text])) or [""]
+    except csv.Error as exc:
+        raise MalformedInputError(f"{text!r} is not one CSV record: {exc}") from None
+
+
 def _parse_types(text: str) -> dict:
-    """Parse a column type list like "qty=int64,note=text:12"."""
+    """Parse a column type list like "qty=int64,note=text:12"; a name may hold "="."""
     out = {}
-    for item in text.split(","):
-        name, sep, spec = item.partition("=")
+    for item in _record(text):
+        name, sep, spec = item.rpartition("=")
         if not sep or not name or not spec:
             raise MalformedInputError(f"bad type override {item!r}, expected name=kind[:width]")
         out[name] = spec
@@ -68,7 +76,7 @@ def _cmd_ingest(args) -> int:
     types = _parse_types(args.types) if args.types else None
     manifest = ingest_csv(
         args.csv,
-        [c for c in args.keys.split(",") if c],
+        [c for c in _record(args.keys) if c],
         args.out,
         schema_name=args.name,
         types=types,
@@ -95,7 +103,7 @@ def _cmd_build(args) -> int:
 def _cmd_query(args) -> int:
     need = ("table",) if args.via == "table" else ("array",)
     with open_dataset(args.dataset, need=need) as db:
-        values = args.at.split(",")
+        values = _record(args.at)
         dirs = db.dimension_directories()
         if len(values) != len(dirs):
             raise MalformedInputError(
@@ -218,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="read a CSV file into a dataset directory")
     p.add_argument("--csv", required=True, help="input CSV file with a header row")
     p.add_argument("--keys", required=True,
-                   help="comma-separated key column names, in dimension order")
+                   help="comma-separated key column names, in dimension order; "
+                        "quote a name that holds a comma as in CSV")
     p.add_argument("--out", required=True, help="dataset directory to create")
     p.add_argument("--name", default=None, help="relation name (default: file stem)")
     p.add_argument("--types", default=None,
@@ -236,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("query", help="look up one cell by its dimension values")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--at", required=True,
-                   help="comma-separated dimension values, one per key column")
+                   help="comma-separated dimension values, one per key column; "
+                        "quote a value that holds a comma as export does")
     p.add_argument("--via", choices=("table", "array"), default="array",
                    help="representation to search (default: array)")
     p.set_defaults(func=_cmd_query)

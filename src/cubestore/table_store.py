@@ -26,19 +26,23 @@ height 0.  Blocks hold at least two rows, so there are at most
 (r + 1) / 2 of them and a lookup still visits at most
 ceil(log_t((r + 1) / 2)) + 1 nodes, its block included.
 
-At open the metadata page is read and checked, then every internal
-node, with one pread of the index: its type and count, its children in
-range, every internal page reached once, and one bottom-level child per
-table block.  The walk lists each block's fence, the key it must start
-with: the last separator on its left, or for the leftmost block the
-table's first key, which open reads.  The fences must strictly ascend,
-which orders every node's separators too.  A lookup bisects them once,
-then reads and searches one block, the step the binary search ends
-with too; a block that does not start with its fence raises
-StorageError naming the index and the block.  That catches a corrupt
-block number, a lowered separator and one raised past the next fence; a
-separator raised less can still route a key one block early, which
-only a checksum can catch.
+One writer, _index_pages, yields every page of an index from the leaf
+blocks' fences; the shape follows from the block count and t alone.
+Build streams the table's block first keys through it.  Open checks the
+metadata's magic, version, key width and row count, and its shape and
+the file size against that shape.  It reads each separator where the
+shape puts it and assembles each block's fence, the key the block must
+start with, from the root down: the last separator on its left, or for
+the leftmost block the table's first key, which open reads.  The fences
+must strictly ascend, and the file must be what _index_pages writes over
+them, byte for byte; a difference raises StorageError naming the byte
+and its page.  So open checks every byte but the separators.  A lookup
+bisects the fences once, then reads and searches one block, the step
+the binary search ends with too; a block that does not start with its
+fence raises StorageError naming the index and the block.  That catches
+a lowered separator and one raised past the next fence; a separator
+raised less can still route a key one block early, which only a
+checksum can catch.
 
 Both lookups first encode the key with the box's key kernel
 (linearizer.key_kernel), compiled straight-line code for the box's k
@@ -77,7 +81,7 @@ import struct
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
 from functools import lru_cache, partial
-from itertools import count, islice
+from itertools import islice
 from operator import lt
 from typing import NamedTuple
 
@@ -238,38 +242,59 @@ def iter_table_cells(tbl_path, k: int, record_width: int):
                                 k, row)
 
 
+def _index_shape(page_size: int, key_bytes: int, rows: int, blocks: int):
+    """Metadata and each level's node sizes, bottom level first, of an index over `blocks`.
+
+    Pages are numbered level by level from the bottom, so the root is the
+    last; one block, or none, is its own root.  A page too small for t = 2
+    raises ParameterError.
+    """
+    t = min_degree(page_size, key_bytes)
+    levels, n = [], blocks
+    while n > 1:
+        levels.append(_balanced_sizes(n, 2 * t, t))
+        n = len(levels[-1])
+    nodes = sum(map(len, levels))
+    return BTreeMeta(page_size, t, key_bytes, nodes if levels else blocks, nodes, rows,
+                     len(levels)), levels
+
+
+def _index_pages(meta: BTreeMeta, levels, fences):
+    """Every page of the index over leaf blocks that start with `fences`, in file order.
+
+    Page 0, then each level's nodes from the bottom: the children's fences
+    but the first as separators, then their numbers, which run on
+    consecutively.  Fences are consumed as the bottom level needs them;
+    each level above holds one first key per node below.
+    """
+    size = meta.page_size
+    yield _META.pack(_MAGIC, _VERSION, 0, *meta).ljust(size, b"\0")
+    # the next child's key and number, and the first page of the level written
+    keys, child, start = iter(fences), 1, 1
+    for sizes in levels:
+        firsts = []
+        for n in sizes:
+            firsts.append(next(keys))
+            yield b"".join((_NODE_HEADER.pack(_INTERNAL, n - 1), *islice(keys, n - 1),
+                            struct.pack(f"<{n}Q", *range(child, child + n)))).ljust(size, b"\0")
+            child += n
+        keys, child, start = iter(firsts), start, start + len(sizes)
+
+
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
                            page_size: int | None = None) -> BTreeMeta:
     """Index a sorted table file whose blocks of B rows are the leaf level.
 
-    One pread per block reads its first key, and the bottom level's
-    nodes are written as those keys arrive, so memory holds one node's
-    children and one (first key, page number) pair per node of the
-    level being written.  _balanced_sizes splits each level into nodes
-    of t to 2t children.  Pages are numbered in write order, level by
-    level from the bottom; the metadata page 0 is written last.
+    One pread per block reads its first key, and _index_pages writes the
+    bottom level's nodes as those keys arrive, so memory stays flat.
     """
     page_size = resolve_page_size(page_size)
     key_bytes = k * KEY_FIELD_WIDTH
     row = key_bytes + record_width
-    t = min_degree(page_size, key_bytes)
     b = block_rows(page_size, row)
-    node_count = height = 0
-
-    def nodes(children, n: int):
-        """Write the nodes over n (first key, number) children; yield each node's pair."""
-        nonlocal node_count
-        children = iter(children)
-        for size in _balanced_sizes(n, 2 * t, t):
-            keys, numbers = zip(*islice(children, size))
-            page = (_NODE_HEADER.pack(_INTERNAL, size - 1) + b"".join(keys[1:])
-                    + struct.pack(f"<{size}Q", *numbers))
-            out.write(page.ljust(page_size, b"\0"))
-            node_count += 1
-            yield keys[0], node_count
-
     with open_for_pread(tbl_path) as tbl:
         rows = _table_rows(tbl, row)
+        meta, levels = _index_shape(page_size, key_bytes, rows, -(-rows // b))
 
         def first_keys():
             for off in range(0, rows * row, b * row):
@@ -280,18 +305,8 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
                 yield key
 
         with writing(btx_path) as out:
-            out.seek(page_size)
-            level = zip(first_keys(), count(1))
-            n = -(-rows // b)
-            while n > 1:
-                level = list(nodes(level, n))
-                n = len(level)
-                height += 1
-            root = level[0][1] if height else n  # a lone block 1 is the root
-            out.seek(0)
-            out.write(_META.pack(_MAGIC, _VERSION, 0, page_size, t, key_bytes,
-                                 root, node_count, rows, height).ljust(page_size, b"\0"))
-    return BTreeMeta(page_size, t, key_bytes, root, node_count, rows, height)
+            out.writelines(_index_pages(meta, levels, first_keys()))
+    return meta
 
 
 def build_table(cells, tbl_path, btx_path, cards, record_width: int,
@@ -306,15 +321,15 @@ def build_table(cells, tbl_path, btx_path, cards, record_width: int,
 class TableStore:
     """Read handle over a sorted table file and its B-tree index, which it requires.
 
-    Reads go through pread.  Open keeps the leaf level's fences and block
-    numbers, so btree_lookup bisects them and reads only its block from
-    the table.  Every lookup visits the same height + 1 nodes, the block
-    as the leaf, so last_page_reads is set to that at open (0 for an
-    empty table).  binary_search_lookup reads from the table file only:
-    one first key per block it compares, then one block of up to B rows.
-    It keeps the block bisect picked, one attribute that is not
-    thread-safe, and last_row_reads derives its .tbl reads from it: at
-    most ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1.  The
+    Reads go through pread.  Open keeps the leaf level's fences, so
+    btree_lookup bisects them and reads only its block from the table.
+    Every lookup visits the same height + 1 nodes, the block as the leaf,
+    so last_page_reads is set to that at open (0 for an empty table).
+    binary_search_lookup reads from the table file only: one first key
+    per block it compares, then one block of up to B rows.  It keeps the
+    block bisect picked, one attribute that is not thread-safe, and
+    last_row_reads derives its .tbl reads from it: at most
+    ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1.  The
     record a hit keeps for read_measures is described in the module notes.
     """
 
@@ -329,14 +344,13 @@ class TableStore:
         self.row_count = _table_rows(tbl_file, self.row_bytes)
         self._read_key = partial(os.pread, self._tbl_fd, self.key_bytes)
         self._btx = btx_file
-        self.meta = self._read_meta()
+        # the key each leaf block must start with, block 1 first
+        self.meta, self._fences = self._load_fences()
         # rows per block of the index's leaf level, the blocks both searches read
         self.leaf_rows = block_rows(self.meta.page_size, self.row_bytes)
         block_bytes = self.leaf_rows * self.row_bytes
-        blocks = -(-self.row_count // self.leaf_rows)
-        self._block_starts = range(block_bytes, blocks * block_bytes, block_bytes)
-        # the key each leaf block must start with, in key order, and its block number
-        self._fences, self._blocks = self._load_fences(blocks)
+        # where blocks 2, 3, ... start: one per fence but the first
+        self._block_starts = range(block_bytes, len(self._fences) * block_bytes, block_bytes)
         # a block holds at most B rows and no more than the table's
         rows = min(self.leaf_rows, self.row_count)
         self._row_keys = _row_slices(self.row_bytes, rows, 0, self.key_bytes)
@@ -368,15 +382,18 @@ class TableStore:
     def __exit__(self, *exc):
         self.close()
 
-    def _read_meta(self) -> BTreeMeta:
-        name = self._btx.name
-        fd = self._btx.fileno()
+    def _load_fences(self) -> tuple[BTreeMeta, list[bytes]]:
+        """The index's metadata and leaf fences, once the file is what build writes over them.
+
+        One pread reads the index.  Each level's fences are, node by
+        node, the node's fence and then its separators (module notes).
+        """
+        name, fd = self._btx.name, self._btx.fileno()
         raw = os.pread(fd, _META.size, 0)
         if len(raw) != _META.size:
             raise StorageError(f"{name}: index file is truncated")
-        magic, version, _, page_size, t, key_bytes, root, nodes, entries, height = (
-            _META.unpack(raw)
-        )
+        magic, version, _, *fields = _META.unpack(raw)
+        stored = BTreeMeta(*fields)
         if magic != _MAGIC:
             raise StorageError(f"{name}: bad index magic {magic!r}")
         if version != _VERSION:
@@ -384,83 +401,51 @@ class TableStore:
                 f"{name}: unsupported index version {version}, expected {_VERSION}; "
                 f"rebuild it with `cubestore build --only table`"
             )
-        if key_bytes != self.key_bytes:
+        if stored.key_bytes != self.key_bytes:
             raise StorageError(
-                f"{name}: index keys are {key_bytes} bytes, not {KEY_FIELD_WIDTH} bytes "
+                f"{name}: index keys are {stored.key_bytes} bytes, not {KEY_FIELD_WIDTH} bytes "
                 f"for each of the table's {len(self.cards)} key fields"
             )
-        if entries != self.row_count:
+        if stored.entry_count != self.row_count:
             raise StorageError(
-                f"{name}: index covers {entries} rows, table holds {self.row_count}"
+                f"{name}: index covers {stored.entry_count} rows, table holds {self.row_count}"
             )
-        size = os.fstat(fd).st_size
-        if size != (nodes + 1) * page_size:
-            raise StorageError(
-                f"{name}: size {size} is not {nodes + 1} pages of {page_size} bytes"
-            )
+        blocks = -(-self.row_count // block_rows(stored.page_size, self.row_bytes))
         try:
-            expected_t = min_degree(page_size, key_bytes)
+            meta, levels = _index_shape(stored.page_size, self.key_bytes, self.row_count, blocks)
         except ParameterError:
-            expected_t = None
-        if t != expected_t:
+            meta = None
+        if stored != meta:
             raise StorageError(
-                f"{name}: minimal degree {t} does not match page size {page_size}"
+                f"{name}: minimal degree {stored.t}, root {stored.root}, "
+                f"{stored.node_count} nodes and height {stored.height} are not the shape of "
+                f"an index over {blocks} blocks in {stored.page_size}-byte pages")
+        size = os.fstat(fd).st_size
+        if size != (meta.node_count + 1) * meta.page_size:
+            raise StorageError(
+                f"{name}: size {size} is not {meta.node_count + 1} pages of {meta.page_size} bytes"
             )
-        return BTreeMeta(page_size, t, key_bytes, root, nodes, entries, height)
-
-    def _load_fences(self, blocks: int) -> tuple[list[bytes], list[int]]:
-        """Check every internal node from the root; return the leaf level's fences and blocks.
-
-        Each internal page may be reached once, so a corrupt child
-        number or height cannot make the walk loop.  Ascending leaf
-        fences order every node's separators; the levels above the
-        bottom also check theirs node by node, so that error names the page.
-        """
-        meta = self.meta
-        name = self._btx.name
-        if not (1 <= meta.root <= meta.node_count if meta.height else meta.root == blocks <= 1):
-            raise StorageError(f"{name}: root {meta.root} at height {meta.height} is invalid "
-                               f"for {meta.node_count} nodes over {blocks} blocks")
-        fences, below = [self._read_key(0)], [meta.root]
-        if not meta.height:
-            return fences, below
-        data = os.pread(self._btx.fileno(), (meta.node_count + 1) * meta.page_size, 0)
-        if len(data) != (meta.node_count + 1) * meta.page_size:
+        data = os.pread(fd, size, 0)
+        if len(data) != size:
             raise StorageError(f"{name}: short read of the index")
-        width = meta.key_bytes
-        seen = {meta.root}
-        for depth in range(meta.height, 0, -1):
-            limit = meta.node_count if depth > 1 else blocks
-            level = zip(below, fences)
-            fences, below = [], []
-            for page_no, fence in level:
-                off = page_no * meta.page_size
-                node_type, n = _NODE_HEADER.unpack_from(data, off)
-                if node_type != _INTERNAL or not 1 <= n <= 2 * meta.t - 1:
-                    raise StorageError(f"{name}: page {page_no} is not an internal node")
-                off += _NODE_HEADER.size
-                separators = struct.unpack_from(f"{width}s" * n, data, off)
-                children = struct.unpack_from(f"<{n + 1}Q", data, off + n * width)
-                if depth > 1:  # page numbers, each reached once
-                    if not all(map(lt, separators, separators[1:])):
-                        raise StorageError(f"{name}: page {page_no} separators are not ascending")
-                    reached = len(seen)
-                    seen.update(children)
-                    if len(seen) - reached <= n:
-                        raise StorageError(f"{name}: page {page_no} reaches a page twice")
-                if min(children) < 1 or max(children) > limit:
-                    raise StorageError(f"{name}: page {page_no} has a child outside 1..{limit}")
-                fences.append(fence)
-                fences += separators
-                below += children
-        if len(below) != blocks:
-            raise StorageError(f"{name}: the bottom level names {len(below)} blocks, "
-                               f"the table has {blocks}")
+        fences, end = [self._read_key(0)], meta.node_count + 1
+        for sizes in reversed(levels):
+            start, below = end - len(sizes), []
+            for page_no, fence, n in zip(range(start, end), fences, sizes):
+                below.append(fence)
+                below += struct.unpack_from(f"{meta.key_bytes}s" * (n - 1), data,
+                                            page_no * meta.page_size + _NODE_HEADER.size)
+            fences, end = below, start
         if not all(map(lt, fences, islice(fences, 1, None))):
             i = next(i for i in range(1, blocks) if fences[i] <= fences[i - 1])
-            raise StorageError(f"{name}: block {below[i]} has fence {fences[i].hex()}, "
+            raise StorageError(f"{name}: block {i + 1} has fence {fences[i].hex()}, "
                                f"not above the fence {fences[i - 1].hex()} before it")
-        return fences, below
+        built = b"".join(_index_pages(meta, levels, fences))
+        if data != built:
+            at = next(i for i in range(size) if data[i] != built[i])
+            raise StorageError(f"{name}: byte {at}, in page {at // meta.page_size}, "
+                               f"is not what build writes there")
+        return meta, fences
 
     def btree_lookup(self, indices) -> int | None:
         """Record number of a key, or None when no row has it.
@@ -474,7 +459,7 @@ class TableStore:
         if not self.row_count:
             return None
         i = bisect_right(self._fences, key, 1) - 1
-        return self._search_block(self._blocks[i] - 1, key, self._fences[i])
+        return self._search_block(i, key, self._fences[i])
 
     def binary_search_lookup(self, indices) -> int | None:
         """Record number of a key by bisecting the row file directly.

@@ -78,6 +78,21 @@ class TestIngest:
         assert code == 0
         assert "v (text, 6 B)" in capsys.readouterr().out
 
+    def test_column_names_with_a_comma_or_an_equals_sign(self, tmp_path, capsys):
+        # --keys and --types read one CSV record each, and a type splits on
+        # its last "=", so any column name can be a key or typed
+        src = tmp_path / "t.csv"
+        src.write_text('"city, state",month,"units, sold",x=y\nParis,jan,12,a\n',
+                       encoding="utf-8")
+        code = main(["ingest", "--csv", str(src), "--keys", '"city, state",month',
+                     "--out", str(tmp_path / "ds"),
+                     "--types", '"units, sold=text:4",x=y=text:3'])
+        assert code == 0, capsys.readouterr().err
+        assert "units, sold (text, 4 B), x=y (text, 3 B)" in capsys.readouterr().out
+        assert main(["export", "--dataset", str(tmp_path / "ds")]) == 0
+        assert capsys.readouterr().out == (
+            '"city, state",month,"units, sold",x=y\nParis,jan,12,a\n')
+
 
 class TestBuild:
     def test_report(self, built, capsys):
@@ -145,6 +160,24 @@ class TestQuery:
         assert main(argv[:1] + ["--dataset", str(built)] + argv[1:]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: column note: corrupt text, byte 0 is not UTF-8")
+
+    def test_key_value_with_a_comma_round_trips_through_export(self, tmp_path, capsys):
+        # --at reads one CSV record, so the key export writes queries its row
+        src = tmp_path / "sales.csv"
+        src.write_text('city,month,sales\n"Paris, TX",jan,1\nLyon,feb,2\nOslo,jan,3\n',
+                       encoding="utf-8")
+        ds = tmp_path / "ds"
+        assert main(["ingest", "--csv", str(src), "--keys", "city,month",
+                     "--out", str(ds)]) == 0
+        assert main(["build", "--dataset", str(ds)]) == 0
+        capsys.readouterr()
+        assert main(["export", "--dataset", str(ds)]) == 0
+        line = next(line for line in capsys.readouterr().out.splitlines() if "Paris" in line)
+        assert line == '"Paris, TX",jan,1'
+        for via in ("array", "table"):
+            assert main(["query", "--dataset", str(ds), "--at", line.rsplit(",", 1)[0],
+                         "--via", via]) == 0
+            assert capsys.readouterr().out == "sales=1\n"
 
     def test_query_needs_build(self, dataset, capsys):
         code = main(["query", "--dataset", str(dataset), "--at", "lyon,mon"])

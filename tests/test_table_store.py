@@ -531,20 +531,24 @@ class TestIndexCorruption:
         with pytest.raises(StorageError, match="rel.btx"):
             self.open(tmp_path)
 
-    # what open says about each damage, after "<.btx>: "
+    SHAPE = (r"minimal degree \d+, root \d+, \d+ nodes and height \d+ are not the shape "
+             r"of an index over 167 blocks in 128-byte pages$")
+    # what open says about each damage, after "<.btx>: "; None is the byte
+    # message, naming the first damaged byte and its page
     DAMAGE = {
-        "internal type byte": r"page \d+ is not an internal node",
-        "leaf type byte": r"page \d+ is not an internal node",
-        "leaf count above L": r"page \d+ is not an internal node",
-        "leaf count zero": r"page \d+ is not an internal node",
-        "child past node count": r"page \d+ has a child outside 1\.\.",
-        "swapped separators": r"page \d+ separators are not ascending",
-        "child reached twice": r"page \d+ reaches a page twice",
-        "first record past entry count": r"page \d+ has a child outside 1\.\.167$",
-        "first record zero": r"page \d+ has a child outside 1\.\.167$",
-        "separator count lowered": r"page \d+ has a child outside 1\.\.167$",
-        "height raised": r"page \d+ ",
-        "height lowered": r"the bottom level names \d+ blocks, the table has 167$",
+        "internal type byte": None,
+        "leaf type byte": None,
+        "leaf count above L": None,
+        "leaf count zero": None,
+        "child past node count": None,
+        "swapped separators": (r"block \d+ has fence [0-9a-f]{24}, "
+                               r"not above the fence [0-9a-f]{24} before it$"),
+        "child reached twice": None,
+        "first record past entry count": None,
+        "first record zero": None,
+        "separator count lowered": None,
+        "height raised": SHAPE,
+        "height lowered": SHAPE,
         "separator raised past the next": (r"block \d+ has fence [0-9a-f]{24}, "
                                            r"not above the fence [0-9a-f]{24} before it$"),
     }
@@ -599,8 +603,12 @@ class TestIndexCorruption:
         else:
             off = self.child_offset(root, root_count)
             raw[off + 8 : off + 16] = raw[off : off + 8]
+        said = self.DAMAGE[damage]
+        if said is None:
+            at = next(i for i, (a, b) in enumerate(zip(raw, btx.read_bytes())) if a != b)
+            said = re.escape(f"byte {at}, in page {at // self.PAGE}, is not what build writes")
         btx.write_bytes(bytes(raw))
-        with pytest.raises(StorageError, match=re.escape(f"{btx}: ") + self.DAMAGE[damage]):
+        with pytest.raises(StorageError, match=re.escape(f"{btx}: ") + said):
             self.open(tmp_path)
 
     def test_open_refuses_exactly_the_fences_that_do_not_ascend(self, tmp_path):
@@ -631,13 +639,43 @@ class TestIndexCorruption:
                 refused += 1
         assert 0 < refused < 300
 
+    def test_every_flip_outside_a_separator_is_refused(self, tmp_path):
+        # seeded single-bit flips of each kind of byte a separator is not;
+        # open compares them all with what build writes over the fences
+        levels, _ = self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        index = btx.read_bytes()
+        kinds = {"metadata page": range(self.PAGE), "node header": [], "child number": [],
+                 "padding": []}
+        for level in levels:
+            for page_no, seps, children in level:
+                start = page_no * self.PAGE
+                child = start + 8 + self.KEY_BYTES * len(seps)
+                kinds["node header"] += range(start, start + 8)
+                kinds["child number"] += range(child, child + 8 * len(children))
+                kinds["padding"] += range(child + 8 * len(children), start + self.PAGE)
+        # the kinds hold every byte of the index but the separators'
+        separators = sum(len(seps) for level in levels for _, seps, _ in level)
+        assert sum(map(len, kinds.values())) == len(index) - separators * self.KEY_BYTES
+        rng = SplitMix64(23)
+        for offsets in kinds.values():
+            for _ in range(500):
+                at = offsets[rng.below(len(offsets))]
+                raw = bytearray(index)
+                raw[at] ^= 1 << rng.below(8)
+                btx.write_bytes(bytes(raw))
+                with pytest.raises(StorageError, match=re.escape(f"{btx}: ")):
+                    self.open(tmp_path)
+
 
 class TestRoutingCheck:
-    """A damaged bottom-level entry fails exactly the lookups routed through it.
+    """A damaged bottom-level entry fails open, or exactly the lookups routed through it.
 
-    The block a descent reaches must start with the last separator it
-    passed, or with the table's first key when it passed none.  Every
-    other lookup must still answer as the undamaged index does.
+    Open requires every child number to be the one build writes.  A
+    separator is read as it stands, so the block a descent reaches must
+    start with the last separator it passed, or with the table's first
+    key when it passed none.  Every other lookup must still answer as
+    the undamaged index does.
     """
 
     CARDS = (30, 20, 10)
@@ -671,21 +709,23 @@ class TestRoutingCheck:
 
     @pytest.mark.parametrize("to", ["next block", "previous block", "block 1", "from block 1"])
     def test_corrupt_block_number(self, tmp_path, to):
-        table, firsts, levels = self.build(tmp_path)
-        raw = bytearray((tmp_path / "rel.btx").read_bytes())
+        _, _, levels = self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        raw = bytearray(btx.read_bytes())
         # the middle child of the second bottom node, or the leftmost child
         page_no, seps, children = levels[1][0 if to == "from block 1" else 1]
         i = 0 if to == "from block 1" else len(children) // 2
         block = children[i]
         target = {"next block": block + 1, "previous block": block - 1, "block 1": 1,
                   "from block 1": 2}[to]
-        struct.pack_into("<Q", raw, page_no * self.PAGE + 8 + len(seps) * 12 + 8 * i, target)
-        low, high = firsts[block - 1], firsts[block]
-
-        def damaged(key):  # the keys whose descent ends at the damaged entry
-            return (low <= key or block == 1) and key < high
-
-        assert self.check(tmp_path, table, damaged, bytes(raw)) > 0
+        off = page_no * self.PAGE + 8 + len(seps) * 12 + 8 * i
+        struct.pack_into("<Q", raw, off, target)
+        # the first byte of the little-endian number that changed
+        at = off + next(j for j in range(8) if raw[off + j] != block >> 8 * j & 0xFF)
+        btx.write_bytes(bytes(raw))
+        with pytest.raises(StorageError, match=re.escape(
+                f"{btx}: byte {at}, in page {page_no}, is not what build writes there")):
+            TableStore.open(tmp_path / "rel.tbl", self.CARDS, 2, btx)
 
     def test_lowered_separator(self, tmp_path):
         table, firsts, levels = self.build(tmp_path)
