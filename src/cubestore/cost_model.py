@@ -15,7 +15,7 @@ As p grows the denominator tends to 1 and q_plain approaches
 log2(r) - 1; at p = 1 it equals (log2(r) - 1) / k.
 
 The t of a built index follows its separator width, the table's 4 bytes
-per key field: t = 102 for three fields in 4 KB pages, 73 for five.
+per key field: t = 170 for three fields in 4 KB pages, 102 for five.
 Its leaves are the table's blocks of B >= 2 rows, so the bound counts
 the block a lookup reads as its last page.
 

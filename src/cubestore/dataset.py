@@ -120,8 +120,9 @@ class Manifest:
         if len(self.measure_columns) != self.n - self.k:
             raise DatasetError(f"expected {self.n - self.k} measure columns")
 
-    @property
+    @cached_property
     def schema(self) -> RelationSchema:
+        """The relation's schema, built once: no field it reads is reassigned."""
         return RelationSchema(
             n=self.n, k=self.k, cards=self.cards,
             measure_widths=tuple(c.width for c in self.measure_columns),

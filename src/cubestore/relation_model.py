@@ -19,6 +19,8 @@ import re
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
+from operator import lt
 
 from .errors import (
     DegenerateConjointError,
@@ -297,9 +299,8 @@ class DimensionDirectory:
 
     def __init__(self, values):
         vals = list(values)
-        for a, b in zip(vals, vals[1:]):
-            if not a < b:
-                raise MalformedInputError("directory values must be strictly sorted")
+        if not all(map(lt, vals, islice(vals, 1, None))):
+            raise MalformedInputError("directory values must be strictly sorted")
         self.values = vals
         self._index: dict | None = None  # built by the first index_of
 

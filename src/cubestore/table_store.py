@@ -7,26 +7,27 @@ significant dimension first (i_k, ..., i_1), so comparing the raw key
 bytes equals comparing logical positions and the file is sorted both
 ways at once.
 
-Index file (.btx), version 4: a B+-tree whose leaf level is the table
+Index file (.btx), version 5: a B+-tree whose leaf level is the table
 itself.  The table splits into blocks of B = max(2, page size // row
 bytes) rows, block j (1-based) starting at row (j - 1) * B + 1, and the
 index stores one separator per block instead of a copy of every key.
-Page 0 is metadata (magic "CBTX", version, page size, minimal degree,
-key width, root, internal node count, entry count, height; all
-little-endian).  Pages 1..m hold the internal nodes: an 8-byte header
-("<BxHxxxx": type, separator count), the separators, then the child
-numbers.  The children of the bottom level are block numbers, those of
-every other level page numbers.  Each separator is the table key,
-4 bytes per field, that starts the block or subtree to its right.  The
-tree is bulk-loaded bottom up, level by level; the minimal degree t is
-derived from the page size and key width so that 2t children fit a
-page, and every internal node except the root has t to 2t children.  A
-table of one block has no internal node: its root is block 1 and its
-height 0.  Blocks hold at least two rows, so there are at most
+A 48-byte metadata header (magic "CBTX", version, page size, minimal
+degree, key width, root, internal node count, entry count, height; all
+little-endian) starts the file, and node page p (1-based) follows at
+byte 48 + (p - 1) * page size: an 8-byte header ("<BxHxxxx": type,
+separator count), the separators, then zero padding.  Nodes are written
+level by level from the bottom, so a level's children are, in order,
+the nodes of the level below, or the blocks; no child number is stored.
+Each separator is the table key, 4 bytes per field, that starts the
+block or subtree to its right.  The minimal degree t = (page size - 8)
+// (2 * key width), so 2t children fit a page, and every internal node
+except the root has t to 2t children.  A table of one block has no
+internal node: its root is block 1, its height 0 and its index the
+header alone.  Blocks hold at least two rows, so there are at most
 (r + 1) / 2 of them and a lookup still visits at most
 ceil(log_t((r + 1) / 2)) + 1 nodes, its block included.
 
-One writer, _index_pages, yields every page of an index from the leaf
+One writer, _index_pages, yields every piece of an index from the leaf
 blocks' fences; the shape follows from the block count and t alone.
 Build streams the table's block first keys through it.  Open checks the
 metadata's magic, version, key width and row count, and its shape and
@@ -36,13 +37,13 @@ start with, from the root down: the last separator on its left, or for
 the leftmost block the table's first key, which open reads.  The fences
 must strictly ascend, and the file must be what _index_pages writes over
 them, byte for byte; a difference raises StorageError naming the byte
-and its page.  So open checks every byte but the separators.  A lookup
-bisects the fences once, then reads and searches one block, the step
-the binary search ends with too; a block that does not start with its
-fence raises StorageError naming the index and the block.  That catches
-a lowered separator and one raised past the next fence; a separator
-raised less can still route a key one block early, which only a
-checksum can catch.
+and its page, 0 for the header.  So open checks every byte but the
+separators.  A lookup bisects the fences once, then reads and searches
+one block, the step the binary search ends with too; a block that does
+not start with its fence raises StorageError naming the index and the
+block.  That catches a lowered separator and one raised past the next
+fence; a separator raised less can still route a key one block early,
+which only a checksum can catch.
 
 Both lookups first encode the key with the box's key kernel
 (linearizer.key_kernel), compiled straight-line code for the box's k
@@ -97,15 +98,14 @@ from .files import open_for_pread, row_blocks, writing
 from .linearizer import _integer, key_kernel
 
 KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field in the table
-CHILD_WIDTH = 8
 
 DEFAULT_PAGE_SIZE = 4096
 MAX_PAGE_SIZE = 65536  # bounds a block read and the key slices made at open
 PAGE_SIZE_ENV = "CUBESTORE_PAGE_SIZE"
 
 _MAGIC = b"CBTX"
-_VERSION = 4
-_META = struct.Struct("<4sHHIIIQQQI")
+_VERSION = 5
+_META = struct.Struct("<4sHHIIIQQQI")  # the file's first 48 bytes
 _NODE_HEADER = struct.Struct("<BxHxxxx")  # type, separator count
 _INTERNAL = 1
 
@@ -132,7 +132,7 @@ def resolve_page_size(page_size: int | None = None) -> int:
         except ValueError:
             raise ParameterError(
                 f"{PAGE_SIZE_ENV}={env!r} is not a whole number of bytes") from None
-    if page_size < _META.size or page_size < 64:
+    if page_size < 64:
         raise ParameterError(f"page size {page_size} is too small")
     if page_size > MAX_PAGE_SIZE:
         raise ParameterError(f"page size {page_size} is too large; at most {MAX_PAGE_SIZE}")
@@ -141,7 +141,7 @@ def resolve_page_size(page_size: int | None = None) -> int:
 
 def min_degree(page_size: int, key_bytes: int) -> int:
     """Minimal degree t such that an internal node of 2t children fits in one page."""
-    t = (page_size - _NODE_HEADER.size) // (2 * (key_bytes + CHILD_WIDTH))
+    t = (page_size - _NODE_HEADER.size) // (2 * key_bytes)
     if t < 2:
         raise ParameterError(
             f"page size {page_size} cannot hold a B-tree of {key_bytes}-byte keys"
@@ -260,25 +260,23 @@ def _index_shape(page_size: int, key_bytes: int, rows: int, blocks: int):
 
 
 def _index_pages(meta: BTreeMeta, levels, fences):
-    """Every page of the index over leaf blocks that start with `fences`, in file order.
+    """Every piece of the index over leaf blocks that start with `fences`, in file order.
 
-    Page 0, then each level's nodes from the bottom: the children's fences
-    but the first as separators, then their numbers, which run on
-    consecutively.  Fences are consumed as the bottom level needs them;
-    each level above holds one first key per node below.
+    The metadata header, then each level's nodes from the bottom, a page
+    each: the children's fences but the first as separators.  Fences are
+    consumed as the bottom level needs them; each level above holds one
+    first key per node below.
     """
     size = meta.page_size
-    yield _META.pack(_MAGIC, _VERSION, 0, *meta).ljust(size, b"\0")
-    # the next child's key and number, and the first page of the level written
-    keys, child, start = iter(fences), 1, 1
+    yield _META.pack(_MAGIC, _VERSION, 0, *meta)
+    keys = iter(fences)
     for sizes in levels:
         firsts = []
         for n in sizes:
             firsts.append(next(keys))
-            yield b"".join((_NODE_HEADER.pack(_INTERNAL, n - 1), *islice(keys, n - 1),
-                            struct.pack(f"<{n}Q", *range(child, child + n)))).ljust(size, b"\0")
-            child += n
-        keys, child, start = iter(firsts), start, start + len(sizes)
+            yield b"".join((_NODE_HEADER.pack(_INTERNAL, n - 1),
+                            *islice(keys, n - 1))).ljust(size, b"\0")
+        keys = iter(firsts)
 
 
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
@@ -421,20 +419,19 @@ class TableStore:
                 f"{stored.node_count} nodes and height {stored.height} are not the shape of "
                 f"an index over {blocks} blocks in {stored.page_size}-byte pages")
         size = os.fstat(fd).st_size
-        if size != (meta.node_count + 1) * meta.page_size:
-            raise StorageError(
-                f"{name}: size {size} is not {meta.node_count + 1} pages of {meta.page_size} bytes"
-            )
+        if size != _META.size + meta.node_count * meta.page_size:
+            raise StorageError(f"{name}: size {size} is not a {_META.size}-byte header and "
+                               f"{meta.node_count} pages of {meta.page_size} bytes")
         data = os.pread(fd, size, 0)
         if len(data) != size:
             raise StorageError(f"{name}: short read of the index")
-        fences, end = [self._read_key(0)], meta.node_count + 1
+        fences, end = [self._read_key(0)], meta.node_count
         for sizes in reversed(levels):
             start, below = end - len(sizes), []
-            for page_no, fence, n in zip(range(start, end), fences, sizes):
+            for node, fence, n in zip(range(start, end), fences, sizes):
                 below.append(fence)
-                below += struct.unpack_from(f"{meta.key_bytes}s" * (n - 1), data,
-                                            page_no * meta.page_size + _NODE_HEADER.size)
+                below += struct.unpack_from(f"{meta.key_bytes}s" * (n - 1), data, _META.size
+                                            + node * meta.page_size + _NODE_HEADER.size)
             fences, end = below, start
         if not all(map(lt, fences, islice(fences, 1, None))):
             i = next(i for i in range(1, blocks) if fences[i] <= fences[i - 1])
@@ -443,8 +440,8 @@ class TableStore:
         built = b"".join(_index_pages(meta, levels, fences))
         if data != built:
             at = next(i for i in range(size) if data[i] != built[i])
-            raise StorageError(f"{name}: byte {at}, in page {at // meta.page_size}, "
-                               f"is not what build writes there")
+            page = (at - _META.size) // meta.page_size + 1  # 0 for the metadata header
+            raise StorageError(f"{name}: byte {at}, in page {page}, is not what build writes there")
         return meta, fences
 
     def btree_lookup(self, indices) -> int | None:

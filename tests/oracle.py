@@ -27,14 +27,12 @@ from cubestore.relation_model import (
     compute_active_domains,
 )
 from cubestore.table_store import (
-    CHILD_WIDTH,
     BTreeMeta,
     _INTERNAL,
     _MAGIC,
     _META,
     _NODE_HEADER,
     _VERSION,
-    min_degree,
     resolve_page_size,
     write_table,
 )
@@ -187,24 +185,24 @@ def btree_lookup_by_pages(index: bytes, table: bytes, row_bytes: int, coords):
     """Reference B-tree lookup over an index file's and its table's bytes.
 
     The key is the coordinates, last first, in 4 big-endian bytes each.
-    Walks from the root through every internal node with a linear scan
-    of its separators down to a block number j, then scans the rows of
-    block j, which start at row (j - 1) * B + 1 for B = max(2, page size
-    // row bytes).  Returns the record number of the key, or None.
+    Walks from the root through every internal node, as index_levels
+    decodes them, with a linear scan of its separators down to a block
+    number j, then scans the rows of block j, which start at row
+    (j - 1) * B + 1 for B = max(2, page size // row bytes).  Returns the
+    record number of the key, or None.
     """
     _, _, _, page_size, _, width, node, _, entries, height = _META.unpack_from(index, 0)
     if not node:
         return None
     key = b"".join(i.to_bytes(4, "big") for i in reversed(coords))
-    hdr = _NODE_HEADER.size
+    nodes = {page_no: (separators, children)
+             for level in index_levels(index) for page_no, separators, children in level}
     for _ in range(height):
-        page = index[node * page_size : (node + 1) * page_size]
-        node_type, count = _NODE_HEADER.unpack_from(page, 0)
-        assert node_type == _INTERNAL
+        separators, children = nodes[node]
         child = 0
-        while child < count and page[hdr + child * width : hdr + (child + 1) * width] <= key:
+        while child < len(separators) and separators[child] <= key:
             child += 1
-        node = struct.unpack_from("<Q", page, hdr + count * width + child * CHILD_WIDTH)[0]
+        node = children[child]
     b = max(2, page_size // row_bytes)
     for recno in range((node - 1) * b + 1, min(node * b, entries) + 1):
         off = (recno - 1) * row_bytes
@@ -213,26 +211,37 @@ def btree_lookup_by_pages(index: bytes, table: bytes, row_bytes: int, coords):
     return None
 
 
+def node_offset(page_size: int, page_no: int) -> int:
+    """Byte offset of node page page_no (1-based): after the 48-byte metadata header."""
+    return 48 + (page_no - 1) * page_size
+
+
 def index_levels(index: bytes) -> list[list[tuple[int, list[bytes], list[int]]]]:
     """An index's internal nodes, level by level from the root, in key order.
 
     Each node is (page number, separators, child numbers), decoded by
-    slicing the page; the bottom level's children are block numbers.
+    slicing the page.  No child number is stored: pages run level by
+    level from the bottom, so a level's children are, in order, the
+    pages just before its first, as many as its nodes have children,
+    and the bottom level's are the blocks from 1 on.
     """
     _, _, _, page_size, _, width, root, _, _, height = _META.unpack_from(index, 0)
     hdr = _NODE_HEADER.size
     levels = []
     pages = [root]
-    for _ in range(height):
+    for depth in range(height, 0, -1):
         level = []
         for page_no in pages:
-            off = page_no * page_size
+            off = node_offset(page_size, page_no)
             _, count = _NODE_HEADER.unpack_from(index, off)
             separators = [index[off + hdr + i * width : off + hdr + (i + 1) * width]
                           for i in range(count)]
-            children = list(struct.unpack_from(f"<{count + 1}Q", index,
-                                               off + hdr + count * width))
-            level.append((page_no, separators, children))
+            level.append((page_no, separators, []))
+        total = sum(len(separators) + 1 for _, separators, _ in level)
+        first = pages[0] - total if depth > 1 else 1
+        for _, separators, children in level:
+            children += range(first, first + len(separators) + 1)
+            first += len(separators) + 1
         levels.append(level)
         pages = [child for _, _, children in level for child in children]
     return levels
@@ -461,14 +470,18 @@ def build_index_in_memory(table: bytes, out_path, k: int, record_width: int,
     """Reference B-tree bulk load: list every key, block and page, then write.
 
     The production build streams the table's block keys and must write
-    the same bytes.  Block j holds B = max(2, page size // row bytes)
-    rows from row (j - 1) * B + 1 on; the bottom level's children are
-    block numbers and its separators the first keys of blocks 2, 3, ...
+    the same bytes: the 48-byte metadata header, then one page per
+    node, its header and separators, no child numbers.  Block j holds
+    B = max(2, page size // row bytes) rows from row (j - 1) * B + 1 on;
+    the bottom level's children are block numbers and its separators the
+    first keys of blocks 2, 3, ...  The children are only tracked here,
+    as (first key, number) pairs, to pick each node's separators.
     """
     page_size = resolve_page_size(page_size)
     key_bytes = 4 * k
     row = key_bytes + record_width
-    t = min_degree(page_size, key_bytes)
+    t = (page_size - _NODE_HEADER.size) // (2 * key_bytes)  # 2t - 1 separators fit a page
+    assert t >= 2, "page too small"
     b = max(2, page_size // row)
     keys = [table[off : off + key_bytes] for off in range(0, len(table), row)]
     pages: list[bytes] = []
@@ -480,9 +493,6 @@ def build_index_in_memory(table: bytes, out_path, k: int, record_width: int,
         for key, _ in children[1:]:
             buf[off : off + key_bytes] = key
             off += key_bytes
-        for _, number in children:
-            struct.pack_into("<Q", buf, off, number)
-            off += CHILD_WIDTH
         return bytes(buf)
 
     level = [(keys[i], i // b + 1) for i in range(0, len(keys), b)]
@@ -498,12 +508,8 @@ def build_index_in_memory(table: bytes, out_path, k: int, record_width: int,
 
     meta = BTreeMeta(page_size, t, key_bytes, root, len(pages), len(keys), height)
     with open(out_path, "wb") as f:
-        head = bytearray(page_size)
-        head[: _META.size] = _META.pack(
-            _MAGIC, _VERSION, 0, page_size, t, key_bytes,
-            meta.root, meta.node_count, meta.entry_count, meta.height,
-        )
-        f.write(head)
+        f.write(_META.pack(_MAGIC, _VERSION, 0, page_size, t, key_bytes,
+                           meta.root, meta.node_count, meta.entry_count, meta.height))
         for page in pages:
             f.write(page)
     return meta

@@ -233,7 +233,7 @@ class TestStats:
 
     def test_btree_shape(self, tmp_path, capsys, monkeypatch):
         # 200 rows of two 4-byte key fields and an 8-byte measure: 8-byte
-        # separators in 256-byte pages give t = 248 // 32 = 7, and the
+        # separators in 256-byte pages give t = 248 // 16 = 15, and the
         # 16-byte rows make 13 blocks of 256 // 16 = 16 rows under one root
         src = tmp_path / "d.csv"
         src.write_text("a,b,v\n" + "".join(
@@ -246,7 +246,7 @@ class TestStats:
         capsys.readouterr()
         assert main(["stats", "--dataset", str(ds)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[9] == ("B-tree                    height 1, t 7, key 8 bytes, "
+        assert lines[9] == ("B-tree                    height 1, t 15, key 8 bytes, "
                             "pages: 1 internal over 13 table blocks of 16 rows")
 
     def test_sparse_relation_keeps_run_header(self, tmp_path, capsys):

@@ -296,6 +296,8 @@ class TestManifest:
                       (tmp_path / "ds" / MANIFEST_NAME).read_text().splitlines())
         assert fields["delta"] == repr(manifest.schema.delta) == repr(3 / 11)
         assert fields["rho"] == repr(manifest.rho) == repr(0.5)
+        # the schema is built once per manifest
+        assert manifest.schema is manifest.schema
 
     @pytest.mark.parametrize("field, value, message", [
         ("r", "-3", "row count -3 is negative"),

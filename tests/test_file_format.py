@@ -35,14 +35,15 @@ SHARED = {
         "relation.hdr": "e31255796a5a2e6f69f249c02352d47a94a33ddc2db5bb29b72646f0be94210a",
     },
 }
-# index version 4: separators of two 4-byte key fields, one per block of
-# the table's 27-byte rows (4 blocks of 151 rows in 4096-byte pages, 67
-# blocks of 9 rows in 256-byte pages)
+# index version 5: a 48-byte metadata header, then one page per node of
+# separators of two 4-byte key fields, one per block of the table's
+# 27-byte rows (4 blocks of 151 rows under one node in 4096-byte pages,
+# 67 blocks of 9 rows under four nodes in 256-byte pages)
 INDEX = {
-    ("dense", 4096): "3bd43d3dc9f4edb76a49ac70dff6fe00f9a28fb5f7ddfb5354650b02e5597f99",
-    ("dense", 256): "a00a1ad1126ec738e988c62cb852dca42c2483596053520fc28d60b28d7f0139",
-    ("sparse", 4096): "fbbe0953a23d908eb769f8427929c27847ceac55a8011f64b1ffdaddbd562e25",
-    ("sparse", 256): "00e6e56e928a3f6a6a720c4f996082c21fa25d08afb0c84315278d6646683605",
+    ("dense", 4096): "3a27cc929b4f385283b5fd10e3a2b065555230e3691710b6017afcfd178c5014",
+    ("dense", 256): "287a40b5f49eb2b4ecb6b57b004f6a483d2eb78fb3e69dc5945a8e0b14a3ec9e",
+    ("sparse", 4096): "6e9f3a876ddde4d39e9d2846f46ada779035f8997746be6494789700451e65f2",
+    ("sparse", 256): "42b6b34cb64708035275c70f37522b7a0d2e7c453606a7383d5e5ffb58b0ca23",
 }
 ENCODING = {"dense": PresenceBitmap, "sparse": Header}
 

@@ -275,6 +275,9 @@ class TestDimensionDirectory:
             DimensionDirectory(["b", "a"])
         with pytest.raises(MalformedInputError):
             DimensionDirectory(["a", "a"])
+        # the one pair out of order is the last of many
+        with pytest.raises(MalformedInputError, match="directory values must be strictly sorted"):
+            DimensionDirectory([f"v{i:03}" for i in range(680)] + ["v000"])
 
     def test_save_load_roundtrip(self, tmp_path):
         awkward = ["", "a\nb", "c\\n", "d\\\\e", "líne"]

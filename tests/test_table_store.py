@@ -33,6 +33,7 @@ from cubestore import (
 from cubestore.table_store import (
     DEFAULT_PAGE_SIZE,
     KEY_FIELD_WIDTH,
+    _index_shape,
     block_rows,
     build_index_from_table,
     decode_key,
@@ -49,6 +50,7 @@ from oracle import (
     enumerate_box,
     fences_in_order,
     index_levels,
+    node_offset,
     table_lookup_by_scan,
 )
 
@@ -114,9 +116,9 @@ class TestWriteTable:
 
 class TestDegreeAndBounds:
     def test_min_degree(self):
-        # (4096 - 8) // (2 * (12 + 8)) = 102 for three 4-byte key fields
-        assert min_degree(4096, 12) == 102
-        assert min_degree(256, 12) == 6
+        # (4096 - 8) // (2 * 12) = 170 for three 4-byte key fields
+        assert min_degree(4096, 12) == 170
+        assert min_degree(256, 12) == 10
         with pytest.raises(Exception):
             min_degree(64, 100)
 
@@ -147,6 +149,13 @@ class TestDegreeAndBounds:
         with pytest.raises(ParameterError, match=re.escape(
                 f"CUBESTORE_PAGE_SIZE={value!r} is not a whole number of bytes")):
             resolve_page_size(None)
+
+    def test_hit_dense_shape(self):
+        # the benchmark's hit-dense relation: 115,500 rows of 12-byte keys in
+        # 567 blocks at 4096-byte pages, under two bottom nodes and a root
+        meta, levels = _index_shape(4096, 12, 115_500, 567)
+        assert (meta.t, meta.node_count, meta.height) == (170, 3, 2)
+        assert levels == [[340, 227], [2]]
 
     def test_worst_case_page_reads(self):
         assert worst_case_page_reads(1, 89) == 1
@@ -377,7 +386,7 @@ class TestIndexKeyWidth:
             assert store.meta.key_bytes == 8
             assert (store.meta.root, store.meta.node_count, store.meta.height) == (0, 0, 0)
             assert store.btree_lookup((300, 2)) is None
-        assert (tmp_path / "rel.btx").stat().st_size == DEFAULT_PAGE_SIZE
+        assert (tmp_path / "rel.btx").stat().st_size == 48
 
     def test_open_slices_at_most_the_rows(self, tmp_path):
         # 7-byte rows in a 64 KB page: B is 9,362, but a 3-row table
@@ -388,6 +397,22 @@ class TestIndexKeyWidth:
             assert len(store._row_keys) == 3
             assert [store.btree_lookup((i,)) for i in range(1, 9)] == [1, 2, None, None, 3,
                                                                       None, None, None]
+
+
+class TestIndexSize:
+    """A .btx is its 48-byte metadata header and one page per internal node."""
+
+    CARDS = (30, 20, 10)
+
+    @pytest.mark.parametrize("rows,height", [(1500, 3), (5, 0), (0, 0)])
+    def test_header_and_node_pages(self, tmp_path, rows, height):
+        # 1,500 rows make a tree of height 3 in 128-byte pages, five rows one
+        # block and no node, no row no block: the last two are the header alone
+        cells = make_records(random_positions(cell_count(self.CARDS), rows, seed=9), 2)
+        with build_table_files(tmp_path, cells, self.CARDS, 2, page_size=128) as store:
+            meta = store.meta
+        assert meta.height == height and (meta.node_count > 0) == (height > 0)
+        assert (tmp_path / "rel.btx").stat().st_size == 48 + meta.node_count * 128
 
 
 class TestStoreValidation:
@@ -438,7 +463,7 @@ class TestIndexCorruption:
     CARDS = (30, 20, 10)
     KEY_BYTES = 12
     PAGE = 128  # small enough for a tree of height 3 over 1,500 rows
-    # byte offsets of the version, t, key width, root and height in the metadata page
+    # byte offsets of the version, t, key width, root and height in the metadata header
     META_VERSION = 4
     META_T = 12
     META_KEY_BYTES = 16
@@ -456,10 +481,6 @@ class TestIndexCorruption:
 
     def open(self, tmp_path):
         return TableStore.open(tmp_path / "rel.tbl", self.CARDS, 2, tmp_path / "rel.btx")
-
-    def child_offset(self, page_no, count, i=0):
-        """Offset of an internal node's i-th child number: after header and separators."""
-        return page_no * self.PAGE + 8 + count * self.KEY_BYTES + 8 * i
 
     def test_truncated_by_one_page(self, tmp_path):
         self.build(tmp_path)
@@ -479,14 +500,14 @@ class TestIndexCorruption:
     def test_version_1_index(self, tmp_path):
         btx = self.set_version(tmp_path, 1)
         with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: unsupported index version 1, expected 4; rebuild it")):
+                f"{btx}: unsupported index version 1, expected 5; rebuild it")):
             self.open(tmp_path)
 
     def test_version_2_index(self, tmp_path):
         # version 2 stored every key field in 4 bytes; it is not read
         btx = self.set_version(tmp_path, 2)
         with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: unsupported index version 2, expected 4; rebuild it with "
+                f"{btx}: unsupported index version 2, expected 5; rebuild it with "
                 f"`cubestore build --only table`")):
             self.open(tmp_path)
 
@@ -495,7 +516,22 @@ class TestIndexCorruption:
         # leaf pages; it is not read
         btx = self.set_version(tmp_path, 3)
         with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: unsupported index version 3, expected 4; rebuild it with "
+                f"{btx}: unsupported index version 3, expected 5; rebuild it with "
+                f"`cubestore build --only table`")):
+            self.open(tmp_path)
+
+    def test_version_4_index(self, tmp_path):
+        # version 4 padded the metadata to a whole page and stored an 8-byte
+        # number for every child; it is not read.  Its 48-byte metadata,
+        # written as version 4 wrote it, is refused before the rest is read.
+        _, meta = self.build(tmp_path)
+        btx = tmp_path / "rel.btx"
+        t4 = (self.PAGE - 8) // (2 * (self.KEY_BYTES + 8))
+        v4 = struct.pack("<4sHHIIIQQQI", b"CBTX", 4, 0, self.PAGE, t4, self.KEY_BYTES,
+                         meta.root, meta.node_count, meta.entry_count, meta.height)
+        btx.write_bytes(v4.ljust(self.PAGE, b"\0") + btx.read_bytes()[48:])
+        with pytest.raises(StorageError, match=re.escape(
+                f"{btx}: unsupported index version 4, expected 5; rebuild it with "
                 f"`cubestore build --only table`")):
             self.open(tmp_path)
 
@@ -540,12 +576,8 @@ class TestIndexCorruption:
         "leaf type byte": None,
         "leaf count above L": None,
         "leaf count zero": None,
-        "child past node count": None,
         "swapped separators": (r"block \d+ has fence [0-9a-f]{24}, "
                                r"not above the fence [0-9a-f]{24} before it$"),
-        "child reached twice": None,
-        "first record past entry count": None,
-        "first record zero": None,
         "separator count lowered": None,
         "height raised": SHAPE,
         "height lowered": SHAPE,
@@ -558,55 +590,43 @@ class TestIndexCorruption:
         levels, meta = self.build(tmp_path)
         btx = tmp_path / "rel.btx"
         raw = bytearray(btx.read_bytes())
-        root = meta.root
-        root_count = len(levels[0][0][1])
         last_page, last_seps, _ = levels[-1][-1]  # the bottom level's last node
         if damage == "internal type byte":
-            raw[root * self.PAGE] = 0
-        elif damage == "child past node count":
-            struct.pack_into("<Q", raw, self.child_offset(root, root_count), meta.node_count + 1)
+            raw[node_offset(self.PAGE, meta.root)] = 0
         elif damage == "leaf type byte":
             # a bottom node marked with type 0, the type of version 3's leaf
-            # pages: version 4 has no leaf pages, its leaves are table blocks
-            raw[levels[-1][0][0] * self.PAGE] = 0
+            # pages: since version 4 the leaves are table blocks
+            raw[node_offset(self.PAGE, levels[-1][0][0])] = 0
         elif damage.startswith("leaf count"):
             # a bottom node's count of separators between its leaf blocks:
             # 0, or above L = 2t - 1, the most a node holds
             count = 2 * meta.t if "above" in damage else 0
-            struct.pack_into("<H", raw, last_page * self.PAGE + 2, count)
+            struct.pack_into("<H", raw, node_offset(self.PAGE, last_page) + 2, count)
         elif damage == "swapped separators":
             page_no = next(p for p, seps, _ in levels[1] if len(seps) >= 2)
-            first = page_no * self.PAGE + 8
+            first = node_offset(self.PAGE, page_no) + 8
             second = first + self.KEY_BYTES
             raw[first:second], raw[second : second + self.KEY_BYTES] = (
                 raw[second : second + self.KEY_BYTES], raw[first:second])
-        elif damage.startswith("first record"):
-            # a bottom child is a block number j, so the leaf's first record
-            # is (j - 1) * B + 1: block 0, or one past the table's last block
-            blocks = -(-meta.entry_count // block_rows(self.PAGE, 14))
-            block = blocks + 1 if "past" in damage else 0
-            struct.pack_into("<Q", raw, self.child_offset(last_page, len(last_seps)), block)
         elif damage == "separator count lowered":
-            struct.pack_into("<H", raw, last_page * self.PAGE + 2, len(last_seps) - 1)
+            struct.pack_into("<H", raw, node_offset(self.PAGE, last_page) + 2, len(last_seps) - 1)
         elif damage.startswith("height"):
             struct.pack_into("<I", raw, self.META_HEIGHT,
                              meta.height + (1 if "raised" in damage else -1))
-        elif damage == "separator raised past the next":
+        else:
             # the first bottom node's last separator, raised past the fence of
             # its right sibling, its parent's first separator: every node's
             # separators still ascend, the leaf fences do not
             page_no, seps, _ = levels[-1][0]
             parent_first = levels[-2][0][1][0]
             raised = parent_first[:-1] + bytes([parent_first[-1] + 1])
-            off = page_no * self.PAGE + 8 + (len(seps) - 1) * self.KEY_BYTES
+            off = node_offset(self.PAGE, page_no) + 8 + (len(seps) - 1) * self.KEY_BYTES
             raw[off : off + self.KEY_BYTES] = raised
-        else:
-            off = self.child_offset(root, root_count)
-            raw[off + 8 : off + 16] = raw[off : off + 8]
         said = self.DAMAGE[damage]
         if said is None:
             at = next(i for i, (a, b) in enumerate(zip(raw, btx.read_bytes())) if a != b)
-            said = re.escape(f"byte {at}, in page {at // self.PAGE}, is not what build writes")
+            page = (at - 48) // self.PAGE + 1  # 0 for the metadata header
+            said = re.escape(f"byte {at}, in page {page}, is not what build writes")
         btx.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match=re.escape(f"{btx}: ") + said):
             self.open(tmp_path)
@@ -620,7 +640,7 @@ class TestIndexCorruption:
         btx = tmp_path / "rel.btx"
         index = btx.read_bytes()
         first_key = (tmp_path / "rel.tbl").read_bytes()[: self.KEY_BYTES]
-        bits = [8 * (page_no * self.PAGE + 8) + bit
+        bits = [8 * (node_offset(self.PAGE, page_no) + 8) + bit
                 for level in levels for page_no, seps, _ in level
                 for bit in range(8 * self.KEY_BYTES * len(seps))]
         rng = SplitMix64(19)
@@ -645,15 +665,13 @@ class TestIndexCorruption:
         levels, _ = self.build(tmp_path)
         btx = tmp_path / "rel.btx"
         index = btx.read_bytes()
-        kinds = {"metadata page": range(self.PAGE), "node header": [], "child number": [],
-                 "padding": []}
+        kinds = {"metadata header": range(48), "node header": [], "padding": []}
         for level in levels:
-            for page_no, seps, children in level:
-                start = page_no * self.PAGE
-                child = start + 8 + self.KEY_BYTES * len(seps)
+            for page_no, seps, _ in level:
+                start = node_offset(self.PAGE, page_no)
                 kinds["node header"] += range(start, start + 8)
-                kinds["child number"] += range(child, child + 8 * len(children))
-                kinds["padding"] += range(child + 8 * len(children), start + self.PAGE)
+                kinds["padding"] += range(start + 8 + self.KEY_BYTES * len(seps),
+                                          start + self.PAGE)
         # the kinds hold every byte of the index but the separators'
         separators = sum(len(seps) for level in levels for _, seps, _ in level)
         assert sum(map(len, kinds.values())) == len(index) - separators * self.KEY_BYTES
@@ -669,17 +687,16 @@ class TestIndexCorruption:
 
 
 class TestRoutingCheck:
-    """A damaged bottom-level entry fails open, or exactly the lookups routed through it.
+    """A damaged bottom-level separator fails exactly the lookups routed through it.
 
-    Open requires every child number to be the one build writes.  A
-    separator is read as it stands, so the block a descent reaches must
+    A separator is read as it stands, so the block a descent reaches must
     start with the last separator it passed, or with the table's first
     key when it passed none.  Every other lookup must still answer as
     the undamaged index does.
     """
 
     CARDS = (30, 20, 10)
-    PAGE = 256  # t = 6 and blocks of 18 rows: height 2 over 1,500 rows
+    PAGE = 256  # t = 10 and blocks of 18 rows: height 2 over 1,500 rows
     B = 18
 
     def build(self, tmp_path):
@@ -707,26 +724,6 @@ class TestRoutingCheck:
                     assert store.btree_lookup(coords) == binary_search_rows(table, 12, 14, key)
         return failed
 
-    @pytest.mark.parametrize("to", ["next block", "previous block", "block 1", "from block 1"])
-    def test_corrupt_block_number(self, tmp_path, to):
-        _, _, levels = self.build(tmp_path)
-        btx = tmp_path / "rel.btx"
-        raw = bytearray(btx.read_bytes())
-        # the middle child of the second bottom node, or the leftmost child
-        page_no, seps, children = levels[1][0 if to == "from block 1" else 1]
-        i = 0 if to == "from block 1" else len(children) // 2
-        block = children[i]
-        target = {"next block": block + 1, "previous block": block - 1, "block 1": 1,
-                  "from block 1": 2}[to]
-        off = page_no * self.PAGE + 8 + len(seps) * 12 + 8 * i
-        struct.pack_into("<Q", raw, off, target)
-        # the first byte of the little-endian number that changed
-        at = off + next(j for j in range(8) if raw[off + j] != block >> 8 * j & 0xFF)
-        btx.write_bytes(bytes(raw))
-        with pytest.raises(StorageError, match=re.escape(
-                f"{btx}: byte {at}, in page {page_no}, is not what build writes there")):
-            TableStore.open(tmp_path / "rel.tbl", self.CARDS, 2, btx)
-
     def test_lowered_separator(self, tmp_path):
         table, firsts, levels = self.build(tmp_path)
         raw = bytearray((tmp_path / "rel.btx").read_bytes())
@@ -737,7 +734,7 @@ class TestRoutingCheck:
         # key that then passes it last is routed to block j and must fail
         lowered = table[((block - 1) * self.B - 1) * 14 :][:12]
         assert seps[i - 1] < lowered < seps[i] == firsts[block - 1]
-        off = page_no * self.PAGE + 8 + 12 * i
+        off = node_offset(self.PAGE, page_no) + 8 + 12 * i
         raw[off : off + 12] = lowered
         damaged = lambda key: lowered <= key < firsts[block]  # noqa: E731
         assert self.check(tmp_path, table, damaged, bytes(raw)) > 0
@@ -1007,16 +1004,16 @@ class TestIterRows:
 
 
 # The smallest page whose internal node fits 2t >= 4 children of 4k-byte
-# separators: (page - 8) // (2 * (4k + 8)) >= 2 gives 56, 72, 88 and 104
-# bytes for k = 1..4, and no page is below 64 bytes.
-SMALLEST_PAGE = {1: 64, 2: 72, 3: 88, 4: 104}
+# separators: (page - 8) // (2 * 4k) >= 2 gives 24, 40, 56 and 72 bytes
+# for k = 1..4, and no page is below 64 bytes.
+SMALLEST_PAGE = {1: 64, 2: 64, 3: 64, 4: 72}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_smallest_page(k):
     smallest = SMALLEST_PAGE[k]
     assert resolve_page_size(smallest) == smallest
-    assert min_degree(smallest, 4 * k) == 2
+    assert min_degree(smallest, 4 * k) == {1: 7, 2: 3, 3: 2, 4: 2}[k]
     with pytest.raises(ParameterError):
         min_degree(resolve_page_size(smallest - 1), 4 * k)
 
@@ -1025,10 +1022,10 @@ def test_smallest_page(k):
        page=st.one_of(st.integers(64, 160), st.integers(64, DEFAULT_PAGE_SIZE)),
        rows=st.sampled_from(["0", "1", "B", "B + 1", "blocks"]),
        blocks=st.integers(2, 60), seed=st.integers(0, 2**16))
-@example(k=1, record_width=2100, page=4096, rows="blocks", blocks=7, seed=1)  # B = 2 < t = 170
-@example(k=2, record_width=120, page=4096, rows="blocks", blocks=9, seed=2)  # B = 32 < t = 127
-@example(k=3, record_width=30, page=88, rows="blocks", blocks=20, seed=3)  # B = 2 = t, height 4
-@example(k=4, record_width=0, page=104, rows="B + 1", blocks=2, seed=4)  # B = 6 > t = 2
+@example(k=1, record_width=2100, page=4096, rows="blocks", blocks=7, seed=1)  # B = 2 < t = 511
+@example(k=2, record_width=120, page=4096, rows="blocks", blocks=9, seed=2)  # B = 32 < t = 255
+@example(k=3, record_width=30, page=64, rows="blocks", blocks=20, seed=3)  # B = 2 = t, height 3
+@example(k=4, record_width=0, page=104, rows="B + 1", blocks=2, seed=4)  # B = 6 > t = 3
 @settings(max_examples=60, deadline=None)
 def test_block_shapes_agree_with_the_dense_oracle(k, record_width, page, rows, blocks, seed):
     """Both table searches equal a dense oracle over blocks of every shape.

@@ -251,7 +251,7 @@ def _write_rows(path, n, key_bytes, record_width):
 
 @pytest.mark.parametrize("record_width", [2, 3, 4, 12, 20])
 def test_build_index_matches_reference(tmp_path, record_width):
-    # two 4-byte key fields in 128-byte pages: t = 3, and B from 12 down to 4
+    # two 4-byte key fields in 128-byte pages: t = 7, and B from 12 down to 4
     t = min_degree(128, 8)
     for r in _index_sizes(block_rows(128, 8 + record_width), t):
         tbl = _write_rows(tmp_path / "t.tbl", r, 8, record_width)
