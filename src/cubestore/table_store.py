@@ -22,10 +22,11 @@ Each separator is the table key, 4 bytes per field, that starts the
 block or subtree to its right.  The minimal degree t = (page size - 8)
 // (2 * key width), so 2t children fit a page, and every internal node
 except the root has t to 2t children.  A table of one block has no
-internal node: its root is block 1, its height 0 and its index the
-header alone.  Blocks hold at least two rows, so there are at most
-(r + 1) / 2 of them and a lookup still visits at most
-ceil(log_t((r + 1) / 2)) + 1 nodes, its block included.
+internal node: its root is block 1, its height 0 and its index, like
+an empty table's, the header padded with zeros to one page.  Blocks
+hold at least two rows, so there are at most (r + 1) / 2 of them and a
+lookup still visits at most ceil(log_t((r + 1) / 2)) + 1 nodes, its
+block included.
 
 One writer, _index_pages, yields every piece of an index from the leaf
 blocks' fences; the shape follows from the block count and t alone.
@@ -265,10 +266,10 @@ def _index_pages(meta: BTreeMeta, levels, fences):
     The metadata header, then each level's nodes from the bottom, a page
     each: the children's fences but the first as separators.  Fences are
     consumed as the bottom level needs them; each level above holds one
-    first key per node below.
+    first key per node below.  With no node, the header fills one page.
     """
     size = meta.page_size
-    yield _META.pack(_MAGIC, _VERSION, 0, *meta)
+    yield _META.pack(_MAGIC, _VERSION, 0, *meta).ljust(0 if levels else size, b"\0")
     keys = iter(fences)
     for sizes in levels:
         firsts = []
@@ -419,9 +420,9 @@ class TableStore:
                 f"{stored.node_count} nodes and height {stored.height} are not the shape of "
                 f"an index over {blocks} blocks in {stored.page_size}-byte pages")
         size = os.fstat(fd).st_size
-        if size != _META.size + meta.node_count * meta.page_size:
+        if size != max(_META.size + meta.node_count * meta.page_size, meta.page_size):
             raise StorageError(f"{name}: size {size} is not a {_META.size}-byte header and "
-                               f"{meta.node_count} pages of {meta.page_size} bytes")
+                               f"{meta.node_count} pages of {meta.page_size} bytes, or one page")
         data = os.pread(fd, size, 0)
         if len(data) != size:
             raise StorageError(f"{name}: short read of the index")
@@ -440,7 +441,7 @@ class TableStore:
         built = b"".join(_index_pages(meta, levels, fences))
         if data != built:
             at = next(i for i in range(size) if data[i] != built[i])
-            page = (at - _META.size) // meta.page_size + 1  # 0 for the metadata header
+            page = (at - _META.size) // meta.page_size + 1 if meta.node_count else 0
             raise StorageError(f"{name}: byte {at}, in page {page}, is not what build writes there")
         return meta, fences
 

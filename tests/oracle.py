@@ -212,8 +212,8 @@ def btree_lookup_by_pages(index: bytes, table: bytes, row_bytes: int, coords):
 
 
 def node_offset(page_size: int, page_no: int) -> int:
-    """Byte offset of node page page_no (1-based): after the 48-byte metadata header."""
-    return 48 + (page_no - 1) * page_size
+    """Byte offset of node page page_no (1-based): after the metadata header."""
+    return _META.size + (page_no - 1) * page_size
 
 
 def index_levels(index: bytes) -> list[list[tuple[int, list[bytes], list[int]]]]:
@@ -471,7 +471,8 @@ def build_index_in_memory(table: bytes, out_path, k: int, record_width: int,
 
     The production build streams the table's block keys and must write
     the same bytes: the 48-byte metadata header, then one page per
-    node, its header and separators, no child numbers.  Block j holds
+    node, its header and separators, no child numbers; with no node,
+    the header padded with zeros to one page.  Block j holds
     B = max(2, page size // row bytes) rows from row (j - 1) * B + 1 on;
     the bottom level's children are block numbers and its separators the
     first keys of blocks 2, 3, ...  The children are only tracked here,
@@ -507,9 +508,10 @@ def build_index_in_memory(table: bytes, out_path, k: int, record_width: int,
     root = level[0][1] if level else 0
 
     meta = BTreeMeta(page_size, t, key_bytes, root, len(pages), len(keys), height)
+    header = _META.pack(_MAGIC, _VERSION, 0, page_size, t, key_bytes,
+                        meta.root, meta.node_count, meta.entry_count, meta.height)
     with open(out_path, "wb") as f:
-        f.write(_META.pack(_MAGIC, _VERSION, 0, page_size, t, key_bytes,
-                           meta.root, meta.node_count, meta.entry_count, meta.height))
+        f.write(header if pages else header.ljust(page_size, b"\0"))
         for page in pages:
             f.write(page)
     return meta

@@ -33,6 +33,7 @@ from cubestore import (
 from cubestore.table_store import (
     DEFAULT_PAGE_SIZE,
     KEY_FIELD_WIDTH,
+    _META,
     _index_shape,
     block_rows,
     build_index_from_table,
@@ -386,7 +387,7 @@ class TestIndexKeyWidth:
             assert store.meta.key_bytes == 8
             assert (store.meta.root, store.meta.node_count, store.meta.height) == (0, 0, 0)
             assert store.btree_lookup((300, 2)) is None
-        assert (tmp_path / "rel.btx").stat().st_size == 48
+        assert (tmp_path / "rel.btx").stat().st_size == DEFAULT_PAGE_SIZE
 
     def test_open_slices_at_most_the_rows(self, tmp_path):
         # 7-byte rows in a 64 KB page: B is 9,362, but a 3-row table
@@ -400,19 +401,31 @@ class TestIndexKeyWidth:
 
 
 class TestIndexSize:
-    """A .btx is its 48-byte metadata header and one page per internal node."""
+    """A .btx is its metadata header and one page per internal node, and never under a page."""
 
     CARDS = (30, 20, 10)
 
-    @pytest.mark.parametrize("rows,height", [(1500, 3), (5, 0), (0, 0)])
-    def test_header_and_node_pages(self, tmp_path, rows, height):
-        # 1,500 rows make a tree of height 3 in 128-byte pages, five rows one
-        # block and no node, no row no block: the last two are the header alone
+    @pytest.mark.parametrize("rows,height,size", [(1500, 3, _META.size + 20 * 128),
+                                                  (5, 0, 128)])
+    def test_header_and_node_pages(self, tmp_path, rows, height, size):
+        # 1,500 rows make a tree of height 3 and 20 nodes in 128-byte pages;
+        # five rows make one block and no node, so the index is the header
+        # padded with zeros to one page (an empty table's: test_empty_table_index)
         cells = make_records(random_positions(cell_count(self.CARDS), rows, seed=9), 2)
         with build_table_files(tmp_path, cells, self.CARDS, 2, page_size=128) as store:
             meta = store.meta
+        btx = tmp_path / "rel.btx"
         assert meta.height == height and (meta.node_count > 0) == (height > 0)
-        assert (tmp_path / "rel.btx").stat().st_size == 48 + meta.node_count * 128
+        assert btx.stat().st_size == size == max(_META.size + meta.node_count * 128, 128)
+        # the last byte is padding, of the root or of the lone header, and
+        # open refuses it flipped
+        raw = bytearray(btx.read_bytes())
+        raw[-1] ^= 1
+        btx.write_bytes(bytes(raw))
+        page = 0 if height == 0 else meta.node_count
+        with pytest.raises(StorageError, match=re.escape(
+                f"{btx}: byte {size - 1}, in page {page}, is not what build writes there")):
+            TableStore.open(tmp_path / "rel.tbl", self.CARDS, 2, btx)
 
 
 class TestStoreValidation:
@@ -529,7 +542,7 @@ class TestIndexCorruption:
         t4 = (self.PAGE - 8) // (2 * (self.KEY_BYTES + 8))
         v4 = struct.pack("<4sHHIIIQQQI", b"CBTX", 4, 0, self.PAGE, t4, self.KEY_BYTES,
                          meta.root, meta.node_count, meta.entry_count, meta.height)
-        btx.write_bytes(v4.ljust(self.PAGE, b"\0") + btx.read_bytes()[48:])
+        btx.write_bytes(v4.ljust(self.PAGE, b"\0") + btx.read_bytes()[_META.size:])
         with pytest.raises(StorageError, match=re.escape(
                 f"{btx}: unsupported index version 4, expected 5; rebuild it with "
                 f"`cubestore build --only table`")):
@@ -625,7 +638,7 @@ class TestIndexCorruption:
         said = self.DAMAGE[damage]
         if said is None:
             at = next(i for i, (a, b) in enumerate(zip(raw, btx.read_bytes())) if a != b)
-            page = (at - 48) // self.PAGE + 1  # 0 for the metadata header
+            page = (at - _META.size) // self.PAGE + 1  # 0 for the metadata header
             said = re.escape(f"byte {at}, in page {page}, is not what build writes")
         btx.write_bytes(bytes(raw))
         with pytest.raises(StorageError, match=re.escape(f"{btx}: ") + said):
@@ -665,7 +678,7 @@ class TestIndexCorruption:
         levels, _ = self.build(tmp_path)
         btx = tmp_path / "rel.btx"
         index = btx.read_bytes()
-        kinds = {"metadata header": range(48), "node header": [], "padding": []}
+        kinds = {"metadata header": range(_META.size), "node header": [], "padding": []}
         for level in levels:
             for page_no, seps, _ in level:
                 start = node_offset(self.PAGE, page_no)
