@@ -68,11 +68,11 @@ holds the position kernel's coordinate test (linearizer.position_kernel:
 straight-line code for the box's k that range-checks every coordinate
 and costs k - 1 multiplications), then the header's locate step without
 locate's range test, which the coordinate test has already made, then a
-hit's one pread and its short-read check, without the type and range
-checks read_record keeps.  A miss reads nothing.  Any input the
-coordinate test refuses runs linearize and locate, so coordinates
-outside the box, or of the wrong count or type, raise the RangeError
-that linearize raises.  The function holds the header's columns and a
+hit's one pread and its short-read check, inline rather than a
+files.read_at call, and without the type and range checks read_record
+keeps.  A miss reads nothing.  Any input the coordinate test refuses
+runs linearize and locate, so coordinates outside the box, or of the
+wrong count or type, raise the RangeError that linearize raises.  The function holds the header's columns and a
 one-slot descriptor that close sets to -1, never the store, so a closed
 store is freed as soon as it is dropped.
 """
@@ -96,7 +96,7 @@ from .errors import (
     RangeError,
     StorageError,
 )
-from .files import open_for_pread, read_binary, row_blocks, write_file
+from .files import open_for_pread, read_at, read_binary, row_blocks, write_file
 from .linearizer import _box, _compile, _integer, _prelude, cell_count
 
 _ENTRY_BYTES = 16  # two unsigned 64-bit little-endian words per entry
@@ -563,10 +563,7 @@ class ArrayStore:
         if not 1 <= record <= self.header.record_count:
             raise RangeError(f"record number {record} outside 1..{self.header.record_count}")
         w = self.record_width
-        data = os.pread(self._fd, w, (record - 1) * w)
-        if len(data) != w:
-            raise StorageError(f"{self._file.name}: short read at record {record}")
-        return data
+        return read_at(self._fd, self._file.name, w, (record - 1) * w)
 
     def iterate_nonempty(self):
         """Yield (coordinates, record) for every stored cell in logical order.

@@ -11,15 +11,16 @@ Subcommands:
   bench    time point lookups against both representations
   export   write the stored rows back out as CSV
 
-Exit status: 0 on success, 1 when a query finds an empty cell,
-2 on any error (bad arguments, malformed input, missing files, an
-output file that cannot be written).
+Exit status: 0 on success, 1 when a query finds an empty cell, 2 on any
+error (bad arguments, malformed input, missing files, an output file
+that cannot be written), 141 (SIGPIPE's) when stdout's reader closes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from contextlib import nullcontext
 from pathlib import Path
@@ -49,7 +50,7 @@ from .dataset import (
     stored_cells,
 )
 from .errors import CubeStoreError, MalformedInputError
-from .files import replacing
+from .files import replacing, size_of
 from .relation_model import build_conjoint, space_ratio
 
 
@@ -148,9 +149,8 @@ def _cmd_stats(args) -> int:
             print("verdict: equal size (uncompressed model)")
     else:
         print("size ratio (delta/rho)    undefined (no rows)")
-    hdr = root / HEADER_NAME
-    if hdr.exists():
-        header = Header.load(hdr)
+    if size_of(root / HEADER_NAME) is not None:
+        header = Header.load(root / HEADER_NAME)
         sizes = header_bytes(header)
         stored = "presence bitmap" if isinstance(header, PresenceBitmap) else "run header"
         other = next(name for name in sizes if name != stored)
@@ -158,7 +158,7 @@ def _cmd_stats(args) -> int:
               f"({other}: {sizes[other]:,} bytes)")
     else:
         print(f"{'header encoding':26}(not built)")
-    if (root / BTREE_NAME).exists():
+    if size_of(root / BTREE_NAME) is not None:
         with open_dataset(root, need=("table",)) as db:
             table = db.table
         meta = table.meta
@@ -197,7 +197,7 @@ def _cmd_bench(args) -> int:
         with open_dataset(args.dataset) as db:
             results = run_benchmark(db, sizes=tuple(args.sizes), seed=args.seed,
                                     warmup=args.warmup)
-        print(report(results, warmup=args.warmup))
+        print(report(results, warmup=args.warmup), flush=True)  # before the CSV commits
         if out is not None:
             write_bench_csv(results, out)
     if args.csv:
@@ -297,7 +297,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:  # stdout's reader has gone, as after `| head -1`
+        null = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit cannot fail again
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return 141  # SIGPIPE's status, not 0: the output is cut short
     except (CubeStoreError, OSError) as exc:  # an OSError names its path, e.g. an output file
         print(f"error: {exc}", file=sys.stderr)
         return 2

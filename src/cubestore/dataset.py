@@ -10,8 +10,8 @@ A dataset directory holds one relation under these fixed names:
   relation.hdr   header of the compressed array, a run header or a presence
                  bitmap, whichever array_store.save_header finds smaller
 
-Only the files module opens, reads, writes or removes them; a failure
-raises DatasetError or StorageError naming the file.
+Only the files module opens, sizes, reads, writes or removes them; a
+failure raises DatasetError or StorageError naming the file.
 
 Ingestion reads the rows once.  That pass keeps, per key column, a map
 from each distinct value to a first-seen id and each row's id in an
@@ -49,7 +49,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .files import clear_directory, read_utf8, write_file, writing
+from .files import clear_directory, read_utf8, size_of, write_file, writing
 from .linearizer import delinearize, position_kernel
 from .relation_model import (
     _I64_MAX,
@@ -86,7 +86,7 @@ def _dim_paths(root: Path, k: int) -> list[Path]:
 
 def _existing(path: Path, kind: str, remedy: str) -> Path:
     """path, or a DatasetError naming it when no such file exists."""
-    if not path.exists():
+    if size_of(path) is None:
         raise DatasetError(f"{kind} file {path} is missing; {remedy}")
     return path
 
@@ -172,14 +172,17 @@ class Manifest:
     @classmethod
     def load(cls, path) -> "Manifest":
         text = read_utf8(path, "manifest")
-        fields = {}
+        fields, numbers = {}, {}
         for number, line in enumerate(text.splitlines(), start=1):
             if not line.strip():
                 continue
             if "=" not in line:
                 raise DatasetError(f"{path}: bad manifest line {number} {line!r}")
             key, _, value = line.partition("=")
-            fields[key] = value
+            if key in fields:
+                raise DatasetError(f"{path}: manifest key {key!r} is on lines "
+                                   f"{numbers[key]} and {number}")
+            fields[key], numbers[key] = value, number
         try:
             version = int(fields["format_version"])
             if version != FORMAT_VERSION:
@@ -494,10 +497,6 @@ def size_report(dataset_dir) -> dict:
     """Byte counts of every dataset file kind, None where not built."""
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
-
-    def size_of(path):
-        return path.stat().st_size if path.exists() else None
-
     dims = [size for size in map(size_of, _dim_paths(root, manifest.k)) if size is not None]
     return {
         "dimensions": manifest.k,
@@ -517,9 +516,8 @@ def format_size_report(report: dict) -> str:
     table_parts = [report["table"], report["btree"]]
     array_parts = [report["array"], report["header"], report["dimension_values"]]
 
-    def total(parts):
-        known = [p for p in parts if p is not None]
-        return sum(known) if known else None
+    def total(parts):  # a representation with a part not built has no total
+        return None if None in parts else sum(parts)
 
     lines = [
         f"{'number of dimensions':34}{report['dimensions']:>14,}",
@@ -630,7 +628,7 @@ def stored_cells(root: Path, manifest: Manifest):
     That check runs at the call; a partial row raises StorageError as it streams.
     """
     tbl = _existing(root / TABLE_NAME, "table", "ingest first")
-    rows, partial = divmod(tbl.stat().st_size, manifest.schema.row_bytes)
+    rows, partial = divmod(size_of(tbl), manifest.schema.row_bytes)
     if rows != manifest.r and not partial:
         raise DatasetError(f"{tbl}: table holds {rows} rows, manifest says {manifest.r}")
     return iter_table_cells(tbl, manifest.k, manifest.schema.record_width)

@@ -1,16 +1,18 @@
-"""The only code that opens, reads, writes or removes a dataset file.
+"""The only code that opens, sizes, reads, writes or removes a dataset file.
 
 The CLI's and the cost model's CSVs go through replacing too; only
 ingest_csv opens its input itself.  An OSError or a UTF-8 decode error
-raises DatasetError for the manifest, the .dim files and every write,
+raises DatasetError for the manifest, the .dim files, sizes and writes,
 and StorageError for the .hdr, .tbl, .btx and .arr reads, naming the
-file.  Lookups pread the descriptors open_for_pread returns, unwrapped.
+file.  Open reads the manifest, .dim, .hdr and .btx whole, and every
+other read is read_at, a checked pread, but three that each lookup makes
+inline: TableStore's block read and key probe, and ArrayStore.get_cell's.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .errors import DatasetError, StorageError
@@ -35,6 +37,13 @@ def read_binary(path, what: str) -> bytes:
 def read_utf8(path, what: str) -> str:
     with _failing(DatasetError, f"cannot read {what} {path}"):
         return Path(path).read_bytes().decode("utf-8")
+
+
+def size_of(path) -> int | None:
+    """The size of path in bytes, or None when no such file exists."""
+    with _failing(DatasetError, f"cannot read the size of {path}"), suppress(FileNotFoundError):
+        return os.stat(path).st_size
+    return None
 
 
 def open_for_pread(path):
@@ -80,14 +89,15 @@ def replacing(path):
         raise
 
 
+def read_at(fd, name, size: int, offset: int) -> bytes:
+    """size bytes at offset of the open file name; fewer raise StorageError naming both."""
+    data = os.pread(fd, size, offset)
+    if len(data) != size:
+        raise StorageError(f"{name}: short read of {size} bytes at offset {offset}")
+    return data
+
+
 def row_blocks(fd, name, row: int, rows: int):
     """Yield the first `rows` rows of an open file of fixed-width rows, up to 2048 per block."""
-    end = rows * row
-    step = row * 2048
-    for off in range(0, end, step):
-        size = min(step, end - off)
-        block = os.pread(fd, size, off)
-        if len(block) != size:
-            raise StorageError(f"{name}: short read of {size} bytes at offset {off}; "
-                               f"the file changed size while being read")
-        yield block
+    end, step = rows * row, row * 2048
+    return (read_at(fd, name, min(step, end - off), off) for off in range(0, end, step))

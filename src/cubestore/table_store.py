@@ -30,11 +30,12 @@ block included.
 
 One writer, _index_pages, yields every piece of an index from the leaf
 blocks' fences; the shape follows from the block count and t alone.
-Build streams the table's block first keys through it.  Open checks the
-metadata's magic, version, key width and row count, and its shape and
-the file size against that shape.  It reads each separator where the
-shape puts it and assembles each block's fence, the key the block must
-start with, from the root down: the last separator on its left, or for
+Build streams the table's block first keys through it.  Open reads the
+index whole, keeping no descriptor on it, and checks the metadata's
+magic, version, key width and row count, and its shape and the file
+size against that shape.  It reads each separator where the shape puts
+it and assembles each block's fence, the key the block must start
+with, from the root down: the last separator on its left, or for
 the leftmost block the table's first key, which open reads.  The fences
 must strictly ascend, and the file must be what _index_pages writes over
 them, byte for byte; a difference raises StorageError naming the byte
@@ -55,12 +56,13 @@ ArrayStore.get_cell does, so the two representations agree on them
 too.  write_table packs its rows' keys through the same kernel;
 encode_key stays the reference.
 
-A TableStore always opens its index.  The plain binary search reads
+A TableStore always reads its index.  The plain binary search reads
 nothing of it, but cuts the table into the index's blocks of B rows,
 the leaf level, and bisects the blocks' first keys, reading each key
-it compares with one key-sized pread; then it reads the one block
-that can hold the key and bisects its rows in memory.  Both
-searches run inside C-level bisect calls.  The comparisons stay about
+it compares with one key-sized pread, _read_key; then it reads the one
+block that can hold the key and bisects its rows in memory.  Both
+searches run inside C-level bisect calls, which call _read_key, a
+partial of os.pread, with no Python frame.  The comparisons stay about
 log2 r, the q_plain model's count, while the file reads fall to about
 log2(r / B) + 1.  A key probe is not length-checked: a probe cut short
 by a truncated file compares low, which only steers the search to a
@@ -81,7 +83,6 @@ import math
 import os
 import struct
 from bisect import bisect_left, bisect_right
-from contextlib import ExitStack
 from functools import lru_cache, partial
 from itertools import islice
 from operator import lt
@@ -95,7 +96,7 @@ from .errors import (
     RangeError,
     StorageError,
 )
-from .files import open_for_pread, row_blocks, writing
+from .files import open_for_pread, read_at, read_binary, row_blocks, writing
 from .linearizer import _integer, key_kernel
 
 KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field in the table
@@ -284,8 +285,8 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
                            page_size: int | None = None) -> BTreeMeta:
     """Index a sorted table file whose blocks of B rows are the leaf level.
 
-    One pread per block reads its first key, and _index_pages writes the
-    bottom level's nodes as those keys arrive, so memory stays flat.
+    One read_at per block reads its first key, and _index_pages writes
+    the bottom level's nodes as those keys arrive, so memory stays flat.
     """
     page_size = resolve_page_size(page_size)
     key_bytes = k * KEY_FIELD_WIDTH
@@ -294,17 +295,10 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
     with open_for_pread(tbl_path) as tbl:
         rows = _table_rows(tbl, row)
         meta, levels = _index_shape(page_size, key_bytes, rows, -(-rows // b))
-
-        def first_keys():
-            for off in range(0, rows * row, b * row):
-                key = os.pread(tbl.fileno(), key_bytes, off)
-                if len(key) != key_bytes:
-                    raise StorageError(f"{tbl_path}: short read of the key at offset {off}; "
-                                       f"the file changed size while being read")
-                yield key
-
+        first_keys = (read_at(tbl.fileno(), tbl_path, key_bytes, off)
+                      for off in range(0, rows * row, b * row))
         with writing(btx_path) as out:
-            out.writelines(_index_pages(meta, levels, first_keys()))
+            out.writelines(_index_pages(meta, levels, first_keys))
     return meta
 
 
@@ -320,19 +314,19 @@ def build_table(cells, tbl_path, btx_path, cards, record_width: int,
 class TableStore:
     """Read handle over a sorted table file and its B-tree index, which it requires.
 
-    Reads go through pread.  Open keeps the leaf level's fences, so
-    btree_lookup bisects them and reads only its block from the table.
-    Every lookup visits the same height + 1 nodes, the block as the leaf,
-    so last_page_reads is set to that at open (0 for an empty table).
-    binary_search_lookup reads from the table file only: one first key
-    per block it compares, then one block of up to B rows.  It keeps the
-    block bisect picked, one attribute that is not thread-safe, and
-    last_row_reads derives its .tbl reads from it: at most
-    ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1.  The
+    It holds one descriptor, on the table file, and the index's leaf
+    fences from open, so btree_lookup bisects them and reads only its
+    block from the table.  Every lookup visits the same height + 1 nodes,
+    the block as the leaf, so last_page_reads is set to that at open (0
+    for an empty table).  binary_search_lookup reads from the table file
+    only: one first key per block it compares, then one block of up to B
+    rows.  It keeps the block bisect picked, one attribute that is not
+    thread-safe, and last_row_reads derives its .tbl reads from it: at
+    most ceil(log2(blocks)) + 1, which is at most floor(log2 r) + 1.  The
     record a hit keeps for read_measures is described in the module notes.
     """
 
-    def __init__(self, tbl_file, cards, record_width: int, btx_file):
+    def __init__(self, tbl_file, cards, record_width: int, btx_path):
         self._tbl = tbl_file
         self._tbl_fd = tbl_file.fileno()
         self.cards = tuple(cards)
@@ -342,9 +336,9 @@ class TableStore:
         self.row_bytes = self.key_bytes + record_width
         self.row_count = _table_rows(tbl_file, self.row_bytes)
         self._read_key = partial(os.pread, self._tbl_fd, self.key_bytes)
-        self._btx = btx_file
+        self._btx_name = btx_path
         # the key each leaf block must start with, block 1 first
-        self.meta, self._fences = self._load_fences()
+        self.meta, self._fences = self._load_fences(btx_path, read_binary(btx_path, "index"))
         # rows per block of the index's leaf level, the blocks both searches read
         self.leaf_rows = block_rows(self.meta.page_size, self.row_bytes)
         block_bytes = self.leaf_rows * self.row_bytes
@@ -361,19 +355,18 @@ class TableStore:
 
     @classmethod
     def open(cls, tbl_path, cards, record_width: int, btx_path) -> "TableStore":
-        with ExitStack() as opened:  # closes both files if either open or the check fails
-            tbl = opened.enter_context(open_for_pread(tbl_path))
-            btx = opened.enter_context(open_for_pread(btx_path))
-            store = cls(tbl, cards, record_width, btx)
-            opened.pop_all()
-        return store
+        tbl = open_for_pread(tbl_path)
+        try:
+            return cls(tbl, cards, record_width, btx_path)
+        except Exception:
+            tbl.close()
+            raise
 
     def close(self) -> None:
         self._kept = (None, b"")
         self._tbl_fd = -1  # later reads raise EBADF, not reads of a reused descriptor
         self._read_key = partial(os.pread, -1, self.key_bytes)
         self._tbl.close()
-        self._btx.close()
 
     def __enter__(self):
         return self
@@ -381,17 +374,16 @@ class TableStore:
     def __exit__(self, *exc):
         self.close()
 
-    def _load_fences(self) -> tuple[BTreeMeta, list[bytes]]:
-        """The index's metadata and leaf fences, once the file is what build writes over them.
+    def _load_fences(self, name, data: bytes) -> tuple[BTreeMeta, list[bytes]]:
+        """The metadata and leaf fences of the index file name, whose bytes are data.
 
-        One pread reads the index.  Each level's fences are, node by
-        node, the node's fence and then its separators (module notes).
+        data must be what build writes over the fences: each level's are,
+        node by node, the node's fence and then its separators.
         """
-        name, fd = self._btx.name, self._btx.fileno()
-        raw = os.pread(fd, _META.size, 0)
-        if len(raw) != _META.size:
-            raise StorageError(f"{name}: index file is truncated")
-        magic, version, _, *fields = _META.unpack(raw)
+        size = len(data)
+        if size < _META.size:
+            raise StorageError(f"{name}: size {size} is less than the {_META.size}-byte header")
+        magic, version, _, *fields = _META.unpack_from(data)
         stored = BTreeMeta(*fields)
         if magic != _MAGIC:
             raise StorageError(f"{name}: bad index magic {magic!r}")
@@ -419,13 +411,9 @@ class TableStore:
                 f"{name}: minimal degree {stored.t}, root {stored.root}, "
                 f"{stored.node_count} nodes and height {stored.height} are not the shape of "
                 f"an index over {blocks} blocks in {stored.page_size}-byte pages")
-        size = os.fstat(fd).st_size
         if size != max(_META.size + meta.node_count * meta.page_size, meta.page_size):
             raise StorageError(f"{name}: size {size} is not a {_META.size}-byte header and "
                                f"{meta.node_count} pages of {meta.page_size} bytes, or one page")
-        data = os.pread(fd, size, 0)
-        if len(data) != size:
-            raise StorageError(f"{name}: short read of the index")
         fences, end = [self._read_key(0)], meta.node_count
         for sizes in reversed(levels):
             start, below = end - len(sizes), []
@@ -495,9 +483,10 @@ class TableStore:
     def _search_block(self, j: int, key: bytes, left: bytes = b""):
         """Record number of key in block j (0-based) of the leaf level, or None.
 
-        One length-checked pread reads the block for bisect_left.  A
-        B-tree lookup passes left, the block's fence: the block must
-        start with it.
+        One length-checked pread reads the block for bisect_left; every
+        lookup makes it, so it is inline rather than a files.read_at
+        call.  A B-tree lookup passes left, the block's fence: the block
+        must start with it.
         """
         row = self.row_bytes
         size = self.leaf_rows
@@ -510,7 +499,7 @@ class TableStore:
                 f"at offset {first * row}"
             )
         if not block.startswith(left):
-            raise StorageError(f"{self._btx.name}: block {j + 1} does not start with key "
+            raise StorageError(f"{self._btx_name}: block {j + 1} does not start with key "
                                f"{left.hex()}, where the index routes to it")
         keys = self._row_keys
         i = bisect_left(keys, key, 0, rows, key=block.__getitem__)
@@ -520,20 +509,17 @@ class TableStore:
             return recno
         return None
 
-    def _read(self, recno, start: int, size: int, what: str) -> bytes:
-        """One pread of size bytes from byte start of a 1-based row; what names them."""
+    def _read(self, recno, start: int, size: int) -> bytes:
+        """One read_at of size bytes from byte start of a 1-based row."""
         if type(recno) is not int:
             recno = _integer(recno, "record number")
         if not 1 <= recno <= self.row_count:
             raise RangeError(f"record number {recno} outside 1..{self.row_count}")
-        data = os.pread(self._tbl_fd, size, (recno - 1) * self.row_bytes + start)
-        if len(data) != size:
-            raise StorageError(f"{self._tbl.name}: short read of {what} {recno}")
-        return data
+        return read_at(self._tbl_fd, self._tbl.name, size, (recno - 1) * self.row_bytes + start)
 
     def read_row(self, recno: int) -> tuple[tuple[int, ...], bytes]:
         """Decoded coordinates and raw measure record of a 1-based row."""
-        raw = self._read(recno, 0, self.row_bytes, "row")
+        raw = self._read(recno, 0, self.row_bytes)
         return decode_key(raw[: self.key_bytes], len(self.cards)), raw[self.key_bytes :]
 
     def read_measures(self, recno: int) -> bytes:
@@ -541,7 +527,7 @@ class TableStore:
         kept, record = self._kept
         if type(recno) is int and recno == kept:
             return record
-        return self._read(recno, self.key_bytes, self.record_width, "the record of row")
+        return self._read(recno, self.key_bytes, self.record_width)
 
     def iter_rows(self):
         """Yield (coordinates, record) in stored (logical) order."""

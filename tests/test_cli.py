@@ -1,11 +1,15 @@
 """End-to-end command-line runs against real dataset directories."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cubestore
 from cubestore.cli import main
 
 CSV = (
@@ -107,6 +111,12 @@ class TestBuild:
         assert main(["build", "--dataset", str(dataset), "--only", "array"]) == 0
         out = capsys.readouterr().out
         assert "(not built)" in out  # the index side
+        # the table total waits for its index; the array total is its three parts
+        array = sum(path.stat().st_size for path in [dataset / "relation.arr",
+                                                     dataset / "relation.hdr",
+                                                     *dataset.glob("dim_*.dim")])
+        assert re.search(r"^table representation +\(not built\)$", out, re.M)
+        assert re.search(rf"^array representation +{array:,} bytes$", out, re.M)
         assert (dataset / "relation.arr").exists()
         assert not (dataset / "relation.btx").exists()
 
@@ -515,6 +525,38 @@ class TestExport:
         assert f"{tbl}: size" in capsys.readouterr().err
         assert out_file.read_bytes() == b"k,v\n1,2\n"
         assert list(out_dir.iterdir()) == [out_file]  # no temporary file is left
+
+
+class TestClosedStdout:
+    """A reader that closes stdout first, as `| head -1` does, ends the CLI quietly."""
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", [
+        ["stats"],
+        ["export"],
+        ["bench", "--sizes", "5", "--csv", "b.csv"],
+    ], ids=["stats", "export", "bench-csv"])
+    def test_exit_141_and_nothing_on_stderr(self, built, tmp_path, command, buffered):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        env = {**os.environ, "PYTHONPATH": str(Path(cubestore.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        if not buffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)  # every write to stdout fails with EPIPE
+        try:
+            run = subprocess.run(
+                [sys.executable, "-X", "dev", "-W", "error", "-m", "cubestore.cli",
+                 command[0], "--dataset", str(built), *command[1:]],
+                stdout=write, stderr=subprocess.PIPE, cwd=out_dir, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (run.returncode, run.stderr) == (141, b"")
+        # bench prints its report before it writes the CSV, so neither the
+        # CSV nor its .b.csv.*.tmp is left
+        assert list(out_dir.iterdir()) == []
 
 
 class TestParser:

@@ -350,6 +350,16 @@ class TestManifest:
         with pytest.raises(DatasetError, match=re.escape(f"cannot read manifest {path}: ")):
             Manifest.load(path)
 
+    def test_key_given_twice_names_both_lines(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        lines = path.read_text().splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if line.startswith("r="))
+        path.write_text("\n".join(lines + ["r=1"]) + "\n")
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{path}: manifest key 'r' is on lines {first} and {len(lines) + 1}")):
+            Manifest.load(path)
+
     def test_bad_line_names_file_and_line_number(self, tmp_path):
         ingest_sample(tmp_path / "ds")
         path = tmp_path / "ds" / MANIFEST_NAME
@@ -456,7 +466,9 @@ class TestBuild:
     def test_report_before_build(self, tmp_path):
         ingest_sample(tmp_path / "ds")
         text = format_size_report(size_report(tmp_path / "ds"))
-        assert "(not built)" in text
+        # the table is written, but neither total counts a part not built
+        assert re.search(r"^table representation +\(not built\)$", text, re.M)
+        assert re.search(r"^array representation +\(not built\)$", text, re.M)
 
 
 class TestTableShortByWholeRows:

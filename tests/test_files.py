@@ -4,6 +4,7 @@ import ast
 import builtins
 import errno
 import os
+import re
 import shutil
 from itertools import product
 from pathlib import Path
@@ -15,12 +16,13 @@ from cubestore import (
     CubeStoreError,
     DatasetError,
     SplitMix64,
+    StorageError,
     build_dataset,
     delinearize,
     ingest_rows,
     open_dataset,
 )
-from cubestore import files
+from cubestore import files, table_store
 from cubestore.dataset import export_rows
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cubestore"
@@ -43,14 +45,26 @@ def ingest(out, rows: int = ROWS):
 
 # --- the one-module rule ---------------------------------------------------
 
-FILE_METHODS = {"read_bytes", "write_bytes", "read_text", "write_text", "unlink"}
+FILE_METHODS = {"read_bytes", "write_bytes", "read_text", "write_text", "unlink",
+                "stat", "exists"}
 OS_CALLS = {"replace", "remove", "unlink", "rename"}
-# (module, function, call) of the files that are not dataset files
-ALLOWED = {("dataset.py", "ingest_csv", "open")}  # the CSV input, read as it streams
+# (module, function, call) of the files that are not dataset files, and
+# of the reads every lookup makes, which stay inline: the table's block
+# read and its key probe, bound at open and unbound at close.  The third,
+# ArrayStore's compiled get_cell, is source in a string, which ast never sees.
+ALLOWED = {
+    ("dataset.py", "ingest_csv", "open"),  # the CSV input, read as it streams
+    ("table_store.py", "_search_block", "os.pread"),
+    ("table_store.py", "__init__", "os.pread"),
+    ("table_store.py", "close", "os.pread"),
+}
 
 
 def file_calls(source: str):
-    """(function, call) of every file-touching call in module source, by enclosing function."""
+    """(function, call) of every file-touching call, and os.pread reference, in module source.
+
+    Each is listed under its enclosing function.
+    """
     found = []
 
     def visit(node, function):
@@ -66,6 +80,9 @@ def file_calls(source: str):
                 elif (isinstance(f, ast.Attribute) and f.attr in OS_CALLS
                       and isinstance(f.value, ast.Name) and f.value.id == "os"):
                     found.append((function, f"os.{f.attr}"))
+            elif (isinstance(child, ast.Attribute) and child.attr == "pread"
+                  and isinstance(child.value, ast.Name) and child.value.id == "os"):
+                found.append((function, "os.pread"))  # a call, or passed on as partial's
             visit(child, inner)
 
     visit(ast.parse(source), None)
@@ -88,10 +105,13 @@ def f():
     class C:
         def g(self):
             p.unlink(); os.replace(a, b); os.remove(a)
+def h():
+    p.stat(); p.exists(); os.pread(fd, 1, 0); read = partial(os.pread, fd, 4)
 """
     assert file_calls(source) == [
         (None, "open"), ("f", ".read_bytes"), ("f", ".write_bytes"), ("f", ".read_text"),
         ("f", ".write_text"), ("g", ".unlink"), ("g", "os.replace"), ("g", "os.remove"),
+        ("h", ".stat"), ("h", ".exists"), ("h", "os.pread"), ("h", "os.pread"),
     ]
 
 
@@ -207,6 +227,72 @@ def test_non_utf8_manifest_is_a_dataset_error_naming_the_byte(pristine, tmp_path
     path.write_bytes(bytes(data))
     with pytest.raises(DatasetError, match=f"cannot read manifest {path}: byte 7 is not UTF-8"):
         open_dataset(work)
+
+
+# --- short reads and the one descriptor ------------------------------------
+
+COLD_READS = ("iter_rows", "iterate_nonempty", "build_index", "read_row", "read_measures",
+              "read_record")
+
+
+@pytest.mark.parametrize("read", COLD_READS)
+@pytest.mark.usefixtures("no_fd_leak")
+def test_short_read_names_the_file_and_offset(pristine, tmp_path, monkeypatch, read):
+    """A file cut after open makes each read that is not a lookup raise, naming where."""
+    work = tmp_path / "ds"
+    shutil.copytree(pristine, work)
+    tbl, arr = work / "relation.tbl", work / "relation.arr"
+    # the table sized before the cut, as if it shrank while build read it
+    monkeypatch.setattr(table_store, "_table_rows", lambda f, row: ROWS)
+    with open_dataset(work) as db:
+        table, array = db.table, db.array
+        row, width, key = table.row_bytes, array.record_width, table.key_bytes
+        assert table._kept[0] is None  # no lookup, so read_measures must read
+        # the file, the read the cut cuts short (size, offset), and the call
+        path, size, offset, call = {
+            "iter_rows": (tbl, ROWS * row, 0, lambda: list(table.iter_rows())),
+            "iterate_nonempty": (arr, ROWS * width, 0,
+                                 lambda: list(array.iterate_nonempty())),
+            "build_index": (tbl, key, 5 * table.leaf_rows * row,
+                            lambda: table_store.build_index_from_table(
+                                tbl, tmp_path / "again.btx", len(CARDS),
+                                table.record_width, PAGE_SIZE)),
+            "read_row": (tbl, row, 99 * row, lambda: table.read_row(100)),
+            "read_measures": (tbl, table.record_width, 99 * row + key,
+                              lambda: table.read_measures(100)),
+            "read_record": (arr, width, 99 * width, lambda: array.read_record(100)),
+        }[read]
+        os.truncate(path, offset + size - 1)
+        with pytest.raises(StorageError, match=re.escape(
+                f"{path}: short read of {size} bytes at offset {offset}")):
+            call()
+
+
+def test_open_table_store_holds_the_table_file_only(pristine, tmp_path, monkeypatch):
+    """Open reads the index whole, so its lookups outlast the file, and close closes one."""
+    work = tmp_path / "ds"
+    shutil.copytree(pristine, work)
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(builtins.open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(files, "open", recording_open, raising=False)
+    box = list(product(*(range(1, c + 1) for c in CARDS)))
+
+    def answers(table):
+        found = [(table.btree_lookup(c), table.binary_search_lookup(c)) for c in box]
+        return found, [table.read_measures(n) for n, _ in found if n is not None]
+
+    with open_dataset(work, need=("table",)) as db:
+        assert [f.name for f in opened] == [str(work / "relation.tbl")]
+        expected = answers(db.table)
+        assert len(expected[1]) == ROWS
+        btx = work / "relation.btx"
+        btx.write_bytes(bytes(btx.stat().st_size))
+        assert answers(db.table) == expected
+    assert [f.closed for f in opened] == [True]
 
 
 # --- fault injection at the module's writes --------------------------------

@@ -207,7 +207,7 @@ class TestLookup:
             monkeypatch.undo()
             os.truncate(tmp_path / "rel.tbl", 2 * store.row_bytes + 13)
             with pytest.raises(StorageError, match=re.escape(
-                    "rel.tbl: short read of the record of row 3")):
+                    f"rel.tbl: short read of 3 bytes at offset {2 * store.row_bytes + 12}")):
                 store.read_measures(3)
 
     def test_read_row(self, tmp_path):
@@ -268,7 +268,7 @@ class TestLookup:
         btx.unlink()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(StorageError, match=re.escape(f"cannot open {btx}: ")):
+            with pytest.raises(StorageError, match=re.escape(f"cannot read index {btx}: ")):
                 TableStore.open(tmp_path / "rel.tbl", self.CARDS, 3, btx)
             gc.collect()
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
