@@ -37,30 +37,33 @@ building a sparse relation takes O(r) memory, not O(N).
 
 Point lookup is three steps: linearize the coordinates, find whether the
 position is nonempty, then map it to its physical record, the number of
-nonempty cells up to and including it.  Over a run header the second and
-third steps are a binary search for the first entry whose end covers the
-position, a comparison against the run's gap, and p minus the entry's
-empty count.  Over a bitmap they are one shift and mask into a 512-bit
-block, one shift test, and one bit_count taken from the block's
-cumulative rank.  linearize, header.locate and read_record are the
-reference steps.
+nonempty cells up to and including it.  That map, locate, is the one the
+header answers; there is no inverse, since a record's coordinates are in
+its table row.  Over a run header the second and third steps are a
+binary search for the first entry whose end covers the position, a
+comparison against the run's gap, and p minus the entry's empty count.
+Over a bitmap they are one shift and mask into a 512-bit block, one
+shift test, and one bit_count taken from the block's cumulative rank.
+linearize, header.locate and read_record are the reference steps.
 
 In memory a run header is three parallel int lists (columns) with one
 item per entry: the run ends, the empty counts, and the filled counts
 (end minus empties, the physical number of the run's last record).  No
-per-entry object is kept; iterating a header yields plain (end,
-empties) tuples.  Opening a run header costs one file read, one
-array('Q') decode, two column slices, one subtraction pass for the
-filled counts and two C-level checks (a sort of the already sorted
-empty counts, and one map over operator.lt for the filled counts) that
-together cover the four validation rules.  Only after a check fails are
-the entries scanned again, still in C, to name the first bad one.  On a
-shared 2-vCPU host with Python 3.11, a 167,564-entry (2.68 MB) run
-header opens in about 35 ms.  A bitmap is held as one Python int per
-512-bit block plus one cumulative rank per block.  Opening the 131,096
-bytes of a 2^20-cell bitmap is C-level passes: iter_unpack cuts groups
-of 64 blocks, one map over int.from_bytes makes the ints and one
-accumulate over bit_count the ranks, about 0.44 ms on the same host.
+per-entry object is kept; iterating a run header yields plain (end,
+empties) tuples.  Both encodings answer total_cells, record_count, len()
+(the number of run entries), locate and _cells.  Opening a run header
+costs one file read, one array('Q') decode, two column slices, one
+subtraction pass for the filled counts and two C-level checks (a sort of
+the already sorted empty counts, and one map over operator.lt for the
+filled counts) that together cover the four validation rules.  Only
+after a check fails are the entries scanned again, still in C, to name
+the first bad one.  On a shared 2-vCPU host with Python 3.11, a
+167,564-entry (2.68 MB) run header opens in about 35 ms.  A bitmap is
+held as one Python int per 512-bit block plus one cumulative rank per
+block.  Opening the 131,096 bytes of a 2^20-cell bitmap is C-level
+passes: iter_unpack cuts groups of 64 blocks, one map over
+int.from_bytes makes the ints and one accumulate over bit_count the
+ranks, about 0.44 ms on the same host.
 
 get_cell runs the three steps in one frame: a function compiled once per
 process per (k, header encoding) and bound to the store at open.  It
@@ -143,22 +146,8 @@ class Header:
 
     __slots__ = ("_ends", "_empties", "_filled")
 
-    def __init__(self, entries):
-        ends = []
-        empties = []
-        for end, empty in entries:
-            ends.append(int(end))
-            empties.append(int(empty))
-        self._adopt(ends, empties, "header")
-
-    @classmethod
-    def _of_columns(cls, ends: list, empties: list, source) -> "Header":
-        header = cls.__new__(cls)
-        header._adopt(ends, empties, source)
-        return header
-
-    def _adopt(self, ends: list, empties: list, source) -> None:
-        """Check the header rules and keep the columns.
+    def __init__(self, ends: list, empties: list, source="header"):
+        """Check the header rules and keep the columns, two int lists.
 
         The rules: there is at least one entry, ends strictly increase,
         empty counts never decrease, and every run except the terminal
@@ -201,10 +190,6 @@ class Header:
     def __iter__(self):
         return zip(self._ends, self._empties)
 
-    def __eq__(self, other):
-        return (isinstance(other, Header) and self._ends == other._ends
-                and self._empties == other._empties)
-
     # locate after its range test, as the compiled get_cell runs it (see
     # _lookup_factory): p is the position counted from _ORIGIN, a miss
     # returns None and a hit sets before, the number of records ahead of it.
@@ -234,12 +219,6 @@ if before < (filled[j - 1] if j else 0):
         """The stored cells' positions minus one, ascending, computed in C."""
         firsts = map(add, chain((0,), self._filled), self._empties)
         return chain.from_iterable(map(range, firsts, self._ends))
-
-    def logical_of_physical(self, record: int) -> int:
-        """Logical position of the record'th stored cell (inverse of locate)."""
-        if not 1 <= record <= self._filled[-1]:
-            raise RangeError(f"record number {record} outside 1..{self._filled[-1]}")
-        return record + self._empties[bisect_left(self._filled, record)]
 
     def save(self, path) -> None:
         words = array("Q", [0]) * (2 * len(self._ends))
@@ -278,7 +257,7 @@ if before < (filled[j - 1] if j else 0):
         words.frombytes(data)
         if _SWAP:
             words.byteswap()
-        return cls._of_columns(words[0::2].tolist(), words[1::2].tolist(), path)
+        return cls(words[0::2].tolist(), words[1::2].tolist(), path)
 
 
 def _blocks(data) -> list[int]:
@@ -293,10 +272,10 @@ def _blocks(data) -> list[int]:
 class PresenceBitmap:
     """Validated presence bitmap of one compressed array.
 
-    Answers the same calls as Header: locate, logical_of_physical,
-    record_count, total_cells, and len() and iteration, which give the
-    run entries of the same cells.  Held as one int per 512-bit block
-    and the number of nonempty cells up to the end of each block.
+    Answers the same calls as Header: locate, record_count, total_cells,
+    _cells, and len(), the number of run entries of the same cells.
+    Held as one int per 512-bit block and the number of nonempty cells
+    up to the end of each block.
     """
 
     __slots__ = ("_blocks", "_ranks", "total_cells")
@@ -356,43 +335,18 @@ before = ranks[b] - rest.bit_count()"""
             return self._ranks[block] - rest.bit_count() + 1
         return None
 
+    def _body(self) -> bytes:
+        """The bits of every block, 64 bytes each (so zeros past total_cells)."""
+        return b"".join(map(int.to_bytes, self._blocks, repeat(_BLOCK_BYTES), repeat("little")))
+
     def _cells(self):
         """The set bits' indexes (stored positions minus one), ascending, computed in C."""
-        data = b"".join(map(int.to_bytes, self._blocks, repeat(_BLOCK_BYTES), repeat("little")))
-        return compress(count(), chain.from_iterable(map(_BYTE_BITS.__getitem__, data)))
-
-    def logical_of_physical(self, record: int) -> int:
-        """Logical position of the record'th stored cell (inverse of locate)."""
-        if not 1 <= record <= self._ranks[-1]:
-            raise RangeError(f"record number {record} outside 1..{self._ranks[-1]}")
-        block = bisect_left(self._ranks, record)
-        nth = record - (self._ranks[block - 1] if block else 0)
-        bits = self._blocks[block]
-        offset = bisect_left(range(_BLOCK_BITS), nth,
-                             key=lambda o: (bits & ((2 << o) - 1)).bit_count())
-        return block * _BLOCK_BITS + offset + 1
-
-    def _run_ends(self) -> int:
-        """Bit p - 1 set for each cell p < total_cells that is nonempty before an empty one."""
-        bits = int.from_bytes(
-            b"".join(block.to_bytes(_BLOCK_BYTES, "little") for block in self._blocks),
-            "little",
-        )
-        return bits & ~(bits >> 1) & ((1 << (self.total_cells - 1)) - 1)
+        return compress(count(), chain.from_iterable(map(_BYTE_BITS.__getitem__, self._body())))
 
     def __len__(self) -> int:
-        return self._run_ends().bit_count() + 1
-
-    def __iter__(self):
-        """The run entries of the same cells, as Header yields them."""
-        ends = _blocks(self._run_ends().to_bytes(-(-self.total_cells // 8), "little"))
-        for block, bits in enumerate(ends):
-            while bits:
-                low = bits & -bits
-                end = block * _BLOCK_BITS + low.bit_length()
-                yield end, end - self.locate(end)
-                bits ^= low
-        yield self.total_cells, self.total_cells - self._ranks[-1]
+        """Run-header entries of the same cells: runs an empty cell ends, plus the terminal."""
+        bits = int.from_bytes(self._body(), "little")
+        return (bits & ~(bits >> 1) & ((1 << (self.total_cells - 1)) - 1)).bit_count() + 1
 
 
 def save_header(header: Header, path) -> None:
@@ -456,7 +410,7 @@ def compress_stream(cells, total_cells: int, record_width: int, out) -> Header:
         empties.append(prev - stored)
     ends.append(total_cells)
     empties.append(total_cells - stored)
-    return Header._of_columns(ends, empties, "compressed header")
+    return Header(ends, empties, "compressed header")
 
 
 @lru_cache(maxsize=None)

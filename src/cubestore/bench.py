@@ -6,9 +6,9 @@ relations are reproducible from the seed alone.  Bounded draws use
 rejection sampling, never a bare modulo, so they are exactly uniform.
 
 A benchmark run samples stored rows (physical record ordinals) with
-equal probability and with repetition, converts them to coordinates
-before any clock starts, then times one bulk lookup loop per
-representation over the same coordinates: the table path encodes the
+equal probability and with repetition, reads each one's coordinates from
+its table row before any clock starts, then times one bulk lookup loop
+per representation over the same coordinates: the table path encodes the
 key, descends the B-tree and reads one block, the row's only read; the
 array path linearizes, searches the cached header and reads the record.
 Coordinate-to-key and coordinate-to-position work is inside the timed
@@ -26,7 +26,7 @@ from itertools import accumulate
 
 from .cost_model import round2
 from .errors import CapacityError, DatasetError, EmptyRelationError, ParameterError
-from .linearizer import cell_count, delinearize
+from .linearizer import cell_count
 from .relation_model import KIND_TEXT, MeasureColumn, RecordCodec, RelationSchema
 
 _MASK64 = (1 << 64) - 1
@@ -184,7 +184,7 @@ def run_benchmark(db, sizes=DEFAULT_SIZES, seed: int = 1,
         raise ParameterError(
             f"representations disagree: table has {table.row_count} rows, array {r}"
         )
-    cards = array.cards
+    read_row = table.read_row
     sizes = tuple(sizes)
     for size in sizes:
         if size < 1:
@@ -194,8 +194,7 @@ def run_benchmark(db, sizes=DEFAULT_SIZES, seed: int = 1,
     results = []
     for size, end in zip(sizes, accumulate(sizes)):
         ordinals = stream[end - size : end]
-        to_logical = array.header.logical_of_physical
-        coords = [delinearize(to_logical(p), cards) for p in ordinals]
+        coords = [read_row(p)[0] for p in ordinals]
 
         lookup = table.btree_lookup
         measures = table.read_measures

@@ -429,16 +429,17 @@ def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
     """Write the directories, the table of cells (logical order) and the manifest.
 
     Encodes the directories and manifest first: text with no UTF-8
-    encoding changes no file.  Then removes an earlier build's index,
-    array and header, so they cannot answer for the new table; the next
-    query asks for a build.  Stamps the manifest with the current time.
+    encoding changes no file.  Then removes the manifest and an earlier
+    build's index, array and header, and writes the manifest last, so
+    build and open refuse an ingest that failed part-way rather than
+    answer a mix of two relations.  Stamps the manifest with the time.
     """
     out = Path(out_dir)
     manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
     dim_paths = _dim_paths(out, manifest.k)
     dims = [directory._encoded(path) for directory, path in zip(key_dirs, dim_paths)]
     text = manifest._encoded()
-    clear_directory(out, (BTREE_NAME, ARRAY_NAME, HEADER_NAME))
+    clear_directory(out, (MANIFEST_NAME, BTREE_NAME, ARRAY_NAME, HEADER_NAME))
     for path, raw in zip(dim_paths, dims):
         write_file(path, raw)
     with writing(out / TABLE_NAME) as f:
@@ -494,10 +495,11 @@ def build_dataset(dataset_dir, which: str = "both",
 
 
 def size_report(dataset_dir) -> dict:
-    """Byte counts of every dataset file kind, None where not built."""
+    """Byte counts of every dataset file kind, None where not built; a missing .dim raises."""
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
-    dims = [size for size in map(size_of, _dim_paths(root, manifest.k)) if size is not None]
+    dims = [size_of(_existing(path, "dimension", "ingest again"))
+            for path in _dim_paths(root, manifest.k)]
     return {
         "dimensions": manifest.k,
         "rows": manifest.r,
@@ -505,7 +507,7 @@ def size_report(dataset_dir) -> dict:
         "btree": size_of(root / BTREE_NAME),
         "array": size_of(root / ARRAY_NAME),
         "header": size_of(root / HEADER_NAME),
-        "dimension_values": sum(dims) if dims else None,
+        "dimension_values": sum(dims),
     }
 
 
@@ -543,14 +545,6 @@ class Dataset:
         self.table = table
         self.array = array
         self._dirs: list[DimensionDirectory] | None = None
-
-    @property
-    def cards(self) -> tuple[int, ...]:
-        return self.manifest.cards
-
-    @property
-    def r(self) -> int:
-        return self.manifest.r
 
     @property
     def codec(self) -> RecordCodec:

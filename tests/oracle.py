@@ -149,11 +149,6 @@ def locate_by_scan(occupied, position: int):
     return None
 
 
-def logical_by_scan(occupied, ordinal: int) -> int:
-    """Logical position of the ordinal-th stored record."""
-    return sorted(occupied)[ordinal - 1]
-
-
 def table_lookup_by_scan(rows, indices):
     """1-based record number of a key in a sorted row list, or None."""
     for recno, (key, _) in enumerate(rows, start=1):

@@ -32,8 +32,12 @@ from oracle import (
     dense_array,
     header_runs,
     locate_by_scan,
-    logical_by_scan,
 )
+
+
+def runs(*pairs):
+    """The run header of these (end, empties) entries."""
+    return Header([end for end, _ in pairs], [empties for _, empties in pairs])
 
 
 class TestCompressGoldens:
@@ -96,7 +100,7 @@ class TestCompressErrors:
 
 
 class TestHeaderLookup:
-    HEADER = Header([(3, 1), (7, 4), (8, 5)])
+    HEADER = runs((3, 1), (7, 4), (8, 5))
 
     def test_locate_values(self):
         assert self.HEADER.locate(7) == 3
@@ -113,22 +117,13 @@ class TestHeaderLookup:
         with pytest.raises(RangeError):
             self.HEADER.locate(9)
 
-    def test_logical_of_physical(self):
-        assert self.HEADER.logical_of_physical(3) == 7
-        assert self.HEADER.logical_of_physical(1) == 2
-        assert self.HEADER.logical_of_physical(2) == 3
-        with pytest.raises(RangeError):
-            self.HEADER.logical_of_physical(0)
-        with pytest.raises(RangeError):
-            self.HEADER.logical_of_physical(4)
-
     def test_counts(self):
         assert self.HEADER.total_cells == 8
         assert self.HEADER.record_count == 3
         assert len(self.HEADER) == 3
 
     def test_empty_header(self):
-        header = Header([(4, 4)])
+        header = runs((4, 4))
         assert header.record_count == 0
         assert all(header.locate(i) is None for i in range(1, 5))
 
@@ -149,30 +144,30 @@ class TestBitmapLookup(TestHeaderLookup):
         header = Header.load(path)
         assert header.record_count == 0
         assert all(header.locate(i) is None for i in range(1, 5))
-        assert list(header) == [(4, 4)]
+        assert len(header) == 1
+        assert list(header._cells()) == []
 
 
 class TestHeaderValidation:
     def test_rejects_bad_shapes(self):
         with pytest.raises(StorageError):
-            Header([])
+            runs()
         with pytest.raises(StorageError):
-            Header([(3, 1), (3, 2)])  # ends not increasing
+            runs((3, 1), (3, 2))  # ends not increasing
         with pytest.raises(StorageError):
-            Header([(3, 2), (5, 1)])  # empties decreasing
+            runs((3, 2), (5, 1))  # empties decreasing
         with pytest.raises(StorageError):
-            Header([(2, 1), (3, 2), (8, 5)])  # middle run holds no record
+            runs((2, 1), (3, 2), (8, 5))  # middle run holds no record
         with pytest.raises(StorageError):
-            Header([(3, -1)])  # empty count below the virtual entry's
+            runs((3, -1))  # empty count below the virtual entry's
         with pytest.raises(StorageError):
-            Header([(2, 0), (2, 0)])  # terminal end repeats
+            runs((2, 0), (2, 0))  # terminal end repeats
 
     def test_save_load_roundtrip(self, tmp_path):
-        header = Header([(3, 1), (7, 4), (8, 5)])
+        header = runs((3, 1), (7, 4), (8, 5))
         path = tmp_path / "rel.hdr"
         header.save(path)
-        loaded = Header.load(path)
-        assert loaded == header
+        assert list(Header.load(path)) == [(3, 1), (7, 4), (8, 5)]
         assert path.stat().st_size == 16 * 3
 
     def test_load_rejects_truncated_file(self, tmp_path):
@@ -288,8 +283,7 @@ def test_header_file_format(tmp_path, seed):
     header.save(path)
     expected = header_runs(occupied, total)
     assert path.read_bytes() == b"".join(struct.pack("<QQ", e, v) for e, v in expected)
-    assert Header.load(path) == header
-    assert Header(expected) == header
+    assert list(Header.load(path)) == list(runs(*expected)) == list(header) == expected
 
 
 @pytest.mark.parametrize("total,seed", [(1, 1), (7, 2), (24, 3), (100, 4), (256, 5)])
@@ -307,8 +301,7 @@ def test_oracle_sweep(total, seed):
             assert header.locate(position) == expect
             if expect is not None:
                 assert dense[position - 1] == data[(expect - 1) * 2 : expect * 2]
-        for ordinal in range(1, len(occupied) + 1):
-            assert header.logical_of_physical(ordinal) == logical_by_scan(occupied, ordinal)
+        assert [p + 1 for p in header._cells()] == occupied
 
 
 @given(st.data())
@@ -324,9 +317,8 @@ def test_compression_properties(data):
     # locate agrees with membership, and physical ordinals are 1..r in order
     ordinals = [header.locate(p) for p in sorted(occupied)]
     assert ordinals == list(range(1, len(occupied) + 1))
-    # round-trip through logical_of_physical
-    for ordinal in ordinals:
-        assert header.locate(header.logical_of_physical(ordinal)) == ordinal
+    # the stored cells, in physical order, are the occupied positions
+    assert [p + 1 for p in header._cells()] == occupied
 
 
 class TestArrayStore:
@@ -351,7 +343,7 @@ class TestArrayStore:
             assert store.record_count == 4
             for ordinal, (position, record) in enumerate(make_records(occupied, 3), 1):
                 assert store.read_record(ordinal) == record
-                assert store.header.logical_of_physical(ordinal) == position
+                assert store.header.locate(position) == ordinal
             with pytest.raises(RangeError):
                 store.read_record(0)
             with pytest.raises(RangeError):

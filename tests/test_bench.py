@@ -8,6 +8,7 @@ from cubestore import (
     EmptyRelationError,
     ParameterError,
     SplitMix64,
+    TableStore,
     build_dataset,
     cell_count,
     generate_synthetic,
@@ -150,20 +151,19 @@ def built_dataset(tmp_path_factory):
 class TestBenchmarkSamples:
     def test_one_stream_across_sizes(self, built_dataset, monkeypatch):
         # the first draw of size 2 continues the stream after size 3;
-        # run_benchmark maps each sampled ordinal once, in sample order
+        # run_benchmark reads each sampled ordinal's row once, in sample order
         seen = []
+        read_row = TableStore.read_row
+
+        def recording(table, recno):
+            seen.append(recno)
+            return read_row(table, recno)
+
+        monkeypatch.setattr(TableStore, "read_row", recording)
         with open_dataset(built_dataset) as db:
-            header_type = type(db.array.header)
-            to_logical = header_type.logical_of_physical
-
-            def recording(header, record):
-                seen.append(record)
-                return to_logical(header, record)
-
-            monkeypatch.setattr(header_type, "logical_of_physical", recording)
             run_benchmark(db, sizes=(3, 2), seed=9)
             rng = SplitMix64(9)
-            assert seen == [rng.below(db.r) + 1 for _ in range(5)]
+            assert seen == [rng.below(db.manifest.r) + 1 for _ in range(5)]
 
     def test_validation(self, built_dataset):
         with open_dataset(built_dataset) as db:
@@ -180,7 +180,7 @@ class TestRunBenchmark:
             assert b.correct
             assert b.table_ns > 0 and b.array_ns > 0
             assert b.quotient == pytest.approx(b.table_ns / b.array_ns, rel=1e-6)
-            assert b.sample_pct == sample_percentage(b.sample_size, db.r)
+            assert b.sample_pct == sample_percentage(b.sample_size, db.manifest.r)
 
     def test_warmup_smoke(self, built_dataset):
         with open_dataset(built_dataset) as db:

@@ -48,7 +48,7 @@ def every_answer(root) -> tuple[list, list]:
     with open_dataset(root) as db:
         cells = [(db.array.get_cell(c), db.table.btree_lookup(c),
                   db.table.binary_search_lookup(c))
-                 for c in product(*(range(1, card + 1) for card in db.cards))]
+                 for c in product(*(range(1, card + 1) for card in db.manifest.cards))]
     return cells, list(export_rows(root))
 
 
@@ -470,6 +470,14 @@ class TestBuild:
         assert re.search(r"^table representation +\(not built\)$", text, re.M)
         assert re.search(r"^array representation +\(not built\)$", text, re.M)
 
+    def test_report_refuses_a_missing_dimension_directory(self, tmp_path):
+        ingest_sample(tmp_path / "ds")
+        build_dataset(tmp_path / "ds")
+        dim = tmp_path / "ds" / "dim_2.dim"
+        dim.unlink()
+        with pytest.raises(DatasetError, match=re.escape(f"dimension file {dim} is missing")):
+            size_report(tmp_path / "ds")
+
 
 class TestTableShortByWholeRows:
     """A table cut by a whole row fails wherever it is streamed, naming the table."""
@@ -520,7 +528,7 @@ class TestOpenAndQuery:
                     if via_array is not None:
                         seen += 1
                         codec.unpack(via_array)
-            assert seen == db.r == 4
+            assert seen == db.manifest.r == 4
 
     def test_dimension_size_mismatch_names_file_and_counts(self, tmp_path):
         ingest_sample(tmp_path / "ds")

@@ -379,3 +379,45 @@ def test_every_build_write_failure_names_its_file(tmp_path, monkeypatch):
 
     writes = fail_each_write(monkeypatch, build)
     assert writes > 3 + 20  # each file's creation, and at least one write per record
+
+
+@pytest.mark.usefixtures("no_fd_leak")
+def test_a_failed_ingest_is_refused_not_mixed_with_the_last_one(tmp_path, monkeypatch):
+    """After an ingest fails at any write, build and open refuse its directory.
+
+    Relation A is ingested and built, and each run ingests B over a copy
+    of it.  An ingest removes the manifest before its first write and
+    writes it last, so no failure leaves A's manifest and table to be
+    built beside B's directories.
+    """
+    names, keys = ["a", "b", "v"], ["a", "b"]
+    base = tmp_path / "base"
+    ingest_rows(names, [("x", "p", "1"), ("y", "q", "2")], keys, base)
+    build_dataset(base)
+    b_rows = [("y", "p", "7"), ("z", "r", "8")]
+
+    def ingest_b(n):
+        shutil.copytree(base, tmp_path / f"ds{n}")
+        ingest_rows(names, b_rows, keys, tmp_path / f"ds{n}")
+
+    writes = fail_each_write(monkeypatch, ingest_b)
+    for n in range(1, writes + 1):
+        manifest = re.escape(str(tmp_path / f"ds{n}" / "manifest.txt"))
+        with pytest.raises(DatasetError, match=manifest):
+            build_dataset(tmp_path / f"ds{n}")
+        with pytest.raises(DatasetError, match=manifest):
+            open_dataset(tmp_path / f"ds{n}")
+    done = tmp_path / f"ds{writes + 1}"
+    build_dataset(done)
+    assert list(export_rows(done)) == b_rows
+    answers = {}
+    with open_dataset(done) as db:
+        dirs = db.dimension_directories()
+        for coords in product(*(range(1, len(d) + 1) for d in dirs)):
+            record = db.array.get_cell(coords)
+            recno = db.table.btree_lookup(coords)
+            assert record == (None if recno is None else db.table.read_measures(recno))
+            if record is not None:
+                key = tuple(d.value_of(i) for d, i in zip(dirs, coords))
+                answers[key] = db.codec.unpack(record)
+    assert answers == {("y", "p"): (7,), ("z", "r"): (8,)}

@@ -24,7 +24,7 @@ from cubestore import (
 )
 import cubestore
 from cubestore.array_store import Header, PresenceBitmap
-from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME, Manifest
+from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME, Manifest, _dim_paths
 from cubestore.relation_model import KIND_TEXT, MeasureColumn
 from cubestore.table_store import iter_table_cells, write_table
 from conftest import compress_to_memory, make_records, random_positions
@@ -34,8 +34,15 @@ from test_table_store import CountedPread
 
 
 def write_cells_dataset(root, cards, cells, width: int) -> None:
-    """A dataset directory whose table holds these (position, record) cells."""
+    """A dataset directory whose table holds these (position, record) cells.
+
+    Value j of each dimension is j zero-padded, so value order is index order.
+    """
     root.mkdir(parents=True, exist_ok=True)
+    text = {c: (f"%0{len(str(c))}d\n" * c % tuple(range(1, c + 1))).encode()
+            for c in set(cards)}
+    for path, card in zip(_dim_paths(root, len(cards)), cards):
+        path.write_bytes(text[card])
     manifest = Manifest(
         schema_name="cells", n=len(cards) + 1, k=len(cards), cards=cards,
         key_columns=tuple(f"d{i}" for i in range(1, len(cards) + 1)),
@@ -57,9 +64,8 @@ def check_same_cells(got, header: Header, occupied, total: int) -> None:
         else:
             expect = None
         assert got.locate(position) == header.locate(position) == expect
-    for record, position in enumerate(occupied, start=1):
-        assert got.logical_of_physical(record) == header.logical_of_physical(record) == position
-    assert list(got) == list(header) == header_runs(occupied, total)
+    assert list(got._cells()) == list(header._cells()) == [p - 1 for p in occupied]
+    assert list(header) == header_runs(occupied, total)
     assert len(got) == len(header)
     assert got.record_count == header.record_count == len(occupied)
     assert got.total_cells == header.total_cells == total
@@ -155,7 +161,9 @@ class TestBitmapErrors:
     def test_good_file_loads(self, tmp_path):
         path = tmp_path / "rel.hdr"
         path.write_bytes(self.GOOD)
-        assert list(Header.load(path)) == header_runs([2, 3, 7, 9], 10)
+        bitmap = Header.load(path)
+        assert [p + 1 for p in bitmap._cells()] == [2, 3, 7, 9]
+        assert len(bitmap) == len(header_runs([2, 3, 7, 9], 10))
 
     def test_truncated_preamble(self, tmp_path):
         for cut in (16, 20, 23):
