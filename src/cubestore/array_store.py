@@ -21,19 +21,26 @@ first stored one; that virtual entry is never written, and no stored
 entry may end at 0.
 
 Presence bitmap.  A 24-byte preamble of three unsigned 64-bit
-little-endian words, 0, the magic (the ASCII bytes "PRESENCE") and
-total_cells N, then ceil(N / 8) bytes in which bit p - 1 (bit (p - 1) % 8
-of byte (p - 1) // 8) is set when cell p is nonempty.  The bits past
-cell N in the last byte are zero.  A run header can never start with an
-end of 0, so the first 16 bytes tell the two encodings apart, and a
-reader that knows only run headers rejects a bitmap file.
+little-endian words, 0, the magic (the ASCII bytes "BITPAGES") and
+total_cells N; then the rank directory, one such word per page of the
+body; then the body, ceil(N / 8) bytes in which bit p - 1 (bit
+(p - 1) % 8 of byte (p - 1) // 8) is set when cell p is nonempty.  The
+bits past cell N in the last byte are zero.  A page is 4,096 body bytes
+(32,768 cells; the last page may be shorter), and directory entry g is
+the number of set bits in pages 0 through g, so the last entry is
+record_count.  A run header can never start with an end of 0, so the
+first 16 bytes tell the two encodings apart, and a reader that knows
+only run headers rejects a bitmap file.  A file with the earlier magic
+"PRESENCE", a bitmap with no directory, is refused with a rebuild
+message.
 
-save_header writes the bitmap when it is strictly smaller, that is when
-24 + ceil(N / 8) < 16 * entries (fewer than about N / 128 runs keeps the
-run header).  An empty cell then costs one bit instead of a share of a
-run entry.  The bits are set from the run header's columns, and only
-after the bitmap has won; r stored cells make at most r + 1 entries, so
-building a sparse relation takes O(r) memory, not O(N).
+save_header writes the bitmap when its file is strictly smaller, that
+is when 24 + 8 * pages + ceil(N / 8) < 16 * entries (fewer than about
+N / 128 runs keeps the run header).  An empty cell then costs one bit
+instead of a share of a run entry.  The bits are set from the run
+header's columns, and only after the bitmap has won; r stored cells
+make at most r + 1 entries, so building a sparse relation takes O(r)
+memory, not O(N).
 
 Point lookup is three steps: linearize the coordinates, find whether the
 position is nonempty, then map it to its physical record, the number of
@@ -59,11 +66,29 @@ filled counts) that together cover the four validation rules.  Only
 after a check fails are the entries scanned again, still in C, to name
 the first bad one.  On a shared 2-vCPU host with Python 3.11, a
 167,564-entry (2.68 MB) run header opens in about 35 ms.  A bitmap is
-held as one Python int per 512-bit block plus one cumulative rank per
-block.  Opening the 131,096 bytes of a 2^20-cell bitmap is C-level
-passes: iter_unpack cuts groups of 64 blocks, one map over
-int.from_bytes makes the ints and one accumulate over bit_count the
-ranks, about 0.44 ms on the same host.
+held as two lists with one slot per 512-bit block: the block's bits as
+a Python int, and the number of nonempty cells up to the end of the
+block.  Opening one reads the file, checks the preamble, the size, the
+padding bits and that the directory never decreases, and fills both
+lists with None, so it decodes no block.  A page is decoded on the
+first lookup that touches it: its 64 block ints are cut in C, its
+popcount must equal its directory step, and its ranks then its ints go
+into the lists in one slice assignment each, so a lookup that finds a
+block's int also finds its rank.  A page whose count disagrees raises
+StorageError naming it at every touch, so one flipped bit fails at open
+or at its page's first lookup, never as a wrong answer (the page count
+is not a checksum: two flips that cancel in one page go unseen).
+len(), _cells and so iterate_nonempty decode and check every page
+first.  The store keeps the file's bytes until no page is left to
+decode.  On the same host, opening the 131,352 bytes of a 2^20-cell
+bitmap takes about 0.06 ms (about 0.5 ms when open decoded every
+block), and a page's first lookup adds about 0.03 ms.  So the decoding
+is moved, not removed: an open followed by lookups in every page does
+all of it, plus one TypeError per page, and only an open that touches
+few pages, such as one query's, saves it.  The directory is stored
+rather than counted at open because counting reads every byte:
+int.from_bytes and bit_count over the 32 pages of that body take about
+0.3 ms.
 
 get_cell runs the three steps in one frame: a function compiled once per
 process per (k, header encoding) and bound to the store at open.  It
@@ -75,9 +100,12 @@ hit's one pread and its short-read check, inline rather than a
 files.read_at call, and without the type and range checks read_record
 keeps.  A miss reads nothing.  Any input the coordinate test refuses
 runs linearize and locate, so coordinates outside the box, or of the
-wrong count or type, raise the RangeError that linearize raises.  The function holds the header's columns and a
-one-slot descriptor that close sets to -1, never the store, so a closed
-store is freed as soon as it is dropped.
+wrong count or type, raise the RangeError that linearize raises.  So
+does a bitmap block not yet decoded: its slot holds None, the step's
+shift raises TypeError, and locate decodes the page; from then on the
+page's lookups stay in the compiled step.  The function holds the
+header's columns and a one-slot descriptor that close sets to -1, never
+the store, so a closed store is freed as soon as it is dropped.
 """
 
 from __future__ import annotations
@@ -103,12 +131,16 @@ from .files import open_for_pread, read_at, read_binary, row_blocks, write_file
 from .linearizer import _box, _compile, _integer, _prelude, cell_count
 
 _ENTRY_BYTES = 16  # two unsigned 64-bit little-endian words per entry
-_BITMAP_START = bytes(8) + b"PRESENCE"  # words 0 and the magic of a bitmap preamble
+_BITMAP_START = bytes(8) + b"BITPAGES"  # words 0 and the magic of a bitmap preamble
+_UNPAGED_START = bytes(8) + b"PRESENCE"  # the earlier bitmap, which had no rank directory
 _PREAMBLE_BYTES = 24  # _BITMAP_START, then total_cells
 _BLOCK_BYTES = 64  # 512 bits per in-memory block of a bitmap
 _BLOCK_BITS = 8 * _BLOCK_BYTES
 _BLOCK_SHIFT = _BLOCK_BITS.bit_length() - 1  # p >> _BLOCK_SHIFT is p // _BLOCK_BITS
-_GROUP = struct.Struct(f"{_BLOCK_BYTES}s" * 64)  # 64 blocks per iter_unpack step
+_PAGE_BLOCKS = 64  # blocks per page of a bitmap body, each with a rank directory entry
+_PAGE_SHIFT = _PAGE_BLOCKS.bit_length() - 1  # b >> _PAGE_SHIFT is the page of block b
+_GROUP = struct.Struct(f"{_BLOCK_BYTES}s" * _PAGE_BLOCKS)  # one page per iter_unpack step
+_PAGE_BYTES = _GROUP.size
 _SWAP = sys.byteorder != "little"
 _BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]  # bit o of byte v is [v][o]
 
@@ -249,6 +281,11 @@ if before < (filled[j - 1] if j else 0):
         data = read_binary(path, "header")
         if data.startswith(_BITMAP_START):
             return PresenceBitmap._of_file(data, path)
+        if data.startswith(_UNPAGED_START):
+            raise StorageError(
+                f"{path}: presence bitmap without a rank directory, an earlier format; "
+                f"rebuild it with `cubestore build --only array`"
+            )
         if len(data) % _ENTRY_BYTES:
             raise StorageError(
                 f"{path}: size {len(data)} is not a multiple of {_ENTRY_BYTES}"
@@ -275,14 +312,16 @@ class PresenceBitmap:
     Answers the same calls as Header: locate, record_count, total_cells,
     _cells, and len(), the number of run entries of the same cells.
     Held as one int per 512-bit block and the number of nonempty cells
-    up to the end of each block.
+    up to the end of each block, both None until the block's page is
+    first touched, and the file's bytes until no page is left to decode
+    (see the module notes).
     """
 
-    __slots__ = ("_blocks", "_ranks", "total_cells")
+    __slots__ = ("_blocks", "_ranks", "_directory", "_data", "_path", "total_cells")
 
     @classmethod
     def _of_file(cls, data: bytes, path) -> "PresenceBitmap":
-        """Check a bitmap file's preamble, size and padding, and index its bits."""
+        """Check a bitmap file's preamble, size, padding and rank directory; decode no page."""
         if len(data) < _PREAMBLE_BYTES:
             raise StorageError(
                 f"{path}: bitmap header ends at byte {len(data)}, "
@@ -292,7 +331,8 @@ class PresenceBitmap:
         if total < 1:
             raise StorageError(f"{path}: bitmap total_cells at byte 16 is 0, "
                                "the box holds at least one cell")
-        end = _PREAMBLE_BYTES + -(-total // 8)
+        pages, body = _bitmap_shape(total)
+        end = _PREAMBLE_BYTES + 8 * pages + body
         if len(data) != end:
             raise StorageError(
                 f"{path}: bitmap of {total} cells (byte 16) ends at byte {end}, "
@@ -302,15 +342,25 @@ class PresenceBitmap:
             raise StorageError(
                 f"{path}: padding bits past cell {total} are set in byte {end - 1}"
             )
+        directory = list(struct.unpack_from(f"<{pages}Q", data, _PREAMBLE_BYTES))
+        g = _first_false(map(le, directory, islice(directory, 1, None)))
+        if g is not None:
+            raise StorageError(
+                f"{path}: rank directory entry {g + 1} at byte {_PREAMBLE_BYTES + 8 * g + 8} "
+                f"is {directory[g + 1]}, below entry {g}'s {directory[g]}"
+            )
         bitmap = cls.__new__(cls)
-        bitmap._blocks = _blocks(memoryview(data)[_PREAMBLE_BYTES:])
-        bitmap._ranks = list(accumulate(map(int.bit_count, bitmap._blocks)))
+        bitmap._blocks = [None] * -(-body // _BLOCK_BYTES)
+        bitmap._ranks = [None] * len(bitmap._blocks)
+        bitmap._directory = directory
+        bitmap._data = data
+        bitmap._path = path
         bitmap.total_cells = total
         return bitmap
 
     @property
     def record_count(self) -> int:
-        return self._ranks[-1]
+        return self._directory[-1]
 
     # as Header's, with p counted from 0, so that p is the cell's bit index
     _ORIGIN = 0
@@ -325,18 +375,52 @@ before = ranks[b] - rest.bit_count()"""
     def _columns(self) -> tuple:
         return self._blocks, self._ranks
 
+    def _load(self, block: int) -> int:
+        """Decode and check the page that holds block; returns the block's bits.
+
+        The ranks go in before the ints, so a lookup that finds a block's
+        int, as the compiled step does, also finds its rank.  Once no page
+        is left to decode, the file's bytes are dropped.
+        """
+        data = self._data
+        if data is None:  # another thread decoded the last page after the caller looked
+            return self._blocks[block]
+        g = block >> _PAGE_SHIFT
+        first = g << _PAGE_SHIFT
+        start = _PREAMBLE_BYTES + 8 * len(self._directory) + g * _PAGE_BYTES
+        bits = _blocks(memoryview(data)[start : start + _PAGE_BYTES])
+        before = self._directory[g - 1] if g else 0
+        ranks = list(accumulate(map(int.bit_count, bits), initial=before))
+        if ranks[-1] != self._directory[g]:
+            raise StorageError(
+                f"{self._path}: bitmap page {g} at byte {start} holds "
+                f"{ranks[-1] - before} nonempty cells, its rank directory entry "
+                f"at byte {_PREAMBLE_BYTES + 8 * g} says {self._directory[g] - before}"
+            )
+        self._ranks[first : first + len(bits)] = ranks[1:]
+        self._blocks[first : first + len(bits)] = bits
+        if None not in self._blocks[::_PAGE_BLOCKS]:
+            self._data = None
+        return bits[block - first]
+
     def locate(self, position: int) -> int | None:
         """Physical record number of a logical position, or None if empty."""
         if not 1 <= position <= self.total_cells:
             raise RangeError(f"logical position {position} outside 1..{self.total_cells}")
         block, offset = divmod(position - 1, _BLOCK_BITS)
-        rest = self._blocks[block] >> offset  # this cell and the later ones of its block
+        bits = self._blocks[block]
+        if bits is None:
+            bits = self._load(block)
+        rest = bits >> offset  # this cell and the later ones of its block
         if rest & 1:
             return self._ranks[block] - rest.bit_count() + 1
         return None
 
     def _body(self) -> bytes:
-        """The bits of every block, 64 bytes each (so zeros past total_cells)."""
+        """The bits of every block, 64 bytes each (so zeros past total_cells), all checked."""
+        for block in range(0, len(self._blocks), _PAGE_BLOCKS):
+            if self._blocks[block] is None:
+                self._load(block)
         return b"".join(map(int.to_bytes, self._blocks, repeat(_BLOCK_BYTES), repeat("little")))
 
     def _cells(self):
@@ -349,25 +433,36 @@ before = ranks[b] - rest.bit_count()"""
         return (bits & ~(bits >> 1) & ((1 << (self.total_cells - 1)) - 1)).bit_count() + 1
 
 
+def _bitmap_shape(total_cells: int) -> tuple[int, int]:
+    """(pages, body bytes) of the presence bitmap of a box of total_cells cells."""
+    body = -(-total_cells // 8)
+    return -(-body // _PAGE_BYTES), body
+
+
 def save_header(header: Header, path) -> None:
     """Write header's cells as a presence bitmap or a run header, whichever is smaller.
 
     A tie keeps the run header.  The bits are set from the runs, and only
     once the bitmap has won, so a box too sparse for a bitmap never
-    allocates its ceil(total_cells / 8) bytes.
+    allocates its ceil(total_cells / 8) bytes.  The rank directory is
+    counted from the bits.
     """
     sizes = header_bytes(header)
     if sizes["presence bitmap"] < sizes["run header"]:
+        bits = header._presence_bits()
+        steps = [int.from_bytes(bits[i : i + _PAGE_BYTES], "little").bit_count()
+                 for i in range(0, len(bits), _PAGE_BYTES)]
         write_file(path, _BITMAP_START + header.total_cells.to_bytes(8, "little")
-                   + header._presence_bits())
+                   + struct.pack(f"<{len(steps)}Q", *accumulate(steps)) + bits)
     else:
         header.save(path)
 
 
 def header_bytes(header) -> dict:
     """File bytes of header's cells in each encoding, by encoding name."""
+    pages, body = _bitmap_shape(header.total_cells)
     return {"run header": _ENTRY_BYTES * len(header),
-            "presence bitmap": _PREAMBLE_BYTES + -(-header.total_cells // 8)}
+            "presence bitmap": _PREAMBLE_BYTES + 8 * pages + body}
 
 
 def compress_stream(cells, total_cells: int, record_width: int, out) -> Header:

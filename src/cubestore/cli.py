@@ -129,55 +129,64 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    """Print a dataset's figures only once all of them are known.
+
+    So a damaged dataset prints its error alone: the size report checks
+    that every file is there, and a bitmap's len() decodes and checks
+    every page.
+    """
+    lines = []
+    say = lines.append
     root = Path(args.dataset)
     manifest = Manifest.load(root / MANIFEST_NAME)
     schema = manifest.schema
-    print(f"{'rows (r)':26}{manifest.r:,}")
-    print(f"{'cells':26}{schema.cell_total:,}")
-    print(f"{'row bytes':26}{schema.row_bytes:,}")
-    print(f"{'record bytes':26}{schema.record_width:,}")
-    print(f"{'data ratio (delta)':26}{schema.delta!r}")
-    print(f"{'density (rho)':26}{manifest.rho!r}")
+    say(f"{'rows (r)':26}{manifest.r:,}")
+    say(f"{'cells':26}{schema.cell_total:,}")
+    say(f"{'row bytes':26}{schema.row_bytes:,}")
+    say(f"{'record bytes':26}{schema.record_width:,}")
+    say(f"{'data ratio (delta)':26}{schema.delta!r}")
+    say(f"{'density (rho)':26}{manifest.rho!r}")
     if manifest.r:
         ratio = space_ratio(schema.delta, manifest.rho)
-        print(f"{'size ratio (delta/rho)':26}{ratio!r}")
+        say(f"{'size ratio (delta/rho)':26}{ratio!r}")
         if ratio < 1:
-            print("verdict: multidimensional smaller (uncompressed model)")
+            say("verdict: multidimensional smaller (uncompressed model)")
         elif ratio > 1:
-            print("verdict: table smaller (uncompressed model)")
+            say("verdict: table smaller (uncompressed model)")
         else:
-            print("verdict: equal size (uncompressed model)")
+            say("verdict: equal size (uncompressed model)")
     else:
-        print("size ratio (delta/rho)    undefined (no rows)")
+        say("size ratio (delta/rho)    undefined (no rows)")
     if size_of(root / HEADER_NAME) is not None:
         header = Header.load(root / HEADER_NAME)
         sizes = header_bytes(header)
         stored = "presence bitmap" if isinstance(header, PresenceBitmap) else "run header"
         other = next(name for name in sizes if name != stored)
-        print(f"{'header encoding':26}{stored}, {sizes[stored]:,} bytes "
-              f"({other}: {sizes[other]:,} bytes)")
+        say(f"{'header encoding':26}{stored}, {sizes[stored]:,} bytes "
+            f"({other}: {sizes[other]:,} bytes)")
     else:
-        print(f"{'header encoding':26}(not built)")
+        say(f"{'header encoding':26}(not built)")
     if size_of(root / BTREE_NAME) is not None:
         with open_dataset(root, need=("table",)) as db:
             table = db.table
         meta = table.meta
         blocks = -(-table.row_count // table.leaf_rows)
-        print(f"{'B-tree':26}height {meta.height}, t {meta.t}, key {meta.key_bytes} bytes, "
-              f"pages: {meta.node_count:,} internal over {blocks:,} table blocks "
-              f"of {table.leaf_rows} rows")
-    print()
-    print(format_size_report(size_report(root)))
+        say(f"{'B-tree':26}height {meta.height}, t {meta.t}, key {meta.key_bytes} bytes, "
+            f"pages: {meta.node_count:,} internal over {blocks:,} table blocks "
+            f"of {table.leaf_rows} rows")
+    say("")
+    say(format_size_report(size_report(root)))
     if args.conjoint is not None:
         cells = list(stored_cells(root, manifest))
         result, _ = build_conjoint(cells, args.conjoint, manifest.cards,
                                    allow_degenerate=args.allow_degenerate)
-        print()
-        print(f"{'conjoint of dimensions':26}1..{result.h}")
-        print(f"{'conjoint size':26}{result.size:,}")
-        print(f"{'conjoint cell ratio':26}{result.cell_ratio!r}")
-        print(f"{'density after (rho-prime)':26}{result.rho_prime!r}")
-        print("cardinalities after: " + ", ".join(str(c) for c in result.cards_after))
+        say("")
+        say(f"{'conjoint of dimensions':26}1..{result.h}")
+        say(f"{'conjoint size':26}{result.size:,}")
+        say(f"{'conjoint cell ratio':26}{result.cell_ratio!r}")
+        say(f"{'density after (rho-prime)':26}{result.rho_prime!r}")
+        say("cardinalities after: " + ", ".join(str(c) for c in result.cards_after))
+    print("\n".join(lines))
     return 0
 
 

@@ -49,7 +49,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .files import clear_directory, read_utf8, size_of, write_file, writing
+from .files import clear_directory, read_utf8, replace_file, size_of, write_file, writing
 from .linearizer import delinearize, position_kernel
 from .relation_model import (
     _I64_MAX,
@@ -430,9 +430,10 @@ def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
 
     Encodes the directories and manifest first: text with no UTF-8
     encoding changes no file.  Then removes the manifest and an earlier
-    build's index, array and header, and writes the manifest last, so
-    build and open refuse an ingest that failed part-way rather than
-    answer a mix of two relations.  Stamps the manifest with the time.
+    build's index, array and header, and writes the manifest last and
+    whole, under a temporary name renamed over it, so build and open
+    refuse an ingest that failed part-way (there is no manifest) rather
+    than answer a mix of two relations.  Stamps the manifest with the time.
     """
     out = Path(out_dir)
     manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
@@ -444,7 +445,7 @@ def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
         write_file(path, raw)
     with writing(out / TABLE_NAME) as f:
         write_table(cells, f, manifest.cards, manifest.schema.record_width)
-    write_file(out / MANIFEST_NAME, text)
+    replace_file(out / MANIFEST_NAME, text)
     return manifest
 
 

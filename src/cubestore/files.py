@@ -7,6 +7,8 @@ and StorageError for the .hdr, .tbl, .btx and .arr reads, naming the
 file.  Open reads the manifest, .dim, .hdr and .btx whole, and every
 other read is read_at, a checked pread, but three that each lookup makes
 inline: TableStore's block read and key probe, and ArrayStore.get_cell's.
+The manifest is written through replace_file, so neither a failed write
+nor a crash leaves part of a manifest.
 """
 
 from __future__ import annotations
@@ -73,20 +75,42 @@ def clear_directory(path, names) -> None:
 
 
 @contextmanager
+def _renamed_over(path):
+    """A temporary name beside path, renamed over path if the block completes.
+
+    On any failure the temporary file is removed and path keeps its bytes.
+    """
+    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def replace_file(path, data: bytes) -> None:
+    """write_file, but path is either left as it was or holds all of data.
+
+    The data is synced to disk before the rename, so that a crash cannot
+    leave the new name on a file whose bytes never arrived.
+    """
+    with (_failing(DatasetError, f"cannot write {path}"), _renamed_over(path) as tmp,
+          open(tmp, "wb") as out):
+        out.write(data)
+        out.flush()
+        os.fsync(out.fileno())
+
+
+@contextmanager
 def replacing(path):
     """A UTF-8 text file, made beside path at once, that replaces path if the block completes.
 
     On any failure it is removed and path keeps its bytes.  An OSError
     stays one: these are output files, not dataset files.
     """
-    tmp = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", newline="", encoding="utf-8") as out:
-            yield out
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _renamed_over(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as out:
+        yield out
 
 
 def read_at(fd, name, size: int, offset: int) -> bytes:

@@ -99,17 +99,30 @@ def header_runs(occupied, total_cells: int):
     return entries
 
 
-def bitmap_file_bytes(occupied, total_cells: int) -> bytes:
-    """Expected presence-bitmap header file of the occupied positions.
-
-    Preamble: u64 0, the ASCII bytes "PRESENCE", u64 total_cells; then
-    one bit per cell, cell p at bit (p - 1) % 8 of byte (p - 1) // 8,
-    with the bits past the last cell left zero.
-    """
+def bitmap_body(occupied, total_cells: int) -> bytes:
+    """One bit per cell, cell p at bit (p - 1) % 8 of byte (p - 1) // 8,
+    with the bits past the last cell left zero."""
     body = [0] * ((total_cells + 7) // 8)
     for position in occupied:
         body[(position - 1) // 8] += 2 ** ((position - 1) % 8)
-    return struct.pack("<Q8sQ", 0, b"PRESENCE", total_cells) + bytes(body)
+    return bytes(body)
+
+
+def bitmap_file_bytes(occupied, total_cells: int) -> bytes:
+    """Expected presence-bitmap header file of the occupied positions.
+
+    Preamble: u64 0, the ASCII bytes "BITPAGES", u64 total_cells; then
+    the rank directory, one u64 per 4,096-byte page of the body (32,768
+    cells), entry g counting the occupied cells of pages 0 through g;
+    then the body, bitmap_body.
+    """
+    body = bitmap_body(occupied, total_cells)
+    pages = (len(body) + 4095) // 4096
+    per_page = [0] * pages
+    for position in occupied:
+        per_page[(position - 1) // 32768] += 1
+    directory = [sum(per_page[: g + 1]) for g in range(pages)]
+    return struct.pack(f"<Q8sQ{pages}Q", 0, b"BITPAGES", total_cells, *directory) + body
 
 
 def decode_header_by_scan(data: bytes):

@@ -221,8 +221,9 @@ class TestStats:
     def test_figures_and_verdict(self, built, capsys):
         assert main(["stats", "--dataset", str(built)]) == 0
         # 4 of 9 cells, 16-byte record (int64 + text:8), 24-byte row:
-        # delta = 2/3, rho = 4/9, delta/rho = 1.5 > 1; 9 cells take 24 + 2
-        # bitmap bytes against 3 runs of 16 bytes
+        # delta = 2/3, rho = 4/9, delta/rho = 1.5 > 1; 9 cells take 24 + 8 + 2
+        # bitmap bytes (preamble, one rank directory entry, body) against
+        # 3 runs of 16 bytes
         assert capsys.readouterr().out.splitlines()[:9] == [
             "rows (r)                  4",
             "cells                     9",
@@ -232,8 +233,25 @@ class TestStats:
             "density (rho)             0.4444444444444444",
             "size ratio (delta/rho)    1.5",
             "verdict: table smaller (uncompressed model)",
-            "header encoding           presence bitmap, 26 bytes (run header: 48 bytes)",
+            "header encoding           presence bitmap, 34 bytes (run header: 48 bytes)",
         ]
+
+    @pytest.mark.parametrize("damage", ["missing dimension", "bitmap page"])
+    def test_a_damaged_dataset_prints_only_its_error(self, built, capsys, damage):
+        if damage == "missing dimension":
+            (built / "dim_2.dim").unlink()
+            named = f"{built / 'dim_2.dim'} is missing"
+        else:
+            hdr = built / "relation.hdr"
+            data = bytearray(hdr.read_bytes())
+            data[32] ^= 1  # cell 1, in the body's first byte, after one directory entry
+            hdr.write_bytes(bytes(data))
+            named = f"{hdr}: bitmap page 0 at byte 32 holds "
+        capsys.readouterr()
+        assert main(["stats", "--dataset", str(built)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert named in err
 
     def test_header_encoding_before_build(self, dataset, capsys):
         assert main(["stats", "--dataset", str(dataset)]) == 0
@@ -261,7 +279,7 @@ class TestStats:
 
     def test_sparse_relation_keeps_run_header(self, tmp_path, capsys):
         # 200 diagonal rows of a 200 x 200 box: 200 runs (3,200 bytes)
-        # against 24 + 5,000 bitmap bytes
+        # against 24 + 2 * 8 + 5,000 bitmap bytes (two 4,096-byte pages)
         src = tmp_path / "d.csv"
         src.write_text("a,b,v\n" + "".join(
             f"a{i:03},b{i:03},{i}\n" for i in range(200)
@@ -273,7 +291,7 @@ class TestStats:
         assert main(["stats", "--dataset", str(ds)]) == 0
         out = capsys.readouterr().out
         assert ("header encoding           run header, 3,200 bytes "
-                "(presence bitmap: 5,024 bytes)") in out
+                "(presence bitmap: 5,040 bytes)") in out
         assert (ds / "relation.hdr").stat().st_size == 3200
 
     def test_array_smaller_verdict(self, tmp_path, capsys):

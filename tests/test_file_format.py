@@ -25,7 +25,7 @@ SHARED = {
         "dim_2.dim": "d718eb8427655b60715711f90684555d336b66a745535dbf9ad74285a2a208d4",
         "relation.tbl": "56860e6c55255ae6a9ad0f12b4e6795c7ba5cb0dd3404a80b5557b7fd398bbe9",
         "relation.arr": "4505d3dcbbcc91ab422a416dabe4bab28c221b24b36c4c9006bc91be710163c5",
-        "relation.hdr": "714e91f9362981c82573982d130b1a30099c534940fdefb00760779c6642de4a",
+        "relation.hdr": "43657bcedfed6c72c7c7a0b28f9ba49df9c850a4261e42b733f1e1d06d98aea6",
     },
     "sparse": {
         "dim_1.dim": "387a3e3ce3a62ee54ef0376c01c100f44ab96c8465ca31c7b66350402db3d5fd",

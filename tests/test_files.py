@@ -353,7 +353,10 @@ def fail_each_write(monkeypatch, run) -> int:
                 run(n)
             except DatasetError as exc:
                 assert faults.failed is not None, n
-                assert f"cannot write {faults.failed}: " in str(exc), (n, str(exc))
+                named = faults.failed
+                if named.name.endswith(".tmp"):  # written whole under .<name>.<pid>.tmp
+                    named = named.with_name(named.name[1:].rsplit(".", 2)[0])
+                assert f"cannot write {named}: " in str(exc), (n, str(exc))
                 continue
         assert faults.failed is None
         return faults.calls
@@ -387,8 +390,9 @@ def test_a_failed_ingest_is_refused_not_mixed_with_the_last_one(tmp_path, monkey
 
     Relation A is ingested and built, and each run ingests B over a copy
     of it.  An ingest removes the manifest before its first write and
-    writes it last, so no failure leaves A's manifest and table to be
-    built beside B's directories.
+    writes it last, whole or not at all, so no failure leaves A's
+    manifest and table to be built beside B's directories, or part of a
+    manifest, or its temporary file.
     """
     names, keys = ["a", "b", "v"], ["a", "b"]
     base = tmp_path / "base"
@@ -402,11 +406,12 @@ def test_a_failed_ingest_is_refused_not_mixed_with_the_last_one(tmp_path, monkey
 
     writes = fail_each_write(monkeypatch, ingest_b)
     for n in range(1, writes + 1):
-        manifest = re.escape(str(tmp_path / f"ds{n}" / "manifest.txt"))
-        with pytest.raises(DatasetError, match=manifest):
+        missing = re.escape(f"cannot read manifest {tmp_path / f'ds{n}' / 'manifest.txt'}: ")
+        with pytest.raises(DatasetError, match=missing):
             build_dataset(tmp_path / f"ds{n}")
-        with pytest.raises(DatasetError, match=manifest):
+        with pytest.raises(DatasetError, match=missing):
             open_dataset(tmp_path / f"ds{n}")
+        assert not list((tmp_path / f"ds{n}").glob(".*.tmp")), n
     done = tmp_path / f"ds{writes + 1}"
     build_dataset(done)
     assert list(export_rows(done)) == b_rows

@@ -23,12 +23,15 @@ from cubestore import (
     open_dataset,
 )
 import cubestore
-from cubestore.array_store import Header, PresenceBitmap
+from cubestore import array_store
+from cubestore.array_store import Header, PresenceBitmap, header_bytes
 from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME, Manifest, _dim_paths
 from cubestore.relation_model import KIND_TEXT, MeasureColumn
 from cubestore.table_store import iter_table_cells, write_table
 from conftest import compress_to_memory, make_records, random_positions
-from oracle import bitmap_file_bytes, decode_header_by_scan, dense_array, header_runs
+from oracle import (
+    bitmap_body, bitmap_file_bytes, decode_header_by_scan, dense_array, header_runs,
+)
 from test_acceptance import corpus
 from test_table_store import CountedPread
 
@@ -92,6 +95,9 @@ def test_bitmap_matches_runs_and_oracle_on_the_corpus(tmp_path):
         write_cells_dataset(root, cards, make_records(occupied, width), width)
         build_dataset(root, "array")
         stored = (root / "relation.hdr").read_bytes()
+        # the sizes the choice compares are the two files' sizes
+        assert header_bytes(header) == {"run header": 16 * len(header),
+                                        "presence bitmap": len(data)}
         if len(data) < 16 * len(header):
             assert stored == data
             chosen["presence bitmap"] += 1
@@ -110,7 +116,7 @@ def test_bits_set_from_the_runs_match_the_oracle(case):
     """Every run shape: within one byte, across bytes, at the box end, none at all."""
     total, occupied = case
     header, _ = compress_to_memory(make_records(sorted(occupied), 1), total, 1)
-    assert header._presence_bits() == bitmap_file_bytes(sorted(occupied), total)[24:]
+    assert header._presence_bits() == bitmap_body(sorted(occupied), total)
 
 
 def filled_cells(total: int, fill: str) -> list:
@@ -147,7 +153,7 @@ def test_bitmap_blocks_at_every_boundary(tmp_path, body, fill):
 class TestBitmapErrors:
     """Every bad bitmap file is a StorageError naming the file and a byte offset."""
 
-    GOOD = bitmap_file_bytes([2, 3, 7, 9], 10)  # 24 + 2 bytes
+    GOOD = bitmap_file_bytes([2, 3, 7, 9], 10)  # 24 + 8 + 2 bytes
 
     def load_error(self, tmp_path, data) -> str:
         path = tmp_path / "rel.hdr"
@@ -177,14 +183,114 @@ class TestBitmapErrors:
     def test_wrong_size(self, tmp_path):
         for data in (self.GOOD[:-1], self.GOOD + b"\0", self.GOOD[:24]):
             message = self.load_error(tmp_path, data)
-            assert f"ends at byte 26, file ends at byte {len(data)}" in message
+            assert f"ends at byte 34, file ends at byte {len(data)}" in message
 
     def test_set_padding_bit(self, tmp_path):
         for bit in range(2, 8):  # cells 11..16 do not exist
             data = bytearray(self.GOOD)
             data[-1] |= 1 << bit
             message = self.load_error(tmp_path, bytes(data))
-            assert "padding bits past cell 10 are set in byte 25" in message
+            assert "padding bits past cell 10 are set in byte 33" in message
+
+    # cells 1 and 40,000 of 40,000: a 5,000-byte body in two pages, whose
+    # rank directory (bytes 24 and 32) holds 1 and 2
+    TWO_PAGES = bitmap_file_bytes([1, 40_000], 40_000)
+
+    def test_decreasing_rank_directory(self, tmp_path):
+        data = bytearray(self.TWO_PAGES)
+        data[24] = 3
+        message = self.load_error(tmp_path, bytes(data))
+        assert "rank directory entry 1 at byte 32 is 2, below entry 0's 3" in message
+
+    def test_page_count_disagrees_with_its_directory_step(self, tmp_path):
+        """A wrong step opens, then fails at each touch of the pages it spans."""
+        path = tmp_path / "rel.hdr"
+        data = bytearray(self.TWO_PAGES)
+        data[24] = 0  # page 0 counts 0 cells and page 1 two: still non-decreasing
+        path.write_bytes(bytes(data))
+        bitmap = Header.load(path)
+        assert bitmap.record_count == 2
+        for position, page, start, holds, says in [(1, 0, 40, 1, 0), (40_000, 1, 4136, 1, 2)]:
+            for _ in range(2):
+                with pytest.raises(StorageError, match=re.escape(
+                        f"{path}: bitmap page {page} at byte {start} holds {holds} nonempty "
+                        f"cells, its rank directory entry at byte {24 + 8 * page} says {says}")):
+                    bitmap.locate(position)
+        with pytest.raises(StorageError, match="bitmap page 0 at byte 40"):
+            len(bitmap)
+
+    def test_unpaged_bitmap_of_the_earlier_format(self, tmp_path):
+        earlier = struct.pack("<Q8sQ", 0, b"PRESENCE", 10) + bytes([0x46, 0x01])
+        message = self.load_error(tmp_path, earlier)
+        assert message.endswith("presence bitmap without a rank directory, an earlier format; "
+                                "rebuild it with `cubestore build --only array`")
+
+
+# 300 x 250 = 75,000 cells: a bitmap body of 9,375 bytes in three pages
+# (4,096, 4,096 and 1,183 bytes; 64, 64 and 19 blocks) after the 24-byte
+# preamble and three directory entries
+PAGED_CARDS = (300, 250)
+PAGED_BODY = 24 + 3 * 8
+
+
+def paged_dataset(root) -> list:
+    """Build a third of PAGED_CARDS's cells with 3-byte records; returns their positions."""
+    total = cell_count(PAGED_CARDS)
+    occupied = random_positions(total, total // 3, seed=27)
+    write_cells_dataset(root, PAGED_CARDS, make_records(occupied, 3), 3)
+    build_dataset(root, "array")
+    return occupied
+
+
+def test_open_decodes_no_page_and_a_lookup_decodes_its_own(tmp_path, monkeypatch):
+    root = tmp_path / "ds"
+    occupied = paged_dataset(root)
+    records = dict(make_records(occupied, 3))
+    decode = array_store._blocks
+    decoded = []
+    monkeypatch.setattr(array_store, "_blocks",
+                        lambda page: decoded.append(len(page)) or decode(page))
+    with open_dataset(root, need=("array",)) as db:
+        header = db.array.header
+        assert type(header) is PresenceBitmap and len(header._directory) == 3
+        assert decoded == []
+        assert header._blocks == header._ranks == [None] * 147
+        # the first touch of page 1 decodes it, and no other cell of it decodes again
+        for position in range(32_768 + 1, 2 * 32_768 + 1):
+            got = db.array.get_cell(delinearize(position, PAGED_CARDS))
+            assert got == records.get(position), position
+            assert decoded == [4096]
+        assert [b is not None for b in header._blocks] == [False] * 64 + [True] * 64 + [False] * 19
+        assert header._ranks[127] == header._directory[1]
+        assert db.array.get_cell(PAGED_CARDS) == records.get(75_000)
+        assert decoded == [4096, 1183]
+        # the file's bytes are kept for page 0 alone, and dropped once it is decoded
+        assert header._data is not None
+        assert db.array.get_cell((1, 1)) == records.get(1)
+        assert decoded == [4096, 1183, 4096] and header._data is None
+        assert list(header._cells()) == [p - 1 for p in occupied]
+
+
+def test_a_damaged_page_fails_at_its_first_lookup_and_the_others_answer(tmp_path):
+    """A flipped body bit in page 2 leaves the record count, so open succeeds."""
+    root = tmp_path / "ds"
+    occupied = paged_dataset(root)
+    records = dict(make_records(occupied, 3))
+    hdr = root / "relation.hdr"
+    data = bytearray(hdr.read_bytes())
+    assert len(data) == PAGED_BODY + 9375
+    data[PAGED_BODY + 2 * 4096 + 10] ^= 4  # cell 2 * 32,768 + 83
+    hdr.write_bytes(bytes(data))
+    damaged = re.escape(f"{hdr}: bitmap page 2 at byte {PAGED_BODY + 2 * 4096} holds ")
+    with open_dataset(root, need=("array",)) as db:
+        for position in range(1, 2 * 32_768 + 1, 7):
+            assert db.array.get_cell(delinearize(position, PAGED_CARDS)) == records.get(position)
+        for position in (2 * 32_768 + 1, 2 * 32_768 + 83, 75_000):
+            for _ in range(2):
+                with pytest.raises(StorageError, match=damaged):
+                    db.array.get_cell(delinearize(position, PAGED_CARDS))
+        with pytest.raises(StorageError, match=damaged):
+            list(db.array.iterate_nonempty())
 
 
 # The fault-injection box: 31 * 19 * 10 = 5,890 cells, not a multiple of 8,
@@ -219,10 +325,13 @@ def hdr_mutations(data: bytes, rng: SplitMix64):
 
 @pytest.mark.parametrize("count,encoding", [(2945, PresenceBitmap), (30, Header)])
 def test_hdr_faults_never_give_silent_wrong_answers(tmp_path, count, encoding):
-    """A mutated relation.hdr either fails at open or answers exactly as before.
+    """A mutated relation.hdr fails at open or at its page's first lookup, or
+    answers exactly as before.
 
-    In the bitmap, a flipped body bit changes the record count, which the
-    .arr size check catches.  In the sparse run header each run holds one
+    In the bitmap, a flipped body bit makes its page's count disagree with
+    the rank directory, which the page's first lookup catches; a flipped
+    last directory entry changes the record count, which the .arr size
+    check catches at open.  In the sparse run header each run holds one
     record, so a changed entry breaks the rule that filled counts rise.
     A run header whose runs hold several records has slack there: a
     low-bit flip can leave it valid with other answers, which only a
@@ -275,11 +384,11 @@ def test_padding_bit_rejected_at_open(tmp_path):
     fault_dataset(root, 2945, seed=2945)
     hdr = root / "relation.hdr"
     data = bytearray(hdr.read_bytes())
-    assert len(data) == 24 + 737  # 5,890 cells, 2 bits used in the last byte
+    assert len(data) == 24 + 8 + 737  # 5,890 cells in one page, 2 bits used in the last byte
     data[-1] |= 0x80
     hdr.write_bytes(bytes(data))
     with pytest.raises(StorageError, match=re.escape(
-            f"{hdr}: padding bits past cell 5890 are set in byte 760")):
+            f"{hdr}: padding bits past cell 5890 are set in byte 768")):
         open_dataset(root, need=("array",))
 
 
@@ -302,7 +411,7 @@ def test_run_header_files_still_open(tmp_path):
         header = compress_stream(cells, cell_count(FAULT_CARDS), width, f)
     assert arr.read_bytes() == built_arr
     header.save(root / "relation.hdr")
-    assert (root / "relation.hdr").stat().st_size == 16 * len(header) > 24 + 737
+    assert (root / "relation.hdr").stat().st_size == 16 * len(header) > 24 + 8 + 737
     assert all_answers(root) == expected
     with open_dataset(root) as db:
         assert type(db.array.header) is Header

@@ -3,9 +3,11 @@ out-of-box behaviour they give all three lookup paths."""
 
 import gc
 import os
+import random
 import struct
 import sys
 import tempfile
+import threading
 import weakref
 from collections.abc import Iterator
 from decimal import Decimal
@@ -260,6 +262,78 @@ def test_compiled_get_cell_equals_the_reference_steps_at_every_cell(tmp_path, ca
                     expected = raised(lambda c: reference_cell(store, c), coords)
                     assert expected[0] is RangeError
                     assert raised(store.get_cell, coords) == expected
+
+
+# 75,000 cells: a bitmap of three pages of 32,768, 32,768 and 9,464 cells
+PAGED_BOX = (300, 250)
+PAGE_CELLS = 32_768
+
+
+def paged_stores(root):
+    """(run header store, bitmap store, answers by position) of a third of PAGED_BOX."""
+    total = cell_count(PAGED_BOX)
+    rng = SplitMix64(total)
+    positions = [p for p in range(1, total + 1) if rng.below(3) == 0]
+    runs, bitmap = build_both_encodings(root, positions, PAGED_BOX)
+    assert len(bitmap.header._directory) == 3
+    answers = dict.fromkeys(range(1, total + 1))
+    answers.update(make_records(positions, 3))
+    return runs, bitmap, answers
+
+
+def test_compiled_get_cell_equals_the_reference_steps_over_pages_touched_in_any_order(
+        tmp_path):
+    """Each page's first lookup goes through locate; the rest run the compiled step."""
+    runs, bitmap, _ = paged_stores(tmp_path)
+    total = cell_count(PAGED_BOX)
+    shuffle = random.Random(27).shuffle
+    pages = [list(range(g * PAGE_CELLS + 1, min((g + 1) * PAGE_CELLS, total) + 1))
+             for g in range(3)]
+    for cells in pages:
+        shuffle(cells)
+    order = [p for g in (2, 0, 1) for p in pages[g]]
+    with runs, bitmap:
+        assert bitmap.header._blocks == [None] * len(bitmap.header._blocks)
+        coords = [delinearize(p, PAGED_BOX) for p in order]
+        answers = [bitmap.get_cell(c) for c in coords]
+        assert answers == [reference_cell(runs, c) for c in coords]
+        assert answers == [reference_cell(bitmap, c) for c in coords]
+
+
+def test_threads_that_first_touch_pages_together_answer_every_cell(tmp_path):
+    """Four threads look up shuffled cells of a fresh bitmap store, switching often."""
+    runs, bitmap, expected = paged_stores(tmp_path)
+    runs.close()
+    bitmap.close()
+    total = cell_count(PAGED_BOX)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(20):
+            store = ArrayStore.open(tmp_path / "rel.arr", tmp_path / "bitmap.hdr", PAGED_BOX, 3)
+            wrong = []
+
+            def look_up(seed, store=store, wrong=wrong):
+                rng = random.Random(seed)
+                for p in (rng.randint(1, total) for _ in range(300)):
+                    try:
+                        got = store.get_cell(delinearize(p, PAGED_BOX))
+                    except Exception as exc:  # reported below, as a wrong answer
+                        got = exc
+                    if got != expected[p]:
+                        wrong.append((p, got))
+
+            threads = [threading.Thread(target=look_up, args=(4 * round_ + i,))
+                       for i in range(4)]
+            with store:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+            assert wrong == [], round_
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # cells {1, 2, 3, 7} of a 4 x 2 box: (1, 1), (2, 1), (3, 1) and (3, 2)
