@@ -69,24 +69,25 @@ the first bad one.  On a shared 2-vCPU host with Python 3.11, a
 held as two lists with one slot per 512-bit block: the block's bits as
 a Python int, and the number of nonempty cells up to the end of the
 block.  Opening one reads the file, checks the preamble, the size, the
-padding bits and that the directory never decreases, and fills both
-lists with None, so it decodes no block.  A page is decoded on the
-first lookup that touches it: its 64 block ints are cut in C, its
-popcount must equal its directory step, and its ranks then its ints go
-into the lists in one slice assignment each, so a lookup that finds a
-block's int also finds its rank.  A page whose count disagrees raises
-StorageError naming it at every touch, so one flipped bit fails at open
-or at its page's first lookup, never as a wrong answer (the page count
-is not a checksum: two flips that cancel in one page go unseen).
-len(), _cells and so iterate_nonempty decode and check every page
-first.  The store keeps the file's bytes until no page is left to
-decode.  On the same host, opening the 131,352 bytes of a 2^20-cell
-bitmap takes about 0.06 ms (about 0.5 ms when open decoded every
-block), and a page's first lookup adds about 0.03 ms.  So the decoding
-is moved, not removed: an open followed by lookups in every page does
-all of it, plus one TypeError per page, and only an open that touches
-few pages, such as one query's, saves it.  The directory is stored
-rather than counted at open because counting reads every byte:
+padding bits and that the directory never decreases, fills both lists
+with None, and keeps one memoryview of the file's bytes per page, so it
+decodes no block.  A page is decoded on the first lookup that touches
+it: its 64 block ints are cut in C from its view, its popcount must
+equal its directory step, its ranks then its ints go into the lists in
+one slice assignment each, so a lookup that finds a block's int also
+finds its rank, and its view is dropped.  A page is decoded once, so a
+pass over every page takes time linear in their number, and the file's
+bytes are freed with the last view.  A page whose count disagrees
+raises StorageError naming it at every touch, so one flipped bit fails
+at open or at its page's first lookup, never as a wrong answer (the
+page count is not a checksum: two flips that cancel in one page go
+unseen).  len(), _cells and so iterate_nonempty decode and check every
+page first.  On the same host, opening the 131,352 bytes of a
+2^20-cell bitmap takes about 0.06 ms, and a page's first lookup adds
+about 0.03 ms: an open followed by lookups in every page does all the
+decoding, plus one TypeError per page, and only an open that touches
+few pages, such as one query's, does little of it.  The directory is
+stored rather than counted at open because counting reads every byte:
 int.from_bytes and bit_count over the 32 pages of that body take about
 0.3 ms.
 
@@ -313,11 +314,11 @@ class PresenceBitmap:
     _cells, and len(), the number of run entries of the same cells.
     Held as one int per 512-bit block and the number of nonempty cells
     up to the end of each block, both None until the block's page is
-    first touched, and the file's bytes until no page is left to decode
-    (see the module notes).
+    first touched, and a memoryview of each page's bytes until the page
+    is decoded (see the module notes).
     """
 
-    __slots__ = ("_blocks", "_ranks", "_directory", "_data", "_path", "total_cells")
+    __slots__ = ("_blocks", "_ranks", "_directory", "_pages", "_path", "total_cells")
 
     @classmethod
     def _of_file(cls, data: bytes, path) -> "PresenceBitmap":
@@ -349,11 +350,12 @@ class PresenceBitmap:
                 f"{path}: rank directory entry {g + 1} at byte {_PREAMBLE_BYTES + 8 * g + 8} "
                 f"is {directory[g + 1]}, below entry {g}'s {directory[g]}"
             )
+        view = memoryview(data)
         bitmap = cls.__new__(cls)
         bitmap._blocks = [None] * -(-body // _BLOCK_BYTES)
         bitmap._ranks = [None] * len(bitmap._blocks)
         bitmap._directory = directory
-        bitmap._data = data
+        bitmap._pages = [view[i : i + _PAGE_BYTES] for i in range(end - body, end, _PAGE_BYTES)]
         bitmap._path = path
         bitmap.total_cells = total
         return bitmap
@@ -379,28 +381,27 @@ before = ranks[b] - rest.bit_count()"""
         """Decode and check the page that holds block; returns the block's bits.
 
         The ranks go in before the ints, so a lookup that finds a block's
-        int, as the compiled step does, also finds its rank.  Once no page
-        is left to decode, the file's bytes are dropped.
+        int, as the compiled step does, also finds its rank.  Then the
+        page's view is dropped.
         """
-        data = self._data
-        if data is None:  # another thread decoded the last page after the caller looked
-            return self._blocks[block]
         g = block >> _PAGE_SHIFT
+        page = self._pages[g]
+        if page is None:  # decoded since the caller looked
+            return self._blocks[block]
         first = g << _PAGE_SHIFT
-        start = _PREAMBLE_BYTES + 8 * len(self._directory) + g * _PAGE_BYTES
-        bits = _blocks(memoryview(data)[start : start + _PAGE_BYTES])
+        bits = _blocks(page)
         before = self._directory[g - 1] if g else 0
         ranks = list(accumulate(map(int.bit_count, bits), initial=before))
         if ranks[-1] != self._directory[g]:
             raise StorageError(
-                f"{self._path}: bitmap page {g} at byte {start} holds "
+                f"{self._path}: bitmap page {g} at byte "
+                f"{_PREAMBLE_BYTES + 8 * len(self._directory) + g * _PAGE_BYTES} holds "
                 f"{ranks[-1] - before} nonempty cells, its rank directory entry "
                 f"at byte {_PREAMBLE_BYTES + 8 * g} says {self._directory[g] - before}"
             )
         self._ranks[first : first + len(bits)] = ranks[1:]
         self._blocks[first : first + len(bits)] = bits
-        if None not in self._blocks[::_PAGE_BLOCKS]:
-            self._data = None
+        self._pages[g] = None
         return bits[block - first]
 
     def locate(self, position: int) -> int | None:

@@ -110,8 +110,9 @@ def generate_synthetic(k: int, cards, rho_target: float, measure_widths,
 
     Measures are text columns of the given widths filled with random
     lowercase letters; with no measure widths the relation is key-only
-    and carries a presence byte.  Dimension value j of dimension i is the
-    zero-padded decimal of j, so value order equals index order.
+    and its record is the single byte 0x01.  Dimension value j of
+    dimension i is the zero-padded decimal of j, so value order equals
+    index order.
     """
     cards = tuple(cards)
     if len(cards) != k:
@@ -121,26 +122,17 @@ def generate_synthetic(k: int, cards, rho_target: float, measure_widths,
     measure_widths = tuple(measure_widths)
     schema = RelationSchema(n=k + len(measure_widths), k=k, cards=cards,
                             measure_widths=measure_widths)
-    if measure_widths:
-        codec = RecordCodec(tuple(
-            MeasureColumn(f"m{i + 1}", KIND_TEXT, w) for i, w in enumerate(measure_widths)
-        ))
-    else:
-        codec = RecordCodec.presence()
+    codec = RecordCodec(
+        MeasureColumn(f"m{i + 1}", KIND_TEXT, w) for i, w in enumerate(measure_widths)
+    )
     total = cell_count(cards)
     count = int(rho_target * total)
     rng = SplitMix64(seed)
     positions = _floyd_sample(rng, total, count) if count else []
     cells = []
     for position in positions:
-        if codec.is_presence:
-            record = b"\x01"
-        else:
-            record = b"".join(
-                bytes(ord(_LETTERS[rng.below(26)]) for _ in range(w))
-                for w in measure_widths
-            )
-        cells.append((position, record))
+        measures = ["".join(_LETTERS[rng.below(26)] for _ in range(w)) for w in measure_widths]
+        cells.append((position, codec.pack(measures)))
     values = tuple(
         tuple(f"{j:0{len(str(c))}d}" for j in range(1, c + 1)) for c in cards
     )

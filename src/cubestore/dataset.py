@@ -131,8 +131,6 @@ class Manifest:
     @cached_property
     def codec(self) -> RecordCodec:
         """The record codec, built once: measure_columns is never reassigned."""
-        if not self.measure_columns:
-            return RecordCodec.presence()
         return RecordCodec(self.measure_columns)
 
     @property
@@ -390,9 +388,9 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
     if unknown:
         raise MalformedInputError(f"type overrides for unknown columns: {sorted(unknown)}")
     columns = [m.column(name, types.get(name)) for name, m in zip(measure_names, measures)]
-    codec = RecordCodec(columns) if columns else RecordCodec.presence()
+    codec = RecordCodec(columns)
     width = codec.record_width
-    records = bytearray(r * width) if columns else b"\x01" * r
+    records = bytearray(r * width) if columns else codec.pack(()) * r
     at = 0
     for col, values in zip(columns, measures):
         parse, pack = col.from_text, col.pack
@@ -641,12 +639,9 @@ def export_rows(dataset_dir):
     codec = manifest.codec
     for indices, record in stored_cells(root, manifest):
         values = tuple(d.value_of(i) for d, i in zip(dirs, indices))
-        if codec.is_presence:
-            yield values
-        else:
-            yield values + tuple(
-                col.canonical(v) for col, v in zip(codec.columns, codec.unpack(record))
-            )
+        yield values + tuple(
+            col.canonical(v) for col, v in zip(codec.columns, codec.unpack(record))
+        )
 
 
 def materialize_synthetic(synth, out_dir, schema_name: str = "synthetic") -> Manifest:
@@ -658,7 +653,7 @@ def materialize_synthetic(synth, out_dir, schema_name: str = "synthetic") -> Man
         k=schema.k,
         cards=schema.cards,
         key_columns=tuple(f"d{i + 1}" for i in range(schema.k)),
-        measure_columns=() if synth.codec.is_presence else synth.codec.columns,
+        measure_columns=synth.codec.columns,
         r=synth.r,
     )
     return _write_dataset(

@@ -114,8 +114,20 @@ def replacing(path):
 
 
 def read_at(fd, name, size: int, offset: int) -> bytes:
-    """size bytes at offset of the open file name; fewer raise StorageError naming both."""
-    data = os.pread(fd, size, offset)
+    """size bytes at offset of the open file name; an error or fewer bytes raise StorageError.
+
+    The error names the file, the size and the offset, so a read made
+    inside a writing block is never reported as a write of its output.
+    A closed store's descriptor, -1, raises OSError EBADF, as its inline
+    lookup reads do.
+    """
+    try:
+        data = os.pread(fd, size, offset)
+    except OSError as exc:
+        if fd < 0:
+            raise
+        raise StorageError(
+            f"cannot read {size} bytes at offset {offset} of {name}: {exc}") from None
     if len(data) != size:
         raise StorageError(f"{name}: short read of {size} bytes at offset {offset}")
     return data

@@ -4,8 +4,9 @@ A finite relation of arity n with a k-attribute primary key is stored with
 the key attributes dictionary-encoded: every key attribute gets a directory
 of its distinct values in sorted order, and a row's key collapses to the
 1-based positions of its values in those directories.  The remaining n - k
-attributes are serialized into one fixed-width measure record per row.
-Key-only relations (k = n) carry a single presence byte instead, so every
+attributes, each an int64, float64 or text column, are serialized into one
+fixed-width measure record per row.  A key-only relation (k = n) has no
+measure columns, and its record is the single byte 0x01, so every
 relation shape shares the same record-per-row layout.
 
 Directory files (.dim) are line-based UTF-8 text: one value per line in
@@ -40,7 +41,6 @@ MAX_CARDINALITY = 2**32 - 1  # key fields are 4-byte unsigned
 KIND_INT = "int64"
 KIND_FLOAT = "float64"
 KIND_TEXT = "text"
-KIND_PRESENCE = "presence"
 
 _INT64 = struct.Struct("<q")
 _FLOAT64 = struct.Struct("<d")
@@ -55,7 +55,8 @@ class MeasureColumn:
 
     int64 is an 8-byte little-endian two's-complement integer, float64 an
     8-byte little-endian IEEE-754 double, text a NUL-padded UTF-8 field of
-    the declared width, presence a single 0x01 byte.
+    the declared width.  A key-only relation has no column at all (see
+    RecordCodec).
     """
 
     name: str
@@ -69,9 +70,6 @@ class MeasureColumn:
         elif self.kind == KIND_TEXT:
             if self.width < 1:
                 raise ParameterError("text columns need a width of at least 1")
-        elif self.kind == KIND_PRESENCE:
-            if self.width != 1:
-                raise ParameterError("presence columns are 1 byte wide")
         else:
             raise ParameterError(f"unknown column kind {self.kind!r}")
 
@@ -90,9 +88,7 @@ class MeasureColumn:
                 return float(text)
             except ValueError:
                 raise MalformedInputError(f"column {self.name}: {text!r} is not a number") from None
-        if self.kind == KIND_TEXT:
-            return text
-        raise MalformedInputError(f"column {self.name}: presence columns take no input")
+        return text
 
     def pack(self, value) -> bytes:
         if self.kind == KIND_INT:
@@ -101,39 +97,31 @@ class MeasureColumn:
             return _INT64.pack(value)
         if self.kind == KIND_FLOAT:
             return _FLOAT64.pack(float(value))
-        if self.kind == KIND_TEXT:
-            try:
-                raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
-            except UnicodeEncodeError as exc:
-                raise MalformedInputError(
-                    f"column {self.name}: character {exc.start} is not encodable as UTF-8"
-                ) from None
-            if b"\x00" in raw:
-                raise MalformedInputError(f"column {self.name}: NUL bytes are not allowed in text")
-            if len(raw) > self.width:
-                raise MalformedInputError(
-                    f"column {self.name}: value is {len(raw)} bytes, width is {self.width}"
-                )
-            return raw.ljust(self.width, b"\x00")
-        if value != 1:
-            raise MalformedInputError(f"column {self.name}: presence value must be 1")
-        return b"\x01"
+        try:
+            raw = value.encode("utf-8") if isinstance(value, str) else bytes(value)
+        except UnicodeEncodeError as exc:
+            raise MalformedInputError(
+                f"column {self.name}: character {exc.start} is not encodable as UTF-8"
+            ) from None
+        if b"\x00" in raw:
+            raise MalformedInputError(f"column {self.name}: NUL bytes are not allowed in text")
+        if len(raw) > self.width:
+            raise MalformedInputError(
+                f"column {self.name}: value is {len(raw)} bytes, width is {self.width}"
+            )
+        return raw.ljust(self.width, b"\x00")
 
     def unpack(self, raw: bytes):
         if self.kind == KIND_INT:
             return _INT64.unpack(raw)[0]
         if self.kind == KIND_FLOAT:
             return _FLOAT64.unpack(raw)[0]
-        if self.kind == KIND_TEXT:
-            try:
-                return raw.rstrip(b"\x00").decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise MalformedInputError(
-                    f"column {self.name}: corrupt text, byte {exc.start} is not UTF-8"
-                ) from None
-        if raw != b"\x01":
-            raise MalformedInputError(f"column {self.name}: corrupt presence byte {raw!r}")
-        return 1
+        try:
+            return raw.rstrip(b"\x00").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MalformedInputError(
+                f"column {self.name}: corrupt text, byte {exc.start} is not UTF-8"
+            ) from None
 
     def canonical(self, value) -> str:
         """Render a typed value back to its canonical text form."""
@@ -147,48 +135,55 @@ class RecordCodec:
 
     A record is the columns' fields back to back, with no padding, read by
     one struct: "<" then "q" for int64, "d" for float64 and "{width}s" for
-    text and presence.  unpack is straight-line code compiled for the column
-    kinds: a length check, the struct unpack, each text field decoded, each
-    presence byte checked.  Its source names fields by position only, never
-    by column name, for names come from CSV headers and may hold any text.
-    A record it refuses is decoded field by field, raising MeasureColumn.unpack's error.
+    text.  unpack is straight-line code compiled for the column kinds: a
+    length check, the struct unpack and each text field decoded.  Its source
+    names fields by position only, never by column name, for names come from
+    CSV headers and may hold any text.  A record it refuses is decoded field
+    by field, raising MeasureColumn.unpack's error.
+
+    A key-only relation's codec has no columns, and its record is the single
+    byte 0x01: pack(()) returns it, unpack of it returns (), and unpack of
+    any other byte raises MalformedInputError.
     """
 
     __slots__ = ("columns", "record_width", "_struct", "unpack")
 
     def __init__(self, columns):
         self.columns = tuple(columns)
-        if not self.columns:
-            raise ParameterError("a record codec needs at least one column")
         self._struct = struct.Struct("<" + "".join(
             _STRUCT_CODES.get(col.kind, f"{col.width}s") for col in self.columns
         ))
-        self.record_width = self._struct.size
-        factory = _decoder_factory(tuple(col.kind for col in self.columns))
-        self.unpack = factory(self._struct.unpack, self.record_width, self._refused)
-
-    @classmethod
-    def presence(cls) -> "RecordCodec":
-        """Codec for key-only relations: a single presence byte per row."""
-        return cls((MeasureColumn("present", KIND_PRESENCE, 1),))
+        self.record_width = self._struct.size or 1  # a key-only record is the byte 0x01
+        if self.columns:
+            factory = _decoder_factory(tuple(col.kind for col in self.columns))
+            self.unpack = factory(self._struct.unpack, self.record_width, self._refused)
+        else:
+            self.unpack = self._refused
 
     @property
     def is_presence(self) -> bool:
-        return len(self.columns) == 1 and self.columns[0].kind == KIND_PRESENCE
+        """True for a key-only relation's codec, whose record only says the row exists."""
+        return not self.columns
 
     def pack(self, values) -> bytes:
         if len(values) != len(self.columns):
             raise MalformedInputError(
                 f"expected {len(self.columns)} measure values, got {len(values)}"
             )
+        if not self.columns:
+            return b"\x01"
         return b"".join(col.pack(v) for col, v in zip(self.columns, values))
 
     def _refused(self, raw: bytes) -> tuple:
-        """Decode, field by field, a record the compiled decoder refused."""
+        """Decode, field by field, a record the compiled decoder refused, or a key-only one."""
         if len(raw) != self.record_width:
             raise MalformedInputError(
                 f"record is {len(raw)} bytes, expected {self.record_width}"
             )
+        if not self.columns:
+            if raw != b"\x01":
+                raise MalformedInputError(f"corrupt presence byte {raw!r}")
+            return ()
         return tuple(value if col.kind in _STRUCT_CODES else col.unpack(value)
                      for col, value in zip(self.columns, self._struct.unpack(raw)))
 
@@ -198,20 +193,16 @@ def _decoder_factory(kinds: tuple):
     """Compile once per process the decoder factory (unpack, width, refused) of these kinds."""
     fields = [f"f{i}" for i in range(len(kinds))]
     text = "{}.rstrip(b'\\0').decode('utf-8')"
-    values = [text.format(f) if k == KIND_TEXT else "1" if k == KIND_PRESENCE else f
-              for f, k in zip(fields, kinds)]
-    present = "".join(f" and {f} == b'\\x01'" for f, k in zip(fields, kinds)
-                      if k == KIND_PRESENCE)
+    values = [text.format(f) if k == KIND_TEXT else f for f, k in zip(fields, kinds)]
     source = f"""\
 def factory(unpack, width, refused):
     def decode(raw):
         if len(raw) == width:
             {", ".join(fields)}, = unpack(raw)
-            if True{present}:
-                try:
-                    return ({", ".join(values)},)
-                except UnicodeDecodeError:
-                    pass
+            try:
+                return ({", ".join(values)},)
+            except UnicodeDecodeError:
+                pass
         return refused(raw)
     return decode
 """
@@ -266,7 +257,7 @@ class RelationSchema:
 
     @property
     def record_width(self) -> int:
-        """Bytes per measure record; key-only relations store a presence byte."""
+        """Bytes per measure record; a key-only relation's record is one 0x01 byte."""
         if self.k == self.n:
             return 1
         return sum(self.measure_widths)

@@ -103,6 +103,7 @@ KEY_FIELD_WIDTH = 4  # bytes per dictionary-encoded key field in the table
 
 DEFAULT_PAGE_SIZE = 4096
 MAX_PAGE_SIZE = 65536  # bounds a block read and the key slices made at open
+# No longer read: perfbench imports the name to report whether the variable is set.
 PAGE_SIZE_ENV = "CUBESTORE_PAGE_SIZE"
 
 _MAGIC = b"CBTX"
@@ -126,14 +127,9 @@ def decode_key(raw: bytes, k: int) -> tuple[int, ...]:
 
 
 def resolve_page_size(page_size: int | None = None) -> int:
-    """Explicit argument, else the CUBESTORE_PAGE_SIZE variable, else 4096."""
+    """The build's page size: the argument, or 4096 when it is None; out of range raises."""
     if page_size is None:
-        env = os.environ.get(PAGE_SIZE_ENV)
-        try:
-            page_size = int(env) if env else DEFAULT_PAGE_SIZE
-        except ValueError:
-            raise ParameterError(
-                f"{PAGE_SIZE_ENV}={env!r} is not a whole number of bytes") from None
+        page_size = DEFAULT_PAGE_SIZE
     if page_size < 64:
         raise ParameterError(f"page size {page_size} is too small")
     if page_size > MAX_PAGE_SIZE:

@@ -353,14 +353,14 @@ def encode_row(row, key_dirs) -> tuple[tuple[int, ...], tuple]:
 
     Returns (key indices, measure values).  The first len(key_dirs) fields
     are translated through the directories; the rest are returned as-is.
-    A key-only row yields the presence value (1,) as its measures.
+    A key-only row yields no measures, which its codec packs as 0x01.
     """
     k = len(key_dirs)
     t = tuple(row)
     if len(t) < k:
         raise MalformedInputError(f"row has {len(t)} fields, key needs {k}")
     indices = tuple(d.index_of(v) for d, v in zip(key_dirs, t))
-    measures = t[k:] if len(t) > k else (1,)
+    measures = t[k:]
     return indices, measures
 
 
@@ -418,14 +418,11 @@ def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,
         else:
             columns.append(_infer_column(name, domain.values))
 
-    codec = RecordCodec(columns) if columns else RecordCodec.presence()
+    codec = RecordCodec(columns)
     encoded = []
     for row in reordered:
         indices, measures = encode_row(row, key_dirs)
-        if columns:
-            measures = tuple(
-                col.from_text(v) for col, v in zip(columns, measures)
-            )
+        measures = tuple(col.from_text(v) for col, v in zip(columns, measures))
         encoded.append((linearize(indices, cards), indices, codec.pack(measures)))
     encoded.sort(key=lambda cell: cell[0])
     for a, b in zip(encoded, encoded[1:]):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import cubestore
+from cubestore import open_dataset
 from cubestore.cli import main
 
 CSV = (
@@ -124,15 +125,33 @@ class TestBuild:
         assert main(["build", "--dataset", str(tmp_path / "nope")]) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "4k"])
-    def test_page_size_variable_not_a_number(self, dataset, capsys, monkeypatch, value):
-        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", value)
-        assert main(["build", "--dataset", str(dataset)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: CUBESTORE_PAGE_SIZE={value!r} is not a whole number of bytes\n")
+    def test_page_size_variable_is_not_read(self, dataset, monkeypatch):
+        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", "128")
+        assert main(["build", "--dataset", str(dataset)]) == 0
+        with open_dataset(dataset, need=("table",)) as db:
+            assert db.table.meta.page_size == 4096
+        assert main(["build", "--dataset", str(dataset), "--page-size", "256"]) == 0
+        with open_dataset(dataset, need=("table",)) as db:
+            assert db.table.meta.page_size == 256
 
 
 class TestQuery:
+    def test_key_only_relation(self, tmp_path, capsys):
+        src = tmp_path / "pairs.csv"
+        src.write_text("a,b\nx,p\ny,q\n", encoding="utf-8")
+        ds = tmp_path / "ds"
+        assert main(["ingest", "--csv", str(src), "--keys", "a,b", "--out", str(ds)]) == 0
+        assert main(["build", "--dataset", str(ds)]) == 0
+        capsys.readouterr()
+        for via in ("array", "table"):
+            assert main(["query", "--dataset", str(ds), "--at", "y,q", "--via", via]) == 0
+            assert capsys.readouterr().out == "present\n"
+            assert main(["query", "--dataset", str(ds), "--at", "x,q", "--via", via]) == 1
+            assert capsys.readouterr().out == "empty\n"
+        assert main(["export", "--dataset", str(ds), "--out", str(tmp_path / "back.csv")]) == 0
+        assert (tmp_path / "back.csv").read_text(encoding="utf-8").splitlines() == [
+            "a,b", "x,p", "y,q"]
+
     def test_hit_via_both_paths(self, built, capsys):
         for via in ("array", "table"):
             code = main(["query", "--dataset", str(built),
@@ -259,7 +278,7 @@ class TestStats:
         assert "header encoding           (not built)" in out
         assert not any(line.startswith("B-tree ") for line in out.splitlines())
 
-    def test_btree_shape(self, tmp_path, capsys, monkeypatch):
+    def test_btree_shape(self, tmp_path, capsys):
         # 200 rows of two 4-byte key fields and an 8-byte measure: 8-byte
         # separators in 256-byte pages give t = 248 // 16 = 15, and the
         # 16-byte rows make 13 blocks of 256 // 16 = 16 rows under one root
@@ -269,8 +288,7 @@ class TestStats:
         ), encoding="utf-8")
         ds = tmp_path / "ds"
         assert main(["ingest", "--csv", str(src), "--keys", "a,b", "--out", str(ds)]) == 0
-        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", "256")
-        assert main(["build", "--dataset", str(ds)]) == 0
+        assert main(["build", "--dataset", str(ds), "--page-size", "256"]) == 0
         capsys.readouterr()
         assert main(["stats", "--dataset", str(ds)]) == 0
         lines = capsys.readouterr().out.splitlines()

@@ -140,7 +140,14 @@ class TestIngest:
         assert manifest.measure_columns == ()
         assert manifest.schema.record_width == 1
         assert manifest.schema.row_bytes == 9
+        assert manifest.codec.columns == ()
         assert list(export_rows(tmp_path / "ds")) == [("x", "p"), ("y", "q")]
+        # each row's record is the byte 0x01, which export checks
+        tbl = tmp_path / "ds" / "relation.tbl"
+        assert tbl.read_bytes()[8::9] == b"\x01\x01"
+        tbl.write_bytes(tbl.read_bytes()[:-1] + b"\x00")
+        with pytest.raises(MalformedInputError, match=re.escape("corrupt presence byte b'\\x00'")):
+            list(export_rows(tmp_path / "ds"))
 
     def test_duplicate_key_rejected(self, tmp_path):
         rows = [("a", "1", "x"), ("a", "1", "y")]
@@ -396,6 +403,18 @@ class TestManifest:
             path.write_text(good.replace(old, new))
             with pytest.raises(DatasetError, match=re.escape(f"{path}: bad manifest: ")):
                 Manifest.load(path)
+
+    def test_presence_measure_is_an_unknown_kind(self, tmp_path):
+        """Key-only relations have no measure column, so a presence column is refused."""
+        ingest_rows(["a", "b"], [("x", "p"), ("y", "q")], ["a", "b"], tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        good = path.read_text()
+        assert "\nn=2\n" in good and "\nmeasure_columns=\n" in good
+        path.write_text(good.replace("\nn=2\n", "\nn=3\n").replace(
+            "\nmeasure_columns=\n", "\nmeasure_columns=here:presence:1\n"))
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{path}: bad manifest: unknown column kind 'presence'")):
+            Manifest.load(path)
 
 
 class TestBuild:

@@ -268,6 +268,34 @@ def test_short_read_names_the_file_and_offset(pristine, tmp_path, monkeypatch, r
             call()
 
 
+@pytest.mark.parametrize("which", ["table", "array"])
+def test_a_table_read_error_in_build_names_the_table(pristine, tmp_path, monkeypatch, which):
+    """Build reads the table inside the block that writes .btx or .arr; the error names .tbl.
+
+    The table spans several 256-byte-page blocks, so the index build reads
+    first keys: one block would need none.
+    """
+    work = tmp_path / "ds"
+    shutil.copytree(pristine, work)
+    tbl = work / "relation.tbl"
+    inode = tbl.stat().st_ino
+    pread = os.pread
+
+    def failing_pread(fd, size, offset):
+        if os.fstat(fd).st_ino == inode:
+            raise OSError(errno.EIO, "Input/output error")
+        return pread(fd, size, offset)
+
+    row = 3 * 4 + 8 + 3  # three key fields, an int64 and a 3-byte text
+    assert tbl.stat().st_size == ROWS * row and ROWS > PAGE_SIZE // row
+    size = {"table": 3 * 4, "array": ROWS * row}[which]  # the first key, or every row
+    monkeypatch.setattr(os, "pread", failing_pread)
+    with pytest.raises(StorageError) as info:
+        build_dataset(work, which, page_size=PAGE_SIZE)
+    assert str(info.value) == (
+        f"cannot read {size} bytes at offset 0 of {tbl}: [Errno 5] Input/output error")
+
+
 def test_open_table_store_holds_the_table_file_only(pristine, tmp_path, monkeypatch):
     """Open reads the index whole, so its lookups outlast the file, and close closes one."""
     work = tmp_path / "ds"

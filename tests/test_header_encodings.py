@@ -255,6 +255,8 @@ def test_open_decodes_no_page_and_a_lookup_decodes_its_own(tmp_path, monkeypatch
         assert type(header) is PresenceBitmap and len(header._directory) == 3
         assert decoded == []
         assert header._blocks == header._ranks == [None] * 147
+        # one view of the file's bytes per page, dropped as its page is decoded
+        assert [len(page) for page in header._pages] == [4096, 4096, 1183]
         # the first touch of page 1 decodes it, and no other cell of it decodes again
         for position in range(32_768 + 1, 2 * 32_768 + 1):
             got = db.array.get_cell(delinearize(position, PAGED_CARDS))
@@ -262,12 +264,12 @@ def test_open_decodes_no_page_and_a_lookup_decodes_its_own(tmp_path, monkeypatch
             assert decoded == [4096]
         assert [b is not None for b in header._blocks] == [False] * 64 + [True] * 64 + [False] * 19
         assert header._ranks[127] == header._directory[1]
+        assert [page is None for page in header._pages] == [False, True, False]
         assert db.array.get_cell(PAGED_CARDS) == records.get(75_000)
         assert decoded == [4096, 1183]
-        # the file's bytes are kept for page 0 alone, and dropped once it is decoded
-        assert header._data is not None
+        assert [page is None for page in header._pages] == [False, True, True]
         assert db.array.get_cell((1, 1)) == records.get(1)
-        assert decoded == [4096, 1183, 4096] and header._data is None
+        assert decoded == [4096, 1183, 4096] and header._pages == [None] * 3
         assert list(header._cells()) == [p - 1 for p in occupied]
 
 

@@ -1,5 +1,6 @@
 """Schema, directories, row encoding, sparsity statistics, conjoint folding."""
 
+import re
 import struct
 from fractions import Fraction
 
@@ -88,20 +89,11 @@ class TestMeasureColumn:
         with pytest.raises(ParameterError):
             MeasureColumn("x", "blob", 8)
 
-    def test_presence(self):
-        col = MeasureColumn("present", "presence", 1)
-        assert col.pack(1) == b"\x01"
-        assert col.unpack(b"\x01") == 1
-        with pytest.raises(MalformedInputError):
-            col.pack(0)
-        with pytest.raises(MalformedInputError):
-            col.unpack(b"\x00")
-
 
 @st.composite
 def _field(draw):
     """One measure column and a value that fills it, at the edges of its kind."""
-    kind = draw(st.sampled_from(("int64", "float64", "text", "presence")))
+    kind = draw(st.sampled_from(("int64", "float64", "text")))
     if kind == "int64":
         value = draw(st.sampled_from((_I64_MIN, _I64_MAX, -1, 0))
                      | st.integers(_I64_MIN, _I64_MAX))
@@ -109,13 +101,11 @@ def _field(draw):
     if kind == "float64":
         edges = (-0.0, float("inf"), float("-inf"), float("nan"))
         return MeasureColumn("f", kind, 8), draw(st.sampled_from(edges) | st.floats())
-    if kind == "text":
-        # lone surrogates (category Cs) have no UTF-8 encoding, so no text column holds one
-        value = draw(st.text(st.characters(exclude_characters="\x00",
-                                           exclude_categories=("Cs",)), max_size=6))
-        slack = draw(st.sampled_from((0, 0, 1, 3)))  # 0: the text fills its width
-        return MeasureColumn("t", kind, max(len(value.encode("utf-8")) + slack, 1)), value
-    return MeasureColumn("p", kind, 1), 1
+    # lone surrogates (category Cs) have no UTF-8 encoding, so no text column holds one
+    value = draw(st.text(st.characters(exclude_characters="\x00",
+                                       exclude_categories=("Cs",)), max_size=6))
+    slack = draw(st.sampled_from((0, 0, 1, 3)))  # 0: the text fills its width
+    return MeasureColumn("t", kind, max(len(value.encode("utf-8")) + slack, 1)), value
 
 
 def _as_bytes(columns, values):
@@ -140,14 +130,23 @@ class TestRecordCodec:
             codec.unpack(raw[:-1])
 
     def test_presence_codec(self):
-        codec = RecordCodec.presence()
+        """A key-only relation's codec has no columns; its record is the byte 0x01."""
+        codec = RecordCodec(())
         assert codec.is_presence
+        assert not RecordCodec((MeasureColumn("x", "int64", 8),)).is_presence
         assert codec.record_width == 1
-        assert codec.pack((1,)) == b"\x01"
-
-    def test_needs_columns(self):
-        with pytest.raises(ParameterError):
-            RecordCodec(())
+        assert codec.pack(()) == b"\x01"
+        assert codec.unpack(b"\x01") == ()
+        for bad in (b"\x00", b"\x02", b"\xff"):
+            with pytest.raises(MalformedInputError,
+                               match=re.escape(f"corrupt presence byte {bad!r}")):
+                codec.unpack(bad)
+        for bad in (b"", b"\x01\x01"):
+            with pytest.raises(MalformedInputError,
+                               match=f"^record is {len(bad)} bytes, expected 1$"):
+                codec.unpack(bad)
+        with pytest.raises(MalformedInputError, match="expected 0 measure values, got 1"):
+            codec.pack((1,))
 
     @settings(max_examples=200)
     @given(fields=st.lists(_field(), min_size=1, max_size=6))
@@ -167,10 +166,9 @@ class TestRecordCodec:
             with pytest.raises(MalformedInputError, match="record is"):
                 codec.unpack(bad)
 
-    # a record of 27 bytes: label 0..5, qty 6..13, here 14, price 15..22, note 23..26
+    # a record of 26 bytes: label 0..5, qty 6..13, price 14..21, note 22..25
     MIXED = (MeasureColumn("label", "text", 6), MeasureColumn("qty", "int64", 8),
-             MeasureColumn("here", "presence", 1), MeasureColumn("price", "float64", 8),
-             MeasureColumn("note", "text", 4))
+             MeasureColumn("price", "float64", 8), MeasureColumn("note", "text", 4))
 
     @staticmethod
     def error_of(decode, raw) -> str:
@@ -180,24 +178,20 @@ class TestRecordCodec:
 
     def test_decoder_raises_the_columns_errors(self):
         codec = RecordCodec(self.MIXED)
-        label, _, here, _, note = self.MIXED
-        raw = codec.pack(("ab", -3, 1, 0.5, "\u00e9"))
-        assert codec.unpack(raw) == ("ab", -3, 1, 0.5, "\u00e9")
+        label, _, _, note = self.MIXED
+        raw = codec.pack(("ab", -3, 0.5, "\u00e9"))
+        assert codec.unpack(raw) == ("ab", -3, 0.5, "\u00e9")
         bad_label = b"a\xffb" + raw[3:]
-        bad_here = raw[:14] + b"\x00" + raw[15:]
-        bad_note = raw[:23] + b"\xc3\0\0\0"  # a cut two-byte character
+        bad_note = raw[:22] + b"\xc3\0\0\0"  # a cut two-byte character
         for bad, col, field in ((bad_label, label, bad_label[:6]),
-                                (bad_here, here, bad_here[14:15]),
-                                (bad_note, note, bad_note[23:])):
+                                (bad_note, note, bad_note[22:])):
             assert self.error_of(codec.unpack, bad) == self.error_of(col.unpack, field)
         assert self.error_of(codec.unpack, bad_label) == (
             "column label: corrupt text, byte 1 is not UTF-8")
-        assert self.error_of(codec.unpack, bad_here) == (
-            "column here: corrupt presence byte b'\\x00'")
         # of two bad fields, the first column's error
-        both = bad_label[:14] + b"\x02" + bad_label[15:]
+        both = bad_label[:22] + bad_note[22:]
         assert self.error_of(codec.unpack, both) == self.error_of(label.unpack, both[:6])
-        assert self.error_of(codec.unpack, raw + b"\0") == "record is 28 bytes, expected 27"
+        assert self.error_of(codec.unpack, raw + b"\0") == "record is 27 bytes, expected 26"
 
     @pytest.mark.parametrize("names", [
         ('a"b', "c'd", "e)f", "g\\"),
@@ -205,14 +199,12 @@ class TestRecordCodec:
     ])
     def test_column_names_stay_out_of_the_decoder(self, names):
         columns = tuple(MeasureColumn(name, kind, width) for name, (kind, width) in zip(
-            names, (("text", 4), ("presence", 1), ("int64", 8), ("text", 2))))
+            names, (("text", 4), ("float64", 8), ("int64", 8), ("text", 2))))
         codec = RecordCodec(columns)
-        raw = codec.pack(("h\u00e9", 1, 7, "z"))
-        assert codec.unpack(raw) == ("h\u00e9", 1, 7, "z")
+        raw = codec.pack(("h\u00e9", 1.5, 7, "z"))
+        assert codec.unpack(raw) == ("h\u00e9", 1.5, 7, "z")
         assert self.error_of(codec.unpack, b"\xff" + raw[1:]) == (
             f"column {names[0]}: corrupt text, byte 0 is not UTF-8")
-        assert self.error_of(codec.unpack, raw[:4] + b"\x05" + raw[5:]) == (
-            f"column {names[1]}: corrupt presence byte b'\\x05'")
         assert self.error_of(codec.unpack, raw[:-1] + b"\xe9") == (
             f"column {names[3]}: corrupt text, byte 1 is not UTF-8")
 
@@ -366,7 +358,7 @@ class TestDomainsAndEncoding:
         dirs = [DimensionDirectory(["a", "b"])]
         indices, measures = encode_row(("a",), dirs)
         assert indices == (1,)
-        assert measures == (1,)
+        assert measures == ()
 
     def test_encode_short_row_rejected(self):
         dirs = [DimensionDirectory(["a"]), DimensionDirectory(["x"])]

@@ -136,20 +136,9 @@ class TestDegreeAndBounds:
         with pytest.raises(ParameterError, match="page size 65537 is too large"):
             resolve_page_size(65537)
 
-    def test_resolve_page_size(self, monkeypatch):
-        monkeypatch.delenv("CUBESTORE_PAGE_SIZE", raising=False)
+    def test_resolve_page_size(self):
         assert resolve_page_size(None) == 4096
         assert resolve_page_size(512) == 512
-        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", "1024")
-        assert resolve_page_size(None) == 1024
-        assert resolve_page_size(512) == 512  # explicit argument wins
-
-    @pytest.mark.parametrize("value", ["abc", "4k", "4096.0", " "])
-    def test_page_size_variable_that_is_not_a_number(self, monkeypatch, value):
-        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", value)
-        with pytest.raises(ParameterError, match=re.escape(
-                f"CUBESTORE_PAGE_SIZE={value!r} is not a whole number of bytes")):
-            resolve_page_size(None)
 
     def test_hit_dense_shape(self):
         # the benchmark's hit-dense relation: 115,500 rows of 12-byte keys in
@@ -462,12 +451,6 @@ class TestStoreValidation:
         with pytest.raises(StorageError, match=named):
             list(iter_table_cells(tbl, 3, 2))
 
-    def test_env_page_size(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CUBESTORE_PAGE_SIZE", "512")
-        cells = make_records(list(range(1, 20)), 2)
-        store = build_table_files(tmp_path, cells, (24,), 2)
-        with store:
-            assert store.meta.page_size == 512
 
 
 class TestIndexCorruption:
