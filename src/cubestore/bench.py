@@ -19,13 +19,13 @@ direct read of the known record ordinal.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass
 from itertools import accumulate
 
 from .cost_model import round2
 from .errors import CapacityError, DatasetError, EmptyRelationError, ParameterError
+from .files import csv_writer
 from .linearizer import cell_count
 from .relation_model import KIND_TEXT, MeasureColumn, RecordCodec, RelationSchema
 
@@ -256,7 +256,7 @@ def report(results, warmup: bool = False) -> str:
 
 def write_bench_csv(results, out) -> None:
     """Write the results as CSV to an open text file."""
-    writer = csv.writer(out, lineterminator="\n")
+    writer = csv_writer(out)
     writer.writerow(["sample_size", "sample_pct", "table_ns", "array_ns", "quotient"])
     for b in results:
         writer.writerow([b.sample_size, f"{b.sample_pct:.2f}",

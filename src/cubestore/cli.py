@@ -50,7 +50,7 @@ from .dataset import (
     stored_cells,
 )
 from .errors import CubeStoreError, MalformedInputError
-from .files import replacing, size_of
+from .files import csv_writer, replacing, size_of
 from .relation_model import build_conjoint, space_ratio
 
 
@@ -218,9 +218,9 @@ def _cmd_export(args) -> int:
     manifest = Manifest.load(Path(args.dataset) / MANIFEST_NAME)
     header = list(manifest.key_columns) + [c.name for c in manifest.measure_columns]
     with replacing(args.out) if args.out else nullcontext(sys.stdout) as out:
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv_writer(out)
         writer.writerow(header)
-        writer.writerows(export_rows(args.dataset))
+        writer.writerows(export_rows(args.dataset, manifest))
     return 0
 
 

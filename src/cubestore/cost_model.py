@@ -27,12 +27,11 @@ about log2(r / B) + 1 for blocks of B rows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .files import replacing
+from .files import csv_writer, replacing
 
 DEFAULT_P_VALUES = (1.0, 10.0, 100.0, 500.0, 1000.0, 1500.0)
 DEFAULT_R_VALUES = (10**3, 10**4, 10**5, 10**6, 10**7)
@@ -139,7 +138,7 @@ def write_cost_csv(tables, prefix) -> list[str]:
         else:
             name = f"{prefix}_btree_p{table.p:g}_t{table.t}.csv"
         with replacing(name) as f:
-            writer = csv.writer(f, lineterminator="\n")
+            writer = csv_writer(f)
             writer.writerow(["r"] + [f"k={k}" for k in table.k_values])
             for r, row in zip(table.r_values, table.cells):
                 writer.writerow([r] + [f"{q:.2f}" for q in row])

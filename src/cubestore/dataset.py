@@ -29,7 +29,6 @@ pass each, so rebuilding from the same table is byte-identical.
 from __future__ import annotations
 
 import csv
-import re
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -52,8 +51,6 @@ from .errors import (
 from .files import clear_directory, read_utf8, replace_file, size_of, write_file, writing
 from .linearizer import delinearize, position_kernel
 from .relation_model import (
-    _I64_MAX,
-    _I64_MIN,
     KIND_FLOAT,
     KIND_INT,
     KIND_TEXT,
@@ -61,6 +58,7 @@ from .relation_model import (
     MeasureColumn,
     RecordCodec,
     RelationSchema,
+    parse_number,
 )
 from .table_store import (
     TableStore,
@@ -75,8 +73,6 @@ BTREE_NAME = "relation.btx"
 ARRAY_NAME = "relation.arr"
 HEADER_NAME = "relation.hdr"
 FORMAT_VERSION = 1
-
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 
 def _dim_paths(root: Path, k: int) -> list[Path]:
@@ -218,9 +214,9 @@ class _MeasureText:
 
     Values are kept as concatenated UTF-8 bytes with an end offset per
     row, about len + 8 bytes each.  Inference runs as values arrive and
-    agrees with inference over the distinct values: int64 while every
-    value is a decimal integer in range, else float64 while every value
-    parses as a float, else text as wide as the widest value.
+    agrees with inference over the distinct values: int64 while
+    parse_number reads every value as an int, else float64 while it reads
+    every value as a number, else text as wide as the widest value.
     """
 
     __slots__ = ("name", "data", "ends", "is_int", "is_float", "width")
@@ -245,15 +241,10 @@ class _MeasureText:
         self.ends.append(len(self.data))
         if len(raw) > self.width:
             self.width = len(raw)
-        if self.is_int:
-            if _INT_RE.match(value) and _I64_MIN <= int(value) <= _I64_MAX:
-                return
-            self.is_int = False
         if self.is_float:
-            try:
-                float(value)
-            except ValueError:
-                self.is_float = False
+            number = parse_number(value)
+            self.is_float = number is not None
+            self.is_int = self.is_int and type(number) is int
 
     def raw(self, row: int) -> bytes:
         return bytes(self.data[self.ends[row - 1] if row else 0 : self.ends[row]])
@@ -266,17 +257,20 @@ class _MeasureText:
             start = end
 
     def column(self, name: str, spec: str | None) -> MeasureColumn:
-        """The column a type override declares, else the inferred one."""
+        """The column a type override declares, else the inferred one.
+
+        Only text takes a width, text:N, and N is an int of parse_number above 0.
+        """
         if spec is None:
-            kind = KIND_INT if self.is_int else KIND_FLOAT if self.is_float else KIND_TEXT
-            width = ""
-        else:
-            kind, _, width = spec.partition(":")
-        if kind in (KIND_INT, KIND_FLOAT):
-            return MeasureColumn(name, kind, 8)
-        if kind == KIND_TEXT:
-            return MeasureColumn(name, KIND_TEXT, int(width) if width else self.width)
-        raise MalformedInputError(f"unknown column type {spec!r} for {name}")
+            spec = KIND_INT if self.is_int else KIND_FLOAT if self.is_float else KIND_TEXT
+        kind, colon, width = spec.partition(":")
+        if kind not in (KIND_INT, KIND_FLOAT, KIND_TEXT):
+            raise MalformedInputError(f"unknown column type {spec!r} for {name}")
+        width = parse_number(width) if colon else self.width
+        if colon and (kind != KIND_TEXT or type(width) is not int or width < 1):
+            raise MalformedInputError(f"bad column type {spec!r} for {name}: only text "
+                                      "takes a width, and it is a positive integer")
+        return MeasureColumn(name, kind, width if kind == KIND_TEXT else 8)
 
 
 def _logical_order(remaps, row_ids, cards, r: int) -> list[int]:
@@ -394,8 +388,13 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
     at = 0
     for col, values in zip(columns, measures):
         parse, pack = col.from_text, col.pack
-        for start, value in zip(range(at, r * width, width), values.values()):
-            records[start : start + col.width] = pack(parse(value))
+        try:
+            for start, value in zip(range(at, r * width, width), values.values()):
+                records[start : start + col.width] = pack(parse(value))
+        except MalformedInputError as exc:  # it begins "column <name>: "
+            where = f"column {col.name}"
+            raise MalformedInputError(f"{where}, data row {start // width + 1}"
+                                      f"{str(exc).removeprefix(where)}") from None
         at += col.width
     del measures, measure_fields  # the raw text is not needed past this point
     if shared:
@@ -627,14 +626,15 @@ def stored_cells(root: Path, manifest: Manifest):
     return iter_table_cells(tbl, manifest.k, manifest.schema.record_width)
 
 
-def export_rows(dataset_dir):
+def export_rows(dataset_dir, manifest: Manifest | None = None):
     """Reconstruct the ingested rows (key values first, canonical measures).
 
     Yields tuples of strings in key-columns-then-measures order; row order
-    is the stored (logical) order.
+    is the stored (logical) order.  manifest, if given, is the dataset's
+    as the caller loaded it, so a header it wrote names these rows.
     """
     root = Path(dataset_dir)
-    manifest = Manifest.load(root / MANIFEST_NAME)
+    manifest = manifest or Manifest.load(root / MANIFEST_NAME)
     dirs = _load_directories(root, manifest)
     codec = manifest.codec
     for indices, record in stored_cells(root, manifest):

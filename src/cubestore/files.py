@@ -1,21 +1,24 @@
 """The only code that opens, sizes, reads, writes or removes a dataset file.
 
-The CLI's and the cost model's CSVs go through replacing too; only
-ingest_csv opens its input itself.  An OSError or a UTF-8 decode error
-raises DatasetError for the manifest, the .dim files, sizes and writes,
-and StorageError for the .hdr, .tbl, .btx and .arr reads, naming the
-file.  Open reads the manifest, .dim, .hdr and .btx whole, and every
-other read is read_at, a checked pread, but three that each lookup makes
-inline: TableStore's block read and key probe, and ArrayStore.get_cell's.
+The CLI's and the cost model's CSVs go through replacing too, and every
+CSV the package writes comes from csv_writer; only ingest_csv opens its
+input itself.  An OSError or a UTF-8 decode error raises DatasetError
+for the manifest, the .dim files, sizes and writes, and StorageError for
+the .hdr, .tbl, .btx and .arr reads, naming the file.  Open reads the
+manifest, .dim, .hdr and .btx whole, and every other read is read_at, a
+checked pread, but three that each lookup makes inline: TableStore's
+block read and key probe, and ArrayStore.get_cell's.
 The manifest is written through replace_file, so neither a failed write
 nor a crash leaves part of a manifest.
 """
 
 from __future__ import annotations
 
+import csv
 import os
 from contextlib import contextmanager, suppress
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import DatasetError, StorageError
 
@@ -111,6 +114,17 @@ def replacing(path):
     """
     with _renamed_over(path) as tmp, open(tmp, "w", newline="", encoding="utf-8") as out:
         yield out
+
+
+def csv_writer(out):
+    """A csv.writer on the text file out: rows end in \\n, a field holding \\r or \\n is quoted.
+
+    Python 3.10 to 3.12 quote only the terminator's characters, so the
+    writer ends rows in \\r\\n, and each row's one write swaps that for
+    \\n: the bytes are the same on every version.
+    """
+    return csv.writer(SimpleNamespace(write=lambda row: out.write(row[:-2] + "\n")),
+                      lineterminator="\r\n")
 
 
 def read_at(fd, name, size: int, offset: int) -> bytes:

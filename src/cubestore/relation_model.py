@@ -16,6 +16,7 @@ and backslashes inside a value are escaped as \\n and \\\\.
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from dataclasses import dataclass
@@ -47,6 +48,28 @@ _FLOAT64 = struct.Struct("<d")
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
 _STRUCT_CODES = {KIND_INT: "q", KIND_FLOAT: "d"}  # other kinds are "{width}s"
+_NUMBER = re.compile(r"([+-]?[0-9]+)|[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
+                     r"|nan|-?inf")
+
+
+def parse_number(text: str):
+    """The int or float that text spells in the one number grammar, else None.
+
+    [+-]?[0-9]+ in ASCII digits is an int: an int64 when in range, a float
+    past it.  A float adds a decimal point, an exponent or both, or is one
+    of the tokens repr writes for non-finite values: nan, inf, -inf.  So
+    every float repr writes parses back to itself.  A finite literal that
+    overflows float64 is not a number.
+    """
+    match = _NUMBER.fullmatch(text)
+    if match is None:
+        return None
+    if match[1] and len(text.lstrip("+-0")) < 20:  # 20 digits are past int64
+        value = int(text)
+        if _I64_MIN <= value <= _I64_MAX:
+            return value
+    value = float(text)
+    return None if math.isinf(value) and text[-1] != "f" else value
 
 
 @dataclass(frozen=True)
@@ -74,21 +97,15 @@ class MeasureColumn:
             raise ParameterError(f"unknown column kind {self.kind!r}")
 
     def from_text(self, text: str):
-        """Parse a textual value (e.g. a CSV field) into a typed value."""
-        if self.kind == KIND_INT:
-            try:
-                value = int(text, 10)
-            except ValueError:
-                raise MalformedInputError(f"column {self.name}: {text!r} is not an integer") from None
-            if not _I64_MIN <= value <= _I64_MAX:
-                raise MalformedInputError(f"column {self.name}: {text!r} does not fit in 64 bits")
-            return value
-        if self.kind == KIND_FLOAT:
-            try:
-                return float(text)
-            except ValueError:
-                raise MalformedInputError(f"column {self.name}: {text!r} is not a number") from None
-        return text
+        """Parse a textual value (e.g. a CSV field) into a typed value, by parse_number."""
+        if self.kind == KIND_TEXT:
+            return text
+        value = parse_number(text)
+        if self.kind == KIND_INT and type(value) is not int:
+            raise MalformedInputError(f"column {self.name}: {text!r} is not an int64 integer")
+        if value is None:
+            raise MalformedInputError(f"column {self.name}: {text!r} is not a float64 number")
+        return float(value) if self.kind == KIND_FLOAT else value
 
     def pack(self, value) -> bytes:
         if self.kind == KIND_INT:

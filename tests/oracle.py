@@ -7,7 +7,6 @@ against these, never the other way round.
 
 from __future__ import annotations
 
-import re
 import struct
 from bisect import bisect_left
 from datetime import datetime, timezone
@@ -311,41 +310,75 @@ def unescape_by_scan(line: str) -> str:
     return "".join(out)
 
 
-_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _I64_MIN = -(2**63)
 _I64_MAX = 2**63 - 1
+_DIGITS = "0123456789"
+
+
+def _digits_from(text: str, i: int) -> int:
+    """The index just past the run of ASCII digits that starts at text[i]."""
+    while i < len(text) and text[i] in _DIGITS:
+        i += 1
+    return i
+
+
+def number_kind_by_scan(text: str):
+    """KIND_INT, KIND_FLOAT or None: what the number grammar makes of text.
+
+    Reads text one character at a time: an optional sign, ASCII digits,
+    then for a float an optional "." with digits (a digit on one side at
+    least) and an optional e or E, sign and digits.  A sign and digits
+    alone is an int when it fits int64, else a float.  nan, inf and -inf
+    are floats, and a finite literal that overflows float64 is no number.
+    """
+    if text in ("nan", "inf", "-inf"):
+        return KIND_FLOAT
+    start = 1 if text[:1] in ("+", "-") else 0
+    i = _digits_from(text, start)
+    digits = i - start
+    if digits and i == len(text):
+        if _I64_MIN <= int(text) <= _I64_MAX:
+            return KIND_INT
+    elif text[i : i + 1] == ".":
+        point = i + 1
+        i = _digits_from(text, point)
+        digits += i - point
+    if not digits:
+        return None
+    if text[i : i + 1] in ("e", "E"):
+        after_sign = i + 1 + (text[i + 1 : i + 2] in ("+", "-"))
+        i = _digits_from(text, after_sign)
+        if i == after_sign:
+            return None
+    if i != len(text) or abs(float(text)) == float("inf"):
+        return None
+    return KIND_FLOAT
 
 
 def _infer_column(name: str, values) -> MeasureColumn:
     """Pick int64, float64, or text for a column from its distinct values."""
-    as_int = all(
-        _INT_RE.match(v) and _I64_MIN <= int(v) <= _I64_MAX for v in values
-    )
-    if as_int and values:
+    kinds = {number_kind_by_scan(v) for v in values}
+    if kinds == {KIND_INT}:
         return MeasureColumn(name, KIND_INT, 8)
-    if values:
-        try:
-            for v in values:
-                float(v)
-            return MeasureColumn(name, KIND_FLOAT, 8)
-        except ValueError:
-            pass
+    if kinds and None not in kinds:
+        return MeasureColumn(name, KIND_FLOAT, 8)
     width = max((len(v.encode("utf-8")) for v in values), default=1)
     return MeasureColumn(name, KIND_TEXT, max(width, 1))
 
 
 def _declared_column(name: str, spec: str, values) -> MeasureColumn:
-    kind, _, width = spec.partition(":")
-    if kind == KIND_INT:
-        return MeasureColumn(name, KIND_INT, 8)
-    if kind == KIND_FLOAT:
-        return MeasureColumn(name, KIND_FLOAT, 8)
-    if kind == KIND_TEXT:
-        if width:
-            return MeasureColumn(name, KIND_TEXT, int(width))
-        inferred = max((len(v.encode("utf-8")) for v in values), default=1)
-        return MeasureColumn(name, KIND_TEXT, max(inferred, 1))
-    raise MalformedInputError(f"unknown column type {spec!r} for {name}")
+    """The column spec declares; only text takes a width, an int of the grammar above 0."""
+    kind, colon, width = spec.partition(":")
+    if kind not in (KIND_INT, KIND_FLOAT, KIND_TEXT):
+        raise MalformedInputError(f"unknown column type {spec!r} for {name}")
+    if colon:
+        if kind != KIND_TEXT or number_kind_by_scan(width) != KIND_INT or int(width) < 1:
+            raise MalformedInputError(f"bad width in {spec!r} for {name}")
+        return MeasureColumn(name, KIND_TEXT, int(width))
+    if kind != KIND_TEXT:
+        return MeasureColumn(name, kind, 8)
+    inferred = max((len(v.encode("utf-8")) for v in values), default=1)
+    return MeasureColumn(name, KIND_TEXT, max(inferred, 1))
 
 
 def encode_row(row, key_dirs) -> tuple[tuple[int, ...], tuple]:

@@ -12,6 +12,7 @@ import pytest
 import cubestore
 from cubestore import open_dataset
 from cubestore.cli import main
+from cubestore.dataset import Manifest
 
 CSV = (
     "store,day,qty,note\n"
@@ -97,6 +98,36 @@ class TestIngest:
         assert main(["export", "--dataset", str(tmp_path / "ds")]) == 0
         assert capsys.readouterr().out == (
             '"city, state",month,"units, sold",x=y\nParis,jan,12,a\n')
+
+    @pytest.mark.parametrize("spec", ["v=text:abc", "v=text: 9", "v=text:٩", "v=text:0",
+                                      "v=text:-3", "v=text:1.5", "v=text:", "v=int64:8",
+                                      "v=float64:8"])
+    def test_bad_type_width_exits_2_without_traceback(self, tmp_path, capsys, spec):
+        # only text takes a width, and it is a positive integer in ASCII digits
+        src = tmp_path / "t.csv"
+        src.write_text("k,v\na,12\n", encoding="utf-8")
+        code = main(["ingest", "--csv", str(src), "--keys", "k",
+                     "--out", str(tmp_path / "ds"), "--types", spec])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad column type {spec.partition('=')[2]!r} for v: "
+            "only text takes a width, and it is a positive integer\n")
+
+    @pytest.mark.parametrize("types, rows, message", [
+        ("v=int64", "a,12\nb,hello\n", "column v, data row 2: 'hello' is not an int64 integer"),
+        ("v=int64", "a,1_0\n", "column v, data row 1: '1_0' is not an int64 integer"),
+        ("v=float64", "a,1.5\nb,2\nc,1e400\n",
+         "column v, data row 3: '1e400' is not a float64 number"),
+        ("v=text:2", "a,ab\nb,abc\n", "column v, data row 2: value is 3 bytes, width is 2"),
+    ])
+    def test_a_refused_value_names_its_column_and_data_row(self, tmp_path, capsys,
+                                                          types, rows, message):
+        src = tmp_path / "t.csv"
+        src.write_text("k,v\n" + rows, encoding="utf-8")
+        code = main(["ingest", "--csv", str(src), "--keys", "k",
+                     "--out", str(tmp_path / "ds"), "--types", types])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestBuild:
@@ -545,6 +576,14 @@ class TestExport:
         assert main(["export", "--dataset", str(built)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("store,day,qty,note")
+
+    def test_header_and_rows_come_from_one_manifest_load(self, built, monkeypatch, capsys):
+        loads = []
+        load = Manifest.load.__func__
+        monkeypatch.setattr(Manifest, "load", classmethod(
+            lambda cls, path: loads.append(path) or load(cls, path)))
+        assert main(["export", "--dataset", str(built)]) == 0
+        assert loads == [built / "manifest.txt"]
 
     def test_unwritable_output(self, built, tmp_path, capsys):
         assert_unwritable(tmp_path, capsys, lambda path: main(

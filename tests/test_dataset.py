@@ -111,6 +111,13 @@ class TestIngest:
         assert manifest.measure_columns[0].kind == "float64"
         assert list(export_rows(tmp_path / "ds")) == [("a", "1.5"), ("b", "2.0")]
 
+    @pytest.mark.parametrize("value", ["1_000", " 7 ", "\u20281", "\u0661\u0662", "1e400",
+                                       "1" * 5000, "NaN", "+inf", "Infinity"])
+    def test_a_value_outside_the_number_grammar_makes_the_column_text(self, tmp_path, value):
+        manifest = ingest_rows(["k", "v"], [("a", "1.5"), ("b", value)], ["k"], tmp_path / "ds")
+        assert manifest.measure_columns[0].kind == "text"
+        assert list(export_rows(tmp_path / "ds")) == [("a", "1.5"), ("b", value)]
+
     def test_text_width_inference(self, tmp_path):
         manifest = ingest_rows(["k", "v"], [("a", "héllo"), ("b", "x")], ["k"],
                                tmp_path / "ds")

@@ -3,6 +3,7 @@
 import ast
 import builtins
 import errno
+import io
 import os
 import re
 import shutil
@@ -113,6 +114,23 @@ def h():
         ("f", ".write_text"), ("g", ".unlink"), ("g", "os.replace"), ("g", "os.remove"),
         ("h", ".stat"), ("h", ".exists"), ("h", "os.pread"), ("h", "os.pread"),
     ]
+
+
+def test_every_csv_leaves_through_one_writer():
+    writers = [(p.name, node.lineno) for p in sorted(SRC.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "writer"
+               and isinstance(node.value, ast.Name) and node.value.id == "csv"]
+    assert [name for name, _ in writers] == ["files.py"]
+
+
+def test_csv_writer_quotes_line_breaks_and_ends_rows_in_a_line_feed():
+    out = io.StringIO(newline="")
+    writer = files.csv_writer(out)
+    writer.writerow(["a,b", 'q"', "x\r", "y\n", "\r\n", "", "\x85\u2028\ufeff", 7])
+    writer.writerows([[""], ["plain", "1.5"]])
+    assert out.getvalue() == (
+        '"a,b","q""","x\r","y\n","\r\n",,\x85\u2028\ufeff,7\n""\nplain,1.5\n')
 
 
 def test_array_store_imports_nothing_from_table_store():

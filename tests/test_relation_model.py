@@ -27,10 +27,46 @@ from cubestore.relation_model import (
     RelationSchema,
     build_conjoint,
     compute_active_domains,
+    parse_number,
 )
-from oracle import encode_row, space_ratio_by_bytes, unescape_by_scan
+from oracle import encode_row, number_kind_by_scan, space_ratio_by_bytes, unescape_by_scan
 
 _I64_MIN, _I64_MAX = -(2**63), 2**63 - 1
+
+
+class TestNumberGrammar:
+    @pytest.mark.parametrize("text, value", [
+        ("12", 12), ("-0", 0), ("+7", 7), ("007", 7),
+        (str(2**63 - 1), 2**63 - 1), (str(-(2**63)), -(2**63)),
+        ("0" * 30 + "1", 1),  # leading zeros do not count as digits
+        (str(2**63), float(2**63)),  # past int64: a float, and digits are lost
+        ("1.5", 1.5), (".5", 0.5), ("5.", 5.0), ("5.e3", 5000.0), ("-1E5", -100000.0),
+        ("1e-400", 0.0),  # underflow is no overflow
+        ("inf", float("inf")), ("-inf", float("-inf")),
+    ])
+    def test_numbers(self, text, value):
+        got = parse_number(text)
+        assert (got, type(got)) == (value, type(value))
+
+    @pytest.mark.parametrize("text", [
+        "", "+", "-", ".", "e5", "1e", "1e+", "1_000", "1_0", " 7 ", " 7", "7\n",
+        "\u20281", "\ufeff1", "١٢", "٣", "1e400", "-1e400", "1" * 5000,
+        "+inf", "-nan", "NaN", "Infinity", "0x10", "1.5.2",
+    ])
+    def test_not_numbers(self, text):
+        assert parse_number(text) is None
+
+    def test_nan_and_every_repr_parse_back(self):
+        assert parse_number("nan") != parse_number("nan")  # a NaN, which equals nothing
+        for value in (0.1, -0.0, 1e16, 1e-05, 1.7976931348623157e308, float("inf")):
+            assert parse_number(repr(value)) == value
+
+    @settings(max_examples=300)
+    @given(st.text(st.sampled_from("0123456789+-.eE_ naif٣\n"), max_size=8))
+    def test_agrees_with_the_scan(self, text):
+        got = parse_number(text)
+        kind = None if got is None else "int64" if type(got) is int else "float64"
+        assert kind == number_kind_by_scan(text)
 
 
 class TestMeasureColumn:
@@ -39,10 +75,9 @@ class TestMeasureColumn:
         for v in (0, 1, -1, 2**63 - 1, -(2**63)):
             assert col.unpack(col.pack(v)) == v
         assert col.from_text("-42") == -42
-        with pytest.raises(MalformedInputError):
-            col.from_text("12.5")
-        with pytest.raises(MalformedInputError):
-            col.from_text(str(2**63))
+        for bad in ("12.5", str(2**63), "1_0", " 3", "٣"):
+            with pytest.raises(MalformedInputError, match="is not an int64 integer"):
+                col.from_text(bad)
         with pytest.raises(MalformedInputError):
             col.pack(2**63)
         assert col.canonical(7) == "7"
@@ -52,8 +87,10 @@ class TestMeasureColumn:
         for v in (0.0, -2.5, 1e300, float("inf")):
             assert col.unpack(col.pack(v)) == v
         assert col.from_text("2.5") == 2.5
-        with pytest.raises(MalformedInputError):
-            col.from_text("abc")
+        assert type(col.from_text("2")) is float
+        for bad in ("abc", "1_0", "1e400"):
+            with pytest.raises(MalformedInputError, match="is not a float64 number"):
+                col.from_text(bad)
         assert col.canonical(0.1) == "0.1"
 
     def test_text_padding(self):
