@@ -29,12 +29,13 @@ pass each, so rebuilding from the same table is byte-identical.
 from __future__ import annotations
 
 import csv
+import os
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from itertools import compress, count, islice, repeat
-from operator import add, eq, floordiv, mod, mul
+from operator import add, attrgetter, eq, floordiv, mod, mul
 from pathlib import Path
 from urllib.parse import quote, unquote
 
@@ -47,6 +48,7 @@ from .errors import (
     MalformedInputError,
     ParameterError,
     RangeError,
+    StorageError,
 )
 from .files import clear_directory, read_utf8, replace_file, size_of, write_file, writing
 from .linearizer import delinearize, position_kernel
@@ -80,11 +82,24 @@ def _dim_paths(root: Path, k: int) -> list[Path]:
     return [root / f"dim_{i}.dim" for i in range(1, k + 1)]
 
 
-def _existing(path: Path, kind: str, remedy: str) -> Path:
+def _child(root: str, name: str) -> str:
+    """str(Path(root) / name) for a root that Path has normalised, without building a Path."""
+    return name if root == "." else os.path.join(root, name)
+
+
+def _existing(path: str | Path, kind: str, remedy: str) -> str | Path:
     """path, or a DatasetError naming it when no such file exists."""
     if size_of(path) is None:
-        raise DatasetError(f"{kind} file {path} is missing; {remedy}")
+        raise DatasetError(f"{kind} file {path} is missing; {remedy}") from None
     return path
+
+
+def _integer(field: str, text: str) -> int:
+    """text, from the manifest field, as an int64 of the number grammar; else ValueError."""
+    value = parse_number(text)
+    if type(value) is not int:
+        raise ValueError(f"{field} {text!r} is not an int64 integer")
+    return value
 
 
 @dataclass
@@ -178,27 +193,28 @@ class Manifest:
                                    f"{numbers[key]} and {number}")
             fields[key], numbers[key] = value, number
         try:
-            version = int(fields["format_version"])
+            version = _integer("format_version", fields["format_version"])
             if version != FORMAT_VERSION:
                 raise DatasetError(f"unsupported manifest version {version}")
             columns = []
             if fields["measure_columns"]:
                 for item in fields["measure_columns"].split(","):
                     name, kind, width = item.rsplit(":", 2)
-                    columns.append(MeasureColumn(unquote(name), kind, int(width)))
+                    columns.append(MeasureColumn(unquote(name), kind,
+                                                 _integer("measure_columns", width)))
             manifest = cls(
                 schema_name=unquote(fields["schema_name"]),
-                n=int(fields["n"]),
-                k=int(fields["k"]),
-                cards=tuple(int(c) for c in fields["cards"].split(",")),
+                n=_integer("n", fields["n"]),
+                k=_integer("k", fields["k"]),
+                cards=tuple(_integer("cards", c) for c in fields["cards"].split(",")),
                 key_columns=tuple(unquote(c) for c in fields["key_columns"].split(",")),
                 measure_columns=tuple(columns),
-                r=int(fields["r"]),
+                r=_integer("r", fields["r"]),
                 built_at=fields.get("built_at", ""),
             )
-            if int(fields["row_bytes"]) != manifest.schema.row_bytes:
+            if _integer("row_bytes", fields["row_bytes"]) != manifest.schema.row_bytes:
                 raise DatasetError("manifest row_bytes disagrees with the schema")
-            if int(fields["record_width"]) != manifest.schema.record_width:
+            if _integer("record_width", fields["record_width"]) != manifest.schema.record_width:
                 raise DatasetError("manifest record_width disagrees with the schema")
             if fields["case"] != manifest.case:
                 raise DatasetError("manifest case label disagrees with the schema")
@@ -384,7 +400,13 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
     columns = [m.column(name, types.get(name)) for name, m in zip(measure_names, measures)]
     codec = RecordCodec(columns)
     width = codec.record_width
-    records = bytearray(r * width) if columns else codec.pack(()) * r
+    try:
+        records = bytearray(r * width) if columns else codec.pack(()) * r
+    except (MemoryError, OverflowError):  # a declared text width can be any int64
+        widest = max(columns, key=attrgetter("width"))
+        raise CapacityError(
+            f"column {widest.name}: text width {widest.width} at r = {r} needs "
+            f"{r * width:,} record bytes, more than can be allocated") from None
     at = 0
     for col, values in zip(columns, measures):
         parse, pack = col.from_text, col.pack
@@ -584,27 +606,41 @@ def _load_directories(root: Path, manifest: Manifest) -> list[DimensionDirectory
 
 
 def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
-    """Open the stores need names ("table", "array"), checked against the manifest."""
+    """Open the stores need names ("table", "array"), checked against the manifest.
+
+    A store is opened without a stat.  Only when its open raises
+    StorageError are its two files sized, in order, so that a missing
+    one raises DatasetError naming it; otherwise that error stands.
+    """
     if set(need) - {"table", "array"}:
         raise DatasetError(f"need names the stores 'table' and 'array' only, not {need!r}")
     root = Path(dataset_dir)
-    manifest = Manifest.load(root / MANIFEST_NAME)
+    base = str(root)  # the store paths are strings: a Path costs more than the read
+    manifest = Manifest.load(_child(base, MANIFEST_NAME))
     schema = manifest.schema
     table = None
     array = None
     try:
         if "table" in need:
-            tbl = _existing(root / TABLE_NAME, "table", "ingest first")
-            btx = _existing(root / BTREE_NAME, "index", "run build")
-            table = TableStore.open(tbl, manifest.cards, schema.record_width, btx)
+            tbl, btx = _child(base, TABLE_NAME), _child(base, BTREE_NAME)
+            try:
+                table = TableStore.open(tbl, manifest.cards, schema.record_width, btx)
+            except StorageError:  # a missing file is named as such
+                _existing(tbl, "table", "ingest first")
+                _existing(btx, "index", "run build")
+                raise
             if table.row_count != manifest.r:
                 raise DatasetError(
                     f"{tbl}: table holds {table.row_count} rows, manifest says {manifest.r}"
                 )
         if "array" in need:
-            arr = _existing(root / ARRAY_NAME, "array", "run build")
-            hdr = _existing(root / HEADER_NAME, "header", "run build")
-            array = ArrayStore.open(arr, hdr, manifest.cards, schema.record_width)
+            arr, hdr = _child(base, ARRAY_NAME), _child(base, HEADER_NAME)
+            try:
+                array = ArrayStore.open(arr, hdr, manifest.cards, schema.record_width)
+            except StorageError:
+                _existing(arr, "array", "run build")
+                _existing(hdr, "header", "run build")
+                raise
             if array.record_count != manifest.r:
                 raise DatasetError(f"{hdr}: array holds {array.record_count} records, "
                                    f"manifest says {manifest.r}")

@@ -5,9 +5,11 @@ CSV the package writes comes from csv_writer; only ingest_csv opens its
 input itself.  An OSError or a UTF-8 decode error raises DatasetError
 for the manifest, the .dim files, sizes and writes, and StorageError for
 the .hdr, .tbl, .btx and .arr reads, naming the file.  Open reads the
-manifest, .dim, .hdr and .btx whole, and every other read is read_at, a
-checked pread, but three that each lookup makes inline: TableStore's
-block read and key probe, and ArrayStore.get_cell's.
+manifest, .dim, .hdr and .btx whole, each with one os.open and plain
+os.read calls, and stats no file: open_dataset sizes a store's files,
+to name one that is missing, only after the store fails to open.  Every
+other read is read_at, a checked pread, but three that each lookup makes
+inline: TableStore's block read and key probe, and ArrayStore.get_cell's.
 The manifest is written through replace_file, so neither a failed write
 nor a crash leaves part of a manifest.
 """
@@ -25,23 +27,44 @@ from .errors import DatasetError, StorageError
 
 @contextmanager
 def _failing(error, doing: str):
-    """An OSError or UTF-8 decode error inside raises error, its message led by doing."""
+    """An OSError inside raises error, its message led by doing."""
     try:
         yield
     except OSError as exc:
         raise error(f"{doing}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise error(f"{doing}: byte {exc.start} is not UTF-8") from None
+
+
+def _whole(path, error, what: str) -> bytes:
+    """The bytes of the file path: os.read of its size and one byte more, until one is empty.
+
+    So a file that does not grow takes two reads and no copy.  An OSError,
+    EISDIR from the first read of a directory among them, raises error
+    naming what and path.
+    """
+    try:
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            size = os.fstat(fd).st_size + 1
+            data = os.read(fd, size)
+            while more := os.read(fd, size):
+                data += more
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
+    return data
 
 
 def read_binary(path, what: str) -> bytes:
-    with _failing(StorageError, f"cannot read {what} {path}"):
-        return Path(path).read_bytes()
+    return _whole(path, StorageError, what)
 
 
 def read_utf8(path, what: str) -> str:
-    with _failing(DatasetError, f"cannot read {what} {path}"):
-        return Path(path).read_bytes().decode("utf-8")
+    data = _whole(path, DatasetError, what)
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"cannot read {what} {path}: byte {exc.start} is not UTF-8") from None
 
 
 def size_of(path) -> int | None:
@@ -52,9 +75,11 @@ def size_of(path) -> int | None:
 
 
 def open_for_pread(path):
-    """A binary file object whose descriptor serves os.pread."""
-    with _failing(StorageError, f"cannot open {path}"):
-        return open(path, "rb")
+    """An unbuffered binary file object whose descriptor serves os.pread."""
+    try:
+        return open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise StorageError(f"cannot open {path}: {exc}") from None
 
 
 @contextmanager

@@ -38,14 +38,18 @@ it and assembles each block's fence, the key the block must start
 with, from the root down: the last separator on its left, or for
 the leftmost block the table's first key, which open reads.  The fences
 must strictly ascend, and the file must be what _index_pages writes over
-them, byte for byte; a difference raises StorageError naming the byte
-and its page, 0 for the header.  So open checks every byte but the
-separators.  A lookup bisects the fences once, then reads and searches
-one block, the step the binary search ends with too; a block that does
-not start with its fence raises StorageError naming the index and the
-block.  That catches a lowered separator and one raised past the next
-fence; a separator raised less can still route a key one block early,
-which only a checksum can catch.
+them; a difference raises StorageError naming the byte and its page, 0
+for the header.  The separators _index_pages would write are the ones
+open just read, so _framed compares only the rest, node by node: the
+metadata header, each node's header and the zeros after its separators
+(after the metadata header when there is no node).  Only when one of
+these differs does open rebuild the whole file, to name the first byte.
+So open checks every byte but the separators.  A lookup bisects the
+fences once, then reads and searches one block, the step the binary
+search ends with too; a block that does not start with its fence raises
+StorageError naming the index and the block.  That catches a lowered
+separator and one raised past the next fence; a separator raised less
+can still route a key one block early, which only a checksum can catch.
 
 Both lookups first encode the key with the box's key kernel
 (linearizer.key_kernel), compiled straight-line code for the box's k
@@ -84,7 +88,7 @@ import os
 import struct
 from bisect import bisect_left, bisect_right
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import chain, islice
 from operator import lt
 from typing import NamedTuple
 
@@ -277,6 +281,28 @@ def _index_pages(meta: BTreeMeta, levels, fences):
         keys = iter(firsts)
 
 
+def _framed(data: bytes, meta: BTreeMeta, levels) -> bool:
+    """Whether every byte of the index data outside its separators is what _index_pages writes.
+
+    The metadata header, each node's header, and the zeros after each
+    node's separators, or after the header when there is no node.  The
+    separators _index_pages writes are the ones open read from data, so
+    this holds exactly when data is what it writes over those fences.
+    """
+    if not data.startswith(_META.pack(_MAGIC, _VERSION, 0, *meta)):
+        return False
+    if not levels:
+        return data.count(0, _META.size) == len(data) - _META.size
+    page, at = meta.page_size, _META.size
+    for n in chain.from_iterable(levels):
+        pad = at + _NODE_HEADER.size + (n - 1) * meta.key_bytes
+        at += page
+        if (not data.startswith(_NODE_HEADER.pack(_INTERNAL, n - 1), at - page)
+                or data.count(0, pad, at) != at - pad):
+            return False
+    return True
+
+
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
                            page_size: int | None = None) -> BTreeMeta:
     """Index a sorted table file whose blocks of B rows are the leaf level.
@@ -343,7 +369,6 @@ class TableStore:
         # a block holds at most B rows and no more than the table's
         rows = min(self.leaf_rows, self.row_count)
         self._row_keys = _row_slices(self.row_bytes, rows, 0, self.key_bytes)
-        self._row_records = _row_slices(self.row_bytes, rows, self.key_bytes, self.row_bytes)
         # every lookup visits the same nodes, its block included; an empty table none
         self.last_page_reads = self.meta.height + 1 if self.row_count else 0
         self._picked = None  # the block the last binary_search_lookup picked
@@ -422,8 +447,8 @@ class TableStore:
             i = next(i for i in range(1, blocks) if fences[i] <= fences[i - 1])
             raise StorageError(f"{name}: block {i + 1} has fence {fences[i].hex()}, "
                                f"not above the fence {fences[i - 1].hex()} before it")
-        built = b"".join(_index_pages(meta, levels, fences))
-        if data != built:
+        if not _framed(data, meta, levels):  # only damage pays for the rebuild naming it
+            built = b"".join(_index_pages(meta, levels, fences))
             at = next(i for i in range(size) if data[i] != built[i])
             page = (at - _META.size) // meta.page_size + 1 if meta.node_count else 0
             raise StorageError(f"{name}: byte {at}, in page {page}, is not what build writes there")
@@ -501,7 +526,7 @@ class TableStore:
         i = bisect_left(keys, key, 0, rows, key=block.__getitem__)
         if i < rows and block[keys[i]] == key:
             recno = first + i + 1
-            self._kept = recno, block[self._row_records[i]]
+            self._kept = recno, block[keys[i].stop:(i + 1) * row]  # the record follows its key
             return recno
         return None
 

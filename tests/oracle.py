@@ -32,6 +32,7 @@ from cubestore.table_store import (
     _META,
     _NODE_HEADER,
     _VERSION,
+    _index_pages,
     resolve_page_size,
     write_table,
 )
@@ -277,6 +278,27 @@ def fences_in_order(index: bytes, first_key: bytes) -> list[bytes]:
     if height:
         walk(root, height)
     return fences
+
+
+def framed_by_rebuild(data: bytes, meta: BTreeMeta, levels) -> bool:
+    """Whether data is what _index_pages writes over the separators stored in it.
+
+    The rule open used before it compared only the bytes outside the
+    separators: read each node's separators where the shape (meta, and
+    levels, each level's node sizes from the bottom) puts them, assemble
+    the leaf fences from the root down, rebuild the whole file from them
+    and compare.  The leftmost fence is never written, so any key serves.
+    """
+    width, hdr = meta.key_bytes, _NODE_HEADER.size
+    fences, end = [bytes(width)], meta.node_count
+    for sizes in reversed(levels):
+        start, below = end - len(sizes), []
+        for node, fence, n in zip(range(start, end), fences, sizes):
+            off = node_offset(meta.page_size, node + 1) + hdr
+            below.append(fence)
+            below += [data[off + i * width : off + (i + 1) * width] for i in range(n - 1)]
+        fences, end = below, start
+    return data == b"".join(_index_pages(meta, levels, fences))
 
 
 def space_ratio_by_bytes(record_width: int, row_bytes: int,

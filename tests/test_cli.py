@@ -113,6 +113,22 @@ class TestIngest:
             f"error: bad column type {spec.partition('=')[2]!r} for v: "
             "only text takes a width, and it is a positive integer\n")
 
+    @pytest.mark.parametrize("rows", ["a,12\n", "a,12\nb,7\n"])
+    def test_a_text_width_that_cannot_be_allocated_exits_2(self, tmp_path, capsys, rows):
+        # r * width records are allocated at once: past the address space
+        # (one row) or past an index (two), a named error and no traceback
+        src = tmp_path / "t.csv"
+        src.write_text("k,v\n" + rows, encoding="utf-8")
+        width = 2**63 - 1
+        code = main(["ingest", "--csv", str(src), "--keys", "k",
+                     "--out", str(tmp_path / "ds"), "--types", f"v=text:{width}"])
+        assert code == 2
+        r = rows.count("\n")
+        assert capsys.readouterr().err == (
+            f"error: column v: text width {width} at r = {r} needs {r * width:,} record "
+            "bytes, more than can be allocated\n")
+        assert not (tmp_path / "ds").exists()
+
     @pytest.mark.parametrize("types, rows, message", [
         ("v=int64", "a,12\nb,hello\n", "column v, data row 2: 'hello' is not an int64 integer"),
         ("v=int64", "a,1_0\n", "column v, data row 1: '1_0' is not an int64 integer"),

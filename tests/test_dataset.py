@@ -329,6 +329,26 @@ class TestManifest:
         with pytest.raises(DatasetError, match=re.escape(f"{path}: {message}")):
             Manifest.load(path)
 
+    @pytest.mark.parametrize("field, value, text", [
+        ("r", "0_2", "0_2"), ("k", " ٢", " ٢"), ("n", "4.0", "4.0"),
+        ("format_version", "١", "١"), ("cards", "3,3 ", "3 "), ("row_bytes", "2_4", "2_4"),
+        ("record_width", "1.6e1", "1.6e1"), ("r", "9223372036854775808", "9223372036854775808"),
+        ("measure_columns", "qty:int64:٨,note:text:8", "٨"),
+    ])
+    def test_a_number_outside_the_int_grammar_is_refused(self, tmp_path, field, value, text):
+        # int() reads 0_2, spaces and non-ASCII digits; the manifest takes
+        # only [+-]?[0-9]+ in ASCII digits, in the int64 range
+        ingest_sample(tmp_path / "ds")
+        path = tmp_path / "ds" / MANIFEST_NAME
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(f"{field}={value}\n" if line.startswith(f"{field}=") else line
+                                for line in lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match=re.escape(
+                f"{path}: bad manifest: {field} {text!r} is not an int64 integer")):
+            Manifest.load(path)
+        path.write_text("".join(lines).replace("\nr=4\n", "\nr=+004\n"), encoding="utf-8")
+        assert Manifest.load(path).r == 4
+
     def test_file_names_are_not_fields(self, tmp_path):
         ingest_sample(tmp_path / "ds")
         text = (tmp_path / "ds" / MANIFEST_NAME).read_text()

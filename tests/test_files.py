@@ -341,6 +341,82 @@ def test_open_table_store_holds_the_table_file_only(pristine, tmp_path, monkeypa
     assert [f.closed for f in opened] == [True]
 
 
+@pytest.mark.parametrize("read, error", [(files.read_binary, StorageError),
+                                         (files.read_utf8, DatasetError)])
+@pytest.mark.parametrize("kind, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)])
+def test_a_whole_file_read_names_the_file_and_the_error(tmp_path, read, error, kind, code):
+    path = tmp_path / "x"
+    if kind == "directory":
+        path.mkdir()
+    with pytest.raises(error) as info:
+        read(path, "thing")
+    assert str(info.value).startswith(f"cannot read thing {path}: [Errno {code}] "
+                                      f"{os.strerror(code)}")
+
+
+def test_open_stats_no_file_and_reads_each_whole_file_once(pristine, monkeypatch):
+    """The store files are opened without a stat, and the manifest, .btx and .hdr read once."""
+    stats, opened = [], []
+    stat, os_open = os.stat, os.open
+
+    def counted_stat(path, *args, **kwargs):
+        stats.append(path)
+        return stat(path, *args, **kwargs)
+
+    def counted_open(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return os_open(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "stat", counted_stat)
+    monkeypatch.setattr(os, "open", counted_open)
+    with open_dataset(pristine):
+        assert stats == []
+        assert sorted(opened) == ["manifest.txt", "relation.btx", "relation.hdr"]
+
+
+# the message for each store file that is missing; a store whose two files
+# are both missing names the first of them
+MISSING = {
+    "relation.tbl": ("table", "table file {} is missing; ingest first"),
+    "relation.btx": ("table", "index file {} is missing; run build"),
+    "relation.arr": ("array", "array file {} is missing; run build"),
+    "relation.hdr": ("array", "header file {} is missing; run build"),
+}
+
+
+@pytest.mark.usefixtures("no_fd_leak")
+@pytest.mark.parametrize("need", [("table",), ("array",), ("table", "array")])
+@pytest.mark.parametrize("removed", [("relation.tbl",), ("relation.btx",), ("relation.arr",),
+                                     ("relation.hdr",), ("relation.tbl", "relation.btx"),
+                                     ("relation.arr", "relation.hdr")])
+def test_a_missing_store_file_is_named(pristine, tmp_path, need, removed):
+    work = tmp_path / "ds"
+    shutil.copytree(pristine, work)
+    for name in removed:
+        (work / name).unlink()
+    store, message = MISSING[removed[0]]
+    if store not in need:
+        open_dataset(work, need).close()
+        return
+    with pytest.raises(DatasetError) as info:
+        open_dataset(work, need)
+    assert str(info.value) == message.format(work / removed[0])
+
+
+@pytest.mark.usefixtures("no_fd_leak")
+@pytest.mark.parametrize("spelling", ["ds", "ds/", "./ds", "ds/./", ".", "./"])
+def test_a_missing_store_file_is_spelled_as_path_joins_it(pristine, tmp_path, monkeypatch,
+                                                         spelling):
+    # open joins the file names to the root as strings
+    work = tmp_path / "ds"
+    shutil.copytree(pristine, work)
+    (work / "relation.btx").unlink()
+    monkeypatch.chdir(work if "ds" not in spelling else tmp_path)
+    with pytest.raises(DatasetError) as info:
+        open_dataset(spelling)
+    assert str(info.value) == f"index file {Path(spelling) / 'relation.btx'} is missing; run build"
+
+
 # --- fault injection at the module's writes --------------------------------
 
 class FailingWrites:

@@ -11,7 +11,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from cubestore import (
@@ -30,10 +30,12 @@ from cubestore import (
     linearize,
     worst_case_page_reads,
 )
+from cubestore import table_store
 from cubestore.table_store import (
     DEFAULT_PAGE_SIZE,
     KEY_FIELD_WIDTH,
     _META,
+    _framed,
     _index_shape,
     block_rows,
     build_index_from_table,
@@ -50,6 +52,7 @@ from oracle import (
     build_index_in_memory,
     enumerate_box,
     fences_in_order,
+    framed_by_rebuild,
     index_levels,
     node_offset,
     table_lookup_by_scan,
@@ -680,6 +683,61 @@ class TestIndexCorruption:
                 btx.write_bytes(bytes(raw))
                 with pytest.raises(StorageError, match=re.escape(f"{btx}: ")):
                     self.open(tmp_path)
+
+    def test_the_per_node_check_is_the_rebuild_compare(self, tmp_path, monkeypatch):
+        # single-byte changes anywhere in a height-3 index, separators
+        # included: the per-node check agrees with a rebuild of the whole
+        # file over the separators read, and open accepts exactly what it
+        # accepts with that rebuild in place of the check, or says the same
+        levels, meta = self.build(tmp_path)
+        assert meta.height == 3
+        btx = tmp_path / "rel.btx"
+        index = btx.read_bytes()
+        blocks = -(-meta.entry_count // block_rows(self.PAGE, self.KEY_BYTES + 2))
+        shaped, shape = _index_shape(self.PAGE, self.KEY_BYTES, meta.entry_count, blocks)
+        assert shaped == meta
+
+        def changed(at, flip):
+            raw = bytearray(index)
+            raw[at] ^= flip
+            return bytes(raw)
+
+        for at in range(len(index)):  # every byte, one bit each
+            data = changed(at, 1 << at % 8)
+            assert _framed(data, meta, shape) == framed_by_rebuild(data, meta, shape), at
+
+        def outcome():
+            try:
+                self.open(tmp_path).close()
+            except StorageError as exc:
+                return str(exc)
+            return None
+
+        # each kind of byte as likely as another, then any byte of that kind
+        kinds = {"metadata header": range(_META.size), "node header": [], "separator": [],
+                 "padding": []}
+        for level in levels:
+            for page_no, seps, _ in level:
+                start = node_offset(self.PAGE, page_no)
+                end = start + 8 + self.KEY_BYTES * len(seps)
+                kinds["node header"] += range(start, start + 8)
+                kinds["separator"] += range(start + 8, end)
+                kinds["padding"] += range(end, start + self.PAGE)
+        assert sorted(at for offsets in kinds.values() for at in offsets) == list(
+            range(len(index)))
+
+        @seed(32)
+        @settings(max_examples=300, deadline=None)
+        @given(st.sampled_from(list(kinds.values())).flatmap(st.sampled_from),
+               st.integers(1, 255))
+        def check(at, flip):
+            btx.write_bytes(changed(at, flip))
+            said = outcome()
+            with monkeypatch.context() as patch:
+                patch.setattr(table_store, "_framed", framed_by_rebuild)
+                assert outcome() == said
+
+        check()
 
 
 class TestRoutingCheck:
