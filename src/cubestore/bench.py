@@ -26,8 +26,7 @@ from itertools import accumulate
 from .cost_model import round2
 from .errors import CapacityError, DatasetError, EmptyRelationError, ParameterError
 from .files import csv_writer
-from .linearizer import cell_count
-from .relation_model import KIND_TEXT, MeasureColumn, RecordCodec, RelationSchema
+from .relation_model import KIND_TEXT, MeasureColumn, RelationSchema
 
 _MASK64 = (1 << 64) - 1
 _SPAN64 = 1 << 64
@@ -92,10 +91,9 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class SyntheticRelation:
-    """A generated relation: sorted nonempty cells plus dimension values."""
+    """A generated relation: its schema, sorted nonempty cells and dimension values."""
 
     schema: RelationSchema
-    codec: RecordCodec
     cells: tuple[tuple[int, bytes], ...]  # (logical position, record), ascending
     dimension_values: tuple[tuple[str, ...], ...]
 
@@ -120,12 +118,11 @@ def generate_synthetic(k: int, cards, rho_target: float, measure_widths,
     if not 0 < rho_target <= 1:
         raise ParameterError(f"target density must be in (0, 1], got {rho_target}")
     measure_widths = tuple(measure_widths)
-    schema = RelationSchema(n=k + len(measure_widths), k=k, cards=cards,
-                            measure_widths=measure_widths)
-    codec = RecordCodec(
+    schema = RelationSchema(cards, tuple(
         MeasureColumn(f"m{i + 1}", KIND_TEXT, w) for i, w in enumerate(measure_widths)
-    )
-    total = cell_count(cards)
+    ))
+    codec = schema.codec
+    total = schema.cell_total
     count = int(rho_target * total)
     rng = SplitMix64(seed)
     positions = _floyd_sample(rng, total, count) if count else []
@@ -136,7 +133,7 @@ def generate_synthetic(k: int, cards, rho_target: float, measure_widths,
     values = tuple(
         tuple(f"{j:0{len(str(c))}d}" for j in range(1, c + 1)) for c in cards
     )
-    return SyntheticRelation(schema, codec, tuple(cells), values)
+    return SyntheticRelation(schema, tuple(cells), values)
 
 
 @dataclass(frozen=True)

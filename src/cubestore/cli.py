@@ -52,6 +52,7 @@ from .dataset import (
 from .errors import CubeStoreError, MalformedInputError
 from .files import csv_writer, replacing, size_of
 from .relation_model import build_conjoint, space_ratio
+from .table_store import DEFAULT_PAGE_SIZE
 
 
 def _record(text: str) -> list[str]:
@@ -84,10 +85,11 @@ def _cmd_ingest(args) -> int:
     )
     print(f"ingested {manifest.r:,} rows into {args.out}")
     print(f"key dimensions: {', '.join(manifest.key_columns)}")
-    print("cardinalities: " + ", ".join(str(c) for c in manifest.cards))
-    if manifest.measure_columns:
+    schema = manifest.schema
+    print("cardinalities: " + ", ".join(str(c) for c in schema.cards))
+    if schema.columns:
         print("measures: " + ", ".join(
-            f"{c.name} ({c.kind}, {c.width} B)" for c in manifest.measure_columns
+            f"{c.name} ({c.kind}, {c.width} B)" for c in schema.columns
         ))
     else:
         print("measures: none (presence byte)")
@@ -178,7 +180,7 @@ def _cmd_stats(args) -> int:
     say(format_size_report(size_report(root)))
     if args.conjoint is not None:
         cells = list(stored_cells(root, manifest))
-        result, _ = build_conjoint(cells, args.conjoint, manifest.cards,
+        result, _ = build_conjoint(cells, args.conjoint, schema.cards,
                                    allow_degenerate=args.allow_degenerate)
         say("")
         say(f"{'conjoint of dimensions':26}1..{result.h}")
@@ -216,7 +218,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_export(args) -> int:
     manifest = Manifest.load(Path(args.dataset) / MANIFEST_NAME)
-    header = list(manifest.key_columns) + [c.name for c in manifest.measure_columns]
+    header = list(manifest.key_columns) + [c.name for c in manifest.schema.columns]
     with replacing(args.out) if args.out else nullcontext(sys.stdout) as out:
         writer = csv_writer(out)
         writer.writerow(header)
@@ -247,8 +249,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--only", choices=("table", "array"), default=None,
                    help="build a single representation (default: both)")
-    p.add_argument("--page-size", type=int, default=None,
-                   help="B-tree page size in bytes (default 4096)")
+    p.add_argument("--page-size", type=int, default=DEFAULT_PAGE_SIZE,
+                   help="B-tree page size in bytes (default %(default)s)")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="look up one cell by its dimension values")

@@ -33,7 +33,6 @@ import os
 from array import array
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import cached_property
 from itertools import compress, count, islice, repeat
 from operator import add, attrgetter, eq, floordiv, mod, mul
 from pathlib import Path
@@ -63,6 +62,7 @@ from .relation_model import (
     parse_number,
 )
 from .table_store import (
+    DEFAULT_PAGE_SIZE,
     TableStore,
     build_index_from_table,
     iter_table_cells,
@@ -106,47 +106,39 @@ def _integer(field: str, text: str) -> int:
 class Manifest:
     """Everything needed to reopen a dataset, as written to manifest.txt.
 
-    It names no file: load ignores the name lines of older manifests, and
-    table_file, btree_file and header_file are the fixed names.
+    The relation's shape is its schema alone; the n, k, case, row_bytes
+    and record_width lines are written from it, and load refuses a file
+    whose lines disagree with the schema its cards and measure columns
+    give.  It names no file: load ignores the name lines of older
+    manifests, and table_file, btree_file and header_file are the fixed
+    names.
     """
 
     schema_name: str
-    n: int
-    k: int
-    cards: tuple[int, ...]
     key_columns: tuple[str, ...]
-    measure_columns: tuple[MeasureColumn, ...]  # empty for key-only relations
+    schema: RelationSchema
     r: int
     built_at: str = ""
     table_file, btree_file, header_file = TABLE_NAME, BTREE_NAME, HEADER_NAME
 
     def __post_init__(self):
-        schema = self.schema  # validates shape
         if self.r < 0:
             raise DatasetError(f"row count {self.r} is negative")
-        if self.r > schema.cell_total:
-            raise DatasetError(f"{self.r} rows cannot fit {schema.cell_total} cells")
-        if len(self.key_columns) != self.k:
-            raise DatasetError(f"expected {self.k} key column names")
-        if len(self.measure_columns) != self.n - self.k:
-            raise DatasetError(f"expected {self.n - self.k} measure columns")
+        if self.r > self.schema.cell_total:
+            raise DatasetError(f"{self.r} rows cannot fit {self.schema.cell_total} cells")
+        if len(self.key_columns) != self.schema.k:
+            raise DatasetError(f"expected {self.schema.k} key column names, "
+                               f"got {len(self.key_columns)}")
 
-    @cached_property
-    def schema(self) -> RelationSchema:
-        """The relation's schema, built once: no field it reads is reassigned."""
-        return RelationSchema(
-            n=self.n, k=self.k, cards=self.cards,
-            measure_widths=tuple(c.width for c in self.measure_columns),
-        )
-
-    @cached_property
-    def codec(self) -> RecordCodec:
-        """The record codec, built once: measure_columns is never reassigned."""
-        return RecordCodec(self.measure_columns)
+    # cards and measure_columns are the schema's, under the names that
+    # perfbench reads
+    @property
+    def cards(self) -> tuple[int, ...]:
+        return self.schema.cards
 
     @property
-    def case(self) -> str:
-        return self.schema.case
+    def measure_columns(self) -> tuple[MeasureColumn, ...]:
+        return self.schema.columns
 
     @property
     def rho(self) -> float:
@@ -158,13 +150,13 @@ class Manifest:
             lines = [
                 f"format_version={FORMAT_VERSION}",
                 f"schema_name={quote(self.schema_name, safe='')}",
-                f"n={self.n}",
-                f"k={self.k}",
-                f"case={self.case}",
-                "cards=" + ",".join(str(c) for c in self.cards),
+                f"n={schema.n}",
+                f"k={schema.k}",
+                f"case={schema.case}",
+                "cards=" + ",".join(str(c) for c in schema.cards),
                 "key_columns=" + ",".join(quote(c, safe="") for c in self.key_columns),
                 "measure_columns=" + ",".join(
-                    f"{quote(c.name, safe='')}:{c.kind}:{c.width}" for c in self.measure_columns
+                    f"{quote(c.name, safe='')}:{c.kind}:{c.width}" for c in schema.columns
                 ),
                 f"r={self.r}",
                 f"row_bytes={schema.row_bytes}",
@@ -202,22 +194,23 @@ class Manifest:
                     name, kind, width = item.rsplit(":", 2)
                     columns.append(MeasureColumn(unquote(name), kind,
                                                  _integer("measure_columns", width)))
+            schema = RelationSchema(
+                tuple(_integer("cards", c) for c in fields["cards"].split(",")), tuple(columns)
+            )
+            for field, derived in (("n", schema.n), ("k", schema.k), ("case", schema.case),
+                                   ("row_bytes", schema.row_bytes),
+                                   ("record_width", schema.record_width)):
+                stated = fields[field]
+                if (stated if field == "case" else _integer(field, stated)) != derived:
+                    raise DatasetError(f"manifest {field} is {stated}, but its cards and "
+                                       f"measure columns give {derived}")
             manifest = cls(
                 schema_name=unquote(fields["schema_name"]),
-                n=_integer("n", fields["n"]),
-                k=_integer("k", fields["k"]),
-                cards=tuple(_integer("cards", c) for c in fields["cards"].split(",")),
                 key_columns=tuple(unquote(c) for c in fields["key_columns"].split(",")),
-                measure_columns=tuple(columns),
+                schema=schema,
                 r=_integer("r", fields["r"]),
                 built_at=fields.get("built_at", ""),
             )
-            if _integer("row_bytes", fields["row_bytes"]) != manifest.schema.row_bytes:
-                raise DatasetError("manifest row_bytes disagrees with the schema")
-            if _integer("record_width", fields["record_width"]) != manifest.schema.record_width:
-                raise DatasetError("manifest record_width disagrees with the schema")
-            if fields["case"] != manifest.case:
-                raise DatasetError("manifest case label disagrees with the schema")
         except DatasetError as exc:
             raise DatasetError(f"{path}: {exc}") from None
         except (KeyError, ValueError, ParameterError, CapacityError, RangeError) as exc:
@@ -397,11 +390,11 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
     unknown = set(types) - set(measure_names)
     if unknown:
         raise MalformedInputError(f"type overrides for unknown columns: {sorted(unknown)}")
-    columns = [m.column(name, types.get(name)) for name, m in zip(measure_names, measures)]
-    codec = RecordCodec(columns)
-    width = codec.record_width
+    columns = tuple(m.column(name, types.get(name)) for name, m in zip(measure_names, measures))
+    schema = RelationSchema(cards, columns)
+    width = schema.record_width
     try:
-        records = bytearray(r * width) if columns else codec.pack(()) * r
+        records = bytearray(r * width) if columns else schema.codec.pack(()) * r
     except (MemoryError, OverflowError):  # a declared text width can be any int64
         widest = max(columns, key=attrgetter("width"))
         raise CapacityError(
@@ -426,15 +419,7 @@ def ingest_rows(column_names, rows, key_columns, out_dir,
             f"{key_of(rows_of_key[0])}"
         )
 
-    manifest = Manifest(
-        schema_name=schema_name,
-        n=len(column_names),
-        k=len(key_columns),
-        cards=cards,
-        key_columns=tuple(key_columns),
-        measure_columns=tuple(columns),
-        r=r,
-    )
+    manifest = Manifest(schema_name, tuple(key_columns), schema, r)
     fields = list(zip(remaps, row_ids))
     cells = (
         (tuple([remap[seen[row]] for remap, seen in fields]),
@@ -456,14 +441,15 @@ def _write_dataset(out_dir, manifest: Manifest, key_dirs, cells) -> Manifest:
     """
     out = Path(out_dir)
     manifest.built_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    dim_paths = _dim_paths(out, manifest.k)
+    schema = manifest.schema
+    dim_paths = _dim_paths(out, schema.k)
     dims = [directory._encoded(path) for directory, path in zip(key_dirs, dim_paths)]
     text = manifest._encoded()
     clear_directory(out, (MANIFEST_NAME, BTREE_NAME, ARRAY_NAME, HEADER_NAME))
     for path, raw in zip(dim_paths, dims):
         write_file(path, raw)
     with writing(out / TABLE_NAME) as f:
-        write_table(cells, f, manifest.cards, manifest.schema.record_width)
+        write_table(cells, f, schema.cards, schema.record_width)
     replace_file(out / MANIFEST_NAME, text)
     return manifest
 
@@ -490,7 +476,7 @@ def ingest_csv(csv_path, key_columns, out_dir,
 
 
 def build_dataset(dataset_dir, which: str = "both",
-                  page_size: int | None = None) -> dict:
+                  page_size: int = DEFAULT_PAGE_SIZE) -> dict:
     """Build the table index and/or the compressed array from the table file.
 
     Returns the size report mapping.  The build reads only the sorted
@@ -504,9 +490,9 @@ def build_dataset(dataset_dir, which: str = "both",
     stored = stored_cells(root, manifest)
     if which in ("both", "table"):
         build_index_from_table(root / TABLE_NAME, root / BTREE_NAME,
-                               manifest.k, schema.record_width, page_size)
+                               schema.k, schema.record_width, page_size)
     if which in ("both", "array"):
-        position_of = position_kernel(manifest.cards)
+        position_of = position_kernel(schema.cards)
         cells = ((position_of(indices), record) for indices, record in stored)
         with writing(root / ARRAY_NAME) as f:
             header = compress_stream(cells, schema.cell_total, schema.record_width, f)
@@ -519,9 +505,9 @@ def size_report(dataset_dir) -> dict:
     root = Path(dataset_dir)
     manifest = Manifest.load(root / MANIFEST_NAME)
     dims = [size_of(_existing(path, "dimension", "ingest again"))
-            for path in _dim_paths(root, manifest.k)]
+            for path in _dim_paths(root, manifest.schema.k)]
     return {
-        "dimensions": manifest.k,
+        "dimensions": manifest.schema.k,
         "rows": manifest.r,
         "table": size_of(root / TABLE_NAME),
         "btree": size_of(root / BTREE_NAME),
@@ -568,7 +554,7 @@ class Dataset:
 
     @property
     def codec(self) -> RecordCodec:
-        return self.manifest.codec
+        return self.manifest.schema.codec
 
     def dimension_directories(self) -> list[DimensionDirectory]:
         if self._dirs is None:
@@ -591,7 +577,8 @@ class Dataset:
 def _load_directories(root: Path, manifest: Manifest) -> list[DimensionDirectory]:
     """Read the dimension directories and check their sizes against the manifest."""
     dirs = []
-    for path, card in zip(_dim_paths(root, manifest.k), manifest.cards):
+    schema = manifest.schema
+    for path, card in zip(_dim_paths(root, schema.k), schema.cards):
         try:
             directory = DimensionDirectory.load(path)
         except MalformedInputError as exc:
@@ -624,7 +611,7 @@ def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
         if "table" in need:
             tbl, btx = _child(base, TABLE_NAME), _child(base, BTREE_NAME)
             try:
-                table = TableStore.open(tbl, manifest.cards, schema.record_width, btx)
+                table = TableStore.open(tbl, schema.cards, schema.record_width, btx)
             except StorageError:  # a missing file is named as such
                 _existing(tbl, "table", "ingest first")
                 _existing(btx, "index", "run build")
@@ -636,7 +623,7 @@ def open_dataset(dataset_dir, need=("table", "array")) -> Dataset:
         if "array" in need:
             arr, hdr = _child(base, ARRAY_NAME), _child(base, HEADER_NAME)
             try:
-                array = ArrayStore.open(arr, hdr, manifest.cards, schema.record_width)
+                array = ArrayStore.open(arr, hdr, schema.cards, schema.record_width)
             except StorageError:
                 _existing(arr, "array", "run build")
                 _existing(hdr, "header", "run build")
@@ -656,10 +643,11 @@ def stored_cells(root: Path, manifest: Manifest):
     That check runs at the call; a partial row raises StorageError as it streams.
     """
     tbl = _existing(root / TABLE_NAME, "table", "ingest first")
-    rows, partial = divmod(size_of(tbl), manifest.schema.row_bytes)
+    schema = manifest.schema
+    rows, partial = divmod(size_of(tbl), schema.row_bytes)
     if rows != manifest.r and not partial:
         raise DatasetError(f"{tbl}: table holds {rows} rows, manifest says {manifest.r}")
-    return iter_table_cells(tbl, manifest.k, manifest.schema.record_width)
+    return iter_table_cells(tbl, schema.k, schema.record_width)
 
 
 def export_rows(dataset_dir, manifest: Manifest | None = None):
@@ -672,7 +660,7 @@ def export_rows(dataset_dir, manifest: Manifest | None = None):
     root = Path(dataset_dir)
     manifest = manifest or Manifest.load(root / MANIFEST_NAME)
     dirs = _load_directories(root, manifest)
-    codec = manifest.codec
+    codec = manifest.schema.codec
     for indices, record in stored_cells(root, manifest):
         values = tuple(d.value_of(i) for d, i in zip(dirs, indices))
         yield values + tuple(
@@ -683,15 +671,8 @@ def export_rows(dataset_dir, manifest: Manifest | None = None):
 def materialize_synthetic(synth, out_dir, schema_name: str = "synthetic") -> Manifest:
     """Write a generated relation as a dataset directory (dims, table, manifest)."""
     schema = synth.schema
-    manifest = Manifest(
-        schema_name=schema_name,
-        n=schema.n,
-        k=schema.k,
-        cards=schema.cards,
-        key_columns=tuple(f"d{i + 1}" for i in range(schema.k)),
-        measure_columns=synth.codec.columns,
-        r=synth.r,
-    )
+    key_columns = tuple(f"d{i + 1}" for i in range(schema.k))
+    manifest = Manifest(schema_name, key_columns, schema, synth.r)
     return _write_dataset(
         out_dir, manifest, [DimensionDirectory(values) for values in synth.dimension_values],
         ((delinearize(pos, schema.cards), record) for pos, record in synth.cells),

@@ -7,7 +7,9 @@ of its distinct values in sorted order, and a row's key collapses to the
 attributes, each an int64, float64 or text column, are serialized into one
 fixed-width measure record per row.  A key-only relation (k = n) has no
 measure columns, and its record is the single byte 0x01, so every
-relation shape shares the same record-per-row layout.
+relation shape shares the same record-per-row layout.  RelationSchema
+states a shape once, as the key cardinalities and the measure columns;
+n, k, the construction case and the widths are derived from them.
 
 Directory files (.dim) are line-based UTF-8 text: one value per line in
 sorted order, the 1-based line number being the value's index.  Newlines
@@ -20,7 +22,7 @@ import math
 import re
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice
 from operator import lt
 
@@ -228,45 +230,40 @@ def factory(unpack, width, refused):
 
 @dataclass(frozen=True)
 class RelationSchema:
-    """Shape of one stored relation.
+    """Shape of one stored relation: the key cardinalities and the measure columns.
 
-    n is the arity, the first k attributes form the primary key, cards are
-    the key-attribute cardinalities (directory sizes), and measure_widths
-    are the byte widths of the n - k measure fields.  Key fields are
-    stored as 4-byte unsigned integers, so each cardinality must fit in
-    32 bits and the total cell count in 64 bits.
+    cards are the sizes of the k key attributes' directories, and columns
+    the n - k measure columns; k, n, the construction case, the row bytes
+    and delta follow from them.  Key fields are stored as 4-byte unsigned
+    integers, so each cardinality must fit in 32 bits and the total cell
+    count in 64 bits.  The codec is built on first use only.
     """
 
-    n: int
-    k: int
     cards: tuple[int, ...]
-    measure_widths: tuple[int, ...] = ()
+    columns: tuple[MeasureColumn, ...] = ()  # empty for a key-only relation
 
     def __post_init__(self):
-        if self.k < 1 or self.n < self.k:
-            raise ParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        if len(self.cards) != self.k:
-            raise ParameterError(f"expected {self.k} cardinalities, got {len(self.cards)}")
+        if not self.cards:
+            raise ParameterError("a relation needs at least one key attribute")
         for c in self.cards:
             if not 1 <= c <= MAX_CARDINALITY:
                 raise ParameterError(f"cardinality {c} outside 1..{MAX_CARDINALITY}")
         cell_count(self.cards)  # enforces the 64-bit cap
-        if len(self.measure_widths) != self.n - self.k:
-            raise ParameterError(
-                f"expected {self.n - self.k} measure widths, got {len(self.measure_widths)}"
-            )
-        for w in self.measure_widths:
-            if w < 1:
-                raise ParameterError(f"measure width must be >= 1, got {w}")
+
+    @property
+    def k(self) -> int:
+        return len(self.cards)
+
+    @property
+    def n(self) -> int:
+        return self.k + len(self.columns)
 
     @property
     def case(self) -> str:
         """Construction case: 1.1 for k = n, 1.2 for one measure, 1.3 otherwise."""
-        if self.k == self.n:
+        if not self.columns:
             return "1.1"
-        if self.k == self.n - 1:
-            return "1.2"
-        return "1.3"
+        return "1.2" if len(self.columns) == 1 else "1.3"
 
     @property
     def cell_total(self) -> int:
@@ -275,9 +272,7 @@ class RelationSchema:
     @property
     def record_width(self) -> int:
         """Bytes per measure record; a key-only relation's record is one 0x01 byte."""
-        if self.k == self.n:
-            return 1
-        return sum(self.measure_widths)
+        return sum(col.width for col in self.columns) or 1
 
     @property
     def row_bytes(self) -> int:
@@ -288,6 +283,11 @@ class RelationSchema:
     def delta(self) -> float:
         """Fraction of a row taken by non-key data."""
         return self.record_width / self.row_bytes
+
+    @cached_property
+    def codec(self) -> RecordCodec:
+        """The record codec of the columns, built on first use."""
+        return RecordCodec(self.columns)
 
 
 class DimensionDirectory:

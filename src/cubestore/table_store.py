@@ -130,10 +130,8 @@ def decode_key(raw: bytes, k: int) -> tuple[int, ...]:
     return tuple(reversed(_key_packer(k).unpack(raw)))
 
 
-def resolve_page_size(page_size: int | None = None) -> int:
-    """The build's page size: the argument, or 4096 when it is None; out of range raises."""
-    if page_size is None:
-        page_size = DEFAULT_PAGE_SIZE
+def resolve_page_size(page_size: int) -> int:
+    """The build's page size, checked: one outside 64..MAX_PAGE_SIZE raises."""
     if page_size < 64:
         raise ParameterError(f"page size {page_size} is too small")
     if page_size > MAX_PAGE_SIZE:
@@ -304,7 +302,7 @@ def _framed(data: bytes, meta: BTreeMeta, levels) -> bool:
 
 
 def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
-                           page_size: int | None = None) -> BTreeMeta:
+                           page_size: int = DEFAULT_PAGE_SIZE) -> BTreeMeta:
     """Index a sorted table file whose blocks of B rows are the leaf level.
 
     One read_at per block reads its first key, and _index_pages writes
@@ -325,7 +323,7 @@ def build_index_from_table(tbl_path, btx_path, k: int, record_width: int,
 
 
 def build_table(cells, tbl_path, btx_path, cards, record_width: int,
-                page_size: int | None = None) -> int:
+                page_size: int = DEFAULT_PAGE_SIZE) -> int:
     """Write the sorted row file and its index in one go; returns the row count."""
     with writing(tbl_path) as f:
         count = write_table(cells, f, cards, record_width)

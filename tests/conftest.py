@@ -19,6 +19,7 @@ from cubestore import (
     compress_stream,
     delinearize,
 )
+from cubestore.table_store import DEFAULT_PAGE_SIZE
 
 
 def make_records(positions, record_width: int = 3):
@@ -68,7 +69,7 @@ def build_both_encodings(tmp_path: Path, positions, cards, record_width: int = 3
 
 
 def build_table_files(tmp_path: Path, cells, cards, record_width: int,
-                      name: str = "rel", page_size: int | None = None) -> TableStore:
+                      name: str = "rel", page_size: int = DEFAULT_PAGE_SIZE) -> TableStore:
     tbl = tmp_path / f"{name}.tbl"
     btx = tmp_path / f"{name}.btx"
     coords = [(delinearize(p, cards), record) for p, record in cells]

@@ -23,9 +23,11 @@ from cubestore.relation_model import (
     KIND_TEXT,
     MeasureColumn,
     RecordCodec,
+    RelationSchema,
     compute_active_domains,
 )
 from cubestore.table_store import (
+    DEFAULT_PAGE_SIZE,
     BTreeMeta,
     _INTERNAL,
     _MAGIC,
@@ -488,11 +490,8 @@ def ingest_rows_in_memory(column_names, rows, key_columns, out_dir,
     out.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(
         schema_name=schema_name,
-        n=len(column_names),
-        k=k,
-        cards=cards,
         key_columns=tuple(key_columns),
-        measure_columns=tuple(columns),
+        schema=RelationSchema(cards, tuple(columns)),
         r=len(encoded),
         built_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
     )
@@ -526,7 +525,7 @@ def _balanced_chunks(items: list, cap: int, minimum: int) -> list[list]:
 
 
 def build_index_in_memory(table: bytes, out_path, k: int, record_width: int,
-                          page_size: int | None = None) -> BTreeMeta:
+                          page_size: int = DEFAULT_PAGE_SIZE) -> BTreeMeta:
     """Reference B-tree bulk load: list every key, block and page, then write.
 
     The production build streams the table's block keys and must write

@@ -26,10 +26,10 @@ def synthetic_rows(synth):
     for position, record in synth.cells:
         coords = delinearize(position, synth.schema.cards)
         values = tuple(synth.dimension_values[d][i - 1] for d, i in enumerate(coords))
-        if synth.codec.is_presence:
+        if synth.schema.codec.is_presence:
             yield values
         else:
-            yield values + synth.codec.unpack(record)
+            yield values + synth.schema.codec.unpack(record)
 
 
 class TestSplitMix64:
@@ -100,7 +100,7 @@ class TestGenerateSynthetic:
 
     def test_key_only(self):
         synth = generate_synthetic(2, (5, 5), 0.5, (), seed=5)
-        assert synth.codec.is_presence
+        assert synth.schema.codec.is_presence
         assert all(rec == b"\x01" for _, rec in synth.cells)
         assert synth.schema.record_width == 1
 
@@ -128,6 +128,10 @@ class TestGenerateSynthetic:
             generate_synthetic(2, (4, 3), 0.0, (), seed=1)
         with pytest.raises(ParameterError):
             generate_synthetic(2, (4, 3), 1.5, (), seed=1)
+
+    def test_cardinality_count_must_match_k(self):
+        with pytest.raises(ParameterError, match="expected 3 cardinalities, got 2"):
+            generate_synthetic(3, (2, 2), 0.5, (), seed=1)
 
 
 class TestSamplePercentage:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import cubestore
-from cubestore import open_dataset
+from cubestore import generate_synthetic, materialize_synthetic, open_dataset
 from cubestore.cli import main
 from cubestore.dataset import Manifest
 
@@ -112,6 +112,16 @@ class TestIngest:
         assert capsys.readouterr().err == (
             f"error: bad column type {spec.partition('=')[2]!r} for v: "
             "only text takes a width, and it is a positive integer\n")
+
+    @pytest.mark.parametrize("spec", ["units", "=x"])
+    def test_type_override_without_a_name_or_kind_exits_2(self, tmp_path, capsys, spec):
+        src = tmp_path / "t.csv"
+        src.write_text("k,units\na,12\n", encoding="utf-8")
+        code = main(["ingest", "--csv", str(src), "--keys", "k",
+                     "--out", str(tmp_path / "ds"), "--types", spec])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: bad type override {spec!r}, expected name=kind[:width]\n")
 
     @pytest.mark.parametrize("rows", ["a,12\n", "a,12\nb,7\n"])
     def test_a_text_width_that_cannot_be_allocated_exits_2(self, tmp_path, capsys, rows):
@@ -358,6 +368,17 @@ class TestStats:
         assert ("header encoding           run header, 3,200 bytes "
                 "(presence bitmap: 5,040 bytes)") in out
         assert (ds / "relation.hdr").stat().st_size == 3200
+
+    def test_empty_relation_has_no_size_ratio(self, tmp_path, capsys):
+        # 0.05 of 9 cells is no row
+        synth = generate_synthetic(2, (3, 3), 0.05, (4,), 1)
+        assert synth.r == 0
+        materialize_synthetic(synth, tmp_path / "ds")
+        assert main(["stats", "--dataset", str(tmp_path / "ds")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "rows (r)                  0"
+        assert "size ratio (delta/rho)    undefined (no rows)" in lines
+        assert not any(line.startswith("verdict:") for line in lines)
 
     def test_array_smaller_verdict(self, tmp_path, capsys):
         src = tmp_path / "d.csv"

@@ -27,7 +27,7 @@ from cubestore import (
 )
 from cubestore.cli import main
 from cubestore.dataset import MANIFEST_NAME, Manifest, export_rows
-from cubestore.relation_model import MeasureColumn
+from cubestore.relation_model import MeasureColumn, RelationSchema
 from test_table_store import CountedPread
 
 HEADER = ["store", "day", "qty", "note"]
@@ -67,11 +67,11 @@ class TestIngest:
 
     def test_manifest_shape(self, tmp_path):
         manifest = ingest_sample(tmp_path / "ds")
-        assert manifest.n == 4
-        assert manifest.k == 2
+        assert manifest.schema.n == 4
+        assert manifest.schema.k == 2
         assert manifest.cards == (3, 3)  # arles/bern/lyon x mon/tue/wed
         assert manifest.r == 4
-        assert manifest.case == "1.3"
+        assert manifest.schema.case == "1.3"
         assert manifest.key_columns == ("store", "day")
         kinds = [(c.name, c.kind) for c in manifest.measure_columns]
         assert kinds == [("qty", "int64"), ("note", "text")]
@@ -143,11 +143,11 @@ class TestIngest:
     def test_key_only_relation(self, tmp_path):
         manifest = ingest_rows(["a", "b"], [("x", "p"), ("y", "q")], ["a", "b"],
                                tmp_path / "ds")
-        assert manifest.case == "1.1"
+        assert manifest.schema.case == "1.1"
         assert manifest.measure_columns == ()
         assert manifest.schema.record_width == 1
         assert manifest.schema.row_bytes == 9
-        assert manifest.codec.columns == ()
+        assert manifest.schema.codec.columns == ()
         assert list(export_rows(tmp_path / "ds")) == [("x", "p"), ("y", "q")]
         # each row's record is the byte 0x01, which export checks
         tbl = tmp_path / "ds" / "relation.tbl"
@@ -313,12 +313,22 @@ class TestManifest:
         # the schema is built once per manifest
         assert manifest.schema is manifest.schema
 
+    # the relation: one row of three key attributes, so n = k = 3, one cell,
+    # case 1.1, a 1-byte record and a 13-byte row
     @pytest.mark.parametrize("field, value, message", [
         ("r", "-3", "row count -3 is negative"),
+        ("r", "2", "2 rows cannot fit 1 cells"),
+        ("key_columns", "a,b", "expected 3 key column names, got 2"),
         ("cards", "4294967295,4294967295,4294967295",
          "bad manifest: cell count 79228162458924105385300197375 exceeds the unsigned "
          "64-bit range"),
-    ], ids=["negative-r", "cell-count-overflow"])
+    ] + [(field, value, f"manifest {field} is {value}, but its cards and measure columns "
+                        f"give {derived}")
+         for field, value, derived in [("n", "4", 3), ("n", "2", 3), ("k", "2", 3),
+                                       ("k", "4", 3), ("case", "1.2", "1.1"),
+                                       ("row_bytes", "14", 13), ("record_width", "2", 1)]],
+        ids=["negative-r", "r-above-cells", "key-columns-short", "cell-count-overflow",
+             "n-over", "n-under", "k-under", "k-over", "case", "row_bytes", "record_width"])
     def test_bad_values_name_file(self, tmp_path, field, value, message):
         ingest_rows(["a", "b", "c"], [("x", "p", "u")], ["a", "b", "c"], tmp_path / "ds")
         path = tmp_path / "ds" / MANIFEST_NAME
@@ -328,6 +338,15 @@ class TestManifest:
         ))
         with pytest.raises(DatasetError, match=re.escape(f"{path}: {message}")):
             Manifest.load(path)
+
+    def test_load_and_open_leave_the_codec_unbuilt(self, tmp_path):
+        root = tmp_path / "ds"
+        ingest_sample(root)
+        build_dataset(root)
+        assert "codec" not in Manifest.load(root / MANIFEST_NAME).schema.__dict__
+        with open_dataset(root) as db:
+            assert "codec" not in db.manifest.schema.__dict__
+            assert db.codec is db.manifest.schema.codec
 
     @pytest.mark.parametrize("field, value, text", [
         ("r", "0_2", "0_2"), ("k", " ٢", " ٢"), ("n", "4.0", "4.0"),
@@ -357,8 +376,8 @@ class TestManifest:
         for name in ("format_version", "dim_files", "table_file", "btree_file",
                      "array_file", "header_file"):
             with pytest.raises(TypeError):
-                Manifest(schema_name="s", n=2, k=1, cards=(2,), key_columns=("a",),
-                         measure_columns=(MeasureColumn("v", "int64", 8),), r=1,
+                Manifest(schema_name="s", key_columns=("a",),
+                         schema=RelationSchema((2,), (MeasureColumn("v", "int64", 8),)), r=1,
                          **{name: "x"})
 
     def test_manifest_that_names_its_files_still_opens(self, tmp_path):
@@ -663,7 +682,7 @@ class TestMaterializeSynthetic:
     def test_key_only_synthetic(self, tmp_path):
         synth = generate_synthetic(2, (9, 9), 0.5, (), seed=8)
         manifest = materialize_synthetic(synth, tmp_path / "ds")
-        assert manifest.case == "1.1"
+        assert manifest.schema.case == "1.1"
         build_dataset(tmp_path / "ds")
         with open_dataset(tmp_path / "ds") as db:
             assert db.array.read_record(1) == b"\x01"

@@ -26,7 +26,7 @@ import cubestore
 from cubestore import array_store
 from cubestore.array_store import Header, PresenceBitmap, header_bytes
 from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME, Manifest, _dim_paths
-from cubestore.relation_model import KIND_TEXT, MeasureColumn
+from cubestore.relation_model import KIND_TEXT, MeasureColumn, RelationSchema
 from cubestore.table_store import iter_table_cells, write_table
 from conftest import compress_to_memory, make_records, random_positions
 from oracle import (
@@ -47,9 +47,8 @@ def write_cells_dataset(root, cards, cells, width: int) -> None:
     for path, card in zip(_dim_paths(root, len(cards)), cards):
         path.write_bytes(text[card])
     manifest = Manifest(
-        schema_name="cells", n=len(cards) + 1, k=len(cards), cards=cards,
-        key_columns=tuple(f"d{i}" for i in range(1, len(cards) + 1)),
-        measure_columns=(MeasureColumn("m", KIND_TEXT, width),), r=len(cells),
+        schema_name="cells", key_columns=tuple(f"d{i}" for i in range(1, len(cards) + 1)),
+        schema=RelationSchema(cards, (MeasureColumn("m", KIND_TEXT, width),)), r=len(cells),
     )
     with open(root / manifest.table_file, "wb") as f:
         write_table(((delinearize(p, cards), rec) for p, rec in cells), f, cards, width)

@@ -248,18 +248,20 @@ class TestRecordCodec:
 
 class TestRelationSchema:
     def test_cases(self):
-        assert RelationSchema(n=3, k=3, cards=(2, 2, 2)).case == "1.1"
-        assert RelationSchema(n=3, k=2, cards=(2, 2), measure_widths=(8,)).case == "1.2"
-        assert RelationSchema(n=4, k=2, cards=(2, 2), measure_widths=(8, 4)).case == "1.3"
+        assert RelationSchema((2, 2, 2)).case == "1.1"
+        assert RelationSchema((2, 2), (MeasureColumn("a", "int64", 8),)).case == "1.2"
+        assert RelationSchema((2, 2), (MeasureColumn("a", "int64", 8),
+                                       MeasureColumn("b", "text", 4))).case == "1.3"
 
     def test_key_only_record_is_one_presence_byte(self):
-        schema = RelationSchema(n=2, k=2, cards=(3, 4))
+        schema = RelationSchema((3, 4))
         assert schema.record_width == 1
         assert schema.row_bytes == 2 * 4 + 1
         assert schema.delta == 1 / 9
 
     def test_row_bytes_and_delta(self):
-        schema = RelationSchema(n=4, k=2, cards=(5, 4), measure_widths=(8, 4))
+        schema = RelationSchema((5, 4), (MeasureColumn("a", "int64", 8),
+                                         MeasureColumn("b", "text", 4)))
         assert schema.record_width == 12
         assert schema.row_bytes == 8 + 12
         assert schema.delta == 0.6
@@ -267,19 +269,13 @@ class TestRelationSchema:
 
     def test_validation(self):
         with pytest.raises(ParameterError):
-            RelationSchema(n=1, k=2, cards=(2, 2))
+            RelationSchema(())
         with pytest.raises(ParameterError):
-            RelationSchema(n=2, k=0, cards=())
+            RelationSchema((2, 0))
         with pytest.raises(ParameterError):
-            RelationSchema(n=2, k=2, cards=(2,))
+            RelationSchema((2, 2**32))
         with pytest.raises(ParameterError):
-            RelationSchema(n=2, k=2, cards=(2, 0))
-        with pytest.raises(ParameterError):
-            RelationSchema(n=2, k=2, cards=(2, 2**32))
-        with pytest.raises(ParameterError):
-            RelationSchema(n=3, k=2, cards=(2, 2), measure_widths=())
-        with pytest.raises(ParameterError):
-            RelationSchema(n=3, k=2, cards=(2, 2), measure_widths=(0,))
+            RelationSchema((2, 2), (MeasureColumn("a", "text", 0),))
 
 
 class TestDimensionDirectory:
@@ -438,7 +434,7 @@ class TestSparsity:
 
     def test_smaller_side_matches_byte_count(self):
         # array side wins exactly when the ratio sits below 1
-        schema = RelationSchema(n=3, k=2, cards=(10, 10), measure_widths=(8,))
+        schema = RelationSchema((10, 10), (MeasureColumn("a", "int64", 8),))
         for r in (10, 47, 100):
             ratio = space_ratio(schema.delta, r / schema.cell_total)
             array_bytes = schema.cell_total * schema.record_width

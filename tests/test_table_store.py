@@ -140,7 +140,7 @@ class TestDegreeAndBounds:
             resolve_page_size(65537)
 
     def test_resolve_page_size(self):
-        assert resolve_page_size(None) == 4096
+        assert resolve_page_size(DEFAULT_PAGE_SIZE) == DEFAULT_PAGE_SIZE == 4096
         assert resolve_page_size(512) == 512
 
     def test_hit_dense_shape(self):
@@ -160,7 +160,7 @@ class TestDegreeAndBounds:
 class TestLookup:
     CARDS = (6, 5, 4)
 
-    def build(self, tmp_path, positions, width=3, page_size=None):
+    def build(self, tmp_path, positions, width=3, page_size=DEFAULT_PAGE_SIZE):
         cells = [(p, rec) for p, rec in make_records(positions, width)]
         return build_table_files(tmp_path, cells, self.CARDS, width,
                                  page_size=page_size)
@@ -812,7 +812,7 @@ def write_relation(tmp_path, k: int, width: int, r: int, name: str = "rel"):
     return tbl, cards
 
 
-def open_indexed(tbl, cards, width: int, page_size: int | None = None) -> TableStore:
+def open_indexed(tbl, cards, width: int, page_size: int = DEFAULT_PAGE_SIZE) -> TableStore:
     """Index tbl at page_size, beside it as <stem>.btx, and open both."""
     btx = tbl.with_suffix(".btx")
     build_index_from_table(tbl, btx, len(cards), width, page_size)
