@@ -5,121 +5,92 @@ cells are stored.  Two files describe it:
 
   .arr  fixed-width measure records back to back, one per nonempty cell,
         in ascending logical order; no delimiters, no file header.
-  .hdr  the header, which says which cells are nonempty, in one of two
-        encodings: a run header or a presence bitmap.
+  .hdr  the header, which says which cells are nonempty.
 
-Run header.  Run entries as pairs of unsigned 64-bit little-endian
-integers, ascending; entry count = file size / 16.  A run is a maximal
-block of zero or more empty cells followed by one or more nonempty
-cells.  Its entry stores the logical position of the run's last
-nonempty cell and the cumulative number of empty cells seen up to and
-including the run's leading gap.  The final entry is always the
-terminal boundary (total_cells, total_cells - record_count); it doubles
-as the entry of a dense tail run and covers a trailing all-empty
-stretch.  Lookups treat a virtual (0, 0) entry as the predecessor of the
-first stored one; that virtual entry is never written, and no stored
-entry may end at 0.
-
-Presence bitmap.  A 24-byte preamble of three unsigned 64-bit
-little-endian words, 0, the magic (the ASCII bytes "BITPAGES") and
-total_cells N; then the rank directory, one such word per page of the
-body; then the body, ceil(N / 8) bytes in which bit p - 1 (bit
-(p - 1) % 8 of byte (p - 1) // 8) is set when cell p is nonempty.  The
-bits past cell N in the last byte are zero.  A page is 4,096 body bytes
-(32,768 cells; the last page may be shorter), and directory entry g is
-the number of set bits in pages 0 through g, so the last entry is
-record_count.  A run header can never start with an end of 0, so the
-first 16 bytes tell the two encodings apart, and a reader that knows
-only run headers rejects a bitmap file.  A file with the earlier magic
-"PRESENCE", a bitmap with no directory, is refused with a rebuild
-message.
-
-save_header writes the bitmap when its file is strictly smaller, that
-is when 24 + 8 * pages + ceil(N / 8) < 16 * entries (fewer than about
-N / 128 runs keeps the run header).  An empty cell then costs one bit
-instead of a share of a run entry.  The bits are set from the run
-header's columns, and only after the bitmap has won; r stored cells
-make at most r + 1 entries, so building a sparse relation takes O(r)
-memory, not O(N).
+The header splits the box into pages of 32,768 cells (4,096 bitmap
+bytes; the last page may be shorter) and stores only the nonempty ones.
+All integers are little-endian.  The file is a 24-byte preamble, the
+magic "HDRPAGES", total_cells N as a u64 and the number n of nonempty
+pages as a u64; then n 16-byte index entries in ascending page order,
+each the page number (u64), the page's stored-cell count c (u16), two
+zero bytes and a CRC32 (u32) of the entry's first 12 bytes followed by
+the page's container; then the containers, in entry order.  The count
+picks the container, so nothing else is stored: a full page (c equals
+the page's cells) has no bytes; a page with 2c below its bitmap bytes
+holds c ascending u16 cell offsets; any other page holds its bitmap,
+bit o (bit o % 8 of byte o // 8) set when the page's cell o is stored,
+with zero padding bits.  Cell p of the box is cell (p - 1) % 32,768 of
+page (p - 1) // 32,768.  Any other file, such as a run header or a
+presence bitmap of the magic "BITPAGES" or "PRESENCE" that earlier
+builds wrote, is refused with a rebuild message.  Per-page containers
+of this kind come from Roaring bitmaps (Chambi, Lemire, Kaser and
+Godin, SPE 2016).
 
 Point lookup is three steps: linearize the coordinates, find whether the
 position is nonempty, then map it to its physical record, the number of
 nonempty cells up to and including it.  That map, locate, is the one the
 header answers; there is no inverse, since a record's coordinates are in
-its table row.  Over a run header the second and third steps are a
-binary search for the first entry whose end covers the position, a
-comparison against the run's gap, and p minus the entry's empty count.
-Over a bitmap they are one shift and mask into a 512-bit block, one
-shift test, and one bit_count taken from the block's cumulative rank.
-linearize, header.locate and read_record are the reference steps.
+its table row.  linearize, header.locate and read_record are the
+reference steps.  The header's step is one shift and mask into a
+512-bit block, one shift test, and one bit_count taken from the block's
+cumulative rank.
 
-In memory a run header is three parallel int lists (columns) with one
-item per entry: the run ends, the empty counts, and the filled counts
-(end minus empties, the physical number of the run's last record).  No
-per-entry object is kept; iterating a run header yields plain (end,
-empties) tuples.  Both encodings answer total_cells, record_count, len()
-(the number of run entries), locate and _cells.  Opening a run header
-costs one file read, one array('Q') decode, two column slices, one
-subtraction pass for the filled counts and two C-level checks (a sort of
-the already sorted empty counts, and one map over operator.lt for the
-filled counts) that together cover the four validation rules.  Only
-after a check fails are the entries scanned again, still in C, to name
-the first bad one.  On a shared 2-vCPU host with Python 3.11, a
-167,564-entry (2.68 MB) run header opens in about 35 ms.  A bitmap is
-held as two lists with one slot per 512-bit block: the block's bits as
-a Python int, and the number of nonempty cells up to the end of the
-block.  Opening one reads the file, checks the preamble, the size, the
-padding bits and that the directory never decreases, fills both lists
-with None, and keeps one memoryview of the file's bytes per page, so it
-decodes no block.  A page is decoded on the first lookup that touches
-it: its 64 block ints are cut in C from its view, its popcount must
-equal its directory step, its ranks then its ints go into the lists in
-one slice assignment each, so a lookup that finds a block's int also
-finds its rank, and its view is dropped.  A page is decoded once, so a
-pass over every page takes time linear in their number, and the file's
-bytes are freed with the last view.  A page whose count disagrees
-raises StorageError naming it at every touch, so one flipped bit fails
-at open or at its page's first lookup, never as a wrong answer (the
-page count is not a checksum: two flips that cancel in one page go
-unseen).  len(), _cells and so iterate_nonempty decode and check every
-page first.  On the same host, opening the 131,352 bytes of a
-2^20-cell bitmap takes about 0.06 ms, and a page's first lookup adds
-about 0.03 ms: an open followed by lookups in every page does all the
-decoding, plus one TypeError per page, and only an open that touches
-few pages, such as one query's, does little of it.  The directory is
-stored rather than counted at open because counting reads every byte:
-int.from_bytes and bit_count over the 32 pages of that body take about
-0.3 ms.
+In memory a Header holds one int per 512-bit block of the box and the
+number of nonempty cells up to the end of that block.  While at least 1
+page in 8 holds a cell, both are lists over the box.  Otherwise the
+blocks are a dict of the nonzero blocks whose __missing__ gives 0, and
+the ranks a dict of theirs, so a sparse header costs memory in its
+stored pages only.  Opening a file reads it, checks the preamble, that
+the pages ascend inside the box, that the counts fit their pages, that
+the pad bytes are zero and that the containers end at the file's end;
+all of it in C over the index, decoding no page.  A page is decoded on
+the first lookup that touches it: its slot holds None (the list form)
+or __missing__ gives None, the step's shift raises TypeError, and
+locate decodes it.  A page the index does not hold has nothing to
+decode; in the list form its blocks become 0 at its first touch.
+Decoding checks the page's CRC; then that an offset
+list ascends below the page's cells or that a bitmap's padding bits are
+zero; last, that the set bits number the entry's count.  Any failure is
+a StorageError naming the file, the page and a byte offset, at every
+touch of that page, and the other pages still answer.  A lookup in a
+page the index does not hold first checks the entries on either side of
+it, so a page number changed by damage fails rather than answering
+"empty".  iter(header) yields the paper's run entries, (end, empties)
+pairs of the same cells, derived from the blocks; len(), _cells, save
+and so iterate_nonempty check every page first.
+
+compress_stream fills the blocks of each stored page from the ascending
+position stream in one pass, so a build holds no bit of an empty page,
+and save writes the file from the blocks.
 
 get_cell runs the three steps in one frame: a function compiled once per
-process per (k, header encoding) and bound to the store at open.  It
-holds the position kernel's coordinate test (linearizer.position_kernel:
-straight-line code for the box's k that range-checks every coordinate
-and costs k - 1 multiplications), then the header's locate step without
-locate's range test, which the coordinate test has already made, then a
-hit's one pread and its short-read check, inline rather than a
-files.read_at call, and without the type and range checks read_record
-keeps.  A miss reads nothing.  Any input the coordinate test refuses
-runs linearize and locate, so coordinates outside the box, or of the
-wrong count or type, raise the RangeError that linearize raises.  So
-does a bitmap block not yet decoded: its slot holds None, the step's
-shift raises TypeError, and locate decodes the page; from then on the
-page's lookups stay in the compiled step.  The function holds the
-header's columns and a one-slot descriptor that close sets to -1, never
-the store, so a closed store is freed as soon as it is dropped.
+process per k and bound to the store at open.  It holds the position
+kernel's coordinate test (linearizer.position_kernel: straight-line code
+for the box's k that range-checks every coordinate and costs k - 1
+multiplications), then the header's step without locate's range test,
+which the coordinate test has already made, then a hit's one pread and
+its short-read check, inline rather than a files.read_at call, and
+without the type and range checks read_record keeps.  A miss reads
+nothing.  Any input the coordinate test refuses runs linearize and
+locate, so coordinates outside the box, or of the wrong count or type,
+raise the RangeError that linearize raises.  A block not yet decoded
+takes the same route, and once locate has decoded its page, that page's
+lookups stay in the compiled step.
+The function holds the header's blocks and ranks and a one-slot
+descriptor that close sets to -1, never the store, so a closed store is
+freed as soon as it is dropped.
 """
 
 from __future__ import annotations
 
 import os
 import struct
-import sys
-from array import array
+import zlib
 from bisect import bisect_left
 from collections.abc import Callable
 from functools import lru_cache
 from itertools import accumulate, chain, compress, count, islice, product, repeat
-from operator import add, floordiv, le, lt, mod, not_, sub
+from operator import add, floordiv, lshift, lt, mod, sub
 
 from .errors import (
     DuplicateKeyError,
@@ -131,171 +102,20 @@ from .errors import (
 from .files import open_for_pread, read_at, read_binary, row_blocks, write_file
 from .linearizer import _box, _compile, _integer, _prelude, cell_count
 
-_ENTRY_BYTES = 16  # two unsigned 64-bit little-endian words per entry
-_BITMAP_START = bytes(8) + b"BITPAGES"  # words 0 and the magic of a bitmap preamble
-_UNPAGED_START = bytes(8) + b"PRESENCE"  # the earlier bitmap, which had no rank directory
-_PREAMBLE_BYTES = 24  # _BITMAP_START, then total_cells
-_BLOCK_BYTES = 64  # 512 bits per in-memory block of a bitmap
+_MAGIC = b"HDRPAGES"
+_PREAMBLE = struct.Struct("<8sQQ")  # the magic, total_cells, nonempty pages
+_ENTRY = struct.Struct("<QHHI")  # page number, stored cells, zero pad, CRC32
+_BLOCK_BYTES = 64  # 512 bits per in-memory block
 _BLOCK_BITS = 8 * _BLOCK_BYTES
 _BLOCK_SHIFT = _BLOCK_BITS.bit_length() - 1  # p >> _BLOCK_SHIFT is p // _BLOCK_BITS
-_PAGE_BLOCKS = 64  # blocks per page of a bitmap body, each with a rank directory entry
-_PAGE_SHIFT = _PAGE_BLOCKS.bit_length() - 1  # b >> _PAGE_SHIFT is the page of block b
+_PAGE_SHIFT = 6  # b >> _PAGE_SHIFT is the page of block b
+_PAGE_BLOCKS = 1 << _PAGE_SHIFT
+_CELL_SHIFT = _BLOCK_SHIFT + _PAGE_SHIFT  # p >> _CELL_SHIFT is the page of cell index p
+_PAGE_CELLS = 1 << _CELL_SHIFT
+_SPARSE = 8  # the blocks are lists while at least 1 page in _SPARSE holds a cell
 _GROUP = struct.Struct(f"{_BLOCK_BYTES}s" * _PAGE_BLOCKS)  # one page per iter_unpack step
-_PAGE_BYTES = _GROUP.size
-_SWAP = sys.byteorder != "little"
-_BYTE_BITS = [bits[::-1] for bits in product((0, 1), repeat=8)]  # bit o of byte v is [v][o]
-
-
-def _first_false(flags) -> int | None:
-    """Index of the first false item of an iterable, or None."""
-    return next(compress(count(), map(not_, flags)), None)
-
-
-def _first_bad_entry(ends, empties, filled):
-    """(index, rule) of the first entry that breaks a header rule.
-
-    Called only after the bulk check in Header has failed.  Entry j is
-    checked against entry j - 1, and entry 0 against a virtual (0, 0)
-    entry.  Each rule is one C-level pass that stops at its first
-    failure; of several failures the lowest index wins, and at equal
-    indexes the rule listed first.
-    """
-    n = len(ends)
-    found = [
-        (_first_false(map(lt, chain((0,), ends), ends)),
-         "run ends must be strictly increasing"),
-        (_first_false(map(le, chain((0,), empties), empties)),
-         "empty counts must be non-decreasing"),
-        (_first_false(map(lt, chain((0,), filled), islice(filled, n - 1))),
-         "every non-terminal run holds at least one record"),
-    ]
-    if (filled[-2] if n > 1 else 0) > filled[-1]:
-        found.append((n - 1, "every non-terminal run holds at least one record"))
-    return min(((j, rule) for j, rule in found if j is not None), key=lambda f: f[0])
-
-
-class Header:
-    """Validated, fully in-memory run table of one compressed array."""
-
-    __slots__ = ("_ends", "_empties", "_filled")
-
-    def __init__(self, ends: list, empties: list, source="header"):
-        """Check the header rules and keep the columns, two int lists.
-
-        The rules: there is at least one entry, ends strictly increase,
-        empty counts never decrease, and every run except the terminal
-        one holds at least one record.
-        """
-        if not ends:
-            raise StorageError(f"{source}: a header holds at least the terminal entry")
-        filled = list(map(sub, ends, empties))
-        # The empty-count and record checks imply the end check for every
-        # non-terminal entry, whose end grows by at least one record plus a
-        # non-negative number of empty cells; only the terminal end is compared.
-        n = len(ends)
-        if not (
-            empties[0] >= 0
-            and sorted(empties) == empties
-            and all(map(lt, chain((0,), filled), islice(filled, n - 1)))
-            and ends[-1] > (ends[-2] if n > 1 else 0)
-            and filled[-1] >= (filled[-2] if n > 1 else 0)
-        ):
-            j, rule = _first_bad_entry(ends, empties, filled)
-            raise StorageError(
-                f"{source}: entry {j} at byte {j * _ENTRY_BYTES} "
-                f"({ends[j]}, {empties[j]}): {rule}"
-            )
-        self._ends = ends
-        self._empties = empties
-        self._filled = filled
-
-    @property
-    def total_cells(self) -> int:
-        return self._ends[-1]
-
-    @property
-    def record_count(self) -> int:
-        return self._filled[-1]
-
-    def __len__(self) -> int:
-        return len(self._ends)
-
-    def __iter__(self):
-        return zip(self._ends, self._empties)
-
-    # locate after its range test, as the compiled get_cell runs it (see
-    # _lookup_factory): p is the position counted from _ORIGIN, a miss
-    # returns None and a hit sets before, the number of records ahead of it.
-    _ORIGIN = 1
-    _COLUMNS = "ends, empties, filled"
-    _STEP = """\
-j = bisect_left(ends, p)
-before = p - empties[j] - 1
-if before < (filled[j - 1] if j else 0):
-    return None"""
-
-    def _columns(self) -> tuple:
-        return self._ends, self._empties, self._filled
-
-    def locate(self, position: int) -> int | None:
-        """Physical record number of a logical position, or None if empty."""
-        if not 1 <= position <= self._ends[-1]:
-            raise RangeError(f"logical position {position} outside 1..{self._ends[-1]}")
-        j = bisect_left(self._ends, position)
-        record = position - self._empties[j]
-        # the run's records follow the previous run's last record
-        if record > (self._filled[j - 1] if j else 0):
-            return record
-        return None
-
-    def _cells(self):
-        """The stored cells' positions minus one, ascending, computed in C."""
-        firsts = map(add, chain((0,), self._filled), self._empties)
-        return chain.from_iterable(map(range, firsts, self._ends))
-
-    def save(self, path) -> None:
-        words = array("Q", [0]) * (2 * len(self._ends))
-        words[0::2] = array("Q", self._ends)
-        words[1::2] = array("Q", self._empties)
-        if _SWAP:
-            words.byteswap()
-        write_file(path, words.tobytes())
-
-    def _presence_bits(self) -> bytearray:
-        """The bitmap body of the same cells: bit p - 1 set for each nonempty cell p."""
-        bits = bytearray(-(-self._ends[-1] // 8) + 1)  # a spare byte for end >> 3 at the end
-        for end, records in zip(self._ends, map(sub, self._filled, chain((0,), self._filled))):
-            first = end - records  # the run's records are bits first .. end - 1
-            lo, hi = first >> 3, end >> 3
-            if lo == hi:
-                bits[lo] |= (1 << (end & 7)) - (1 << (first & 7))
-            else:  # the first byte's high bits, whole bytes, the last byte's low bits
-                bits[lo] |= 256 - (1 << (first & 7))
-                bits[lo + 1 : hi] = b"\xff" * (hi - lo - 1)
-                bits[hi] |= (1 << (end & 7)) - 1
-        del bits[-1]
-        return bits
-
-    @classmethod
-    def load(cls, path) -> "Header | PresenceBitmap":
-        """Read and validate a header file in either encoding."""
-        data = read_binary(path, "header")
-        if data.startswith(_BITMAP_START):
-            return PresenceBitmap._of_file(data, path)
-        if data.startswith(_UNPAGED_START):
-            raise StorageError(
-                f"{path}: presence bitmap without a rank directory, an earlier format; "
-                f"rebuild it with `cubestore build --only array`"
-            )
-        if len(data) % _ENTRY_BYTES:
-            raise StorageError(
-                f"{path}: size {len(data)} is not a multiple of {_ENTRY_BYTES}"
-            )
-        words = array("Q")
-        words.frombytes(data)
-        if _SWAP:
-            words.byteswap()
-        return cls(words[0::2].tolist(), words[1::2].tolist(), path)
+_BYTE_OFFSETS = [tuple(compress(range(8), reversed(bits)))  # the set bits of byte v
+                 for bits in product((0, 1), repeat=8)]
 
 
 def _blocks(data) -> list[int]:
@@ -307,102 +127,87 @@ def _blocks(data) -> list[int]:
     return list(map(int.from_bytes, chain(groups, tail), repeat("little")))
 
 
-class PresenceBitmap:
-    """Validated presence bitmap of one compressed array.
+def _set_bits(data, base: int = 0):
+    """base plus the index of every set bit of data, ascending, computed in C.
 
-    Answers the same calls as Header: locate, record_count, total_cells,
-    _cells, and len(), the number of run entries of the same cells.
-    Held as one int per 512-bit block and the number of nonempty cells
-    up to the end of each block, both None until the block's page is
-    first touched, and a memoryview of each page's bytes until the page
-    is decoded (see the module notes).
+    The work is one step per byte and one per set bit, so a sparse page
+    costs little.
+    """
+    firsts = compress(range(base, base + 8 * len(data), 8), data)
+    offsets = map(_BYTE_OFFSETS.__getitem__, filter(None, data))
+    return chain.from_iterable(map(map, repeat(add), map(repeat, firsts), offsets))
+
+
+def _cells_of(total_cells: int, page: int) -> int:
+    """The cells of a page of a box of total_cells cells: 32,768 but in the last page."""
+    return min(_PAGE_CELLS, total_cells - (page << _CELL_SHIFT))
+
+
+def _container_bytes(stored: int, cells: int) -> int:
+    """Container size of a page of cells cells of which stored are nonempty."""
+    bitmap = (cells + 7) >> 3
+    return 0 if stored == cells else 2 * stored if 2 * stored < bitmap else bitmap
+
+
+def _entries_of(pages, page: int) -> tuple:
+    """Index entries a lookup in page depends on: its own, or the two around a page not held."""
+    j = bisect_left(pages, page)
+    return (j,) if j < len(pages) and pages[j] == page else (j - 1, j)
+
+
+class _Blocks(dict):
+    """The dict form's block ints, keyed by block number.
+
+    A block absent from the dict is 0 once the entries its page depends
+    on are checked, and None until then.  A page's blocks go in before
+    its entry leaves unchecked, so a block another thread put in since
+    the lookup missed is read again rather than taken for 0.
     """
 
-    __slots__ = ("_blocks", "_ranks", "_directory", "_pages", "_path", "total_cells")
+    __slots__ = ("pages", "unchecked")
 
-    @classmethod
-    def _of_file(cls, data: bytes, path) -> "PresenceBitmap":
-        """Check a bitmap file's preamble, size, padding and rank directory; decode no page."""
-        if len(data) < _PREAMBLE_BYTES:
-            raise StorageError(
-                f"{path}: bitmap header ends at byte {len(data)}, "
-                f"inside its {_PREAMBLE_BYTES}-byte preamble"
-            )
-        total = int.from_bytes(data[16:_PREAMBLE_BYTES], "little")
-        if total < 1:
-            raise StorageError(f"{path}: bitmap total_cells at byte 16 is 0, "
-                               "the box holds at least one cell")
-        pages, body = _bitmap_shape(total)
-        end = _PREAMBLE_BYTES + 8 * pages + body
-        if len(data) != end:
-            raise StorageError(
-                f"{path}: bitmap of {total} cells (byte 16) ends at byte {end}, "
-                f"file ends at byte {len(data)}"
-            )
-        if data[-1] >> (total % 8 or 8):
-            raise StorageError(
-                f"{path}: padding bits past cell {total} are set in byte {end - 1}"
-            )
-        directory = list(struct.unpack_from(f"<{pages}Q", data, _PREAMBLE_BYTES))
-        g = _first_false(map(le, directory, islice(directory, 1, None)))
-        if g is not None:
-            raise StorageError(
-                f"{path}: rank directory entry {g + 1} at byte {_PREAMBLE_BYTES + 8 * g + 8} "
-                f"is {directory[g + 1]}, below entry {g}'s {directory[g]}"
-            )
-        view = memoryview(data)
-        bitmap = cls.__new__(cls)
-        bitmap._blocks = [None] * -(-body // _BLOCK_BYTES)
-        bitmap._ranks = [None] * len(bitmap._blocks)
-        bitmap._directory = directory
-        bitmap._pages = [view[i : i + _PAGE_BYTES] for i in range(end - body, end, _PAGE_BYTES)]
-        bitmap._path = path
-        bitmap.total_cells = total
-        return bitmap
+    def __missing__(self, block):
+        if self.unchecked and not self.unchecked.isdisjoint(
+                _entries_of(self.pages, block >> _PAGE_SHIFT)):
+            return None
+        return self.get(block, 0)
 
-    @property
-    def record_count(self) -> int:
-        return self._directory[-1]
 
-    # as Header's, with p counted from 0, so that p is the cell's bit index
-    _ORIGIN = 0
-    _COLUMNS = "blocks, ranks"
+class Header:
+    """The validated header of one compressed array (see the module notes)."""
+
+    __slots__ = ("total_cells", "record_count", "_pages", "_before", "_blocks", "_ranks",
+                 "_unchecked", "_data", "_starts", "_crcs", "_path")
+
+    def __init__(self, total_cells: int, pages, before: list, unchecked: set):
+        """A header whose nonempty pages are pages, with no page decoded.
+
+        before[i] is the number of stored cells in the pages ahead of
+        entry i, and before[-1] the record count.  unchecked holds the
+        entries still to decode.
+        """
+        self.total_cells = total_cells
+        self.record_count = before[-1]
+        self._pages = pages
+        self._before = before
+        self._unchecked = unchecked
+        if _SPARSE * len(pages) >= -(-total_cells // _PAGE_CELLS):
+            self._blocks = [None] * -(-total_cells // _BLOCK_BITS)
+            self._ranks = [None] * len(self._blocks)
+        else:
+            self._blocks = _Blocks()
+            self._blocks.pages, self._blocks.unchecked = pages, unchecked
+            self._ranks = {}
+
+    # locate after its range test, as the compiled get_cell runs it (see
+    # _lookup_factory): p is the cell's bit index, position - 1, a miss
+    # returns None and a hit sets before, the number of records ahead of it.
     _STEP = f"""\
 b = p >> {_BLOCK_SHIFT}
 rest = blocks[b] >> (p & {_BLOCK_BITS - 1})
 if not rest & 1:
     return None
 before = ranks[b] - rest.bit_count()"""
-
-    def _columns(self) -> tuple:
-        return self._blocks, self._ranks
-
-    def _load(self, block: int) -> int:
-        """Decode and check the page that holds block; returns the block's bits.
-
-        The ranks go in before the ints, so a lookup that finds a block's
-        int, as the compiled step does, also finds its rank.  Then the
-        page's view is dropped.
-        """
-        g = block >> _PAGE_SHIFT
-        page = self._pages[g]
-        if page is None:  # decoded since the caller looked
-            return self._blocks[block]
-        first = g << _PAGE_SHIFT
-        bits = _blocks(page)
-        before = self._directory[g - 1] if g else 0
-        ranks = list(accumulate(map(int.bit_count, bits), initial=before))
-        if ranks[-1] != self._directory[g]:
-            raise StorageError(
-                f"{self._path}: bitmap page {g} at byte "
-                f"{_PREAMBLE_BYTES + 8 * len(self._directory) + g * _PAGE_BYTES} holds "
-                f"{ranks[-1] - before} nonempty cells, its rank directory entry "
-                f"at byte {_PREAMBLE_BYTES + 8 * g} says {self._directory[g] - before}"
-            )
-        self._ranks[first : first + len(bits)] = ranks[1:]
-        self._blocks[first : first + len(bits)] = bits
-        self._pages[g] = None
-        return bits[block - first]
 
     def locate(self, position: int) -> int | None:
         """Physical record number of a logical position, or None if empty."""
@@ -417,73 +222,196 @@ before = ranks[b] - rest.bit_count()"""
             return self._ranks[block] - rest.bit_count() + 1
         return None
 
-    def _body(self) -> bytes:
-        """The bits of every block, 64 bytes each (so zeros past total_cells), all checked."""
-        for block in range(0, len(self._blocks), _PAGE_BLOCKS):
-            if self._blocks[block] is None:
-                self._load(block)
-        return b"".join(map(int.to_bytes, self._blocks, repeat(_BLOCK_BYTES), repeat("little")))
+    def _load(self, block: int) -> int:
+        """Decode the entries block's page depends on; returns the block's bits.
+
+        A page the index does not hold has no stored cell: in the list
+        form its blocks become 0, with the rank of the cells before it.
+        """
+        page = block >> _PAGE_SHIFT
+        entries = _entries_of(self._pages, page)
+        for i in sorted(self._unchecked.intersection(entries)):
+            self._decode(i)
+        if self._blocks[block] is None:
+            first = page << _PAGE_SHIFT
+            blocks = -(-_cells_of(self.total_cells, page) // _BLOCK_BITS)
+            self._ranks[first : first + blocks] = [self._before[entries[-1]]] * blocks
+            self._blocks[first : first + blocks] = [0] * blocks
+        return self._blocks[block]
+
+    def _decode(self, i: int) -> None:
+        """Check entry i's container, then fill its page's blocks from it."""
+        page, data, path = self._pages[i], self._data, self._path
+        cells, start, end = _cells_of(self.total_cells, page), self._starts[i], self._starts[i + 1]
+        entry = _PREAMBLE.size + _ENTRY.size * i
+        where = f"{path}: page {page}, index entry {i} at byte {entry}, container at byte {start}"
+        container = data[start:end]
+        if zlib.crc32(container, zlib.crc32(data[entry : entry + 12])) != self._crcs[i]:
+            raise StorageError(f"{where}: CRC mismatch")
+        bitmap = (cells + 7) >> 3
+        if not container:
+            container = ((1 << cells) - 1).to_bytes(bitmap, "little")
+        elif len(container) < bitmap:
+            offsets = struct.unpack(f"<{len(container) // 2}H", container)
+            if not (all(map(lt, offsets, offsets[1:])) and offsets[-1] < cells):
+                raise StorageError(f"{where}: offsets do not ascend below {cells}")
+            container = bytearray(bitmap)
+            for o in offsets:
+                container[o >> 3] |= 1 << (o & 7)
+        elif container[-1] >> (cells % 8 or 8):
+            raise StorageError(f"{where}: padding bits past cell {cells} are set")
+        self._fill(i, _blocks(container), where)
+
+    def _fill(self, i: int, bits: list, where: str) -> None:
+        """Put bits, the block ints of entry i's page, and their ranks in,
+        once they hold the entry's count.
+
+        The ranks go in before the ints, so a lookup that finds a block's
+        int, as the compiled step does, also finds its rank.
+        """
+        before = self._before[i]
+        ranks = list(accumulate(map(int.bit_count, bits), initial=before))
+        if ranks[-1] != self._before[i + 1]:
+            raise StorageError(f"{where}: holds {ranks[-1] - before} nonempty cells, "
+                               f"the entry says {self._before[i + 1] - before}")
+        first = self._pages[i] << _PAGE_SHIFT
+        if type(self._blocks) is list:
+            self._ranks[first : first + len(bits)] = ranks[1:]
+            self._blocks[first : first + len(bits)] = bits
+        else:
+            blocks = list(compress(count(first), bits))
+            self._ranks.update(zip(blocks, compress(ranks[1:], bits)))
+            self._blocks.update(zip(blocks, compress(bits, bits)))
+        self._unchecked.discard(i)
+
+    def _page_bits(self, i: int) -> bytes:
+        """The bitmap of entry i's page, which must be decoded."""
+        cells = _cells_of(self.total_cells, self._pages[i])
+        first = self._pages[i] << _PAGE_SHIFT
+        words = map(self._blocks.__getitem__, range(first, first - (-cells // _BLOCK_BITS)))
+        return b"".join(map(int.to_bytes, words, repeat(_BLOCK_BYTES),
+                            repeat("little")))[: (cells + 7) >> 3]
+
+    def _checked_pages(self) -> list[bytes]:
+        """Every stored page's bitmap, after decoding and checking every page."""
+        for i in sorted(self._unchecked):
+            self._decode(i)
+        return list(map(self._page_bits, range(len(self._pages))))
 
     def _cells(self):
-        """The set bits' indexes (stored positions minus one), ascending, computed in C."""
-        return compress(count(), chain.from_iterable(map(_BYTE_BITS.__getitem__, self._body())))
+        """The stored cells' positions minus one, ascending, computed in C."""
+        bases = map(lshift, self._pages, repeat(_CELL_SHIFT))
+        return chain.from_iterable(map(_set_bits, self._checked_pages(), bases))
+
+    def __iter__(self):
+        """The paper's run entries: (end, empties) of each run of empty then
+        nonempty cells, where a run ends at its last nonempty cell, and the
+        terminal (total_cells, total_cells - record_count)."""
+        prev = stored = 0
+        for p in self._cells():
+            if prev and p > prev:
+                yield prev, prev - stored
+            stored += 1
+            prev = p + 1
+        if prev and prev < self.total_cells:
+            yield prev, prev - stored
+        yield self.total_cells, self.total_cells - stored
 
     def __len__(self) -> int:
-        """Run-header entries of the same cells: runs an empty cell ends, plus the terminal."""
-        bits = int.from_bytes(self._body(), "little")
-        return (bits & ~(bits >> 1) & ((1 << (self.total_cells - 1)) - 1)).bit_count() + 1
+        """The number of run entries of the same cells."""
+        return sum(1 for _ in self)
 
+    def containers(self) -> dict:
+        """How many stored pages hold each container kind."""
+        kinds = dict.fromkeys(("full", "bitmap", "offset list"), 0)
+        for page, stored in zip(self._pages, map(sub, self._before[1:], self._before)):
+            cells = _cells_of(self.total_cells, page)
+            size = _container_bytes(stored, cells)
+            kinds["full" if not size else "bitmap" if size == (cells + 7) >> 3
+                  else "offset list"] += 1
+        return kinds
 
-def _bitmap_shape(total_cells: int) -> tuple[int, int]:
-    """(pages, body bytes) of the presence bitmap of a box of total_cells cells."""
-    body = -(-total_cells // 8)
-    return -(-body // _PAGE_BYTES), body
+    def save(self, path) -> None:
+        """Write the header file of the module notes."""
+        index, containers = [], []
+        for page, stored, bits in zip(self._pages, map(sub, self._before[1:], self._before),
+                                      self._checked_pages()):
+            size = _container_bytes(stored, _cells_of(self.total_cells, page))
+            containers.append(b"" if not size else bits if size == len(bits)
+                              else struct.pack(f"<{stored}H", *_set_bits(bits)))
+            head = _ENTRY.pack(page, stored, 0, 0)[:12]
+            index.append(head + zlib.crc32(containers[-1], zlib.crc32(head)).to_bytes(4, "little"))
+        write_file(path, b"".join([_PREAMBLE.pack(_MAGIC, self.total_cells, len(index)),
+                                   *index, *containers]))
 
-
-def save_header(header: Header, path) -> None:
-    """Write header's cells as a presence bitmap or a run header, whichever is smaller.
-
-    A tie keeps the run header.  The bits are set from the runs, and only
-    once the bitmap has won, so a box too sparse for a bitmap never
-    allocates its ceil(total_cells / 8) bytes.  The rank directory is
-    counted from the bits.
-    """
-    sizes = header_bytes(header)
-    if sizes["presence bitmap"] < sizes["run header"]:
-        bits = header._presence_bits()
-        steps = [int.from_bytes(bits[i : i + _PAGE_BYTES], "little").bit_count()
-                 for i in range(0, len(bits), _PAGE_BYTES)]
-        write_file(path, _BITMAP_START + header.total_cells.to_bytes(8, "little")
-                   + struct.pack(f"<{len(steps)}Q", *accumulate(steps)) + bits)
-    else:
-        header.save(path)
-
-
-def header_bytes(header) -> dict:
-    """File bytes of header's cells in each encoding, by encoding name."""
-    pages, body = _bitmap_shape(header.total_cells)
-    return {"run header": _ENTRY_BYTES * len(header),
-            "presence bitmap": _PREAMBLE_BYTES + 8 * pages + body}
+    @classmethod
+    def load(cls, path) -> "Header":
+        """Read a header file and check its preamble and index; decode no page."""
+        data = read_binary(path, "header")
+        if not data.startswith(_MAGIC):
+            raise StorageError(
+                f"{path}: no {_MAGIC.decode()} magic at byte 0, so a run header, an earlier "
+                f"bitmap or no header; rebuild it with `cubestore build --only array`"
+            )
+        if len(data) < _PREAMBLE.size:
+            raise StorageError(f"{path}: header ends at byte {len(data)}, "
+                               f"inside its {_PREAMBLE.size}-byte preamble")
+        _, total, n = _PREAMBLE.unpack_from(data)
+        if total < 1:
+            raise StorageError(f"{path}: total_cells at byte 8 is 0, "
+                               "the box holds at least one cell")
+        last = (total - 1) >> _CELL_SHIFT  # the box's last page
+        if n > last + 1:
+            raise StorageError(f"{path}: {n} nonempty pages at byte 16, "
+                               f"but {total} cells make {last + 1}")
+        end = _PREAMBLE.size + _ENTRY.size * n
+        if len(data) < end:
+            raise StorageError(f"{path}: index of {n} entries ends at byte {end}, "
+                               f"file ends at byte {len(data)}")
+        entries = struct.unpack_from("<" + _ENTRY.format[1:] * n, data, _PREAMBLE.size)
+        held, counts, pads, crcs = entries[0::4], entries[1::4], entries[2::4], entries[3::4]
+        if n and not (all(map(lt, held, islice(held, 1, None))) and held[-1] <= last
+                      and min(counts) >= 1 and max(counts) <= _PAGE_CELLS and not any(pads)
+                      and (held[-1] < last or counts[-1] <= _cells_of(total, last))):
+            for i, (page, stored, pad) in enumerate(zip(held, counts, pads)):
+                cells = _cells_of(total, page) if page <= last else 0
+                rule = (f"page {page} does not follow page {held[i - 1]}"
+                        if i and page <= held[i - 1]
+                        else f"page {page} is past the box's last page {last}" if page > last
+                        else f"count {stored} is outside 1..{cells}" if not 1 <= stored <= cells
+                        else "bytes 10 and 11 are not zero" if pad else None)
+                if rule:
+                    raise StorageError(f"{path}: index entry {i} at byte "
+                                       f"{_PREAMBLE.size + _ENTRY.size * i}: {rule}")
+        # _container_bytes of a whole page, spelt out: a call per entry costs 4x
+        sizes = [0 if c == _PAGE_CELLS else 2 * c if 2 * c < _GROUP.size else _GROUP.size
+                 for c in counts]
+        if n and held[-1] == last:
+            sizes[-1] = _container_bytes(counts[-1], _cells_of(total, last))
+        starts = list(accumulate(sizes, initial=end))
+        if starts[-1] != len(data):
+            raise StorageError(f"{path}: containers end at byte {starts[-1]}, "
+                               f"file ends at byte {len(data)}")
+        header = cls(total, held, list(accumulate(counts, initial=0)), set(range(n)))
+        header._data, header._starts, header._crcs, header._path = data, starts, crcs, path
+        return header
 
 
 def compress_stream(cells, total_cells: int, record_width: int, out) -> Header:
     """One-pass compression of a strictly ascending (position, record) stream.
 
     Writes the records to the binary sink and returns the header, without
-    ever materializing the empty cells.  Run entries are emitted when a
-    gap closes a run; after the stream, a run that does not reach the box
-    end gets its entry, and the terminal boundary entry is always written.
-    An empty stream yields the single entry (total_cells, total_cells).
+    ever materializing the empty cells: the block ints of each page are
+    gathered while the stream is in it, and a page it skips holds nothing.
     """
     if total_cells < 1:
         raise RangeError("the box holds at least one cell")
     if record_width < 1:
         raise MalformedInputError("records must be at least one byte wide")
-    ends = []
-    empties = []
+    pages, blocks = [], []  # the stored pages, and the block ints of each
     write = out.write
     prev = 0
-    stored = 0
+    page = -1
     for position, record in cells:
         if not 1 <= position <= total_cells:
             raise RangeError(f"logical position {position} outside 1..{total_cells}")
@@ -495,36 +423,35 @@ def compress_stream(cells, total_cells: int, record_width: int, out) -> Header:
             raise MalformedInputError(
                 f"record at position {position} is {len(record)} bytes, expected {record_width}"
             )
-        if prev and position > prev + 1:
-            ends.append(prev)
-            empties.append(prev - stored)
         write(record)
-        stored += 1
         prev = position
-    if prev and total_cells > prev:
-        ends.append(prev)
-        empties.append(prev - stored)
-    ends.append(total_cells)
-    empties.append(total_cells - stored)
-    return Header(ends, empties, "compressed header")
+        position -= 1
+        if position >> _CELL_SHIFT != page:
+            page = position >> _CELL_SHIFT
+            pages.append(page)
+            blocks.append([0] * -(-_cells_of(total_cells, page) // _BLOCK_BITS))
+        block = position >> _BLOCK_SHIFT & _PAGE_BLOCKS - 1
+        blocks[-1][block] |= 1 << (position & _BLOCK_BITS - 1)
+    stored = [sum(map(int.bit_count, bits)) for bits in blocks]
+    header = Header(total_cells, pages, list(accumulate(stored, initial=0)), set())
+    for i, bits in enumerate(blocks):
+        header._fill(i, bits, "compressed header")
+    return header
 
 
 @lru_cache(maxsize=None)
-def _lookup_factory(k: int, encoding: type) -> Callable:
-    """Compile, once per process, the factory of get_cell for k coordinates over encoding.
+def _lookup_factory(k: int) -> Callable:
+    """Compile, once per process, the factory of get_cell for k coordinates.
 
-    encoding is Header or PresenceBitmap (see the module notes).  The
-    factory takes (cards, strides, offset, columns, locate, width, name,
-    fd), with offset set so that p counts from encoding._ORIGIN, and
-    returns get_cell and a function that sets its descriptor to -1.
+    The factory takes (cards, strides, offset, blocks, ranks, locate,
+    width, name, fd), with offset set so that p is the cell's bit index,
+    and returns get_cell and a function that sets its descriptor to -1.
     """
-    step = encoding._STEP.replace("\n", "\n    ")
+    step = Header._STEP.replace("\n", "\n    ")
     bind, test = _prelude(k, f"p = {{position}} - offset\nif type(p) is int:\n    {step}")
     source = f"""\
-def factory(cards, strides, offset, columns, locate, width, name, fd):
+def factory(cards, strides, offset, blocks, ranks, locate, width, name, fd):
 {bind}\
-    {encoding._COLUMNS}, = columns
-
     def get_cell(indices):
         before = -1
 {test}\
@@ -544,8 +471,7 @@ def factory(cards, strides, offset, columns, locate, width, name, fd):
 
     return get_cell, forget_fd
 """
-    return _compile(source, f"get_cell k={k} {encoding.__name__}", os=os,
-                    bisect_left=bisect_left, StorageError=StorageError)
+    return _compile(source, f"get_cell k={k}", os=os, StorageError=StorageError)
 
 
 class ArrayStore:
@@ -557,8 +483,7 @@ class ArrayStore:
     an empty cell, is the compiled lookup of the module notes.
     """
 
-    def __init__(self, arr_file, header: "Header | PresenceBitmap", cards,
-                 record_width: int):
+    def __init__(self, arr_file, header: Header, cards, record_width: int):
         self._file = arr_file
         self._fd = arr_file.fileno()
         self.header = header
@@ -576,9 +501,8 @@ class ArrayStore:
                 f"{header.record_count * record_width}"
             )
         cards, strides, offset = _box(self.cards)
-        factory = _lookup_factory(len(cards), type(header))
-        self.get_cell, self._forget_fd = factory(
-            cards, strides, offset + 1 - header._ORIGIN, header._columns(), header.locate,
+        self.get_cell, self._forget_fd = _lookup_factory(len(cards))(
+            cards, strides, offset + 1, header._blocks, header._ranks, header.locate,
             record_width, arr_file.name, self._fd)
 
     @classmethod

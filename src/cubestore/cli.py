@@ -5,8 +5,8 @@ Subcommands:
   ingest   read a CSV file into a dataset directory
   build    derive the B-tree index and/or compressed array
   query    look up one cell by its dimension values
-  stats    report sparsity figures, the size verdict, the header encoding
-           and the B-tree's shape
+  stats    report sparsity figures, the size verdict, the header's pages
+           by container kind and the B-tree's shape
   cost     print the analytic lookup-cost tables
   bench    time point lookups against both representations
   export   write the stored rows back out as CSV
@@ -25,7 +25,7 @@ import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-from .array_store import Header, PresenceBitmap, header_bytes
+from .array_store import Header
 from .bench import DEFAULT_SIZES, report, run_benchmark, write_bench_csv
 from .cost_model import (
     DEFAULT_K_VALUES,
@@ -134,7 +134,7 @@ def _cmd_stats(args) -> int:
     """Print a dataset's figures only once all of them are known.
 
     So a damaged dataset prints its error alone: the size report checks
-    that every file is there, and a bitmap's len() decodes and checks
+    that every file is there, and the header's len() decodes and checks
     every page.
     """
     lines = []
@@ -161,13 +161,11 @@ def _cmd_stats(args) -> int:
         say("size ratio (delta/rho)    undefined (no rows)")
     if size_of(root / HEADER_NAME) is not None:
         header = Header.load(root / HEADER_NAME)
-        sizes = header_bytes(header)
-        stored = "presence bitmap" if isinstance(header, PresenceBitmap) else "run header"
-        other = next(name for name in sizes if name != stored)
-        say(f"{'header encoding':26}{stored}, {sizes[stored]:,} bytes "
-            f"({other}: {sizes[other]:,} bytes)")
+        kinds = ", ".join(f"{n:,} {kind}" for kind, n in header.containers().items())
+        say(f"{'header pages':26}{kinds}; {size_of(root / HEADER_NAME):,} bytes; "
+            f"run entries {len(header):,}")  # len checks every page
     else:
-        say(f"{'header encoding':26}(not built)")
+        say(f"{'header pages':26}(not built)")
     if size_of(root / BTREE_NAME) is not None:
         with open_dataset(root, need=("table",)) as db:
             table = db.table

@@ -7,8 +7,8 @@ A dataset directory holds one relation under these fixed names:
   relation.tbl   sorted fixed-width rows (written at ingest time)
   relation.btx   B-tree index over the table (written by build)
   relation.arr   compressed array records (written by build)
-  relation.hdr   header of the compressed array, a run header or a presence
-                 bitmap, whichever array_store.save_header finds smaller
+  relation.hdr   header of the compressed array: an index of the box's
+                 nonempty pages, each stored as full, a bitmap or an offset list
 
 Only the files module opens, sizes, reads, writes or removes them; a
 failure raises DatasetError or StorageError naming the file.
@@ -38,7 +38,7 @@ from operator import add, attrgetter, eq, floordiv, mod, mul
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from .array_store import ArrayStore, compress_stream, save_header
+from .array_store import ArrayStore, compress_stream
 from .errors import (
     CapacityError,
     DatasetError,
@@ -106,10 +106,11 @@ def _integer(field: str, text: str) -> int:
 class Manifest:
     """Everything needed to reopen a dataset, as written to manifest.txt.
 
-    The relation's shape is its schema alone; the n, k, case, row_bytes
-    and record_width lines are written from it, and load refuses a file
-    whose lines disagree with the schema its cards and measure columns
-    give.  It names no file: load ignores the name lines of older
+    The relation's shape is its schema alone; the n, k, case, row_bytes,
+    record_width and delta lines are written from it, and rho from it and
+    r, and load refuses a file whose lines disagree with the schema its
+    cards and measure columns give, or with that r; delta and rho must be
+    spelt as repr spells them.  It names no file: load ignores the name lines of older
     manifests, and table_file, btree_file and header_file are the fixed
     names.
     """
@@ -211,6 +212,10 @@ class Manifest:
                 r=_integer("r", fields["r"]),
                 built_at=fields.get("built_at", ""),
             )
+            for field, derived in (("delta", schema.delta), ("rho", manifest.rho)):
+                if fields[field] != repr(derived):
+                    raise DatasetError(f"manifest {field} is {fields[field]}, but its cards, "
+                                       f"measure columns and r give {derived!r}")
         except DatasetError as exc:
             raise DatasetError(f"{path}: {exc}") from None
         except (KeyError, ValueError, ParameterError, CapacityError, RangeError) as exc:
@@ -496,7 +501,7 @@ def build_dataset(dataset_dir, which: str = "both",
         cells = ((position_of(indices), record) for indices, record in stored)
         with writing(root / ARRAY_NAME) as f:
             header = compress_stream(cells, schema.cell_total, schema.record_width, f)
-        save_header(header, root / HEADER_NAME)
+        header.save(root / HEADER_NAME)
     return size_report(root)
 
 

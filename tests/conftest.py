@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from cubestore import (
     compress_stream,
     delinearize,
 )
+from cubestore.files import open_for_pread
 from cubestore.table_store import DEFAULT_PAGE_SIZE
 
 
@@ -57,15 +59,17 @@ def build_array_files(tmp_path: Path, cells, cards, record_width: int,
     return ArrayStore.open(arr, hdr, cards, record_width)
 
 
-def build_both_encodings(tmp_path: Path, positions, cards, record_width: int = 3):
-    """Array stores of make_records(positions) over a run header and over a presence bitmap."""
-    from oracle import bitmap_file_bytes
-
-    runs = build_array_files(tmp_path, make_records(positions, record_width), cards,
-                             record_width)
-    (tmp_path / "bitmap.hdr").write_bytes(bitmap_file_bytes(positions, cell_count(cards)))
-    bitmap = ArrayStore.open(tmp_path / "rel.arr", tmp_path / "bitmap.hdr", cards, record_width)
-    return runs, bitmap
+def build_both_headers(tmp_path: Path, positions, cards, record_width: int = 3):
+    """Array stores of make_records(positions): over the header loaded from
+    its file, whose pages decode on first touch, and over the header
+    compress_stream returned, whose blocks are all filled."""
+    loaded = build_array_files(tmp_path, make_records(positions, record_width), cards,
+                               record_width)
+    with open(os.devnull, "wb") as sink:
+        header = compress_stream(iter(make_records(positions, record_width)),
+                                 cell_count(cards), record_width, sink)
+    f = open_for_pread(tmp_path / "rel.arr")
+    return loaded, ArrayStore(f, header, cards, record_width)
 
 
 def build_table_files(tmp_path: Path, cells, cards, record_width: int,

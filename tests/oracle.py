@@ -8,6 +8,7 @@ against these, never the other way round.
 from __future__ import annotations
 
 import struct
+import zlib
 from bisect import bisect_left
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -110,49 +111,96 @@ def bitmap_body(occupied, total_cells: int) -> bytes:
     return bytes(body)
 
 
-def bitmap_file_bytes(occupied, total_cells: int) -> bytes:
-    """Expected presence-bitmap header file of the occupied positions.
+PAGE_CELLS = 32768
 
-    Preamble: u64 0, the ASCII bytes "BITPAGES", u64 total_cells; then
-    the rank directory, one u64 per 4,096-byte page of the body (32,768
-    cells), entry g counting the occupied cells of pages 0 through g;
-    then the body, bitmap_body.
+
+def header_pages(occupied, total_cells: int) -> list:
+    """(page number, its sorted cell offsets, its cell count) of each page holding a cell."""
+    pages = {}
+    for position in sorted(occupied):
+        pages.setdefault((position - 1) // PAGE_CELLS, []).append((position - 1) % PAGE_CELLS)
+    return [(g, offsets, min(PAGE_CELLS, total_cells - g * PAGE_CELLS))
+            for g, offsets in sorted(pages.items())]
+
+
+def container_of(offsets, cells: int) -> bytes:
+    """A page's container: nothing when full, u16 offsets when 2c is below
+    its bitmap bytes, else its bitmap."""
+    bitmap = bitmap_body([o + 1 for o in offsets], cells)
+    if len(offsets) == cells:
+        return b""
+    if 2 * len(offsets) < len(bitmap):
+        return struct.pack(f"<{len(offsets)}H", *offsets)
+    return bitmap
+
+
+def header_file_bytes(occupied, total_cells: int, edit=None) -> bytes:
+    """Expected header file of the occupied positions.
+
+    Preamble: the ASCII bytes "HDRPAGES", u64 total_cells, u64 number of
+    pages of 32,768 cells that hold a cell; then per such page, in page
+    order, the entry u64 page, u16 count, u16 0, u32 CRC32 of those 12
+    bytes and the container; then the containers, container_of each.
+    edit(page, container), if given, returns each page's container
+    before its CRC is taken, to make a damaged file whose CRCs hold.
     """
-    body = bitmap_body(occupied, total_cells)
-    pages = (len(body) + 4095) // 4096
-    per_page = [0] * pages
-    for position in occupied:
-        per_page[(position - 1) // 32768] += 1
-    directory = [sum(per_page[: g + 1]) for g in range(pages)]
-    return struct.pack(f"<Q8sQ{pages}Q", 0, b"BITPAGES", total_cells, *directory) + body
+    pages = header_pages(occupied, total_cells)
+    index, containers = b"", b""
+    for g, offsets, cells in pages:
+        container = container_of(offsets, cells)
+        if edit is not None:
+            container = edit(g, container)
+        head = struct.pack("<QHH", g, len(offsets), 0)
+        index += head + struct.pack("<I", zlib.crc32(head + container))
+        containers += container
+    return struct.pack("<8sQQ", b"HDRPAGES", total_cells, len(pages)) + index + containers
 
 
 def decode_header_by_scan(data: bytes):
-    """Reference header decode: (entries, None), or (None, first bad index).
+    """Reference header decode: the sorted stored positions, or None for a bad file.
 
-    Unpacks one little-endian (end, empties) pair per 16 bytes and checks
-    each entry against its predecessor, the first against a virtual
-    (0, 0) entry: ends strictly increase, empty counts never decrease,
-    and every run except the terminal one holds at least one record.  An
-    empty header is bad at index 0.
+    Reads the preamble, then each entry and its container in turn, and
+    checks everything the format fixes: the magic, total_cells >= 1,
+    pages ascending inside the box, each count in 1..the page's cells,
+    zero pad bytes, each CRC, an offset list ascending below the page's
+    cells, zero bitmap padding bits, each page holding its count, and
+    the file ending with the last container.
     """
-    assert len(data) % 16 == 0
-    entries = list(struct.iter_unpack("<QQ", data))
-    if not entries:
-        return None, 0
-    prev_end, prev_empties = 0, 0
-    for pos, (end, empties) in enumerate(entries):
-        last = pos == len(entries) - 1
-        if end <= prev_end:
-            return None, pos
-        if empties < prev_empties:
-            return None, pos
-        filled_now = end - empties
-        filled_before = prev_end - prev_empties
-        if filled_now < filled_before or (not last and filled_now == filled_before):
-            return None, pos
-        prev_end, prev_empties = end, empties
-    return entries, None
+    if len(data) < 24 or data[:8] != b"HDRPAGES":
+        return None
+    total, n = struct.unpack_from("<QQ", data, 8)
+    if total < 1 or len(data) < 24 + 16 * n:
+        return None
+    offset = 24 + 16 * n
+    occupied = []
+    prev = -1
+    for i in range(n):
+        g, c, pad, crc = struct.unpack_from("<QHHI", data, 24 + 16 * i)
+        if g <= prev or g * PAGE_CELLS >= total or pad:
+            return None
+        prev = g
+        cells = min(PAGE_CELLS, total - g * PAGE_CELLS)
+        bitmap = (cells + 7) // 8
+        if not 1 <= c <= cells:
+            return None
+        size = 0 if c == cells else 2 * c if 2 * c < bitmap else bitmap
+        container = data[offset : offset + size]
+        offset += size
+        if len(container) != size or zlib.crc32(data[24 + 16 * i : 24 + 16 * i + 12]
+                                                 + container) != crc:
+            return None
+        if size == 0:
+            offsets = list(range(cells))
+        elif size < bitmap:
+            offsets = list(struct.unpack(f"<{c}H", container))
+            if any(a >= b for a, b in zip(offsets, offsets[1:])) or offsets[-1] >= cells:
+                return None
+        else:
+            offsets = [o for o in range(8 * bitmap) if container[o // 8] >> (o % 8) & 1]
+            if len(offsets) != c or offsets[-1] >= cells:
+                return None
+        occupied += [g * PAGE_CELLS + o + 1 for o in offsets]
+    return occupied if offset == len(data) else None
 
 
 def locate_by_scan(occupied, position: int):

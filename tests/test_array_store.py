@@ -3,6 +3,7 @@
 import os
 import re
 import struct
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -21,23 +22,27 @@ from cubestore import (
     delinearize,
     linearize,
 )
-from cubestore.array_store import Header, PresenceBitmap
-from conftest import (
-    build_array_files, build_both_encodings, compress_to_memory, make_records, random_positions,
-)
+from cubestore.array_store import Header
+from conftest import build_array_files, compress_to_memory, make_records, random_positions
 from test_table_store import CountedPread
 from oracle import (
-    bitmap_file_bytes,
     decode_header_by_scan,
     dense_array,
+    header_file_bytes,
     header_runs,
     locate_by_scan,
 )
 
 
-def runs(*pairs):
-    """The run header of these (end, empties) entries."""
-    return Header([end for end, _ in pairs], [empties for _, empties in pairs])
+def header_of(occupied, total: int) -> Header:
+    """The header compress_stream returns for these stored positions."""
+    return compress_to_memory(make_records(occupied, 1), total, 1)[0]
+
+
+def index_file(total: int, entries) -> bytes:
+    """A header file of these (page, count, pad) index entries, with no containers."""
+    return struct.pack("<8sQQ", b"HDRPAGES", total, len(entries)) + b"".join(
+        struct.pack("<QHHI", page, stored, pad, 0) for page, stored, pad in entries)
 
 
 class TestCompressGoldens:
@@ -100,7 +105,8 @@ class TestCompressErrors:
 
 
 class TestHeaderLookup:
-    HEADER = runs((3, 1), (7, 4), (8, 5))
+    # cells 2, 3 and 7 of 8: the runs (3, 1), (7, 4) and the terminal (8, 5)
+    HEADER = header_of([2, 3, 7], 8)
 
     def test_locate_values(self):
         assert self.HEADER.locate(7) == 3
@@ -123,24 +129,27 @@ class TestHeaderLookup:
         assert len(self.HEADER) == 3
 
     def test_empty_header(self):
-        header = runs((4, 4))
+        header = header_of([], 4)
         assert header.record_count == 0
         assert all(header.locate(i) is None for i in range(1, 5))
 
 
 class TestBitmapLookup(TestHeaderLookup):
-    """The same lookups over the presence bitmap of the same cells."""
+    """The same lookups over the same cells loaded from a file, whose one
+    page is a bitmap container decoded on the first lookup."""
 
     @pytest.fixture(autouse=True)
     def bitmap(self, tmp_path):
         path = tmp_path / "rel.hdr"
-        path.write_bytes(bitmap_file_bytes([2, 3, 7], 8))
+        path.write_bytes(header_file_bytes([2, 3, 7], 8))
         self.HEADER = Header.load(path)
-        assert isinstance(self.HEADER, PresenceBitmap)
+        assert self.HEADER.containers() == {"full": 0, "bitmap": 1, "offset list": 0}
+        assert self.HEADER._blocks == [None]
 
     def test_empty_header(self, tmp_path):
         path = tmp_path / "empty.hdr"
-        path.write_bytes(bitmap_file_bytes([], 4))
+        path.write_bytes(header_file_bytes([], 4))
+        assert path.stat().st_size == 24  # the preamble alone
         header = Header.load(path)
         assert header.record_count == 0
         assert all(header.locate(i) is None for i in range(1, 5))
@@ -149,26 +158,32 @@ class TestBitmapLookup(TestHeaderLookup):
 
 
 class TestHeaderValidation:
-    def test_rejects_bad_shapes(self):
-        with pytest.raises(StorageError):
-            runs()
-        with pytest.raises(StorageError):
-            runs((3, 1), (3, 2))  # ends not increasing
-        with pytest.raises(StorageError):
-            runs((3, 2), (5, 1))  # empties decreasing
-        with pytest.raises(StorageError):
-            runs((2, 1), (3, 2), (8, 5))  # middle run holds no record
-        with pytest.raises(StorageError):
-            runs((3, -1))  # empty count below the virtual entry's
-        with pytest.raises(StorageError):
-            runs((2, 0), (2, 0))  # terminal end repeats
+    # one page of 10 cells, of which 2, 3, 7 and 9 are stored: a 2-byte bitmap
+    GOOD = header_file_bytes([2, 3, 7, 9], 10)
+
+    def test_rejects_bad_shapes(self, tmp_path):
+        good = self.GOOD
+        path = tmp_path / "rel.hdr"
+        for data, message in [
+            (good[:8] + bytes(8) + good[16:], "total_cells at byte 8 is 0"),
+            (good[:16] + struct.pack("<Q", 2) + good[24:],
+             "2 nonempty pages at byte 16, but 10 cells make 1"),
+            (good[:39], "index of 1 entries ends at byte 40, file ends at byte 39"),
+            (good[:-1], "containers end at byte 42, file ends at byte 41"),
+            (good + b"\0", "containers end at byte 42, file ends at byte 43"),
+            (good[:16] + bytes(8) + good[24:], "containers end at byte 24, file ends at byte 42"),
+        ]:
+            path.write_bytes(data)
+            assert decode_header_by_scan(data) is None
+            with pytest.raises(StorageError, match=re.escape(f"{path}: {message}")):
+                Header.load(path)
 
     def test_save_load_roundtrip(self, tmp_path):
-        header = runs((3, 1), (7, 4), (8, 5))
+        header = header_of([2, 3, 7], 8)
         path = tmp_path / "rel.hdr"
         header.save(path)
         assert list(Header.load(path)) == [(3, 1), (7, 4), (8, 5)]
-        assert path.stat().st_size == 16 * 3
+        assert path.stat().st_size == 24 + 16 + 1
 
     def test_load_rejects_truncated_file(self, tmp_path):
         path = tmp_path / "rel.hdr"
@@ -179,9 +194,6 @@ class TestHeaderValidation:
 
 class TestHeaderErrors:
     """Every header failure is a StorageError naming the file."""
-
-    def write_entries(self, path, entries):
-        path.write_bytes(b"".join(struct.pack("<QQ", e, v) for e, v in entries))
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.hdr"
@@ -201,22 +213,26 @@ class TestHeaderErrors:
         with pytest.raises(StorageError, match=re.escape(str(hdr))):
             ArrayStore.open(tmp_path / "rel.arr", hdr, (4, 3, 2), 3)
 
-    @pytest.mark.parametrize("entries,bad", [
-        ([(3, 1), (7, 0), (8, 5)], 1),   # empty count falls
-        ([(3, 1), (7, 4), (6, 5)], 2),   # end falls
-        ([(3, 1), (4, 2), (8, 5)], 1),   # middle run holds no record
-        ([(3, 1), (7, 4), (8, 7)], 2),   # terminal loses records
-        ([(0, 0), (8, 5)], 0),           # end at the virtual entry's position
-    ])
+    # (page, count, pad) entries of a box of four pages, the last of 32,763
+    # cells; the first bad entry, and the rule it breaks
+    CASES = [
+        ([(0, 1, 0), (0, 1, 0)], 1, "page 0 does not follow page 0"),
+        ([(0, 1, 0), (2, 1, 0), (1, 1, 0)], 2, "page 1 does not follow page 2"),
+        ([(0, 1, 0), (1, 0, 0)], 1, "count 0 is outside 1..32768"),
+        ([(0, 1, 0), (1, 1, 0), (3, 32_764, 0)], 2, "count 32764 is outside 1..32763"),
+        ([(4, 1, 0)], 0, "page 4 is past the box's last page 3"),
+        ([(0, 1, 0), (1, 1, 1 << 8)], 1, "bytes 10 and 11 are not zero"),
+    ]
+
+    @pytest.mark.parametrize("entries,bad", [case[:2] for case in CASES])
     def test_validation_names_file_entry_and_offset(self, tmp_path, entries, bad):
+        rule = next(r for e, b, r in self.CASES if (e, b) == (entries, bad))
         path = tmp_path / "rel.hdr"
-        self.write_entries(path, entries)
-        assert decode_header_by_scan(path.read_bytes()) == (None, bad)
-        with pytest.raises(StorageError) as info:
+        path.write_bytes(index_file(4 * 32_768 - 5, entries))
+        assert decode_header_by_scan(path.read_bytes()) is None
+        with pytest.raises(StorageError, match=re.escape(
+                f"{path}: index entry {bad} at byte {24 + 16 * bad}: {rule}")):
             Header.load(path)
-        message = str(info.value)
-        assert str(path) in message
-        assert f"entry {bad} at byte {16 * bad}" in message
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "rel.hdr"
@@ -225,65 +241,82 @@ class TestHeaderErrors:
             Header.load(path)
 
 
-def seeded_relation(seed):
-    """(occupied positions, box size) of a seeded random relation."""
+PAGE = 32_768  # cells per header page
+
+
+def paged_relation(seed):
+    """(occupied positions, box size) of a seeded relation of three or four pages.
+
+    Page 0 stores a random third of its cells (a bitmap), page 1 one cell
+    in a hundred (an offset list), page 2 all (full) or none by seed, and
+    a last, shorter page, when there is one, up to five cells.
+    """
     rng = SplitMix64(seed)
-    total = 20 + rng.below(300)
-    return random_positions(total, rng.below(total + 1), seed=seed), total
+    total = 3 * PAGE + rng.below(PAGE)
+    occupied = [p for p in range(1, PAGE + 1) if rng.below(3) == 0]
+    occupied += [p for p in range(PAGE + 1, 2 * PAGE + 1) if rng.below(100) == 0]
+    occupied += list(range(2 * PAGE + 1, 3 * PAGE + 1)) * (seed % 2)
+    tail = total - 3 * PAGE
+    return occupied + [3 * PAGE + p for p in random_positions(tail, min(5, tail), seed)], total
 
 
 def header_mutations(data: bytes, rng: SplitMix64):
-    """Single bit flips, two swapped entries and every 16-byte truncation."""
-    n = len(data) // 16
-    for _ in range(60):
-        bit = rng.below(len(data) * 8)
+    """Single bit flips, half of them in the preamble and index, two swapped
+    index entries, every 8-byte cut of the preamble and index, and eight
+    cuts among the containers."""
+    index = 24 + 16 * int.from_bytes(data[16:24], "little")
+    for flip in range(60):
+        bit = rng.below((index if flip % 2 else len(data)) * 8)
         raw = bytearray(data)
         raw[bit // 8] ^= 1 << (bit % 8)
         yield bytes(raw)
-    for _ in range(20 if n > 1 else 0):
+    n = (index - 24) // 16
+    for _ in range(20):
         i, j = sorted((rng.below(n), rng.below(n)))
         if i != j:
-            yield (data[: 16 * i] + data[16 * j : 16 * j + 16] + data[16 * i + 16 : 16 * j]
-                   + data[16 * i : 16 * i + 16] + data[16 * j + 16 :])
-    for cut in range(0, len(data), 16):
+            i, j = 24 + 16 * i, 24 + 16 * j
+            yield (data[:i] + data[j : j + 16] + data[i + 16 : j] + data[i : i + 16]
+                   + data[j + 16 :])
+    for cut in chain(range(0, index, 8), range(index, len(data), (len(data) - index) // 8)):
         yield data[:cut]
 
 
 @pytest.mark.parametrize("seed", range(1, 13))
 def test_load_agrees_with_reference_on_mutated_headers(tmp_path, seed):
-    """Header.load and the per-entry reference accept and reject the same bytes."""
-    occupied, total = seeded_relation(seed)
-    header, _ = compress_to_memory(make_records(occupied, 1), total, 1)
+    """Header.load, once every page is decoded, and the reference decode
+    accept and reject the same bytes, and agree on the cells they accept."""
+    occupied, total = paged_relation(seed)
     path = tmp_path / "rel.hdr"
-    header.save(path)
+    compress_to_memory(make_records(occupied, 1), total, 1)[0].save(path)
     data = path.read_bytes()
-    assert decode_header_by_scan(data) == (header_runs(occupied, total), None)
+    assert decode_header_by_scan(data) == occupied
     accepted = rejected = 0
     for mutated in header_mutations(data, SplitMix64(seed)):
         path.write_bytes(mutated)
-        expect, bad = decode_header_by_scan(mutated)
-        if bad is None:
-            assert list(Header.load(path)) == expect
-            accepted += 1
-        else:
-            with pytest.raises(StorageError) as info:
-                Header.load(path)
-            if mutated:
-                assert f"{path}: entry {bad} at byte {16 * bad} " in str(info.value)
+        expect = decode_header_by_scan(mutated)
+        if expect is None:
+            with pytest.raises(StorageError, match=re.escape(f"{path}: ")):
+                list(Header.load(path)._cells())
             rejected += 1
-    assert accepted and rejected
+        else:
+            assert [p + 1 for p in Header.load(path)._cells()] == expect
+            accepted += 1
+    # a changed total_cells can still describe a valid header, of another
+    # box, which the array store refuses at open
+    assert rejected >= 60
 
 
 @pytest.mark.parametrize("seed", [21, 22, 23, 24])
 def test_header_file_format(tmp_path, seed):
-    """save writes one little-endian (end, empties) u64 pair per entry."""
-    occupied, total = seeded_relation(seed)
+    """save writes the preamble, the index and the containers of the module notes."""
+    occupied, total = paged_relation(seed)
     header, _ = compress_to_memory(make_records(occupied, 1), total, 1)
     path = tmp_path / "rel.hdr"
     header.save(path)
+    assert path.read_bytes() == header_file_bytes(occupied, total)
+    assert header.containers() == {"full": seed % 2, "bitmap": 1, "offset list": 2}
     expected = header_runs(occupied, total)
-    assert path.read_bytes() == b"".join(struct.pack("<QQ", e, v) for e, v in expected)
-    assert list(Header.load(path)) == list(runs(*expected)) == list(header) == expected
+    assert list(Header.load(path)) == list(header) == expected
 
 
 @pytest.mark.parametrize("total,seed", [(1, 1), (7, 2), (24, 3), (100, 4), (256, 5)])
@@ -358,15 +391,15 @@ class TestArrayStore:
         with self.open_store(tmp_path, occupied) as store:
             assert list(store.iterate_nonempty()) == expected
 
-    @pytest.mark.parametrize("encoding", [Header, PresenceBitmap])
+    # 4,500 cells in one page, whose header holds lists over the box, or
+    # one per page of a 2^40-cell box, whose header holds dicts
+    @pytest.mark.parametrize("form,cards", [("list", (31, 19, 10)), ("dict", (2**20, 2**20))],
+                             ids=["list", "dict"])
     def test_iterate_nonempty_reads_2048_records_per_pread(self, tmp_path, monkeypatch,
-                                                            encoding):
-        cards = (31, 19, 10)
+                                                            form, cards):
         occupied = random_positions(cell_count(cards), 4500, seed=20)
-        runs, bitmap = build_both_encodings(tmp_path, occupied, cards, 5)
-        with runs, bitmap:
-            store = runs if encoding is Header else bitmap
-            assert type(store.header) is encoding
+        with build_array_files(tmp_path, make_records(occupied, 5), cards, 5) as store:
+            assert type(store.header._blocks).__name__ == {"list": "list", "dict": "_Blocks"}[form]
             expected = [(delinearize(p, cards), store.read_record(n))
                         for n, p in enumerate(occupied, start=1)]
             counted = CountedPread(os.pread)

@@ -297,9 +297,9 @@ class TestStats:
     def test_figures_and_verdict(self, built, capsys):
         assert main(["stats", "--dataset", str(built)]) == 0
         # 4 of 9 cells, 16-byte record (int64 + text:8), 24-byte row:
-        # delta = 2/3, rho = 4/9, delta/rho = 1.5 > 1; 9 cells take 24 + 8 + 2
-        # bitmap bytes (preamble, one rank directory entry, body) against
-        # 3 runs of 16 bytes
+        # delta = 2/3, rho = 4/9, delta/rho = 1.5 > 1; the one page of 9 cells
+        # holds 4, so its container is a 2-byte bitmap: 24 + 16 + 2 header
+        # bytes (preamble, one index entry, container), and 3 runs
         assert capsys.readouterr().out.splitlines()[:9] == [
             "rows (r)                  4",
             "cells                     9",
@@ -309,7 +309,7 @@ class TestStats:
             "density (rho)             0.4444444444444444",
             "size ratio (delta/rho)    1.5",
             "verdict: table smaller (uncompressed model)",
-            "header encoding           presence bitmap, 34 bytes (run header: 48 bytes)",
+            "header pages              0 full, 1 bitmap, 0 offset list; 42 bytes; run entries 3",
         ]
 
     @pytest.mark.parametrize("damage", ["missing dimension", "bitmap page"])
@@ -320,9 +320,9 @@ class TestStats:
         else:
             hdr = built / "relation.hdr"
             data = bytearray(hdr.read_bytes())
-            data[32] ^= 1  # cell 1, in the body's first byte, after one directory entry
+            data[40] ^= 1  # cell 1, in the first byte of the page's bitmap
             hdr.write_bytes(bytes(data))
-            named = f"{hdr}: bitmap page 0 at byte 32 holds "
+            named = f"{hdr}: page 0, index entry 0 at byte 24, container at byte 40: CRC mismatch"
         capsys.readouterr()
         assert main(["stats", "--dataset", str(built)]) == 2
         out, err = capsys.readouterr()
@@ -332,7 +332,7 @@ class TestStats:
     def test_header_encoding_before_build(self, dataset, capsys):
         assert main(["stats", "--dataset", str(dataset)]) == 0
         out = capsys.readouterr().out
-        assert "header encoding           (not built)" in out
+        assert "header pages              (not built)" in out
         assert not any(line.startswith("B-tree ") for line in out.splitlines())
 
     def test_btree_shape(self, tmp_path, capsys):
@@ -352,9 +352,10 @@ class TestStats:
         assert lines[9] == ("B-tree                    height 1, t 15, key 8 bytes, "
                             "pages: 1 internal over 13 table blocks of 16 rows")
 
-    def test_sparse_relation_keeps_run_header(self, tmp_path, capsys):
-        # 200 diagonal rows of a 200 x 200 box: 200 runs (3,200 bytes)
-        # against 24 + 2 * 8 + 5,000 bitmap bytes (two 4,096-byte pages)
+    def test_sparse_relation_stores_offset_lists(self, tmp_path, capsys):
+        # 200 diagonal rows of a 200 x 200 box: two pages of 32,768 and 7,232
+        # cells hold 164 and 36 rows, so each is an offset list of 2 bytes a
+        # row: 24 + 2 * 16 + 2 * 200 bytes, where a run header took 3,200
         src = tmp_path / "d.csv"
         src.write_text("a,b,v\n" + "".join(
             f"a{i:03},b{i:03},{i}\n" for i in range(200)
@@ -365,9 +366,9 @@ class TestStats:
         capsys.readouterr()
         assert main(["stats", "--dataset", str(ds)]) == 0
         out = capsys.readouterr().out
-        assert ("header encoding           run header, 3,200 bytes "
-                "(presence bitmap: 5,040 bytes)") in out
-        assert (ds / "relation.hdr").stat().st_size == 3200
+        assert ("header pages              0 full, 0 bitmap, 2 offset list; "
+                "456 bytes; run entries 200") in out
+        assert (ds / "relation.hdr").stat().st_size == 456
 
     def test_empty_relation_has_no_size_ratio(self, tmp_path, capsys):
         # 0.05 of 9 cells is no row
@@ -460,8 +461,10 @@ class TestBrokenDatasetFile:
         elif damage.startswith("missing"):
             path.unlink()
         else:
+            # a manifest of 3 rows that holds together: r and rho change as one
             manifest = built / "manifest.txt"
-            manifest.write_text(manifest.read_text().replace("\nr=4\n", "\nr=3\n"))
+            text = manifest.read_text().replace("\nr=4\n", "\nr=3\n")
+            manifest.write_text(re.sub(r"\nrho=.*\n", f"\nrho={3 / 9!r}\n", text))
         assert main(["query", "--dataset", str(built), "--at", "bern,mon", "--via", via]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: " + message.format(path=path))

@@ -314,7 +314,8 @@ class TestManifest:
         assert manifest.schema is manifest.schema
 
     # the relation: one row of three key attributes, so n = k = 3, one cell,
-    # case 1.1, a 1-byte record and a 13-byte row
+    # case 1.1, a 1-byte record, a 13-byte row, delta = 1/13 and rho = 1.0;
+    # delta and rho must be spelled as repr spells them
     @pytest.mark.parametrize("field, value, message", [
         ("r", "-3", "row count -3 is negative"),
         ("r", "2", "2 rows cannot fit 1 cells"),
@@ -326,9 +327,14 @@ class TestManifest:
                         f"give {derived}")
          for field, value, derived in [("n", "4", 3), ("n", "2", 3), ("k", "2", 3),
                                        ("k", "4", 3), ("case", "1.2", "1.1"),
-                                       ("row_bytes", "14", 13), ("record_width", "2", 1)]],
+                                       ("row_bytes", "14", 13), ("record_width", "2", 1)]]
+    + [(field, value, f"manifest {field} is {value}, but its cards, measure columns and r "
+                      f"give {derived}")
+       for field, value, derived in [("delta", "70.07692307692308", "0.07692307692307693"),
+                                     ("rho", "991.0", "1.0"), ("rho", "1", "1.0")]],
         ids=["negative-r", "r-above-cells", "key-columns-short", "cell-count-overflow",
-             "n-over", "n-under", "k-under", "k-over", "case", "row_bytes", "record_width"])
+             "n-over", "n-under", "k-under", "k-over", "case", "row_bytes", "record_width",
+             "delta", "rho", "rho-spelling"])
     def test_bad_values_name_file(self, tmp_path, field, value, message):
         ingest_rows(["a", "b", "c"], [("x", "p", "u")], ["a", "b", "c"], tmp_path / "ds")
         path = tmp_path / "ds" / MANIFEST_NAME

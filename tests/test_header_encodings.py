@@ -1,14 +1,17 @@
-"""The two header encodings: bitmap equivalence, choice, faults, old files."""
+"""The paged header: container kinds, the list and dict forms, faults, earlier files."""
 
 import os
 import re
 import struct
 import subprocess
 import sys
+import tempfile
+import zlib
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubestore import (
@@ -17,20 +20,18 @@ from cubestore import (
     StorageError,
     build_dataset,
     cell_count,
-    compress_stream,
     delinearize,
-    linearize,
     open_dataset,
 )
 import cubestore
 from cubestore import array_store
-from cubestore.array_store import Header, PresenceBitmap, header_bytes
-from cubestore.dataset import FORMAT_VERSION, MANIFEST_NAME, Manifest, _dim_paths
+from cubestore.array_store import Header
+from cubestore.dataset import MANIFEST_NAME, Manifest, _dim_paths
 from cubestore.relation_model import KIND_TEXT, MeasureColumn, RelationSchema
-from cubestore.table_store import iter_table_cells, write_table
-from conftest import compress_to_memory, make_records, random_positions
+from cubestore.table_store import write_table
+from conftest import build_array_files, compress_to_memory, make_records, random_positions
 from oracle import (
-    bitmap_body, bitmap_file_bytes, decode_header_by_scan, dense_array, header_runs,
+    PAGE_CELLS, bitmap_body, dense_array, header_file_bytes, header_pages, header_runs,
 )
 from test_acceptance import corpus
 from test_table_store import CountedPread
@@ -56,7 +57,7 @@ def write_cells_dataset(root, cards, cells, width: int) -> None:
 
 
 def check_same_cells(got, header: Header, occupied, total: int) -> None:
-    """got answers every header call as the run header and the dense oracle do."""
+    """got answers every header call as the compressed header and the dense oracle do."""
     dense = dense_array(make_records(occupied, 1), total)
     ordinal = 0
     for position in range(1, total + 1):
@@ -67,55 +68,88 @@ def check_same_cells(got, header: Header, occupied, total: int) -> None:
             expect = None
         assert got.locate(position) == header.locate(position) == expect
     assert list(got._cells()) == list(header._cells()) == [p - 1 for p in occupied]
-    assert list(header) == header_runs(occupied, total)
+    assert list(got) == list(header) == header_runs(occupied, total)
     assert len(got) == len(header)
     assert got.record_count == header.record_count == len(occupied)
     assert got.total_cells == header.total_cells == total
 
 
-def test_bitmap_matches_runs_and_oracle_on_the_corpus(tmp_path):
-    """Criterion 3's relations, loaded from a bitmap and built through build_dataset."""
+def form_of(header: Header) -> str:
+    return "list" if type(header._blocks) is list else "dict"
+
+
+def test_pages_match_the_oracle_on_the_corpus(tmp_path):
+    """Criterion 3's relations: the oracle's file loads as the cells, and build writes it."""
     path = tmp_path / "rel.hdr"
     root = tmp_path / "ds"
-    chosen = {"run header": 0, "presence bitmap": 0}
+    kinds = dict.fromkeys(("full", "bitmap", "offset list"), 0)
     relations = corpus()
     assert len(relations) >= 1000
     for cards, occupied, width in relations:
         total = cell_count(cards)
         header, _ = compress_to_memory(make_records(occupied, width), total, width)
-        data = bitmap_file_bytes(occupied, total)
+        data = header_file_bytes(occupied, total)
         path.write_bytes(data)
-        bitmap = Header.load(path)
-        assert isinstance(bitmap, PresenceBitmap)
-        check_same_cells(bitmap, header, occupied, total)
-        # a reader of run headers alone rejects every bitmap file
-        assert len(data) % 16 or decode_header_by_scan(data) == (None, 0)
-
+        check_same_cells(Header.load(path), header, occupied, total)
         write_cells_dataset(root, cards, make_records(occupied, width), width)
         build_dataset(root, "array")
-        stored = (root / "relation.hdr").read_bytes()
-        # the sizes the choice compares are the two files' sizes
-        assert header_bytes(header) == {"run header": 16 * len(header),
-                                        "presence bitmap": len(data)}
-        if len(data) < 16 * len(header):
-            assert stored == data
-            chosen["presence bitmap"] += 1
-        else:
-            assert stored == b"".join(
-                struct.pack("<QQ", e, v) for e, v in header_runs(occupied, total)
-            )
-            chosen["run header"] += 1
+        assert (root / "relation.hdr").read_bytes() == data
         check_same_cells(Header.load(root / "relation.hdr"), header, occupied, total)
-    assert all(chosen.values()), chosen
+        for kind, count in header.containers().items():
+            kinds[kind] += count
+    assert all(kinds.values()), kinds
 
 
-@given(st.integers(1, 80).flatmap(
-    lambda total: st.tuples(st.just(total), st.sets(st.integers(1, total)))))
-def test_bits_set_from_the_runs_match_the_oracle(case):
-    """Every run shape: within one byte, across bytes, at the box end, none at all."""
-    total, occupied = case
-    header, _ = compress_to_memory(make_records(sorted(occupied), 1), total, 1)
-    assert header._presence_bits() == bitmap_body(sorted(occupied), total)
+# boxes of 1 to 3 dimensions, at and around a page of 32,768 cells, and
+# one of 2^34 cells, whose header holds dicts
+ROUND_TRIP_BOXES = [(5,), (37, 11), (4, 5, 6), (32_767,), (128, 256), (3, 10_923),
+                    (32, 32, 32), (7, 9, 1041), (2**17, 2**17)]
+
+
+@st.composite
+def stored_cells(draw):
+    """A box and its stored positions: uniform cells, clustered runs and full pages."""
+    cards = draw(st.sampled_from(ROUND_TRIP_BOXES))
+    total = cell_count(cards)
+    occupied = set(draw(st.lists(st.integers(1, total), max_size=60)))
+    for start, length in draw(st.lists(st.tuples(st.integers(1, total),
+                                                 st.integers(1, 3 * PAGE_CELLS)), max_size=3)):
+        occupied.update(range(start, min(start + length, total + 1)))
+    pages = -(-total // PAGE_CELLS)
+    for page in draw(st.lists(st.integers(0, min(pages, 64) - 1), max_size=2)):
+        occupied.update(range(page * PAGE_CELLS + 1, min((page + 1) * PAGE_CELLS, total) + 1))
+    return cards, sorted(occupied)
+
+
+@given(stored_cells())
+@settings(max_examples=40, deadline=None)
+def test_round_trip_matches_the_dense_oracle(case):
+    """compress_stream, save, Header.load, then get_cell and locate, in either form."""
+    cards, occupied = case
+    total = cell_count(cards)
+    held = {(p - 1) // PAGE_CELLS for p in occupied}
+    form = "list" if 8 * len(held) >= -(-total // PAGE_CELLS) else "dict"
+    records = dict(make_records(occupied, 2))
+    if total <= 40_000:
+        probes = range(1, total + 1)
+    else:  # the stored cells' neighbours, the edges of their pages and 500 others
+        edges = {g * PAGE_CELLS + d for g in held for d in (0, 1, PAGE_CELLS, PAGE_CELLS + 1)}
+        near = {q for p in occupied[::7] for q in (p - 1, p, p + 1)}
+        rng = SplitMix64(len(occupied))
+        others = {rng.below(total) + 1 for _ in range(500)}
+        probes = sorted(q for q in near | edges | others if 1 <= q <= total)
+    with tempfile.TemporaryDirectory() as tmp:
+        with build_array_files(Path(tmp), make_records(occupied, 2), cards, 2) as store:
+            compressed, _ = compress_to_memory(make_records(occupied, 2), total, 2)
+            assert (Path(tmp) / "rel.hdr").read_bytes() == header_file_bytes(occupied, total)
+            assert form_of(store.header) == form_of(compressed) == form
+            ordinal = {p: n for n, p in enumerate(occupied, start=1)}
+            for p in probes:
+                assert store.get_cell(delinearize(p, cards)) == records.get(p), p
+                assert store.header.locate(p) == compressed.locate(p) == ordinal.get(p), p
+            if total <= 40_000:
+                assert list(store.header) == list(compressed) == header_runs(occupied, total)
+            assert [p + 1 for p in store.header._cells()] == occupied
 
 
 def filled_cells(total: int, fill: str) -> list:
@@ -131,34 +165,53 @@ def filled_cells(total: int, fill: str) -> list:
 @pytest.mark.parametrize("fill", ["sparse", "dense", "random"])
 @pytest.mark.parametrize("body", [1, 63, 64, 65, 4095, 4096, 4097, 8200])
 def test_bitmap_blocks_at_every_boundary(tmp_path, body, fill):
-    """Bodies around a 512-bit block and a 64-block group load as the dense oracle says.
+    """Bitmaps around a 512-bit block and a page load as the dense oracle says.
 
-    Three padding bits stay in the last byte, so the padding check sees
-    every size too.
+    Three padding bits stay in the last byte.  A set padding bit, or an
+    offset past the last cell, under a CRC that holds, fails at the first
+    lookup in the last page, and the earlier pages still answer.
     """
     total = 8 * body - 3
     occupied = filled_cells(total, fill)
     path = tmp_path / "rel.hdr"
-    data = bitmap_file_bytes(occupied, total)
-    path.write_bytes(data)
+    path.write_bytes(header_file_bytes(occupied, total))
     header, _ = compress_to_memory(make_records(occupied, 1), total, 1)
     check_same_cells(Header.load(path), header, occupied, total)
-    path.write_bytes(data[:-1] + bytes([data[-1] | 0x80]))
-    with pytest.raises(StorageError, match=re.escape(
-            f"{path}: padding bits past cell {total} are set in byte {len(data) - 1}")):
-        Header.load(path)
+    last = (total - 1) // PAGE_CELLS
+    cells = total - last * PAGE_CELLS
+    rules = []
+
+    def damage(page, container):
+        if page != last or not container:  # a full page has no bytes to damage
+            return container
+        if len(container) == (cells + 7) // 8:
+            rules.append("padding bits past cell")
+            return container[:-1] + bytes([container[-1] | 0x80])
+        rules.append("offsets do not ascend below")
+        return container[:-2] + struct.pack("<H", cells)
+
+    path.write_bytes(header_file_bytes(occupied, total, damage))
+    damaged = Header.load(path)
+    if last:
+        assert damaged.locate(1) == header.locate(1)
+    if rules:
+        with pytest.raises(StorageError, match=re.escape(
+                f"{path}: page {last}, index entry {last}") + f".*: {rules[0]} {cells}"):
+            damaged.locate(total)
+    else:
+        assert occupied[-cells:] == list(range(total - cells + 1, total + 1))
 
 
 class TestBitmapErrors:
-    """Every bad bitmap file is a StorageError naming the file and a byte offset."""
+    """Every bad file is a StorageError naming the file and a byte offset."""
 
-    GOOD = bitmap_file_bytes([2, 3, 7, 9], 10)  # 24 + 8 + 2 bytes
+    GOOD = header_file_bytes([2, 3, 7, 9], 10)  # 24 + 16 + a 2-byte bitmap
 
     def load_error(self, tmp_path, data) -> str:
         path = tmp_path / "rel.hdr"
         path.write_bytes(data)
         with pytest.raises(StorageError) as info:
-            Header.load(path)
+            Header.load(path).locate(2)
         message = str(info.value)
         assert message.startswith(f"{path}: ")
         return message
@@ -166,70 +219,95 @@ class TestBitmapErrors:
     def test_good_file_loads(self, tmp_path):
         path = tmp_path / "rel.hdr"
         path.write_bytes(self.GOOD)
-        bitmap = Header.load(path)
-        assert [p + 1 for p in bitmap._cells()] == [2, 3, 7, 9]
-        assert len(bitmap) == len(header_runs([2, 3, 7, 9], 10))
+        header = Header.load(path)
+        assert header.containers() == {"full": 0, "bitmap": 1, "offset list": 0}
+        assert [p + 1 for p in header._cells()] == [2, 3, 7, 9]
+        assert len(header) == len(header_runs([2, 3, 7, 9], 10))
 
     def test_truncated_preamble(self, tmp_path):
-        for cut in (16, 20, 23):
+        for cut in (8, 16, 20, 23):
             message = self.load_error(tmp_path, self.GOOD[:cut])
-            assert f"ends at byte {cut}, inside its 24-byte preamble" in message
+            assert f"header ends at byte {cut}, inside its 24-byte preamble" in message
 
     def test_zero_cells(self, tmp_path):
-        message = self.load_error(tmp_path, bitmap_file_bytes([], 1)[:16] + bytes(9))
-        assert "total_cells at byte 16 is 0" in message
+        message = self.load_error(tmp_path, self.GOOD[:8] + bytes(8) + self.GOOD[16:])
+        assert "total_cells at byte 8 is 0" in message
 
     def test_wrong_size(self, tmp_path):
-        for data in (self.GOOD[:-1], self.GOOD + b"\0", self.GOOD[:24]):
+        for data in (self.GOOD[:-1], self.GOOD + b"\0"):
             message = self.load_error(tmp_path, data)
-            assert f"ends at byte 34, file ends at byte {len(data)}" in message
+            assert f"containers end at byte 42, file ends at byte {len(data)}" in message
+        message = self.load_error(tmp_path, self.GOOD[:24])
+        assert "index of 1 entries ends at byte 40, file ends at byte 24" in message
 
     def test_set_padding_bit(self, tmp_path):
         for bit in range(2, 8):  # cells 11..16 do not exist
             data = bytearray(self.GOOD)
             data[-1] |= 1 << bit
             message = self.load_error(tmp_path, bytes(data))
-            assert "padding bits past cell 10 are set in byte 33" in message
-
-    # cells 1 and 40,000 of 40,000: a 5,000-byte body in two pages, whose
-    # rank directory (bytes 24 and 32) holds 1 and 2
-    TWO_PAGES = bitmap_file_bytes([1, 40_000], 40_000)
-
-    def test_decreasing_rank_directory(self, tmp_path):
-        data = bytearray(self.TWO_PAGES)
-        data[24] = 3
-        message = self.load_error(tmp_path, bytes(data))
-        assert "rank directory entry 1 at byte 32 is 2, below entry 0's 3" in message
+            assert message.endswith("page 0, index entry 0 at byte 24, container at byte 40: "
+                                    "CRC mismatch")
+            held = header_file_bytes([2, 3, 7, 9], 10,
+                                     lambda page, c, bit=bit: c[:1] + bytes([c[1] | 1 << bit]))
+            message = self.load_error(tmp_path, held)
+            assert message.endswith("container at byte 40: padding bits past cell 10 are set")
 
     def test_page_count_disagrees_with_its_directory_step(self, tmp_path):
-        """A wrong step opens, then fails at each touch of the pages it spans."""
+        """A count the container does not hold, under a CRC that holds, opens,
+        then fails at each touch of its page."""
         path = tmp_path / "rel.hdr"
-        data = bytearray(self.TWO_PAGES)
-        data[24] = 0  # page 0 counts 0 cells and page 1 two: still non-decreasing
+        data = bytearray(self.GOOD)
+        data[32] = 5  # the entry's count: 5 cells, still a 2-byte bitmap
+        struct.pack_into("<I", data, 36, zlib.crc32(bytes(data[24:36]) + data[40:]))
         path.write_bytes(bytes(data))
-        bitmap = Header.load(path)
-        assert bitmap.record_count == 2
-        for position, page, start, holds, says in [(1, 0, 40, 1, 0), (40_000, 1, 4136, 1, 2)]:
-            for _ in range(2):
-                with pytest.raises(StorageError, match=re.escape(
-                        f"{path}: bitmap page {page} at byte {start} holds {holds} nonempty "
-                        f"cells, its rank directory entry at byte {24 + 8 * page} says {says}")):
-                    bitmap.locate(position)
-        with pytest.raises(StorageError, match="bitmap page 0 at byte 40"):
-            len(bitmap)
+        header = Header.load(path)
+        assert header.record_count == 5
+        for _ in range(2):
+            with pytest.raises(StorageError, match=re.escape(
+                    f"{path}: page 0, index entry 0 at byte 24, container at byte 40: "
+                    f"holds 4 nonempty cells, the entry says 5")):
+                header.locate(2)
+        with pytest.raises(StorageError, match="holds 4 nonempty cells"):
+            len(header)
 
     def test_unpaged_bitmap_of_the_earlier_format(self, tmp_path):
         earlier = struct.pack("<Q8sQ", 0, b"PRESENCE", 10) + bytes([0x46, 0x01])
         message = self.load_error(tmp_path, earlier)
-        assert message.endswith("presence bitmap without a rank directory, an earlier format; "
-                                "rebuild it with `cubestore build --only array`")
+        assert message.endswith("rebuild it with `cubestore build --only array`")
 
 
-# 300 x 250 = 75,000 cells: a bitmap body of 9,375 bytes in three pages
-# (4,096, 4,096 and 1,183 bytes; 64, 64 and 19 blocks) after the 24-byte
-# preamble and three directory entries
+def earlier_header(kind: str, occupied, total: int) -> bytes:
+    """A header in one of the formats earlier builds wrote (total below 32,769)."""
+    if kind == "run header":
+        return b"".join(struct.pack("<QQ", e, v) for e, v in header_runs(occupied, total))
+    body = bitmap_body(occupied, total)
+    if kind == "rank-directory bitmap":
+        return struct.pack("<Q8sQQ", 0, b"BITPAGES", total, len(occupied)) + body
+    return struct.pack("<Q8sQ", 0, b"PRESENCE", total) + body
+
+
+@pytest.mark.parametrize("kind", ["run header", "rank-directory bitmap", "presence bitmap"])
+def test_earlier_formats_are_refused(tmp_path, kind):
+    """A relation.hdr an earlier build wrote is refused at open with a rebuild message."""
+    root = tmp_path / "ds"
+    fault_dataset(root, "bitmap")
+    hdr = root / "relation.hdr"
+    occupied = [p + 1 for p in Header.load(hdr)._cells()]
+    hdr.write_bytes(earlier_header(kind, occupied, cell_count(FAULT_CARDS)))
+    with pytest.raises(StorageError, match=re.escape(
+            f"{hdr}: no HDRPAGES magic at byte 0, so a run header, an earlier bitmap or no "
+            f"header; rebuild it with `cubestore build --only array`")):
+        open_dataset(root, need=("array",))
+    build_dataset(root, "array")
+    with open_dataset(root, need=("array",)) as db:
+        assert [p + 1 for p in db.array.header._cells()] == occupied
+
+
+# 300 x 250 = 75,000 cells: three pages of 32,768, 32,768 and 9,464 cells,
+# whose bitmaps are 4,096, 4,096 and 1,183 bytes (64, 64 and 19 blocks),
+# after the 24-byte preamble and three index entries
 PAGED_CARDS = (300, 250)
-PAGED_BODY = 24 + 3 * 8
+PAGED_BODY = 24 + 3 * 16
 
 
 def paged_dataset(root) -> list:
@@ -251,29 +329,27 @@ def test_open_decodes_no_page_and_a_lookup_decodes_its_own(tmp_path, monkeypatch
                         lambda page: decoded.append(len(page)) or decode(page))
     with open_dataset(root, need=("array",)) as db:
         header = db.array.header
-        assert type(header) is PresenceBitmap and len(header._directory) == 3
+        assert header.containers() == {"full": 0, "bitmap": 3, "offset list": 0}
         assert decoded == []
         assert header._blocks == header._ranks == [None] * 147
-        # one view of the file's bytes per page, dropped as its page is decoded
-        assert [len(page) for page in header._pages] == [4096, 4096, 1183]
+        assert header._unchecked == {0, 1, 2}
         # the first touch of page 1 decodes it, and no other cell of it decodes again
         for position in range(32_768 + 1, 2 * 32_768 + 1):
             got = db.array.get_cell(delinearize(position, PAGED_CARDS))
             assert got == records.get(position), position
             assert decoded == [4096]
         assert [b is not None for b in header._blocks] == [False] * 64 + [True] * 64 + [False] * 19
-        assert header._ranks[127] == header._directory[1]
-        assert [page is None for page in header._pages] == [False, True, False]
+        assert header._ranks[127] == header._before[2]
+        assert header._unchecked == {0, 2}
         assert db.array.get_cell(PAGED_CARDS) == records.get(75_000)
-        assert decoded == [4096, 1183]
-        assert [page is None for page in header._pages] == [False, True, True]
+        assert decoded == [4096, 1183] and header._unchecked == {0}
         assert db.array.get_cell((1, 1)) == records.get(1)
-        assert decoded == [4096, 1183, 4096] and header._pages == [None] * 3
+        assert decoded == [4096, 1183, 4096] and header._unchecked == set()
         assert list(header._cells()) == [p - 1 for p in occupied]
 
 
 def test_a_damaged_page_fails_at_its_first_lookup_and_the_others_answer(tmp_path):
-    """A flipped body bit in page 2 leaves the record count, so open succeeds."""
+    """A flipped bit in page 2's bitmap leaves the index whole, so open succeeds."""
     root = tmp_path / "ds"
     occupied = paged_dataset(root)
     records = dict(make_records(occupied, 3))
@@ -282,7 +358,8 @@ def test_a_damaged_page_fails_at_its_first_lookup_and_the_others_answer(tmp_path
     assert len(data) == PAGED_BODY + 9375
     data[PAGED_BODY + 2 * 4096 + 10] ^= 4  # cell 2 * 32,768 + 83
     hdr.write_bytes(bytes(data))
-    damaged = re.escape(f"{hdr}: bitmap page 2 at byte {PAGED_BODY + 2 * 4096} holds ")
+    damaged = re.escape(f"{hdr}: page 2, index entry 2 at byte 56, "
+                        f"container at byte {PAGED_BODY + 2 * 4096}: CRC mismatch")
     with open_dataset(root, need=("array",)) as db:
         for position in range(1, 2 * 32_768 + 1, 7):
             assert db.array.get_cell(delinearize(position, PAGED_CARDS)) == records.get(position)
@@ -294,23 +371,52 @@ def test_a_damaged_page_fails_at_its_first_lookup_and_the_others_answer(tmp_path
             list(db.array.iterate_nonempty())
 
 
-# The fault-injection box: 31 * 19 * 10 = 5,890 cells, not a multiple of 8,
-# so the last bitmap byte holds padding bits.
+# The fault-injection box: 31 * 19 * 10 = 5,890 cells in one page, not a
+# multiple of 8, so a bitmap's last byte holds padding bits.  The dict
+# form's box has 2^40 cells.
 FAULT_CARDS = (31, 19, 10)
+HUGE_CARDS = (2**20, 2**20)
 
 
-def fault_dataset(root, count: int, seed: int) -> list:
-    """Build a dataset of count seeded cells in FAULT_CARDS; returns its answers."""
-    cells = make_records(random_positions(cell_count(FAULT_CARDS), count, seed=seed), 3)
-    write_cells_dataset(root, FAULT_CARDS, cells, 3)
-    build_dataset(root)
-    return all_answers(root)
+@lru_cache(maxsize=None)
+def fault_cells(kind: str) -> tuple:
+    """(cards, stored positions, probed positions) of a relation whose header
+    holds one container kind, or whose header is in the dict form."""
+    if kind != "dict form":
+        count = {"full": 5890, "bitmap": 2945, "offset list": 30}[kind]
+        occupied = random_positions(cell_count(FAULT_CARDS), count, seed=count)
+        return FAULT_CARDS, occupied, range(1, cell_count(FAULT_CARDS) + 1)
+    # 40 lone cells, page 1,000 full and a third of page 2,000: offset lists,
+    # a full page and a bitmap; probed at every stored lone cell and its
+    # neighbours, and at every 7th cell and both ends of the two pages
+    lone = random_positions(cell_count(HUGE_CARDS), 40, seed=40)
+    full = range(1000 * PAGE_CELLS + 1, 1001 * PAGE_CELLS + 1)
+    third = [2000 * PAGE_CELLS + p for p in random_positions(PAGE_CELLS, PAGE_CELLS // 3, 41)]
+    occupied = sorted(set(lone) | set(full) | set(third))
+    probes = {q for p in lone for q in (p - 1, p, p + 1)}
+    for g in (1000, 2000):
+        probes.update(range(g * PAGE_CELLS + 1, (g + 1) * PAGE_CELLS + 1, 7))
+        probes.update((g * PAGE_CELLS, g * PAGE_CELLS + 1, (g + 1) * PAGE_CELLS))
+    return HUGE_CARDS, occupied, sorted(probes)
 
 
-def all_answers(root) -> list:
+def fault_dataset(root, kind: str) -> list:
+    """Build the relation of fault_cells(kind); returns its answers at the probes."""
+    cards, occupied, _ = fault_cells(kind)
+    write_cells_dataset(root, cards, make_records(occupied, 3), 3)
+    build_dataset(root, "array")
+    header = Header.load(root / "relation.hdr")
+    if kind == "dict form":
+        assert form_of(header) == "dict"
+    else:
+        assert header.containers()[kind] == 1
+    return all_answers(root, kind)
+
+
+def all_answers(root, kind: str) -> list:
+    cards, _, probes = fault_cells(kind)
     with open_dataset(root, need=("array",)) as db:
-        return [db.array.get_cell(delinearize(p, FAULT_CARDS))
-                for p in range(1, cell_count(FAULT_CARDS) + 1)]
+        return [db.array.get_cell(delinearize(p, cards)) for p in probes]
 
 
 def hdr_mutations(data: bytes, rng: SplitMix64):
@@ -324,30 +430,30 @@ def hdr_mutations(data: bytes, rng: SplitMix64):
         yield data[:cut]
 
 
-@pytest.mark.parametrize("count,encoding", [(2945, PresenceBitmap), (30, Header)])
-def test_hdr_faults_never_give_silent_wrong_answers(tmp_path, count, encoding):
-    """A mutated relation.hdr fails at open or at its page's first lookup, or
-    answers exactly as before.
+FAULT_KINDS = ["full", "bitmap", "offset list", "dict form"]
 
-    In the bitmap, a flipped body bit makes its page's count disagree with
-    the rank directory, which the page's first lookup catches; a flipped
-    last directory entry changes the record count, which the .arr size
-    check catches at open.  In the sparse run header each run holds one
-    record, so a changed entry breaks the rule that filled counts rise.
-    A run header whose runs hold several records has slack there: a
-    low-bit flip can leave it valid with other answers, which only a
-    checksum can catch.
+
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_hdr_faults_never_give_silent_wrong_answers(tmp_path, kind):
+    """A mutated relation.hdr fails at open or at a lookup, or answers exactly as before.
+
+    Open refuses a changed preamble, a broken index order, a count out of
+    range or a file of the wrong size; the .arr size check refuses a
+    changed record count.  A flipped container byte, count, pad or CRC
+    fails the page's CRC at its first lookup.  A page number moved to
+    another page fails its CRC there, and a lookup in the page it left,
+    which the index no longer holds, checks the entries on either side
+    first, so it fails rather than answering "empty".
     """
     root = tmp_path / "ds"
-    expected = fault_dataset(root, count, seed=count)
+    expected = fault_dataset(root, kind)
     hdr = root / "relation.hdr"
     data = hdr.read_bytes()
-    assert type(Header.load(hdr)) is encoding
     accepted = rejected = silent = 0
-    for mutated in hdr_mutations(data, SplitMix64(count)):
+    for mutated in hdr_mutations(data, SplitMix64(len(data))):
         hdr.write_bytes(mutated)
         try:
-            answers = all_answers(root)
+            answers = all_answers(root, kind)
         except (StorageError, DatasetError):
             rejected += 1
             continue
@@ -355,80 +461,62 @@ def test_hdr_faults_never_give_silent_wrong_answers(tmp_path, count, encoding):
         silent += answers != expected
     assert silent == 0, f"{silent} of {accepted} accepted mutations answered wrongly"
     assert accepted + rejected == 100 + -(-len(data) // 8)
-    print(f"{encoding.__name__}: {len(data)} bytes, "
+    print(f"{kind}: {len(data)} bytes, "
           f"{rejected} mutations rejected, {accepted} accepted with the same answers")
 
 
-@pytest.mark.parametrize("count,encoding", [(2945, PresenceBitmap), (30, Header)])
-def test_get_cell_reads_once_per_hit_and_never_on_a_miss(tmp_path, monkeypatch, count,
-                                                         encoding):
+@pytest.mark.parametrize("kind", FAULT_KINDS)
+def test_get_cell_reads_once_per_hit_and_never_on_a_miss(tmp_path, monkeypatch, kind):
     root = tmp_path / "ds"
-    expected = fault_dataset(root, count, seed=count)
+    expected = fault_dataset(root, kind)
+    cards, _, probes = fault_cells(kind)
     counted = CountedPread(os.pread)
     monkeypatch.setattr(os, "pread", counted)
     with open_dataset(root, need=("array",)) as db:
-        assert type(db.array.header) is encoding
         arr = db.array._fd
 
         def reads():  # (all preads, preads of the .arr file)
             return sum(counted.calls.values()), counted.calls.get(arr, 0)
 
-        for position, answer in enumerate(expected, start=1):
+        for position, answer in zip(probes, expected):
             before = reads()
-            assert db.array.get_cell(delinearize(position, FAULT_CARDS)) == answer
+            assert db.array.get_cell(delinearize(position, cards)) == answer
             hit = answer is not None
             assert tuple(map(int.__sub__, reads(), before)) == (hit, hit), position
 
 
-def test_padding_bit_rejected_at_open(tmp_path):
+def test_padding_bit_rejected_at_first_lookup(tmp_path):
+    """A set padding bit fails the CRC, and under a CRC that holds, the padding check."""
     root = tmp_path / "ds"
-    fault_dataset(root, 2945, seed=2945)
+    fault_dataset(root, "bitmap")
     hdr = root / "relation.hdr"
     data = bytearray(hdr.read_bytes())
-    assert len(data) == 24 + 8 + 737  # 5,890 cells in one page, 2 bits used in the last byte
+    assert len(data) == 24 + 16 + 737  # 5,890 cells in one page, 2 bits used in the last byte
+    occupied = [p + 1 for p in Header.load(hdr)._cells()]
     data[-1] |= 0x80
     hdr.write_bytes(bytes(data))
-    with pytest.raises(StorageError, match=re.escape(
-            f"{hdr}: padding bits past cell 5890 are set in byte 768")):
-        open_dataset(root, need=("array",))
-
-
-def test_run_header_files_still_open(tmp_path):
-    """A run-format relation.hdr, as every earlier build wrote, still answers the same."""
-    assert FORMAT_VERSION == 1
-    root = tmp_path / "ds"
-    expected = fault_dataset(root, 2945, seed=7)
-    with open_dataset(root) as db:
-        assert isinstance(db.array.header, PresenceBitmap)
-        stored = list(db.array.iterate_nonempty())
-    # the earlier array build: compress the table's cells, save the run header
-    manifest = Manifest.load(root / MANIFEST_NAME)
-    width = manifest.schema.record_width
-    cells = ((linearize(c, FAULT_CARDS), rec)
-             for c, rec in iter_table_cells(root / "relation.tbl", 3, width))
-    arr = root / "relation.arr"
-    built_arr = arr.read_bytes()
-    with open(arr, "wb") as f:
-        header = compress_stream(cells, cell_count(FAULT_CARDS), width, f)
-    assert arr.read_bytes() == built_arr
-    header.save(root / "relation.hdr")
-    assert (root / "relation.hdr").stat().st_size == 16 * len(header) > 24 + 8 + 737
-    assert all_answers(root) == expected
-    with open_dataset(root) as db:
-        assert type(db.array.header) is Header
-        assert list(db.array.iterate_nonempty()) == stored
+    page = f"{hdr}: page 0, index entry 0 at byte 24, container at byte 40"
+    with open_dataset(root, need=("array",)) as db:
+        with pytest.raises(StorageError, match=re.escape(f"{page}: CRC mismatch")):
+            db.array.get_cell((31, 19, 10))
+    hdr.write_bytes(header_file_bytes(occupied, 5890, lambda g, c: c[:-1] + bytes([c[-1] | 0x80])))
+    with open_dataset(root, need=("array",)) as db:
+        with pytest.raises(StorageError, match=re.escape(
+                f"{page}: padding bits past cell 5890 are set")):
+            db.array.get_cell((1, 1, 1))
 
 
 def test_sparse_build_in_a_huge_box_allocates_no_bitmap(tmp_path):
-    """300 diagonal cells of a 2^40-cell box keep the run header.
+    """300 diagonal cells of a 2^40-cell box: a page each, an offset list of one cell.
 
     The build runs under a 1 GiB address-space limit, so it fails if it
-    allocates the 2^37 bitmap bytes that could never win.
+    allocates anything in proportion to the box, such as its bitmap's
+    2^37 bytes or a list over its blocks.
     """
     pytest.importorskip("resource")
     cards = (2**20, 2**20)
     total = cell_count(cards)
-    occupied = [linearize((i, i), cards) for i in range(1, 301)]
+    occupied = [(i - 1) * (cards[0] + 1) + 1 for i in range(1, 301)]
     root = tmp_path / "ds"
     write_cells_dataset(root, cards, make_records(occupied, 2), 2)
     src = str(Path(cubestore.__file__).parents[1])
@@ -441,12 +529,13 @@ def test_sparse_build_in_a_huge_box_allocates_no_bitmap(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert build.returncode == 0, build.stderr
-    assert (root / "relation.hdr").stat().st_size == 16 * 301
+    assert (root / "relation.hdr").stat().st_size == 24 + 300 * (16 + 2)
+    assert [len(offsets) for _, offsets, _ in header_pages(occupied, total)] == [1] * 300
     with open_dataset(root, need=("array",)) as db:
         header = db.array.header
-        assert type(header) is Header
+        assert form_of(header) == "dict"
         # each diagonal cell is a run of its own
-        assert [tuple(entry) for entry in header] == [
+        assert list(header) == [
             (p, p - i) for i, p in enumerate(occupied, start=1)
         ] + [(total, total - 300)]
         assert db.array.get_cell((300, 300)) == make_records([occupied[-1]], 2)[0][1]

@@ -22,13 +22,11 @@ from hypothesis import strategies as st
 from cubestore import (
     ArrayStore, RangeError, SplitMix64, cell_count, delinearize, encode_key, linearize,
 )
-from cubestore.array_store import Header, PresenceBitmap
 from cubestore.linearizer import U64_MAX, key_kernel, position_kernel
 from cubestore.table_store import write_table
 from conftest import (
-    build_array_files, build_both_encodings, build_table_files, make_records, random_positions,
+    build_array_files, build_both_headers, build_table_files, make_records, random_positions,
 )
-from oracle import bitmap_file_bytes
 
 # 3 * 5 * 17 * 257 * 641 * 65537 * 6700417 = 2**64 - 1 cells
 FULL_BOX = (3, 5, 17, 257, 641, 65537, 6700417)
@@ -173,30 +171,29 @@ def test_stores_of_one_k_share_the_compiled_kernels(tmp_path):
     arrays = []
     for name, cards in zip("ab", boxes):
         (tmp_path / name).mkdir()
-        arrays.append(build_both_encodings(tmp_path / name, [1, 5, 9], cards))
-    (a, a_bits), (b, b_bits) = arrays
-    with a, a_bits, b, b_bits, \
+        arrays.append(build_both_headers(tmp_path / name, [1, 5, 9], cards))
+    (a, a_mem), (b, b_mem) = arrays
+    with a, a_mem, b, b_mem, \
             build_table_files(tmp_path / "a", cells, boxes[0], 3) as ta, \
             build_table_files(tmp_path / "b", cells, boxes[1], 3) as tb:
         assert ta._key.__code__ is tb._key.__code__
-        # one code object per (k, header encoding), whatever the cards
+        # one code object per k, whatever the cards and the header's state
         assert a.get_cell is not b.get_cell
         assert a.get_cell.__code__ is b.get_cell.__code__
-        assert a_bits.get_cell.__code__ is b_bits.get_cell.__code__
-        assert a.get_cell.__code__ is not a_bits.get_cell.__code__
+        assert a.get_cell.__code__ is a_mem.get_cell.__code__ is b_mem.get_cell.__code__
         with build_array_files(tmp_path, cells, (41, 43), 3) as k2:
             assert k2.get_cell.__code__ is not a.get_cell.__code__
-        for store in (a, a_bits, ta):
+        for store in (a, ta):
             code = (store._key if store is ta else store.get_cell).__code__
             assert not set(boxes[0] + boxes[1]) & set(constants(code))
-        for store in (a, a_bits):
+        for store in (a, a_mem):
             assert store.get_cell((5, 1, 1)) == cells[1][1]
         assert position_kernel(boxes[0]).__code__ is position_kernel(boxes[1]).__code__
         assert position_kernel((4, 3)).__code__ is not position_kernel(boxes[0]).__code__
 
 
 def test_a_closed_dropped_store_is_freed_without_the_cyclic_collector(tmp_path):
-    stores = list(build_both_encodings(tmp_path, [1, 5, 9], (4, 3, 2)))
+    stores = list(build_both_headers(tmp_path, [1, 5, 9], (4, 3, 2)))
     while stores:
         store = stores.pop()
         assert store.get_cell((1, 1, 1)) is not None
@@ -219,7 +216,7 @@ def reference_cell(store, coords):
     return None if record is None else store.read_record(record)
 
 
-# boxes of k = 1..4 past two 512-bit blocks, each with padding bits in its
+# boxes of k = 1..4 past two 512-bit blocks, each with padding bits in a
 # bitmap's last byte, and the 5,890-cell box of the header fault tests
 REFERENCE_BOXES = [(1500,), (50, 31), (12, 11, 13), (5, 7, 6, 9), (31, 19, 10)]
 
@@ -245,18 +242,17 @@ def test_compiled_get_cell_equals_the_reference_steps_at_every_cell(tmp_path, ca
     for name, positions in reference_fills(total).items():
         root = tmp_path / name
         root.mkdir()
-        runs, bitmap = build_both_encodings(root, positions, cards)
-        with runs, bitmap:
-            assert type(runs.header) is Header and type(bitmap.header) is PresenceBitmap
-            assert runs.record_count == len(positions)
-            for store in (runs, bitmap):
+        loaded, compressed = build_both_headers(root, positions, cards)
+        with loaded, compressed:
+            assert loaded.record_count == len(positions)
+            for store in (loaded, compressed):
                 answers = [store.get_cell(delinearize(p, cards)) for p in range(1, total + 1)]
                 assert answers == [reference_cell(store, delinearize(p, cards))
-                                   for p in range(1, total + 1)], (name, type(store.header))
+                                   for p in range(1, total + 1)], (name, store is loaded)
                 assert [p for p, a in enumerate(answers, 1) if a is not None] == positions
                 for p in (511, 512, 513, 1024, 1025, total):
                     assert store.get_cell(list(delinearize(p, cards))) == answers[p - 1]
-                # no coordinates reach the bitmap's padding bits: one past the
+                # no coordinates reach a bitmap's padding bits: one past the
                 # box in any dimension raises what the reference raises
                 for coords in [cards[:-1] + (cards[-1] + 1,), (cards[0] + 1,) + cards[1:]]:
                     expected = raised(lambda c: reference_cell(store, c), coords)
@@ -264,27 +260,28 @@ def test_compiled_get_cell_equals_the_reference_steps_at_every_cell(tmp_path, ca
                     assert raised(store.get_cell, coords) == expected
 
 
-# 75,000 cells: a bitmap of three pages of 32,768, 32,768 and 9,464 cells
+# 75,000 cells: three header pages of 32,768, 32,768 and 9,464 cells
 PAGED_BOX = (300, 250)
 PAGE_CELLS = 32_768
 
 
 def paged_stores(root):
-    """(run header store, bitmap store, answers by position) of a third of PAGED_BOX."""
+    """(store over the header compress_stream returned, store over the header
+    loaded from its file, answers by position) of a third of PAGED_BOX."""
     total = cell_count(PAGED_BOX)
     rng = SplitMix64(total)
     positions = [p for p in range(1, total + 1) if rng.below(3) == 0]
-    runs, bitmap = build_both_encodings(root, positions, PAGED_BOX)
-    assert len(bitmap.header._directory) == 3
+    loaded, compressed = build_both_headers(root, positions, PAGED_BOX)
+    assert loaded.header.containers() == {"full": 0, "bitmap": 3, "offset list": 0}
     answers = dict.fromkeys(range(1, total + 1))
     answers.update(make_records(positions, 3))
-    return runs, bitmap, answers
+    return compressed, loaded, answers
 
 
 def test_compiled_get_cell_equals_the_reference_steps_over_pages_touched_in_any_order(
         tmp_path):
     """Each page's first lookup goes through locate; the rest run the compiled step."""
-    runs, bitmap, _ = paged_stores(tmp_path)
+    compressed, loaded, _ = paged_stores(tmp_path)
     total = cell_count(PAGED_BOX)
     shuffle = random.Random(27).shuffle
     pages = [list(range(g * PAGE_CELLS + 1, min((g + 1) * PAGE_CELLS, total) + 1))
@@ -292,32 +289,30 @@ def test_compiled_get_cell_equals_the_reference_steps_over_pages_touched_in_any_
     for cells in pages:
         shuffle(cells)
     order = [p for g in (2, 0, 1) for p in pages[g]]
-    with runs, bitmap:
-        assert bitmap.header._blocks == [None] * len(bitmap.header._blocks)
+    with compressed, loaded:
+        assert loaded.header._blocks == [None] * len(loaded.header._blocks)
         coords = [delinearize(p, PAGED_BOX) for p in order]
-        answers = [bitmap.get_cell(c) for c in coords]
-        assert answers == [reference_cell(runs, c) for c in coords]
-        assert answers == [reference_cell(bitmap, c) for c in coords]
+        answers = [loaded.get_cell(c) for c in coords]
+        assert answers == [reference_cell(compressed, c) for c in coords]
+        assert answers == [reference_cell(loaded, c) for c in coords]
 
 
-def test_threads_that_first_touch_pages_together_answer_every_cell(tmp_path):
-    """Four threads look up shuffled cells of a fresh bitmap store, switching often."""
-    runs, bitmap, expected = paged_stores(tmp_path)
-    runs.close()
-    bitmap.close()
-    total = cell_count(PAGED_BOX)
+def first_touch_race(root, cards, expected: dict, rounds: int = 20) -> None:
+    """Four threads look up shuffled cells of expected's keys in a freshly
+    loaded store, switching often, in each round."""
+    probes = sorted(expected)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for round_ in range(20):
-            store = ArrayStore.open(tmp_path / "rel.arr", tmp_path / "bitmap.hdr", PAGED_BOX, 3)
+        for round_ in range(rounds):
+            store = ArrayStore.open(root / "rel.arr", root / "rel.hdr", cards, 3)
             wrong = []
 
             def look_up(seed, store=store, wrong=wrong):
                 rng = random.Random(seed)
-                for p in (rng.randint(1, total) for _ in range(300)):
+                for p in (rng.choice(probes) for _ in range(300)):
                     try:
-                        got = store.get_cell(delinearize(p, PAGED_BOX))
+                        got = store.get_cell(delinearize(p, cards))
                     except Exception as exc:  # reported below, as a wrong answer
                         got = exc
                     if got != expected[p]:
@@ -336,6 +331,27 @@ def test_threads_that_first_touch_pages_together_answer_every_cell(tmp_path):
         sys.setswitchinterval(switch)
 
 
+def test_threads_that_first_touch_pages_together_answer_every_cell(tmp_path):
+    """The list form: every cell of a three-page box."""
+    compressed, loaded, expected = paged_stores(tmp_path)
+    compressed.close()
+    loaded.close()
+    first_touch_race(tmp_path, PAGED_BOX, expected)
+
+
+def test_threads_that_first_touch_dict_pages_together_answer_every_cell(tmp_path):
+    """The dict form: 40 pages of 2^25 that hold 50 cells each, and a cell
+    a page before each stored one, mostly in a page the index does not hold."""
+    cards = (2**20, 2**20)
+    pages = random_positions(2**25, 40, seed=11)
+    positions = sorted((g - 1) * PAGE_CELLS + p for g in pages
+                       for p in random_positions(PAGE_CELLS, 50, seed=g))
+    build_array_files(tmp_path, make_records(positions, 3), cards, 3).close()
+    expected = {p - PAGE_CELLS: None for p in positions if p > PAGE_CELLS}
+    expected.update(make_records(positions, 3))
+    first_touch_race(tmp_path, cards, expected, rounds=60)
+
+
 # cells {1, 2, 3, 7} of a 4 x 2 box: (1, 1), (2, 1), (3, 1) and (3, 2)
 SMALL_CARDS = (4, 2)
 SMALL_POSITIONS = [1, 2, 3, 7]
@@ -344,16 +360,14 @@ NOT_INTS = [(3.5, 1), (2, 2.0), (1.0, 1), (Decimal(2), 1), (Fraction(3), 1),
 BOOLS = [((True, 1), (1, 1)), ((True, True), (1, 1)), ((3, True), (3, 1)), ([2, True], (2, 1))]
 
 
-@pytest.fixture(params=[Header, PresenceBitmap], ids=["run header", "presence bitmap"])
+@pytest.fixture(params=["loaded", "compressed"])
 def small_stores(request, tmp_path):
-    cells = make_records(SMALL_POSITIONS, 3)
-    array = build_array_files(tmp_path, cells, SMALL_CARDS, 3)  # saves a run header
-    if request.param is PresenceBitmap:
-        array.close()
-        (tmp_path / "rel.hdr").write_bytes(bitmap_file_bytes(SMALL_POSITIONS, 8))
-        array = ArrayStore.open(tmp_path / "rel.arr", tmp_path / "rel.hdr", SMALL_CARDS, 3)
-    assert type(array.header) is request.param
-    table = build_table_files(tmp_path, cells, SMALL_CARDS, 3)
+    """An array store over the header loaded from its file or the one
+    compress_stream returned, and a table store, of SMALL_POSITIONS."""
+    loaded, compressed = build_both_headers(tmp_path, SMALL_POSITIONS, SMALL_CARDS)
+    array = loaded if request.param == "loaded" else compressed
+    (compressed if array is loaded else loaded).close()
+    table = build_table_files(tmp_path, make_records(SMALL_POSITIONS, 3), SMALL_CARDS, 3)
     yield array, table
     array.close()
     table.close()
@@ -488,10 +502,9 @@ def test_every_path_equals_the_dense_oracle_or_raises_the_same_error(data):
     dense = dict(cells)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        array, bitmap = build_both_encodings(root, positions, cards)
+        array, compressed = build_both_headers(root, positions, cards)
         table = build_table_files(root, cells, cards, 3)
-        with array, table, bitmap:
-            assert type(array.header) is Header and type(bitmap.header) is PresenceBitmap
+        with array, table, compressed:
 
             records = [record for _, record in cells]
 
@@ -507,7 +520,7 @@ def test_every_path_equals_the_dense_oracle_or_raises_the_same_error(data):
                     return table.read_measures(recno)
                 return path
 
-            paths = [array.get_cell, bitmap.get_cell,
+            paths = [array.get_cell, compressed.get_cell,
                      via(table.btree_lookup), via(table.binary_search_lookup)]
             for _ in range(30):
                 coords = data.draw(any_coordinates(cards))
